@@ -2,18 +2,27 @@
 
 Runs one fleet of ``REPRO_BENCH_HOMES`` homes (default 64) serially and
 across a worker pool, asserts the per-home digests are byte-identical (the
-fleet determinism contract), and records homes/sec plus peak-RSS-per-home
-into ``BENCH_campaign.json`` under the regression gate.  Throughput is the
-number that tracks the "millions of homes" north star; RSS-per-home is
-what bounds how many homes one worker can batch.
+fleet determinism contract), and records homes/sec plus the memory one
+home costs into ``BENCH_campaign.json`` under the regression gate.
+Throughput is the number that tracks the "millions of homes" north star.
+
+``home_peak_kb`` is the median, over the fleet's first
+:data:`MEMORY_SAMPLE` homes, of the :mod:`tracemalloc` peak while one home
+is built and run: the Python heap a home needs on top of the interpreter
+and the imported package.  ``peak_rss_kb`` is the worker processes' peak
+resident set, interpreter included, for the whole fleet.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
+import tracemalloc
 
 from repro.fleet import FleetRunner
+from repro.fleet.engine import run_home
+from repro.fleet.sampler import FleetSampler
 from repro.parallel import fork_available
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
@@ -22,6 +31,25 @@ from conftest import bench_jobs
 
 def bench_homes(default: int = 64) -> int:
     return int(os.environ.get("REPRO_BENCH_HOMES", default))
+
+
+#: Homes whose build-and-run is traced for ``home_peak_kb``.
+MEMORY_SAMPLE = 8
+
+
+def _home_peak_kb(homes: int) -> float:
+    """Median tracemalloc peak (KiB) of building and running one home."""
+    sampler = FleetSampler(0)  # the population _run's fleets sample
+    peaks = []
+    for index in range(min(homes, MEMORY_SAMPLE)):
+        spec = sampler.sample(index)
+        tracemalloc.start()
+        try:
+            run_home(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1024)
+        finally:
+            tracemalloc.stop()
+    return statistics.median(peaks) if peaks else 0.0
 
 
 def _run(homes: int, jobs: int):
@@ -49,7 +77,7 @@ def test_fleet_campaign(once):
 
     homes_per_sec = homes / parallel_s if parallel_s else 0.0
     peak_rss_kb = max(serial_rss, parallel_rss)
-    rss_kb_per_home = peak_rss_kb / homes if homes else 0.0
+    home_peak_kb = _home_peak_kb(homes)
     entry = record_bench(
         "fleet",
         homes=homes,
@@ -61,14 +89,14 @@ def test_fleet_campaign(once):
         events=parallel_report.events,
         attacked_homes=parallel_report.attacked,
         peak_rss_kb=peak_rss_kb,
-        rss_kb_per_home=round(rss_kb_per_home, 1),
+        home_peak_kb=round(home_peak_kb, 1),
         fork_available=fork_available(),
     )
     print()
     print(f"fleet: {homes} homes, {parallel_report.events} events, "
           f"{parallel_report.attacked} attacked")
     print(f"serial {serial_s:.2f}s vs jobs={jobs} {parallel_s:.2f}s; "
-          f"{homes_per_sec:.1f} homes/s, {rss_kb_per_home:.0f} KiB RSS/home "
+          f"{homes_per_sec:.1f} homes/s, {home_peak_kb:.0f} KiB heap peak/home "
           f"-> {entry}")
     # Throughput is hardware-bound: gate only against a baseline that
     # measured the same workload on a comparable machine.  The serial

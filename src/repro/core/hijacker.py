@@ -98,9 +98,6 @@ class Hold:
     forged_acks: int = 0
     #: Invoked (with the hold) the moment the trigger message is captured.
     on_triggered: Callable[["Hold"], None] | None = None
-    #: True while this hold is counted as a scheduler quiescence blocker
-    #: (armed holds disable batch-stepping until released or cancelled).
-    quiesce_blocking: bool = field(default=False, repr=False)
 
     @property
     def active(self) -> bool:
@@ -206,24 +203,13 @@ class TcpHijacker:
             trigger_size=trigger_size,
             label=label,
         )
-        # An armed hold is an attacker window: the scheduler must not
-        # batch-step across it, so it counts as a quiescence blocker for
-        # its whole armed..released/cancelled lifetime.
-        self.sim.block_quiescence()
-        hold.quiesce_blocking = True
         self.holds.append(hold)
         return hold
-
-    def _unblock_quiescence(self, hold: Hold) -> None:
-        if hold.quiesce_blocking:
-            hold.quiesce_blocking = False
-            self.sim.unblock_quiescence()
 
     def release(self, hold: Hold, reason: str = "released") -> None:
         """Flush held packets in original order and resume pass-through."""
         if hold.released_at is not None:
             return
-        self._unblock_quiescence(hold)
         hold.released_at = self.sim.now
         hold.end_reason = reason
         self.stats["released"] += 1
@@ -249,7 +235,6 @@ class TcpHijacker:
         if hold.triggered_at is not None:
             self.release(hold, reason="cancelled")
         else:
-            self._unblock_quiescence(hold)
             hold.armed = False
             hold.end_reason = "cancelled"
 

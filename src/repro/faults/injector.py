@@ -89,16 +89,8 @@ class FaultInjector:
         self.stats: dict[str, int] = dict.fromkeys(_STAT_KEYS, 0)
 
     def attach(self, lan: "Lan") -> "FaultInjector":
-        """Install this injector as the LAN's impairment hook.
-
-        An impairing profile also registers as a scheduler quiescence
-        blocker for the simulation's lifetime: under impairment any
-        keep-alive can spawn retransmissions, so the scheduler must keep
-        re-evaluating the event mix per event instead of batch-stepping.
-        """
+        """Install this injector as the LAN's impairment hook."""
         lan.fault_injector = self
-        if self.profile.impaired:
-            self.sim.block_quiescence()
         return self
 
     # ------------------------------------------------------------------ plan

@@ -36,11 +36,9 @@ class SimObserver:
         """A timer's callback is about to run; ``queue_depth`` excludes it.
 
         ``queue_depth`` is the number of *live* pending timers (scheduled,
-        not yet fired or cancelled) — cancelled ghosts awaiting lazy
-        removal from the timer wheel are never counted.  The hook fires
-        for every logical event, including periodic fires the scheduler
-        batch-steps through its quiescence fast path, so profilers see an
-        identical stream whether or not the fast path engaged.
+        not yet fired or cancelled) — cancelled timers still in the heap
+        awaiting lazy removal are never counted.  The hook fires once per
+        event, every fire of a periodic timer included.
         """
 
 

@@ -44,6 +44,7 @@ class ArpCache:
         accept_unsolicited: bool = True,
     ) -> None:
         self.sim = sim
+        self._clock = sim.clock
         self.ttl = ttl
         self.accept_unsolicited = accept_unsolicited
         self._entries: dict[str, ArpEntry] = {}
@@ -53,7 +54,7 @@ class ArpCache:
         entry = self._entries.get(ip)
         if entry is None:
             return None
-        if not entry.static and self.sim.now - entry.learned_at > self.ttl:
+        if not entry.static and self._clock._now - entry.learned_at > self.ttl:
             del self._entries[ip]
             return None
         return entry.mac
@@ -69,7 +70,7 @@ class ArpCache:
             return False
         if not solicited and not self.accept_unsolicited:
             return False
-        self._entries[ip] = ArpEntry(mac=mac, learned_at=self.sim.now)
+        self._entries[ip] = ArpEntry(mac=mac, learned_at=self._clock._now)
         return True
 
     def set_static(self, ip: str, mac: str) -> None:

@@ -42,17 +42,5 @@ class Clock:
             )
         self._now = when
 
-    def advance_unchecked(self, when: float) -> None:
-        """Move the clock forward without the backwards-motion guard.
-
-        For the scheduler's fused hot loops only: they pop events in
-        ``(when, seq)`` heap order, so monotonicity is already proven by
-        the data structure and re-checking it per event is pure overhead.
-        Equivalent to the attribute store ``clock._now = when`` the hot
-        loops inline; exists so the contract is a named, documented API
-        rather than private-attribute folklore.
-        """
-        self._now = when
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Clock(now={self._now:.6f})"

@@ -53,6 +53,9 @@ class Host:
         self.hostname = hostname
         self.gateway_ip = gateway_ip
         self.nic = lan.attach(self._on_frame, promiscuous=promiscuous)
+        self.mac = self.nic.mac
+        #: The first three octets: the home network is a /24.
+        self._subnet = ip.split(".")[:3]
         self.arp = ArpCache(sim)
         # Lazily-created obs counters; stay None while observability is off
         # so the per-frame cost is one attribute load and a branch.
@@ -62,10 +65,6 @@ class Host:
         self.ip_handler: Callable[[IpPacket], None] | None = None
         self.foreign_ip_handler: Callable[[IpPacket, EthernetFrame], None] | None = None
         self._arp_wait_queue: dict[str, list[IpPacket]] = {}
-
-    @property
-    def mac(self) -> str:
-        return self.nic.mac
 
     # ------------------------------------------------------------------ send
 
@@ -77,7 +76,7 @@ class Host:
                     "host", "packets_sent", host=self.hostname
                 )
             self._tx_counter.inc()
-        if same_subnet(packet.dst_ip, self.ip):
+        if packet.dst_ip.split(".")[:3] == self._subnet:
             next_hop = packet.dst_ip
         else:
             if self.gateway_ip is None:
@@ -130,8 +129,9 @@ class Host:
                     "host", "frames_received", host=self.hostname
                 )
             self._rx_counter.inc()
-        for tap in list(self.frame_taps):
-            tap(frame)
+        if self.frame_taps:
+            for tap in list(self.frame_taps):
+                tap(frame)
         addressed_to_us = frame.dst_mac in (self.mac, BROADCAST_MAC)
         if isinstance(frame.payload, ArpPacket):
             if addressed_to_us:

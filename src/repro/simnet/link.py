@@ -39,7 +39,7 @@ class Nic:
     def send(self, frame: EthernetFrame) -> None:
         if self.lan is None:
             raise RuntimeError(f"NIC {self.mac} is not attached to a LAN")
-        self.lan.transmit(frame, sender=self)
+        self.lan.transmit(frame, self)
 
 
 class Lan:
@@ -64,12 +64,17 @@ class Lan:
             raise ValueError("jitter must be non-negative")
         self.sim = sim
         self.name = name
+        self._label = f"lan:{name}"
         self.latency = latency
         #: Extra uniform random delay per frame (deterministic via the
         #: simulator's seeded RNG) — contention on a busy WiFi channel.
         self.jitter = jitter
         self._macs = mac_pool or MacPool()
         self._nics: dict[str, Nic] = {}
+        # Delivery order, rebuilt (never mutated) on attach/detach: every
+        # NIC in MAC order, and the promiscuous ones among them.
+        self._by_mac: list[Nic] = []
+        self._promiscuous: list[Nic] = []
         self.frames_transmitted = 0
         self.bytes_transmitted = 0
         #: Optional impairment hook (see :mod:`repro.faults.injector`).
@@ -90,11 +95,17 @@ class Lan:
         nic = Nic(mac=self._macs.allocate(), handler=handler, promiscuous=promiscuous)
         nic.lan = self
         self._nics[nic.mac] = nic
+        self._rebuild_order()
         return nic
 
     def detach(self, nic: Nic) -> None:
         self._nics.pop(nic.mac, None)
         nic.lan = None
+        self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        self._by_mac = [nic for _, nic in sorted(self._nics.items())]
+        self._promiscuous = [nic for nic in self._by_mac if nic.promiscuous]
 
     def nic_by_mac(self, mac: str) -> Nic | None:
         return self._nics.get(mac)
@@ -126,7 +137,7 @@ class Lan:
                 copy,
                 sender.mac,
                 next(self._frame_seq),
-                label=f"lan:{self.name}",
+                label=self._label,
             )
 
     def _deliver(self, frame: EthernetFrame, sender_mac: str, seq: int) -> None:
@@ -137,20 +148,23 @@ class Lan:
             self._last_delivered_seq = seq
         # Recipients resolve at arrival time and are walked in MAC order —
         # a total order independent of attach history, so promiscuous
-        # capture and reordering faults see one consistent sequence.
-        delivered_to: set[str] = set()
-        if frame.dst_mac == BROADCAST_MAC:
-            for mac, nic in sorted(self._nics.items()):
-                if mac != sender_mac:
-                    delivered_to.add(mac)
+        # capture and reordering faults see one consistent sequence.  The
+        # lists are the ones in place when the frame arrives: a NIC that a
+        # handler attaches hears the next frame, one it detaches still
+        # hears this one.
+        promiscuous = self._promiscuous
+        dst_mac = frame.dst_mac
+        if dst_mac == BROADCAST_MAC:
+            # Every promiscuous NIC is among the addressees.
+            for nic in self._by_mac:
+                if nic.mac != sender_mac:
                     nic.handler(frame)
-        else:
-            nic = self._nics.get(frame.dst_mac)
-            if nic is not None:
-                delivered_to.add(nic.mac)
-                nic.handler(frame)
+            return
+        nic = self._nics.get(dst_mac)
+        if nic is not None:
+            nic.handler(frame)
         # Promiscuous NICs overhear everything on the air, including frames
         # they already received as the addressee (delivered once only).
-        for mac, nic in sorted(self._nics.items()):
-            if nic.promiscuous and mac != sender_mac and mac not in delivered_to:
+        for nic in promiscuous:
+            if nic.mac != sender_mac and nic.mac != dst_mac:
                 nic.handler(frame)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 #: Broadcast MAC address, used by ARP requests.
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
@@ -29,20 +29,15 @@ ARP_BODY_BYTES = 28
 _packet_ids = itertools.count(1)
 
 
-@runtime_checkable
-class Sized(Protocol):
-    """Anything that knows its serialised size can ride inside a packet."""
-
-    def byte_size(self) -> int: ...
-
-
 def _payload_size(payload: Any) -> int:
+    """Serialised size of a payload: raw bytes, or anything with ``byte_size()``."""
+    byte_size = getattr(payload, "byte_size", None)
+    if byte_size is not None:
+        return byte_size()
     if payload is None:
         return 0
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
-    if isinstance(payload, Sized):
-        return payload.byte_size()
     raise TypeError(f"payload has no byte_size(): {type(payload)!r}")
 
 
@@ -102,7 +97,7 @@ class EthernetFrame:
     src_mac: str
     dst_mac: str
     payload: Any  # ArpPacket | IpPacket
-    frame_id: int = field(default_factory=lambda: next(_packet_ids))
+    frame_id: int = field(default_factory=_packet_ids.__next__)
 
     def byte_size(self) -> int:
         return ETHERNET_HEADER_BYTES + _payload_size(self.payload)

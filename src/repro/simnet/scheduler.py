@@ -1,4 +1,4 @@
-"""Discrete-event scheduler built around a hierarchical timer wheel.
+"""Discrete-event scheduler: one binary heap of ``(when, seq, timer)`` nodes.
 
 The scheduler is the heartbeat of the whole reproduction: TCP retransmission
 and keep-alive timers, MQTT PINGREQ periods, HTTP response timeouts, sensor
@@ -7,47 +7,23 @@ events in a single logical timeline.  Determinism matters — two runs with
 the same seed and the same timeline must produce identical packet traces —
 so ties are broken by insertion order, never by object identity.
 
-The event store is shaped around the workload's actual shape (almost all
-events are short periodic keep-alives and short-lived protocol timers):
+Every pending timer, one-shot or periodic, sits in one :mod:`heapq` list as
+a plain ``(when, seq, timer)`` tuple.  ``seq`` is a single per-simulator
+insertion counter, so tuple comparison (done in C) settles every order on
+the first two fields and fire order is exactly ``(when, seq)``.
 
-* **Timer wheel.**  Near-future one-shot timers land in one of
-  :data:`WHEEL_SIZE` bucket heaps covering :data:`TICK`-second slots
-  (insert and cancel are O(1) bucket operations; each bucket heap holds a
-  handful of nodes, so intra-bucket ordering costs almost nothing).  An
-  occupancy bitmask (one big int) finds the next non-empty bucket with a
-  single ``(rot & -rot).bit_length()`` — idle gaps between keep-alive
-  bursts are skipped in constant time rather than scanned.
-* **Overflow heap.**  Timers beyond the wheel horizon (``TICK *
-  WHEEL_SIZE`` seconds) wait in a plain sorted heap and migrate into the
-  wheel as the cursor approaches — far-future events cost nothing until
-  they are near.
-* **True cancellation removal.**  ``Timer.cancel()`` removes the node from
-  its bucket when it is the bucket tail (the schedule-then-cancel pattern
-  protocol state machines use for defensive cancels), and always removes
-  the timer from the live-pending count; remaining ghosts are swept when
-  their bucket comes due — they can no longer accumulate for thousands of
-  events the way cancelled TCP retransmit timers did in the old global
-  binary heap.
+* **Lazy cancellation.**  ``Timer.cancel()`` only flags the timer and
+  drops it from the live count; the node stays in the heap and is skipped
+  when it reaches the top.  The heap stays small on every campaign (a few
+  hundred nodes at peak), so cancelled nodes never need compacting.
 * **Periodic timers.**  :meth:`Simulator.schedule_periodic` returns a
-  :class:`PeriodicTimer` that the scheduler re-arms in place after each
-  fire — no per-cycle ``Timer`` allocation, no re-insert through the
-  general path — kept in a dedicated small heap merged with the wheel by
-  exact ``(when, seq)`` order.
-* **Quiescence skipping.**  When every pending event is periodic and no
-  quiescence blocker is registered (attacker holds and fault profiles
-  block it, see :meth:`Simulator.block_quiescence`), ``run_until`` drops
-  into a tight loop that batch-steps the clock across whole idle
-  intervals, firing the periodic callbacks in bulk while preserving exact
-  fire ordering.  The observer still sees every logical fire.
-* **Timer free-list.**  Fired one-shot timers with no remaining external
-  references (checked via the C refcount) are recycled instead of
-  re-allocated.
+  :class:`PeriodicTimer` that the loop re-arms in place after each fire,
+  drawing its new ``seq`` after the callback returns — exactly as if the
+  callback had ended with ``sim.schedule(period, ...)``.
 
-Fire order is exactly the order the previous binary-heap scheduler
-produced: globally sorted by ``(when, seq)`` where ``seq`` is a single
-per-simulator insertion counter shared by one-shot and periodic timers.
 ``tests/test_scheduler_equivalence.py`` drives random schedule / cancel /
-reschedule sequences through both implementations to pin that contract.
+re-arm programs through this loop and through a textbook heap reference,
+and pins the rendered Table I and canonical Table III digests.
 """
 
 from __future__ import annotations
@@ -55,7 +31,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-import sys
 from typing import Any, Callable, TYPE_CHECKING
 
 from ..obs import telemetry
@@ -64,46 +39,6 @@ from .clock import Clock
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.observer import SimObserver
-
-# ---------------------------------------------------------------- wheel shape
-
-#: Wheel slot width in simulated seconds.  1/32 s comfortably separates the
-#: sub-second protocol timers that dominate while keeping the horizon
-#: (TICK * WHEEL_SIZE = 8 s) wide enough that only long keep-alive idles
-#: ever touch the overflow heap.
-TICK = 0.03125
-_INV_TICK = 1.0 / TICK
-
-WHEEL_BITS = 8
-WHEEL_SIZE = 1 << WHEEL_BITS  # 256 buckets
-WHEEL_MASK = WHEEL_SIZE - 1
-_WHEEL_FULL = (1 << WHEEL_SIZE) - 1
-
-#: Upper bound on recycled Timer objects kept per simulator.
-_FREELIST_MAX = 512
-
-# Wheel nodes are plain ``(when, seq, timer)`` tuples: ``seq`` is unique per
-# simulator, so comparisons are settled by the first two fields and the
-# timer is never compared.  Tuple comparison is implemented in C, which is
-# what makes this the cheapest possible node for the hot loop.
-
-# A timer is recycled only when the C refcount proves nothing outside the
-# hot loop still references it.  The expected count is probed rather than
-# hard-coded so a CPython version that changes calling-convention ref
-# accounting disables recycling instead of corrupting live handles.
-if hasattr(sys, "getrefcount"):  # pragma: no branch
-    def _expected_refs() -> int:
-        obj = object()
-        node = (obj,)  # mirrors the hot loop: node tuple + local + argument
-        count = sys.getrefcount(obj)
-        del node
-        return count
-
-    _RECYCLE_REFS: int | None = _expected_refs()
-    _getrefcount = sys.getrefcount
-else:  # pragma: no cover - non-CPython
-    _RECYCLE_REFS = None
-    _getrefcount = None
 
 
 class Timer:
@@ -121,9 +56,11 @@ class Timer:
         "_cancelled",
         "_fired",
         "label",
-        "_bucket",
         "_sim",
     )
+
+    #: Re-arm interval; None for one-shots (:class:`PeriodicTimer` sets it).
+    period: float | None = None
 
     def __init__(
         self,
@@ -140,9 +77,7 @@ class Timer:
         self.created_at = created_at
         self._cancelled = False
         self._fired = False
-        #: The bucket/overflow/periodic heap list currently holding this
-        #: timer's node, for O(1) tail removal on cancel; None once popped.
-        self._bucket: list[tuple[float, int, "Timer"]] | None = None
+        #: The simulator counting this timer as pending, if any.
         self._sim: "Simulator | None" = None
 
     @property
@@ -154,9 +89,8 @@ class Timer:
         if self._cancelled or self._fired:
             return
         self._cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._on_timer_cancelled(self)
+        if self._sim is not None:
+            self._sim._pending -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "active" if self.active else ("fired" if self._fired else "cancelled")
@@ -214,24 +148,9 @@ class Simulator:
     def __init__(self, seed: int = 0, observer: "SimObserver | None" = None) -> None:
         self.clock = Clock()
         self.rng = random.Random(seed)
-        self._buckets: list[list[tuple[float, int, Timer]]] = [
-            [] for _ in range(WHEEL_SIZE)
-        ]
-        self._occ = 0  # occupancy bitmask: bit b set <=> bucket b may hold nodes
-        self._cursor = 0  # wheel position: int(clock.now * _INV_TICK)
-        self._overflow: list[tuple[float, int, Timer]] = []
-        self._pheap: list[tuple[float, int, Timer]] = []
-        self._free: list[Timer] = []
+        self._heap: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._pending = 0  # live (un-fired, un-cancelled) timers, all kinds
-        self._pending_periodic = 0  # live periodic timers
-        self._quiesce_blockers = 0
-        # Bumped by anything that invalidates state the quiescent fast
-        # path hoists into locals (observer, tally threshold, blockers).
-        self._qepoch = 0
-        #: Master switch for the quiescence fast path (kept on; benches
-        #: flip it off to measure the batch-stepping win in isolation).
-        self.quiescence_enabled = True
         self._events_processed = 0
         self._max_events = 50_000_000  # runaway-loop backstop
         self._tally_after = max(0, self._max_events - self.BUDGET_TALLY_WINDOW)
@@ -251,7 +170,7 @@ class Simulator:
 
     @property
     def now(self) -> float:
-        return self.clock.now
+        return self.clock._now
 
     @property
     def events_processed(self) -> int:
@@ -280,12 +199,10 @@ class Simulator:
         # old budget must not masquerade as this run's hot timers.
         self._label_fires.clear()
         self._tally_total = 0
-        self._qepoch += 1
 
     def set_observer(self, observer: "SimObserver | None") -> None:
         """Install (or remove) the scheduler profiling observer."""
         self._observer = observer
-        self._qepoch += 1
 
     def enable_observability(self, profile_scheduler: bool = True) -> Observability:
         """Turn on the metrics registry and tracer for this simulation.
@@ -299,30 +216,7 @@ class Simulator:
 
             assert obs.registry is not None
             self._observer = SchedulerProfiler(obs.registry)
-            self._qepoch += 1
         return obs
-
-    # -------------------------------------------------------------- quiescence
-
-    def block_quiescence(self) -> None:
-        """Disable the batch-stepping fast path (counted; re-entrant).
-
-        Attacker hold windows and active fault profiles call this so the
-        scheduler never batch-steps across an interval an adversary or an
-        impairment could perturb.  The fast path is semantically identical
-        either way; blocking it is belt-and-braces determinism insurance.
-        """
-        self._quiesce_blockers += 1
-        self._qepoch += 1
-
-    def unblock_quiescence(self) -> None:
-        if self._quiesce_blockers <= 0:
-            raise RuntimeError("unblock_quiescence without matching block")
-        self._quiesce_blockers -= 1
-
-    @property
-    def quiescence_blocked(self) -> bool:
-        return self._quiesce_blockers > 0
 
     # -------------------------------------------------------------- scheduling
 
@@ -336,7 +230,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: delay={delay}")
-        return self.at(self.clock._now + delay, callback, *args, label=label)
+        return self._insert(self.clock._now + delay, callback, args, label)
 
     def at(
         self,
@@ -346,43 +240,11 @@ class Simulator:
         label: str = "",
     ) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
-        now = self.clock._now
-        if when < now:
-            raise ValueError(f"cannot schedule in the past: {when} < {now}")
-        free = self._free
-        if free:
-            timer = free.pop()
-            timer.when = when
-            timer.callback = callback
-            timer.args = args
-            timer.label = sys.intern(label) if label else label
-            timer.created_at = now
-            timer._cancelled = False
-            timer._fired = False
-        else:
-            timer = Timer(
-                when, callback, args,
-                label=sys.intern(label) if label else label,
-                created_at=now,
-            )
-        timer._sim = self
-        node = (when, next(self._seq), timer)
-        tick = int(when * _INV_TICK)
-        cursor = self._cursor
-        if tick < cursor:  # float-rounding guard; fires next either way
-            tick = cursor
-        if tick - cursor < WHEEL_SIZE:
-            bucket = self._buckets[tick & WHEEL_MASK]
-            heapq.heappush(bucket, node)
-            self._occ |= 1 << (tick & WHEEL_MASK)
-            timer._bucket = bucket
-        else:
-            heapq.heappush(self._overflow, node)
-            timer._bucket = self._overflow
-        self._pending += 1
-        if self._observer is not None:
-            self._observer.timer_scheduled(timer, now)
-        return timer
+        return self._insert(when, callback, args, label)
+
+    def call_soon(self, callback: Callable[..., Any], *args: Any, label: str = "") -> Timer:
+        """Schedule a callback at the current instant (after pending events)."""
+        return self._insert(self.clock._now, callback, args, label)
 
     def schedule_periodic(
         self,
@@ -396,185 +258,81 @@ class Simulator:
 
         The first fire is ``first`` seconds from now (default: one period).
         After each fire the scheduler re-arms the same
-        :class:`PeriodicTimer` in place — no allocation, no heap churn —
-        with a fresh insertion sequence number, exactly as if the callback
-        had ended with ``sim.schedule(period, ...)``.  Cancel to stop.
+        :class:`PeriodicTimer` in place with a fresh insertion sequence
+        number, exactly as if the callback had ended with
+        ``sim.schedule(period, ...)``.  Cancel to stop.
         """
         if period <= 0:
             raise ValueError(f"period must be positive: {period}")
         delay = period if first is None else first
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: first={first}")
-        now = self.clock._now
-        timer = PeriodicTimer(
-            now + delay, callback, args, period,
-            label=sys.intern(label) if label else label,
-            created_at=now,
+        return self._insert(  # type: ignore[return-value]
+            self.clock._now + delay, callback, args, label, period
         )
+
+    def _insert(
+        self,
+        when: float,
+        callback: Callable[..., Any],
+        args: tuple[Any, ...],
+        label: str,
+        period: float | None = None,
+    ) -> Timer:
+        """Queue a new timer (a :class:`PeriodicTimer` when ``period`` is given)."""
+        now = self.clock._now
+        if when < now:
+            raise ValueError(f"cannot schedule in the past: {when} < {now}")
+        if period is None:
+            timer = Timer(when, callback, args, label, now)
+        else:
+            timer = PeriodicTimer(when, callback, args, period, label, now)
         timer._sim = self
-        pheap = self._pheap
-        heapq.heappush(pheap, (timer.when, next(self._seq), timer))
-        timer._bucket = pheap
+        heapq.heappush(self._heap, (when, next(self._seq), timer))
         self._pending += 1
-        self._pending_periodic += 1
         if self._observer is not None:
             self._observer.timer_scheduled(timer, now)
         return timer
 
-    def call_soon(self, callback: Callable[..., Any], *args: Any, label: str = "") -> Timer:
-        """Schedule a callback at the current instant (after pending events)."""
-        return self.at(self.clock._now, callback, *args, label=label)
-
-    # ------------------------------------------------------------ cancellation
-
-    def _on_timer_cancelled(self, timer: Timer) -> None:
-        """Book-keeping for :meth:`Timer.cancel` (flag already set)."""
-        self._pending -= 1
-        if type(timer) is PeriodicTimer:
-            self._pending_periodic -= 1
-        bucket = timer._bucket
-        timer._bucket = None
-        if bucket and bucket[-1][2] is timer:
-            # Tail removal is heap-safe and catches the dominant
-            # schedule-then-immediately-cancel defensive pattern, so those
-            # timers never even become ghosts.
-            bucket.pop()
-
-    # ------------------------------------------------------------------ lookup
-
-    def _next_wheel_bucket(self) -> tuple[int, list[tuple[float, int, Timer]]] | None:
-        """The earliest bucket holding a live one-shot, after migration.
-
-        Prunes cancelled ghosts off bucket tops, clears occupancy bits of
-        emptied buckets, and pulls overflow nodes that entered the wheel
-        window.  Does not move the clock or the cursor.
-        """
-        pop = heapq.heappop
-        overflow = self._overflow
-        cursor = self._cursor
-        horizon = cursor + WHEEL_SIZE
-        buckets = self._buckets
-        while overflow:
-            node = overflow[0]
-            timer = node[2]
-            if timer._cancelled:
-                pop(overflow)
-                continue
-            tick = int(node[0] * _INV_TICK)
-            if tick >= horizon:
-                break
-            pop(overflow)
-            if tick < cursor:
-                tick = cursor
-            bucket = buckets[tick & WHEEL_MASK]
-            heapq.heappush(bucket, node)
-            self._occ |= 1 << (tick & WHEEL_MASK)
-            timer._bucket = bucket
-        occ = self._occ
-        scan = cursor
-        while occ:
-            shift = scan & WHEEL_MASK
-            rot = ((occ >> shift) | (occ << (WHEEL_SIZE - shift))) & _WHEEL_FULL
-            scan += (rot & -rot).bit_length() - 1
-            bucket = buckets[scan & WHEEL_MASK]
-            while bucket:
-                if bucket[0][2]._cancelled:
-                    pop(bucket)
-                else:
-                    return scan, bucket
-            occ &= ~(1 << (scan & WHEEL_MASK))
-            self._occ = occ
-            scan += 1
-        return None
-
-    def _prune_periodic(self) -> tuple[float, int, Timer] | None:
-        """Live head of the periodic heap (ghosts popped), or None."""
-        pheap = self._pheap
-        while pheap:
-            node = pheap[0]
-            if node[2]._cancelled:
-                heapq.heappop(pheap)
-            else:
-                return node
-        return None
+    # ------------------------------------------------------------------ firing
 
     def peek(self) -> float | None:
         """Time of the next pending event, or None when the queue is drained."""
-        nxt: float | None = None
-        found = self._next_wheel_bucket()
-        if found is not None:
-            nxt = found[1][0][0]
-        elif self._overflow:
-            # Migration above pruned ghost heads; a live overflow head is
-            # the earliest one-shot when the wheel window is empty.
-            nxt = self._overflow[0][0]
-        pnode = self._prune_periodic()
-        if pnode is not None and (nxt is None or pnode[0] < nxt):
-            nxt = pnode[0]
-        return nxt
-
-    # ------------------------------------------------------------------ firing
+        heap = self._heap
+        while heap and heap[0][2]._cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when nothing is pending."""
-        clock = self.clock
-        while True:
-            found = self._next_wheel_bucket()
-            onode = None
-            if found is None and self._overflow:
-                onode = self._overflow[0]
-            pnode = self._prune_periodic()
-            wnode = found[1][0] if found is not None else onode
-            if pnode is not None and (
-                wnode is None
-                or pnode[0] < wnode[0]
-                or (pnode[0] == wnode[0] and pnode[1] < wnode[1])
-            ):
-                self._fire_periodic(pnode)
-                return True
-            if wnode is None:
-                return False
-            if found is None:
-                # Beyond the wheel horizon: hop the window to the event.
-                clock.advance_to(wnode[0])
-                self._cursor = int(wnode[0] * _INV_TICK)
-                continue
-            tick, bucket = found
-            when, _seq, timer = heapq.heappop(bucket)
-            clock.advance_to(when)
-            self._cursor = tick
-            self._fire_oneshot(timer, when)
-            return True
+        when = self.peek()
+        if when is None:
+            return False
+        self._fire(heapq.heappop(self._heap)[2], when)
+        return True
 
-    def _fire_periodic(self, node: tuple[float, int, Timer]) -> None:
-        """Fire + re-arm the periodic head (non-hot path; loops inline it)."""
-        pheap = self._pheap
-        heapq.heappop(pheap)
-        when = node[0]
-        timer = node[2]
-        self.clock.advance_to(when)
-        self._cursor = int(when * _INV_TICK)
+    def _fire(self, timer: Timer, when: float) -> None:
+        """Fire one live timer just popped off the heap, re-arming periodics.
+
+        ``run_until`` inlines the one-shot case, which is nearly every event.
+        """
+        self.clock._now = when  # heap order guarantees monotonicity
         self._events_processed += 1
         if self._events_processed > self._tally_after:
             self._tally_near_budget(timer.label)
+        period = timer.period
+        if period is None:
+            timer._fired = True
+            self._pending -= 1
+            depth = self._pending
+        else:
+            depth = self._pending - 1  # the re-armed timer stays pending
         if self._observer is not None:
-            self._observer.timer_fired(timer, when, self._pending - 1)
+            self._observer.timer_fired(timer, when, depth)
         timer.callback(*timer.args)
-        nxt = when + timer.period  # type: ignore[attr-defined]
-        timer.when = nxt
-        heapq.heappush(pheap, (nxt, next(self._seq), timer))
-
-    def _fire_oneshot(self, timer: Timer, when: float) -> None:
-        """Fire one popped wheel timer (non-hot path; run_until inlines)."""
-        timer._fired = True
-        timer._bucket = None
-        self._pending -= 1
-        self._events_processed += 1
-        if self._events_processed > self._tally_after:
-            self._tally_near_budget(timer.label)
-        if self._observer is not None:
-            self._observer.timer_fired(timer, when, self._pending)
-        timer.callback(*timer.args)
+        if period is not None and not timer._cancelled:
+            timer.when = when + period
+            heapq.heappush(self._heap, (timer.when, next(self._seq), timer))
 
     def _tally_near_budget(self, label: str) -> None:
         """Count fires by label near the budget; raise a diagnosable error.
@@ -607,217 +365,39 @@ class Simulator:
                 f"runaway loop? hottest timers over the last {window} events: {hot}"
             )
 
-    def _run_quiescent(self, deadline: float) -> bool:
-        """Batch-step across an all-periodic interval.
-
-        Fires every periodic callback due up to ``deadline`` in exact
-        ``(when, seq)`` order with the clock advanced per fire — identical
-        observable behaviour to the general loop, minus all wheel, merge,
-        and allocation machinery.  Returns True when quiescence broke (a
-        one-shot was scheduled, a blocker appeared, or the heap drained)
-        and the general loop must resume; False when ``deadline`` was
-        reached while still quiescent.
-
-        Two loop invariants make the per-fire bookkeeping minimal:
-
-        * ``_pending == _pending_periodic`` holds exactly when no live
-          one-shot exists (both counters are exact under schedule, fire
-          and cancel), so a single comparison re-proves quiescence after
-          every callback — including net-zero tricks like a callback that
-          cancels one periodic and schedules another.
-        * The observer and tally threshold are hoisted into locals;
-          anything that invalidates them (``set_observer``, the
-          ``max_events`` setter, ``block_quiescence``) bumps ``_qepoch``,
-          which is checked with the same comparison.
-
-        The wheel cursor is not maintained per fire — quiescence means
-        the wheel is empty — and is recomputed from the clock on every
-        exit (including a propagating budget error) by the ``finally``.
-        """
-        pheap = self._pheap
-        clock = self.clock
-        pop = heapq.heappop
-        replace = heapq.heapreplace
-        seq = self._seq
-        tally_after = self._tally_after
-        observer = self._observer
-        epoch = self._qepoch
-        # _pending is invariant across periodic fires (re-arm in place);
-        # only a callback's at/cancel/schedule_periodic can move it, so a
-        # local compare detects any mutation.
-        pending = self._pending
-        try:
-            while pheap:
-                node = pheap[0]
-                when = node[0]
-                if when > deadline:
-                    return False
-                timer = node[2]
-                if timer._cancelled:
-                    pop(pheap)
-                    continue
-                clock._now = when  # heap order guarantees monotonicity
-                self._events_processed = ep = self._events_processed + 1
-                if ep > tally_after:
-                    self._tally_near_budget(timer.label)
-                if observer is not None:
-                    observer.timer_fired(timer, when, pending - 1)
-                # The node stays at pheap[0] during the callback (anything
-                # the callback pushes carries a later seq, so it cannot
-                # displace the head) and is swapped for the re-armed node
-                # in a single sift.  Plain calls skip the slow *-unpacking
-                # path for the no-arg callbacks that dominate keep-alives.
-                args = timer.args
-                if args:
-                    timer.callback(*args)
-                else:
-                    timer.callback()
-                nxt = when + timer.period  # type: ignore[attr-defined]
-                timer.when = nxt
-                if timer._cancelled and (not pheap or pheap[0] is not node):
-                    # Self-cancel from inside the callback tail-popped the
-                    # head (the heap held only this node): push the ghost
-                    # re-arm instead of replacing — the general path also
-                    # re-arms a self-cancelled periodic as a ghost, so the
-                    # seq stream and heap contents stay identical.
-                    heapq.heappush(pheap, (nxt, next(seq), timer))
-                else:
-                    replace(pheap, (nxt, next(seq), timer))
-                if self._pending != pending or self._qepoch != epoch:
-                    # The callback scheduled or cancelled something, or a
-                    # blocker / observer / budget change invalidated the
-                    # hoisted locals: fall back to the general loop, which
-                    # re-evaluates quiescence per event.
-                    return True
-            return True  # heap drained (everything cancelled)
-        finally:
-            self._cursor = int(clock._now * _INV_TICK)
-
     def run_until(self, deadline: float) -> None:
         """Process events until the clock reaches ``deadline``.
 
         Events scheduled exactly at ``deadline`` are executed; the clock
         never moves past ``deadline`` even if later events are pending.
-
-        This is the simulator's hot loop: the due bucket is processed in a
-        fused inner loop (pop, advance, fire) with the periodic heap merged
-        in by exact ``(when, seq)`` order, and all lookups hoisted.
-        ``self._observer`` and ``_tally_after`` are deliberately re-read
-        after each callback so a callback installing a profiler or
-        tightening ``max_events`` mid-run takes effect immediately.
+        ``self._observer`` and ``_tally_after`` are re-read for every
+        event, so a callback installing a profiler or tightening
+        ``max_events`` mid-run takes effect from the next event on.
         """
-        clock = self.clock
+        heap = self._heap
         pop = heapq.heappop
-        push = heapq.heappush
-        pheap = self._pheap
-        seq = self._seq
-        free = self._free
-        getref = _getrefcount
-        recycle_refs = _RECYCLE_REFS
-        while True:
-            if (
-                self._pending_periodic
-                and self._pending == self._pending_periodic
-                and not self._quiesce_blockers
-                and self.quiescence_enabled
-            ):
-                if not self._run_quiescent(deadline):
-                    break
-                continue
-            found = self._next_wheel_bucket()
-            if found is None:
-                # No live one-shot inside the wheel window.
-                pnode = self._prune_periodic()
-                overflow = self._overflow
-                onode = overflow[0] if overflow else None
-                if pnode is not None and (
-                    onode is None
-                    or pnode[0] < onode[0]
-                    or (pnode[0] == onode[0] and pnode[1] < onode[1])
-                ):
-                    if pnode[0] > deadline:
-                        break
-                    self._fire_periodic(pnode)
-                    continue
-                if onode is None or onode[0] > deadline:
-                    break
-                # Batch-step the window toward the far-future event; the
-                # next iteration migrates it into the wheel and fires it.
-                clock.advance_to(onode[0])
-                self._cursor = int(onode[0] * _INV_TICK)
-                continue
-            wtick, bucket = found
-            tally_after = self._tally_after
-            deadline_hit = False
-            while bucket:
-                node = bucket[0]
-                when = node[0]
-                if pheap:
-                    pnode = pheap[0]
-                    if pnode[0] < when or (pnode[0] == when and pnode[1] < node[1]):
-                        ptimer = pnode[2]
-                        if ptimer._cancelled:
-                            pop(pheap)
-                            continue
-                        pwhen = pnode[0]
-                        if pwhen > deadline:
-                            deadline_hit = True
-                            break
-                        pop(pheap)
-                        clock._now = pwhen
-                        self._cursor = int(pwhen * _INV_TICK)
-                        self._events_processed += 1
-                        if self._events_processed > tally_after:
-                            self._tally_near_budget(ptimer.label)
-                        observer = self._observer
-                        if observer is not None:
-                            observer.timer_fired(ptimer, pwhen, self._pending - 1)
-                        ptimer.callback(*ptimer.args)
-                        nxt = pwhen + ptimer.period  # type: ignore[attr-defined]
-                        ptimer.when = nxt
-                        push(pheap, (nxt, next(seq), ptimer))
-                        tally_after = self._tally_after
-                        if self._cursor != wtick:
-                            # The periodic fired in an earlier tick; its
-                            # callback may have scheduled into a bucket
-                            # before this one — rescan the wheel.
-                            break
-                        continue
-                if when > deadline:
-                    deadline_hit = True
-                    break
-                pop(bucket)
-                timer = node[2]
-                if timer._cancelled:
-                    continue
-                clock._now = when  # bucket order guarantees monotonicity
-                self._cursor = wtick
-                timer._fired = True
-                timer._bucket = None
-                self._pending -= 1
-                self._events_processed += 1
-                if self._events_processed > tally_after:
-                    self._tally_near_budget(timer.label)
-                observer = self._observer
-                if observer is not None:
-                    observer.timer_fired(timer, when, self._pending)
-                timer.callback(*timer.args)
-                tally_after = self._tally_after
-                if (
-                    getref is not None
-                    and len(free) < _FREELIST_MAX
-                    and getref(timer) == recycle_refs
-                ):
-                    # Nothing outside this loop holds the handle: recycle.
-                    timer.callback = None  # type: ignore[assignment]
-                    timer.args = ()
-                    timer._sim = None
-                    free.append(timer)
-            if deadline_hit:
+        clock = self.clock
+        while heap:
+            when, _seq, timer = heap[0]
+            if when > deadline:
                 break
+            pop(heap)
+            if timer._cancelled:
+                continue
+            if timer.period is not None:
+                self._fire(timer, when)
+                continue
+            clock._now = when
+            self._events_processed = fired = self._events_processed + 1
+            if fired > self._tally_after:
+                self._tally_near_budget(timer.label)
+            timer._fired = True
+            self._pending -= 1
+            if self._observer is not None:
+                self._observer.timer_fired(timer, when, self._pending)
+            timer.callback(*timer.args)
         if deadline > clock._now:
-            clock.advance_to(deadline)
-            self._cursor = int(deadline * _INV_TICK)
+            clock._now = deadline
 
     def run(self, for_duration: float | None = None) -> None:
         """Run for ``for_duration`` seconds, or drain the queue when None."""

@@ -157,21 +157,7 @@ class TestRunSemantics:
 
 
 class TestHotLoop:
-    """Regression guards for the timer-wheel fused ``run_until`` loop."""
-
-    def test_wheel_nodes_are_plain_tuples(self, sim):
-        # The hot loop relies on C-level tuple comparison; a dataclass node
-        # regresses events/sec by ~2x (see benchmarks/bench_scheduler.py).
-        from repro.simnet.scheduler import _INV_TICK, WHEEL_MASK
-
-        timer = sim.schedule(1.0, lambda: None)
-        bucket = sim._buckets[int(1.0 * _INV_TICK) & WHEEL_MASK]
-        assert bucket is timer._bucket
-        node = bucket[0]
-        assert type(node) is tuple
-        when, seq, held = node
-        assert (when, seq) == (1.0, 0)
-        assert held is timer and timer.active
+    """Regression guards for the ``run_until`` loop."""
 
     def test_run_until_ties_break_by_insertion_order(self, sim):
         order = []
@@ -338,39 +324,18 @@ class TestDeterminism:
 
 
 class TestTimerWheel:
-    def test_overflow_migrates_into_wheel(self, sim):
-        """A timer beyond the 8s wheel horizon starts in the overflow heap
-        and still fires at the right instant after migration."""
-        from repro.simnet.scheduler import TICK, WHEEL_SIZE
-
-        horizon = TICK * WHEEL_SIZE
-        fired = []
-        far = sim.schedule(horizon * 3.5, lambda: fired.append(sim.now), label="far")
-        assert far._bucket is sim._overflow
-        sim.schedule(0.1, lambda: fired.append(sim.now), label="near")
-        sim.run_until(horizon * 4)
-        assert fired == [0.1, horizon * 3.5]
-
-    def test_cancel_removes_node_from_bucket(self, sim):
-        """True cancellation: cancelling the last timer in a bucket frees
-        the node immediately instead of leaving a tombstone to pop later."""
-        timer = sim.schedule(1.0, lambda: None, label="doomed")
-        bucket = timer._bucket
-        assert bucket is not None and len(bucket) == 1
-        timer.cancel()
-        assert not bucket
-        assert sim.pending_events == 0
+    """Lazy cancellation and the live-timer count."""
 
     def test_cancel_interior_node_is_lazy(self, sim):
-        """Cancelling a non-tail node leaves a tombstone (skipped at pop)."""
+        """A cancelled timer stays queued but never fires or counts."""
         first = sim.schedule(1.0, lambda: None, label="a")
         sim.schedule(1.0 + 1e-4, lambda: None, label="b")
-        bucket = first._bucket
         first.cancel()
-        assert bucket is not None and len(bucket) == 2  # tombstone remains
         assert sim.pending_events == 1
+        assert sim.peek() == 1.0 + 1e-4
         sim.run_until(2.0)
         assert sim.events_processed == 1
+        assert sim.pending_events == 0
 
     def test_pending_events_tracks_live_timers(self, sim):
         timers = [sim.schedule(i + 1.0, lambda: None) for i in range(5)]
@@ -380,37 +345,23 @@ class TestTimerWheel:
         sim.run_until(3.0)
         assert sim.pending_events == 2
 
-    def test_fired_timer_recycled_through_free_list(self, sim):
-        """A fired one-shot with no surviving references is recycled; a
-        fresh schedule reuses the object without semantic bleed-through."""
-        from repro.simnet.scheduler import _RECYCLE_REFS
-
-        if _RECYCLE_REFS is None:
-            pytest.skip("refcount recycling disabled on this interpreter")
-        sim.schedule(0.5, lambda: None, label="recycled")
-        sim.run_until(1.0)
-        assert len(sim._free) == 1
-        recycled = sim._free[-1]
-        fresh = sim.schedule(0.5, lambda: None, label="fresh")
-        assert fresh is recycled
-        assert fresh.active and not fresh._fired and fresh.label == "fresh"
-        sim.run_until(2.0)
-        assert sim.events_processed == 2
-
     def test_held_timer_is_not_recycled(self, sim):
-        """Holding the handle keeps a fired timer out of the free list, so
-        a stale cancel() can never hit a recycled object."""
+        """A fired timer's handle stays inert: a late cancel() neither
+        touches a newer timer nor the live count."""
         held = sim.schedule(0.5, lambda: None, label="held")
         sim.run_until(1.0)
-        assert held not in sim._free
         held.cancel()  # harmless: the timer already fired
+        assert sim.pending_events == 0
         fresh = sim.schedule(0.5, lambda: None)
-        assert fresh is not held
+        assert fresh is not held and fresh.active
+        assert sim.pending_events == 1
         sim.run_until(2.0)
         assert sim.events_processed == 2
 
 
 class TestPeriodicAndQuiescence:
+    """Periodic timers, alone (an idle, quiescent home) and mixed with one-shots."""
+
     def test_schedule_periodic_fires_every_period(self, sim):
         fired = []
         sim.schedule_periodic(1.0, lambda: fired.append(sim.now), label="ka")
@@ -443,25 +394,28 @@ class TestPeriodicAndQuiescence:
         sim.run_until(5.0)
         assert seen == {id(timer)}
 
-    def test_quiescent_and_general_paths_fire_identically(self):
-        """The batch-stepping fast path and the general wheel loop must
-        produce the same fire log, event count, and final clock."""
+    def test_self_cancel_from_callback_stops_cycle(self, sim):
+        fired = []
 
-        def drive(sim):
-            log = []
-            sim.schedule_periodic(0.7, lambda: log.append(("a", sim.now)))
-            sim.schedule_periodic(1.1, lambda: log.append(("b", sim.now)))
-            sim.run_until(500.0)
-            return log, sim.events_processed, sim.now
+        def beat():
+            fired.append(sim.now)
+            if len(fired) == 2:
+                timer.cancel()
 
-        fast = Simulator()
-        slow = Simulator()
-        slow.block_quiescence()
-        assert drive(fast) == drive(slow)
+        timer = sim.schedule_periodic(1.0, beat)
+        sim.run_until(5.0)
+        assert fired == [1.0, 2.0]
+        assert sim.pending_events == 0 and sim.peek() is None
+
+    def test_step_fires_and_rearms_periodic(self, sim):
+        fired = []
+        timer = sim.schedule_periodic(1.5, lambda: fired.append(sim.now))
+        assert sim.step() and sim.step()
+        assert fired == [1.5, 3.0] and sim.now == 3.0
+        assert timer.when == 4.5 and sim.pending_events == 1
 
     def test_oneshot_blocks_quiescence_until_fired(self, sim):
-        """A pending one-shot forces the general path; once it fires the
-        run goes quiescent — and the trace is seamless either way."""
+        """A one-shot due between two periodic fires fires in time order."""
         fired = []
         sim.schedule_periodic(1.0, lambda: fired.append(sim.now))
         sim.schedule(2.5, lambda: fired.append(-sim.now), label="burst")
@@ -469,8 +423,7 @@ class TestPeriodicAndQuiescence:
         assert fired == [1.0, 2.0, -2.5, 3.0, 4.0, 5.0, 6.0]
 
     def test_callback_spawning_oneshot_breaks_quiescence(self, sim):
-        """A periodic callback scheduling a one-shot mid-batch must yield
-        back to the general loop so the one-shot fires on time."""
+        """A one-shot scheduled by a periodic callback fires on time."""
         log = []
 
         def beat():
@@ -485,20 +438,9 @@ class TestPeriodicAndQuiescence:
             ("spawn", 3.25), ("beat", 4.0), ("beat", 5.0),
         ]
 
-    def test_block_unblock_quiescence_is_counted(self, sim):
-        sim.block_quiescence()
-        sim.block_quiescence()
-        assert sim.quiescence_blocked
-        sim.unblock_quiescence()
-        assert sim.quiescence_blocked
-        sim.unblock_quiescence()
-        assert not sim.quiescence_blocked
-        with pytest.raises(RuntimeError):
-            sim.unblock_quiescence()
-
     def test_observer_installed_mid_quiescent_run_takes_effect(self, sim):
-        """Installing an observer from inside a batch-stepped callback must
-        invalidate the fast path's hoisted locals (the _qepoch guard)."""
+        """An observer installed by a periodic callback, with nothing but
+        periodic timers pending, sees every later fire."""
         seen = []
 
         class Obs:
@@ -519,6 +461,8 @@ class TestPeriodicAndQuiescence:
         assert seen == [3.0, 4.0, 5.0]
 
     def test_budget_tightened_mid_quiescent_run_takes_effect(self, sim):
+        """A periodic callback tightening the budget stops the run at it."""
+
         def beat():
             if sim.now == 2.0:
                 sim.max_events = 4

@@ -17,6 +17,20 @@ from repro.simnet.packet import (
     MacPool,
 )
 from repro.simnet.scheduler import Simulator
+from repro.tcp.segment import TCP_HEADER_BYTES, TcpSegment
+from repro.tls.record import HEADER_BYTES, MAC_BYTES, RecordWriter, TlsRecord
+
+
+class _DescendingMacs(MacPool):
+    """Hands out MACs in *descending* order, so attach order != MAC order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._next = 0xF0
+
+    def allocate(self) -> str:
+        self._next -= 1
+        return f"02:00:00:00:00:{self._next:02x}"
 
 
 class TestMacPool:
@@ -166,3 +180,89 @@ class TestLanDelivery:
         nic = lan.attach(lambda f: None)
         assert lan.nic_by_mac(nic.mac) is nic
         assert lan.nic_by_mac("nope") is None
+
+
+class TestDeliveryOrder:
+    """The recipient order every campaign digest depends on."""
+
+    def test_broadcast_reaches_nics_in_mac_order(self):
+        sim = Simulator(seed=3)
+        lan = Lan(sim, mac_pool=_DescendingMacs())
+        order = []
+        nics = [lan.attach(lambda f, i=i: order.append(i)) for i in range(4)]
+        sniffer = lan.attach(lambda f: order.append("sniffer"), promiscuous=True)
+        sender = nics[1]
+        sender.send(EthernetFrame(sender.mac, BROADCAST_MAC, None))
+        sim.run(1.0)
+        # MACs descend with attach order, so MAC order is reverse attach
+        # order; every NIC but the sender hears the frame exactly once.
+        assert order == ["sniffer", 3, 2, 0]
+        assert sorted(n.mac for n in nics + [sniffer]) == [
+            sniffer.mac, nics[3].mac, nics[2].mac, nics[1].mac, nics[0].mac]
+
+    def test_promiscuous_nics_overhear_unicast_in_mac_order(self):
+        sim = Simulator(seed=3)
+        lan = Lan(sim, mac_pool=_DescendingMacs())
+        order = []
+        sender = lan.attach(lambda f: None)
+        target = lan.attach(lambda f: order.append("target"))
+        for name in ("first", "second", "third"):
+            lan.attach(lambda f, name=name: order.append(name), promiscuous=True)
+        sender.send(EthernetFrame(sender.mac, target.mac, None))
+        sim.run(1.0)
+        assert order == ["target", "third", "second", "first"]
+
+    def test_nic_attached_in_handler_misses_frame_in_flight(self):
+        sim = Simulator(seed=3)
+        lan = Lan(sim)
+        late = []
+        joined = []
+
+        def attach_once(frame):
+            if not joined:
+                joined.append(lan.attach(late.append))
+
+        sender = lan.attach(lambda f: None)
+        lan.attach(attach_once)
+        first = EthernetFrame(sender.mac, BROADCAST_MAC, None)
+        second = EthernetFrame(sender.mac, BROADCAST_MAC, None)
+        sender.send(first)
+        sim.run(1.0)
+        assert joined and late == []
+        sender.send(second)
+        sim.run(1.0)
+        assert late == [second]
+
+    def _sent_bytes(self, payload):
+        sim = Simulator(seed=3)
+        lan = Lan(sim)
+        a = lan.attach(lambda f: None)
+        b = lan.attach(lambda f: None)
+        a.send(EthernetFrame(a.mac, b.mac, payload))
+        sim.run(1.0)
+        return lan.bytes_transmitted
+
+    def test_bytes_transmitted_nests_arp(self):
+        arp = ArpPacket("request", "m1", "1.1.1.1", BROADCAST_MAC, "1.1.1.2")
+        assert self._sent_bytes(arp) == ETHERNET_HEADER_BYTES + ARP_BODY_BYTES
+
+    def test_bytes_transmitted_nests_ip_tcp(self):
+        segment = TcpSegment(1234, 443, seq=7, ack=9, payload=b"y" * 33)
+        packet = IpPacket("10.0.0.1", "10.0.0.2", segment)
+        assert self._sent_bytes(packet) == (
+            ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + TCP_HEADER_BYTES + 33
+        )
+
+    def test_bytes_transmitted_nests_ip_tls_record(self):
+        record = TlsRecord(23, b"z" * 48, b"m" * MAC_BYTES)
+        packet = IpPacket("10.0.0.1", "10.0.0.2", record)
+        assert self._sent_bytes(packet) == (
+            ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + HEADER_BYTES + 48 + MAC_BYTES
+        )
+        # A sealed record riding in a TCP segment counts its wire bytes.
+        sealed = RecordWriter(b"k" * 16, b"h" * 16).seal(23, b"p" * 20)
+        segment = TcpSegment(1234, 443, seq=7, ack=9, payload=sealed)
+        assert self._sent_bytes(IpPacket("10.0.0.1", "10.0.0.2", segment)) == (
+            ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + TCP_HEADER_BYTES
+            + HEADER_BYTES + 20 + MAC_BYTES
+        )

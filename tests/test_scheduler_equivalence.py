@@ -1,22 +1,19 @@
-"""Equivalence proofs for the timer-wheel scheduler.
+"""Equivalence proofs for the scheduler.
 
-Two layers of evidence that the wheel rewrite changed *nothing
-observable*:
+Two layers of evidence that the event core fires exactly the textbook
+``(when, seq)`` order:
 
 1. A hypothesis property drives randomly generated timer programs —
    one-shots and periodics with colliding fire times, cancellations
    (including self-cancel and cancel-from-callback), mid-run spawns, and
-   net-zero cancel+respawn tricks — through the wheel and through a
-   straight-heap reference model, and demands identical fire logs,
-   event counts, and final clocks.  The same program also runs with
-   quiescence skipping blocked, pinning the fast path to the general
-   path.
+   net-zero cancel+respawn tricks — through :class:`Simulator` and
+   through a straight-heap reference model, and demands identical fire
+   logs, event counts, and final clocks.
 
 2. Byte-identity pins: the rendered Table I and the canonical Table III
-   result digests are asserted against values recorded before the wheel
-   landed.  Any scheduler change that perturbs event order anywhere in
-   the full stack (TLS, TCP, application timers, attacker holds) moves
-   these digests.
+   result digests are asserted against recorded values.  Any scheduler
+   change that perturbs event order anywhere in the full stack (TLS,
+   TCP, application timers, attacker holds) moves these digests.
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.keys import canonical
 from repro.simnet.scheduler import Simulator
 
-#: sha256 of ``render_table1(run_table1(labels, trials=3, cache=False))``
-#: recorded on the pre-wheel scheduler — the wheel must reproduce it.
+#: sha256 of ``render_table1(run_table1(labels, trials=3, cache=False))``;
+#: every scheduler since the original binary heap reproduces it.
 TABLE1_SHA256 = "9f9a848f786f46ddd76592c3d2a74206ea9cbb04fc6567177285be2eefc40f08"
 TABLE1_LABELS = ["HS1", "C2", "M7"]
 
@@ -61,9 +58,9 @@ class _HeapReference:
 
     Global ``(when, seq)`` order over one shared insertion counter;
     cancelled timers are skipped lazily at pop time; a fired periodic is
-    re-armed with a fresh seq even when its own callback cancelled it
-    (the "ghost re-arm" the wheel also performs, so tie-breaking stays
-    aligned); the clock lands exactly on the deadline.
+    re-armed with a fresh seq even when its own callback cancelled it (a
+    seq drawn for a dead node moves no live timer's relative order); the
+    clock lands exactly on the deadline.
     """
 
     def __init__(self):
@@ -161,8 +158,8 @@ def _execute(sim, program, deadline):
                 if state["fires"] > limit:
                     timer = handles[idx]
                     if action == "ghost":
-                        # Self-cancel from inside the callback: the wheel
-                        # must ghost-re-arm without firing again.
+                        # Self-cancel from inside the callback: the timer
+                        # must never fire again.
                         timer.cancel()
                     elif action == "stop":
                         timer.cancel()
@@ -184,31 +181,23 @@ def _execute(sim, program, deadline):
 @settings(max_examples=60, deadline=None)
 def test_wheel_matches_heap_reference(program):
     deadline = 12.0
-    wheel = Simulator()
+    sim = Simulator()
     reference = _HeapReference()
-    log_wheel = _execute(wheel, program, deadline)
+    log_sim = _execute(sim, program, deadline)
     log_ref = _execute(reference, program, deadline)
-    assert log_wheel == log_ref
-    assert wheel._events_processed == reference._events_processed
-    assert wheel.now == reference.now == deadline
-
-    # Quiescence skipping blocked: the general path must produce the very
-    # same trace the fast path (exercised above whenever the program went
-    # all-periodic) produced.
-    blocked = Simulator()
-    blocked.block_quiescence()
-    assert _execute(blocked, program, deadline) == log_wheel
-    assert blocked._events_processed == wheel._events_processed
+    assert log_sim == log_ref
+    assert sim._events_processed == reference._events_processed
+    assert sim.now == reference.now == deadline
 
 
 @given(program=_PROGRAM)
 @settings(max_examples=25, deadline=None)
 def test_wheel_overflow_horizon_matches_reference(program):
-    """Same property across the wheel's 8s horizon (overflow migration)."""
+    """Same property with delays stretched to keep-alive scale (tens of s)."""
     deadline = 95.0
-    wheel = Simulator()
+    sim = Simulator()
     reference = _HeapReference()
-    scale = 11.0  # push most delays past WHEEL_SIZE * TICK = 8s
+    scale = 11.0
 
     def stretch(spec):
         if spec[0] == "one":
@@ -216,10 +205,10 @@ def test_wheel_overflow_horizon_matches_reference(program):
         return ("per", spec[1] * scale, spec[2] * scale, spec[3], spec[4])
 
     stretched = [stretch(s) for s in program]
-    assert _execute(wheel, stretched, deadline) == _execute(
+    assert _execute(sim, stretched, deadline) == _execute(
         reference, stretched, deadline
     )
-    assert wheel._events_processed == reference._events_processed
+    assert sim._events_processed == reference._events_processed
 
 
 # ------------------------------------------------------------- digest pins
