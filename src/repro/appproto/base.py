@@ -372,10 +372,8 @@ class DeviceProtocolClient:
         policy = self.config.keepalive
         if policy is None:
             return
-        if self._ka_timer is not None:
-            self._ka_timer.cancel()
-        self._ka_timer = self.sim.schedule(
-            policy.period, self._send_keepalive, label=self._ka_label
+        self._ka_timer = self.sim.restart(
+            self._ka_timer, policy.period, self._send_keepalive, label=self._ka_label
         )
 
     def _send_keepalive(self) -> None:
@@ -725,9 +723,8 @@ class ServerDeviceSession:
         grace = self.config.server_liveness_grace
         if grace is None or self.advertised_keepalive is None:
             return
-        if self._liveness_timer is not None:
-            self._liveness_timer.cancel()
-        self._liveness_timer = self.sim.schedule(
+        self._liveness_timer = self.sim.restart(
+            self._liveness_timer,
             self.advertised_keepalive + grace,
             self._on_liveness_expired,
             label=f"{self.server_name}:liveness",

@@ -11,6 +11,11 @@ Victims re-ARP when their cache entries expire; the spoofer both re-poisons
 on a short period and answers observed ARP requests, so genuine mappings
 survive only for a few milliseconds — long enough to be realistic, short
 enough that a slipped packet merely reorders (TCP reassembly repairs it).
+
+Each target's poison reply never changes, so it is built once, when the
+pair is poisoned, and every re-poison sends that same immutable
+:class:`~repro.simnet.packet.ArpPacket` in a new frame (with its own
+``frame_id``).
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ class ArpSpoofer:
         self.host = host
         self.sim: "Simulator" = host.sim
         self.period = period
-        self.targets: list[SpoofTarget] = []
+        #: Each poisoned target with its poison reply, built once and re-sent.
+        self.targets: list[tuple[SpoofTarget, ArpPacket]] = []
         self._running = False
         self._timer = None
         self.replies_sent = 0
@@ -57,8 +63,19 @@ class ArpSpoofer:
 
     def poison_pair(self, ip_a: str, mac_a: str, ip_b: str, mac_b: str) -> None:
         """Interpose between two LAN endpoints (device and gateway/HomePod)."""
-        self.targets.append(SpoofTarget(victim_ip=ip_a, victim_mac=mac_a, impersonated_ip=ip_b))
-        self.targets.append(SpoofTarget(victim_ip=ip_b, victim_mac=mac_b, impersonated_ip=ip_a))
+        for target in (
+            SpoofTarget(victim_ip=ip_a, victim_mac=mac_a, impersonated_ip=ip_b),
+            SpoofTarget(victim_ip=ip_b, victim_mac=mac_b, impersonated_ip=ip_a),
+        ):
+            # Claim the impersonated IP for our MAC: ARP spoofing, verbatim.
+            poison = ArpPacket(
+                op="reply",
+                sender_mac=self.host.mac,
+                sender_ip=target.impersonated_ip,
+                target_mac=target.victim_mac,
+                target_ip=target.victim_ip,
+            )
+            self.targets.append((target, poison))
         if self._running:
             self._poison_all()
 
@@ -78,16 +95,13 @@ class ArpSpoofer:
     # ------------------------------------------------------------ poisoning
 
     def _poison_all(self) -> None:
-        for target in self.targets:
-            self._send_poison(target)
+        for target, poison in self.targets:
+            self._send_poison(target, poison)
 
-    def _send_poison(self, target: SpoofTarget) -> None:
+    def _send_poison(self, target: SpoofTarget, poison: ArpPacket) -> None:
         self.replies_sent += 1
-        self.host.send_arp_reply(
-            claimed_ip=target.impersonated_ip,
-            to_mac=target.victim_mac,
-            to_ip=target.victim_ip,
-        )
+        host = self.host
+        host.nic.send(EthernetFrame(host.mac, target.victim_mac, poison))
 
     def _schedule_next(self) -> None:
         if not self._running:
@@ -108,11 +122,12 @@ class ArpSpoofer:
         arp = frame.payload
         if arp.op != "request":
             return
-        for target in self.targets:
+        for target, poison in self.targets:
             if arp.sender_ip == target.victim_ip and arp.target_ip == target.impersonated_ip:
                 self.sim.schedule(
                     REQUEST_OVERRIDE_DELAY,
                     self._send_poison,
                     target,
+                    poison,
                     label="arp-spoof-override",
                 )

@@ -34,7 +34,7 @@ from typing import Callable, TYPE_CHECKING
 from ..simnet.host import Host
 from ..simnet.packet import EthernetFrame, IpPacket
 from ..simnet.trace import FlowKey
-from ..tcp.segment import TcpSegment, seq_add, seq_leq, seq_lt
+from ..tcp.segment import FLAGS_ACK, SEQ_HALF, SEQ_MASK, TcpSegment, seq_add, seq_leq
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simnet.scheduler import Simulator
@@ -47,6 +47,9 @@ DOWNLINK = "downlink"  # server -> device: commands (c-Delay)
 EVENT_SYN = "syn"
 EVENT_FIN = "fin"
 EVENT_RST = "rst"
+
+#: Flags that open or close a connection: only these make a flow event.
+_LIFECYCLE_FLAGS = frozenset({"SYN", "FIN", "RST"})
 
 _hold_ids = itertools.count(1)
 
@@ -135,11 +138,16 @@ class _FlowTracker:
         self.closed = False
 
     def observe(self, sender_ip: str, segment: TcpSegment) -> None:
-        self.nxt[sender_ip] = seq_add(segment.seq, segment.seq_space)
-        if segment.ack_flag:
+        flags = segment.flags
+        # seq + seq_space: payload bytes, plus one each for SYN and FIN.
+        self.nxt[sender_ip] = (
+            segment.seq + len(segment.payload) + ("SYN" in flags) + ("FIN" in flags)
+        ) & SEQ_MASK
+        if "ACK" in flags:
+            ack = segment.ack
             prior = self.acked.get(sender_ip)
-            if prior is None or seq_lt(prior, segment.ack):
-                self.acked[sender_ip] = segment.ack
+            if prior is None or 0 < ((ack - prior) & SEQ_MASK) < SEQ_HALF:  # seq_lt
+                self.acked[sender_ip] = ack
 
 
 class TcpHijacker:
@@ -151,6 +159,9 @@ class TcpHijacker:
         host.foreign_ip_handler = self._on_foreign_ip
         self.flows: dict[FlowKey, _FlowTracker] = {}
         self.holds: list[Hold] = []
+        #: Holds still active (armed, not yet released): with none, data
+        #: segments skip the hold scan.
+        self._active_holds = 0
         self.flow_events: list[FlowEvent] = []
         self.on_flow_event: list[Callable[[FlowEvent], None]] = []
         #: (src_ip, dst_ip) -> when we last forwarded payload bytes that way;
@@ -204,12 +215,15 @@ class TcpHijacker:
             label=label,
         )
         self.holds.append(hold)
+        self._active_holds += 1
         return hold
 
     def release(self, hold: Hold, reason: str = "released") -> None:
         """Flush held packets in original order and resume pass-through."""
         if hold.released_at is not None:
             return
+        if hold.active:
+            self._active_holds -= 1
         hold.released_at = self.sim.now
         hold.end_reason = reason
         self.stats["released"] += 1
@@ -235,6 +249,8 @@ class TcpHijacker:
         if hold.triggered_at is not None:
             self.release(hold, reason="cancelled")
         else:
+            if hold.active:
+                self._active_holds -= 1
             hold.armed = False
             hold.end_reason = "cancelled"
 
@@ -245,18 +261,22 @@ class TcpHijacker:
         if not isinstance(segment, TcpSegment):
             self._forward(packet)
             return
-        tracker = self._track(packet, segment)
-        self._note_lifecycle(packet, segment, tracker)
+        key = self._flow_key(packet, segment)
+        tracker = self._track(packet, segment, key)
+        flags = segment.flags
+        if not flags.isdisjoint(_LIFECYCLE_FLAGS):
+            self._note_lifecycle(packet, segment, tracker)
 
-        if segment.payload_size > 0 or segment.fin:
-            hold = self._matching_hold(packet, segment)
+        fin = "FIN" in flags
+        if self._active_holds and (segment.payload or fin):
+            hold = self._matching_hold(packet, segment, key)
             if hold is not None:
-                if segment.fin:
+                if fin:
                     if hold.suppress_close:
                         # Terminate the sender's side locally: ACK its FIN
                         # ourselves, deliver the held data, and leave the
                         # receiver's connection half-open.
-                        self._forge_ack(packet, segment, self._track(packet, segment), hold)
+                        self._forge_ack(packet, segment, tracker, hold)
                         self.release(hold, reason="close-suppressed")
                         return
                     # The session is dying (a timeout fired somewhere):
@@ -268,15 +288,16 @@ class TcpHijacker:
                 self.stats["held"] += 1
                 self._forge_ack(packet, segment, tracker, hold)
                 return
-        if segment.rst:
-            self._end_holds_on_flow(tracker.key, reason="reset")
-        self._forward(packet)
+        if "RST" in flags:
+            self._end_holds_on_flow(key, reason="reset")
+        self._forward(packet, key)
 
-    def _matching_hold(self, packet: IpPacket, segment: TcpSegment) -> Hold | None:
+    def _matching_hold(
+        self, packet: IpPacket, segment: TcpSegment, key: FlowKey
+    ) -> Hold | None:
         for hold in self.holds:
             if not hold.active or not hold.matches_packet(packet):
                 continue
-            key = self._flow_key(packet, segment)
             if hold.triggered_at is None:
                 if segment.fin:
                     continue  # never trigger on a bare close
@@ -310,8 +331,8 @@ class TcpHijacker:
     def _flow_key(packet: IpPacket, segment: TcpSegment) -> FlowKey:
         return FlowKey.of(packet.src_ip, segment.src_port, packet.dst_ip, segment.dst_port)
 
-    def _track(self, packet: IpPacket, segment: TcpSegment) -> _FlowTracker:
-        key = self._flow_key(packet, segment)
+    def _track(self, packet: IpPacket, segment: TcpSegment, key: FlowKey) -> _FlowTracker:
+        """The tracker of flow ``key``, updated with ``segment``."""
         tracker = self.flows.get(key)
         if tracker is None:
             tracker = _FlowTracker(key)
@@ -355,7 +376,7 @@ class TcpHijacker:
             dst_port=segment.src_port,
             seq=tracker.nxt.get(packet.dst_ip, 0),
             ack=seq_add(segment.seq, segment.seq_space),
-            flags=frozenset({"ACK"}),
+            flags=FLAGS_ACK,
         )
         hold.forged_acks += 1
         self.stats["forged_acks"] += 1
@@ -372,15 +393,16 @@ class TcpHijacker:
     FORWARD_RETRY_INTERVAL = 0.5
     FORWARD_MAX_RETRIES = 4
 
-    def _forward(self, packet: IpPacket) -> None:
+    def _forward(self, packet: IpPacket, key: FlowKey | None = None) -> None:
+        """Pass ``packet`` on; ``key`` is its flow when the caller has it."""
         self.stats["forwarded"] += 1
         segment = packet.payload
-        if isinstance(segment, TcpSegment) and segment.payload_size > 0:
+        if isinstance(segment, TcpSegment) and segment.payload:
             self.last_payload_forwarded[(packet.src_ip, packet.dst_ip)] = self.sim.now
             self.sim.schedule(
                 self.FORWARD_RETRY_INTERVAL,
                 self._check_forward,
-                self._flow_key(packet, segment),
+                key if key is not None else self._flow_key(packet, segment),
                 seq_add(segment.seq, segment.seq_space),
                 packet,
                 0,

@@ -27,7 +27,7 @@ from ..appproto.keepalive import FIXED, ON_IDLE
 from ..simnet.inet import DnsRegistry
 from ..simnet.trace import PacketCapture
 from .fingerprint import extract_observation
-from .hijacker import Hold, TcpHijacker
+from .hijacker import EVENT_FIN, EVENT_RST, FlowEvent, Hold, TcpHijacker
 from .predictor import TimeoutBehavior
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -323,13 +323,30 @@ class TimeoutProfiler:
             return TrialResult(started_at=self.sim.now, timed_out_at=None)
         started = hold.triggered_at
         assert started is not None
+        # Flow events are appended in time order: keep a cursor over them
+        # (as _wait_for_keepalive does over the capture) instead of
+        # rescanning the whole log at every simulated instant.  It starts
+        # at the first event at or after the trigger.
+        events = self.hijacker.flow_events
+        cursor = len(events)
+        while cursor and events[cursor - 1].ts >= started:
+            cursor -= 1
+        close: FlowEvent | None = None
 
         def closed() -> bool:
-            return bool(self.hijacker.close_events_involving(self.device_ip, since=started))
+            nonlocal cursor, close
+            while close is None and cursor < len(events):
+                event = events[cursor]
+                cursor += 1
+                if event.kind in (EVENT_FIN, EVENT_RST) and event.flow.involves_ip(
+                    self.device_ip
+                ):
+                    close = event
+            return close is not None
 
         if self._run_until(closed, self.max_wait):
-            close_ts = self.hijacker.close_events_involving(self.device_ip, since=started)[0].ts
-            result = TrialResult(started_at=started, timed_out_at=close_ts)
+            assert close is not None
+            result = TrialResult(started_at=started, timed_out_at=close.ts)
         else:
             result = TrialResult(started_at=started, timed_out_at=None)
         if hold.released_at is None:

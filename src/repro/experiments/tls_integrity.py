@@ -57,7 +57,7 @@ class TamperingMiddlebox(TcpHijacker):
         ):
             mode, self._tamper_mode = self._tamper_mode, None
             self.tampered += 1
-            tracker = self._track(packet, segment)
+            tracker = self._track(packet, segment, self._flow_key(packet, segment))
             if mode == "corrupt":
                 corrupted = bytes([segment.payload[0] ^ 0xFF]) + segment.payload[1:]
                 self._forward(

@@ -30,7 +30,13 @@ class SimObserver:
     """No-op scheduler observer; subclass and override what you need."""
 
     def timer_scheduled(self, timer: "Timer", now: float) -> None:
-        """A timer was entered into the event store at simulated time ``now``."""
+        """A timer was entered into the event store at simulated time ``now``.
+
+        :meth:`~repro.simnet.scheduler.Simulator.restart` reports its re-arm
+        here too, once, whether it re-armed the same timer in place (``timer``
+        is then the handle passed in, with its new ``when``) or cancelled it
+        and scheduled a new one.
+        """
 
     def timer_fired(self, timer: "Timer", now: float, queue_depth: int) -> None:
         """A timer's callback is about to run; ``queue_depth`` excludes it.

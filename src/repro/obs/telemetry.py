@@ -15,7 +15,9 @@ only its own bookkeeping counters.  The pieces here make shard telemetry
   :class:`~repro.simnet.scheduler.Simulator` constructed registers itself
   with the capture; at close the capture folds them into one snapshot
   (simulators contribute their event counts without any per-event hook, so
-  the scheduler hot loop stays untouched).
+  the scheduler hot loop stays untouched).  A simulator is accounted for
+  by a small :class:`SimulationAccount`, not held: a finished home can be
+  collected while the rest of its shard runs.
 * :func:`harvest_result` — result-shape telemetry: fault-injector stats,
   invariant violations, alarm counts, and numeric scenario metrics found in
   a shard's return value are mirrored into the capture registry, so a
@@ -37,6 +39,7 @@ merge to identical metrics.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -44,6 +47,7 @@ from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simnet.scheduler import Simulator
+    from .tracing import Span
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource
@@ -173,12 +177,45 @@ class ShardTelemetry:
 # ----------------------------------------------------------------- capture
 
 
+class SimulationAccount:
+    """What a capture keeps of one simulator: its final counts and spans.
+
+    Holding the :class:`~repro.simnet.scheduler.Simulator` itself would
+    keep its whole home alive, through the event heap, until the shard
+    ends.  The account holds a weak reference instead and copies the
+    figures the snapshot needs: the simulator settles it as it is
+    collected, and :meth:`TelemetryCapture.snapshot` settles the ones still
+    alive.  It keeps the tracer's span list, not the tracer, which holds
+    its simulator.
+    """
+
+    __slots__ = ("_sim", "events_processed", "clock", "spans")
+
+    def __init__(self, sim: "Simulator") -> None:
+        self._sim = weakref.ref(sim)
+        self.events_processed = 0
+        self.clock = 0.0
+        self.spans: list["Span"] | tuple[()] = ()
+
+    def settle(self, sim: "Simulator | None" = None) -> None:
+        """Copy the simulator's figures; a no-op once it has been collected."""
+        if sim is None:
+            sim = self._sim()
+            if sim is None:
+                return
+        self.events_processed = sim.events_processed
+        self.clock = sim.now
+        if sim.obs.enabled:
+            self.spans = sim.obs.tracer.spans
+
+
 class TelemetryCapture:
     """Collects every registry and simulator created while active."""
 
     def __init__(self) -> None:
         self.registries: list[MetricsRegistry] = []
-        self.simulators: list["Simulator"] = []
+        #: One account per simulator, in registration order.
+        self.simulations: list[SimulationAccount] = []
 
     # Registration happens at *construction* time only — nothing here is on
     # a per-event path, which is what keeps capture overhead invisible to
@@ -189,24 +226,23 @@ class TelemetryCapture:
         merged = MetricsRegistry(capture=False)
         for registry in self.registries:
             merged.merge(registry, exclude_components=NONDETERMINISTIC_COMPONENTS)
-        if self.simulators:
+        if self.simulations:
             sims = merged.counter("scheduler", "simulations")
             events = merged.counter("scheduler", "events_processed")
             clock = merged.histogram("scheduler", "sim_clock_seconds")
-            for sim in self.simulators:
+            for account in self.simulations:
+                account.settle()
                 sims.inc()
-                events.inc(sim.events_processed)
-                clock.observe(sim.now)
+                events.inc(account.events_processed)
+                clock.observe(account.clock)
         return RegistrySnapshot.of(merged)
 
     def span_summaries(self) -> tuple[dict[str, Any], ...]:
         """Per-(component, name) span rollup across observed simulators."""
         rollup: dict[tuple[str, str], dict[str, Any]] = {}
-        for sim in self.simulators:
-            tracer = sim.obs.tracer if sim.obs.enabled else None
-            if tracer is None:
-                continue
-            for span in tracer.spans:
+        for account in self.simulations:
+            account.settle()
+            for span in account.spans:
                 entry = rollup.setdefault(
                     (span.component, span.name),
                     {"component": span.component, "name": span.name,
@@ -243,9 +279,17 @@ def register_registry(registry: MetricsRegistry) -> None:
         _CAPTURES[-1].registries.append(registry)
 
 
-def register_simulator(sim: "Simulator") -> None:
-    if _CAPTURES:
-        _CAPTURES[-1].simulators.append(sim)
+def register_simulator(sim: "Simulator") -> SimulationAccount | None:
+    """Open an account for ``sim`` in the innermost capture, if one is active.
+
+    The simulator keeps the returned account and settles it as it is
+    collected.
+    """
+    if not _CAPTURES:
+        return None
+    account = SimulationAccount(sim)
+    _CAPTURES[-1].simulations.append(account)
+    return account
 
 
 class capture:

@@ -70,7 +70,12 @@ class ArpCache:
             return False
         if not solicited and not self.accept_unsolicited:
             return False
-        self._entries[ip] = ArpEntry(mac=mac, learned_at=self._clock._now)
+        if existing is None:
+            self._entries[ip] = ArpEntry(mac, self._clock._now)
+        else:
+            # A refresh (every re-poison is one): update the entry in place.
+            existing.mac = mac
+            existing.learned_at = self._clock._now
         return True
 
     def set_static(self, ip: str, mac: str) -> None:

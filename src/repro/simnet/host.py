@@ -56,6 +56,8 @@ class Host:
         self.mac = self.nic.mac
         #: The first three octets: the home network is a /24.
         self._subnet = ip.split(".")[:3]
+        #: Destination IP -> whether it is on our /24, decided once per address.
+        self._on_link: dict[str, bool] = {}
         self.arp = ArpCache(sim)
         # Lazily-created obs counters; stay None while observability is off
         # so the per-frame cost is one attribute load and a branch.
@@ -76,8 +78,12 @@ class Host:
                     "host", "packets_sent", host=self.hostname
                 )
             self._tx_counter.inc()
-        if packet.dst_ip.split(".")[:3] == self._subnet:
-            next_hop = packet.dst_ip
+        dst_ip = packet.dst_ip
+        on_link = self._on_link.get(dst_ip)
+        if on_link is None:
+            on_link = self._on_link[dst_ip] = dst_ip.split(".")[:3] == self._subnet
+        if on_link:
+            next_hop = dst_ip
         else:
             if self.gateway_ip is None:
                 raise RuntimeError(f"{self.hostname}: no gateway for {packet.dst_ip}")
@@ -107,9 +113,10 @@ class Host:
     def send_arp_reply(self, claimed_ip: str, to_mac: str, to_ip: str) -> None:
         """Emit an ARP reply binding ``claimed_ip`` to our MAC.
 
-        For a normal host ``claimed_ip`` is its own address.  The attacker
-        calls this with the *gateway's* or the *victim's* address — that is
-        ARP spoofing, verbatim.
+        For a normal host ``claimed_ip`` is its own address.  Claiming the
+        *gateway's* or the *victim's* address instead is ARP spoofing,
+        verbatim; :class:`~repro.core.arp_spoofer.ArpSpoofer` builds those
+        replies once per target and re-sends them itself.
         """
         reply = ArpPacket(
             op="reply",
@@ -148,10 +155,15 @@ class Host:
                 self.arp.learn(arp.sender_ip, arp.sender_mac, solicited=True)
                 self.send_arp_reply(self.ip, to_mac=arp.sender_mac, to_ip=arp.sender_ip)
             return
-        solicited = self.arp.is_outstanding(arp.sender_ip)
-        if self.arp.learn(arp.sender_ip, arp.sender_mac, solicited=solicited):
-            self.arp.clear_outstanding(arp.sender_ip)
-            self._flush_arp_queue(arp.sender_ip)
+        sender_ip = arp.sender_ip
+        solicited = self.arp.is_outstanding(sender_ip)
+        if self.arp.learn(sender_ip, arp.sender_mac, solicited=solicited):
+            # An unsolicited reply (every re-poison) has no mark to clear,
+            # and only a resolution we waited on has packets to flush.
+            if solicited:
+                self.arp.clear_outstanding(sender_ip)
+            if sender_ip in self._arp_wait_queue:
+                self._flush_arp_queue(sender_ip)
 
     def _flush_arp_queue(self, next_hop_ip: str) -> None:
         mac = self.arp.lookup(next_hop_ip)

@@ -20,10 +20,18 @@ the first two fields and fire order is exactly ``(when, seq)``.
   :class:`PeriodicTimer` that the loop re-arms in place after each fire,
   drawing its new ``seq`` after the callback returns — exactly as if the
   callback had ended with ``sim.schedule(period, ...)``.
+* **Watchdog re-arm.**  :meth:`Simulator.restart` is ``timer.cancel()``
+  followed by :meth:`~Simulator.schedule`.  When a live one-shot's deadline
+  does not move earlier, the timer keeps its heap node: the re-arm draws
+  its ``seq`` at once and stores the new ``(when, seq)`` on the timer.  A
+  node whose ``seq`` is no longer its timer's is stale, and is re-queued at
+  the timer's key when it reaches the top.  Every node popped before it
+  has a smaller key than the new one, so fire order stays exactly
+  ``(when, seq)``; the re-queue is no event and moves no clock.
 
 ``tests/test_scheduler_equivalence.py`` drives random schedule / cancel /
-re-arm programs through this loop and through a textbook heap reference,
-and pins the rendered Table I and canonical Table III digests.
+re-arm / restart programs through this loop and through a textbook heap
+reference, and pins the rendered Table I and canonical Table III digests.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ class Timer:
         "_fired",
         "label",
         "_sim",
+        "_seq",
     )
 
     #: Re-arm interval; None for one-shots (:class:`PeriodicTimer` sets it).
@@ -79,6 +88,9 @@ class Timer:
         self._fired = False
         #: The simulator counting this timer as pending, if any.
         self._sim: "Simulator | None" = None
+        # ``_seq``, the seq of the timer's current heap key, is set when the
+        # simulator queues the timer; a heap node carrying another seq is
+        # stale (see Simulator.restart).
 
     @property
     def active(self) -> bool:
@@ -145,6 +157,9 @@ class Simulator:
     #: cannot grow the tally dict without bound.
     TALLY_MAX_LABELS = 256
 
+    #: The telemetry capture's account of this simulator, if one was active.
+    _telemetry_account: "telemetry.SimulationAccount | None" = None
+
     def __init__(self, seed: int = 0, observer: "SimObserver | None" = None) -> None:
         self.clock = Clock()
         self.rng = random.Random(seed)
@@ -164,9 +179,16 @@ class Simulator:
         #: :mod:`repro.faults.invariants`); None keeps layer hooks free.
         self.invariants: Any = None
         # Registration is construction-time only: an active telemetry
-        # capture learns this simulator exists, and the hot loop stays
-        # untouched — counts are read off the finished simulator.
-        telemetry.register_simulator(self)
+        # capture opens an account for this simulator, and the hot loop
+        # stays untouched — counts are read off the finished simulator.
+        self._telemetry_account = telemetry.register_simulator(self)
+
+    def __del__(self) -> None:
+        # The capture keeps an account, not the simulator: hand it the
+        # final counts before the simulator (and its home) is freed.
+        account = self._telemetry_account
+        if account is not None:
+            account.settle(self)
 
     @property
     def now(self) -> float:
@@ -271,6 +293,50 @@ class Simulator:
             self.clock._now + delay, callback, args, label, period
         )
 
+    def restart(
+        self,
+        timer: Timer | None,
+        delay: float,
+        callback: Callable[..., Any],
+        *args: Any,
+        label: str = "",
+    ) -> Timer:
+        """Re-arm a watchdog: ``timer.cancel()`` then :meth:`schedule`.
+
+        Returns the live timer, which callers keep in place of ``timer``.
+        When ``timer`` is a live one-shot of this simulator and the new
+        deadline is not earlier than its current one, the same timer is
+        re-armed in place: it takes a fresh ``seq`` now and keeps its heap
+        node, which the loop re-queues at the new key once it reaches the
+        top.  Every other case — an earlier deadline, a fired or cancelled
+        timer, no timer, a periodic timer — cancels and schedules exactly as
+        written.  Either way the observer sees the re-arm as one
+        :meth:`~repro.obs.observer.SimObserver.timer_scheduled` call.
+        """
+        now = self.clock._now
+        when = now + delay
+        if (
+            timer is not None
+            and when >= timer.when
+            and timer._sim is self
+            and timer.period is None
+            and not (timer._cancelled or timer._fired)
+        ):
+            timer.when = when
+            timer._seq = next(self._seq)
+            timer.callback = callback
+            timer.args = args
+            timer.label = label
+            timer.created_at = now
+            if self._observer is not None:
+                self._observer.timer_scheduled(timer, now)
+            return timer
+        if timer is not None:
+            timer.cancel()
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past: delay={delay}")
+        return self._insert(when, callback, args, label)
+
     def _insert(
         self,
         when: float,
@@ -288,7 +354,8 @@ class Simulator:
         else:
             timer = PeriodicTimer(when, callback, args, period, label, now)
         timer._sim = self
-        heapq.heappush(self._heap, (when, next(self._seq), timer))
+        timer._seq = seq = next(self._seq)
+        heapq.heappush(self._heap, (when, seq, timer))
         self._pending += 1
         if self._observer is not None:
             self._observer.timer_scheduled(timer, now)
@@ -299,9 +366,15 @@ class Simulator:
     def peek(self) -> float | None:
         """Time of the next pending event, or None when the queue is drained."""
         heap = self._heap
-        while heap and heap[0][2]._cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+        while heap:
+            when, seq, timer = heap[0]
+            if timer._cancelled:
+                heapq.heappop(heap)
+            elif seq != timer._seq:  # re-armed in place: re-queue, no event
+                heapq.heapreplace(heap, (timer.when, timer._seq, timer))
+            else:
+                return when
+        return None
 
     def step(self) -> bool:
         """Run the single next event.  Returns False when nothing is pending."""
@@ -332,7 +405,8 @@ class Simulator:
         timer.callback(*timer.args)
         if period is not None and not timer._cancelled:
             timer.when = when + period
-            heapq.heappush(self._heap, (timer.when, next(self._seq), timer))
+            timer._seq = seq = next(self._seq)
+            heapq.heappush(self._heap, (timer.when, seq, timer))
 
     def _tally_near_budget(self, label: str) -> None:
         """Count fires by label near the budget; raise a diagnosable error.
@@ -378,11 +452,14 @@ class Simulator:
         pop = heapq.heappop
         clock = self.clock
         while heap:
-            when, _seq, timer = heap[0]
+            when, seq, timer = heap[0]
             if when > deadline:
                 break
             pop(heap)
             if timer._cancelled:
+                continue
+            if seq != timer._seq:  # re-armed in place: re-queue, no event
+                heapq.heappush(heap, (timer.when, timer._seq, timer))
                 continue
             if timer.period is not None:
                 self._fire(timer, when)

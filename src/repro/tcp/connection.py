@@ -14,6 +14,15 @@ This implements the parts of TCP the paper's analysis rests on
 
 The attack works because a middle-box that immediately ACKs data and answers
 probes silences both timers while delivering nothing.
+
+Both timers are watchdogs that traffic keeps pushing back: every ACK that
+leaves data in flight re-arms the retransmission timer, and every segment
+from the peer re-arms the keep-alive timer.  They are re-armed with
+:meth:`~repro.simnet.scheduler.Simulator.restart`, which moves a pending
+deadline later in place instead of cancelling one timer and allocating
+another per segment.  The per-segment path reads the segment's flag set
+directly, sends module-constant flag sets, and does its sequence arithmetic
+as inline 32-bit masks.
 """
 
 from __future__ import annotations
@@ -22,7 +31,19 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
-from .segment import DEFAULT_MSS, TcpSegment, seq_add, seq_leq, seq_lt
+from .segment import (
+    DEFAULT_MSS,
+    FLAGS_ACK,
+    FLAGS_ACK_PSH,
+    FLAGS_FIN_ACK,
+    FLAGS_RST_ACK,
+    FLAGS_SYN,
+    FLAGS_SYN_ACK,
+    SEQ_HALF,
+    SEQ_MASK,
+    TcpSegment,
+    seq_add,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stack import TcpStack
@@ -39,6 +60,11 @@ CLOSE_WAIT = "CLOSE_WAIT"
 LAST_ACK = "LAST_ACK"
 CLOSING = "CLOSING"
 TIME_WAIT = "TIME_WAIT"
+
+#: States in which the peer's segments carry ACKs and data for us.
+_SYNCHRONISED = frozenset(
+    {ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2, CLOSE_WAIT, CLOSING, LAST_ACK}
+)
 
 # Close / failure reasons surfaced to the application layer.
 REASON_LOCAL_CLOSE = "local-close"
@@ -84,7 +110,8 @@ class TcpCallbacks:
 @dataclass
 class _Unacked:
     segment: TcpSegment
-    first_sent: float
+    #: Sequence number just past the segment: acknowledged once ack >= end.
+    end: int
     retransmits: int = 0
 
 
@@ -179,13 +206,13 @@ class TcpConnection:
         if self.state != CLOSED:
             raise RuntimeError(f"cannot connect from state {self.state}")
         self.state = SYN_SENT
-        self._transmit(self._make_segment("SYN", payload=b""), reliable=True)
+        self._transmit(self._make_segment(FLAGS_SYN), reliable=True)
 
     def open_passive_syn(self, syn: TcpSegment) -> None:
         """Server side: a listener saw a SYN for us."""
         self.rcv_nxt = seq_add(syn.seq, 1)
         self.state = SYN_RCVD
-        self._transmit(self._make_segment("SYN", "ACK"), reliable=True)
+        self._transmit(self._make_segment(FLAGS_SYN_ACK), reliable=True)
 
     def send(self, data: bytes) -> None:
         """Queue application bytes for in-order reliable delivery."""
@@ -195,23 +222,25 @@ class TcpConnection:
             raise RuntimeError(f"cannot send in state {self.state}")
         if self._fin_queued or self._fin_sent:
             raise RuntimeError("cannot send after close()")
-        view = memoryview(bytes(data))
+        # The one copy: ``bytes`` of a bytes object is that object, and a
+        # slice spanning a whole bytes object is the object itself.
+        data = bytes(data)
+        mss = self.config.mss
         segments = 0
-        for off in range(0, len(view), self.config.mss):
-            chunk = bytes(view[off : off + self.config.mss])
+        for off in range(0, len(data), mss):
             self._transmit(
-                self._make_segment("ACK", "PSH", payload=chunk), reliable=True
+                self._make_segment(FLAGS_ACK_PSH, data[off : off + mss]), reliable=True
             )
             segments += 1
-        self.stats["bytes_sent"] += len(view)
+        self.stats["bytes_sent"] += len(data)
         inv = self.sim.invariants
         if inv is not None:
-            inv.on_tcp_send(self, bytes(view))
+            inv.on_tcp_send(self, data)
         obs = self.sim.obs
         if obs.enabled and obs.tracer.current is not None:
             # Child of whatever message span is ambient (TLS seal path).
             obs.tracer.event(
-                "tcp", "send", flow=self.flow_label(), bytes=len(view), segments=segments
+                "tcp", "send", flow=self.flow_label(), bytes=len(data), segments=segments
             )
 
     def close(self) -> None:
@@ -225,7 +254,7 @@ class TcpConnection:
         """Hard teardown: emit RST and drop all state."""
         if self.state == CLOSED:
             return
-        rst = self._make_segment("RST", "ACK")
+        rst = self._make_segment(FLAGS_RST_ACK)
         self._emit(rst)
         self._enter_closed(reason)
 
@@ -233,35 +262,40 @@ class TcpConnection:
 
     def on_segment(self, segment: TcpSegment) -> None:
         """Entry point from the stack demux."""
-        if self.state == CLOSED:
+        state = self.state
+        if state == CLOSED:
             return
         self.stats["segments_received"] += 1
+        flags = segment.flags
 
-        if segment.rst:
-            if self.state != SYN_SENT or segment.ack_flag:
+        if "RST" in flags:
+            if state != SYN_SENT or "ACK" in flags:
                 self._enter_closed(REASON_RESET, notify_peer=False)
             return
 
-        if self.state == SYN_SENT:
+        if state == SYN_SENT:
             self._on_segment_syn_sent(segment)
             return
-        if self.state == SYN_RCVD and segment.ack_flag and not segment.syn:
+        if state == SYN_RCVD and "ACK" in flags and "SYN" not in flags:
             if segment.ack == seq_add(self.iss, 1):
                 self._handle_ack(segment.ack)
                 self.state = ESTABLISHED
                 self._arm_keepalive()
                 self._notify_connected()
+                state = self.state
                 # fall through: the handshake ACK may carry data
 
         # Any traffic from the peer proves the path is alive.
         self._probes_outstanding = 0
-        if self.state in (ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2, CLOSE_WAIT, CLOSING, LAST_ACK):
-            if segment.ack_flag:
-                pure_ack = not (segment.payload or segment.syn or segment.fin)
+        if state in _SYNCHRONISED:
+            payload = segment.payload
+            fin = "FIN" in flags
+            if "ACK" in flags:
+                pure_ack = not (payload or fin or "SYN" in flags)
                 self._handle_ack(segment.ack, pure_ack=pure_ack)
-            if segment.payload or segment.fin:
+            if payload or fin:
                 self._handle_receive(segment)
-            elif not segment.syn and segment.seq != self.rcv_nxt:
+            elif "SYN" not in flags and segment.seq != self.rcv_nxt:
                 # Payload-less segment outside the expected sequence — a
                 # keep-alive probe (seq one below the window), or a probe
                 # from a sender whose data is in flight elsewhere.  RFC 793
@@ -284,11 +318,16 @@ class TcpConnection:
     # ------------------------------------------------------------ ACK logic
 
     def _handle_ack(self, ack: int, pure_ack: bool = False) -> None:
-        if not (seq_lt(self.snd_una, ack) and seq_leq(ack, self.snd_nxt)):
+        snd_una = self.snd_una
+        # Acceptable when snd_una < ack <= snd_nxt (seq_lt and seq_leq).
+        if not (
+            0 < ((ack - snd_una) & SEQ_MASK) < SEQ_HALF
+            and ((self.snd_nxt - ack) & SEQ_MASK) < SEQ_HALF
+        ):
             # A pure ACK that re-asserts snd_una while data is in flight is
             # a duplicate ACK: the receiver got something out of order.
             # Forged hold ACKs *advance* snd_una, so they never count here.
-            if pure_ack and ack == self.snd_una and self._unacked:
+            if pure_ack and ack == snd_una and self._unacked:
                 self._dup_acks += 1
                 if self._dup_acks >= self.config.dup_ack_threshold:
                     self._fast_retransmit()
@@ -297,13 +336,13 @@ class TcpConnection:
         self.snd_una = ack
         still_unacked: list[_Unacked] = []
         for entry in self._unacked:
-            end = seq_add(entry.segment.seq, entry.segment.seq_space)
-            if not seq_leq(end, ack):
+            if ((ack - entry.end) & SEQ_MASK) >= SEQ_HALF:  # not seq_leq(end, ack)
                 still_unacked.append(entry)
         self._unacked = still_unacked
-        self._cancel_retx_timer()
-        if self._unacked:
+        if still_unacked:
             self._arm_retx_timer(self.config.rto_initial)
+        else:
+            self._cancel_retx_timer()
         if self._fin_sent and ack == self.snd_nxt:
             self._on_fin_acked()
         self._maybe_send_fin()
@@ -319,22 +358,22 @@ class TcpConnection:
     # -------------------------------------------------------- receive logic
 
     def _handle_receive(self, segment: TcpSegment) -> None:
-        if seq_lt(segment.seq, self.rcv_nxt) and not (
-            segment.seq == seq_add(self.rcv_nxt, -1) and not segment.payload
+        seq = segment.seq
+        rcv_nxt = self.rcv_nxt
+        if (not segment.payload and seq == (rcv_nxt - 1) & SEQ_MASK) or (
+            0 < ((rcv_nxt - seq) & SEQ_MASK) < SEQ_HALF
         ):
-            # Old data (or a retransmission we already have): re-ACK it.
+            # A keep-alive probe (seq one below the expected next byte), or
+            # old data / a retransmission we already have (seq_lt(seq,
+            # rcv_nxt)): re-ACK it.
             self._send_ack(duplicate=True)
             return
-        if segment.seq == seq_add(self.rcv_nxt, -1) and not segment.payload:
-            # Keep-alive probe: seq one below the expected next byte.
-            self._send_ack(duplicate=True)
-            return
-        if segment.seq != self.rcv_nxt:
+        if seq != rcv_nxt:
             # Out of order: buffer and re-assert our expectation.  The
             # buffer is bounded like an embedded stack's; on overflow the
             # segment is discarded and repaired by peer retransmission.
-            if segment.seq in self._ooo or len(self._ooo) < self.config.ooo_limit:
-                self._ooo[segment.seq] = segment
+            if seq in self._ooo or len(self._ooo) < self.config.ooo_limit:
+                self._ooo[seq] = segment
                 self.stats["ooo_buffered"] += 1
             else:
                 self.stats["ooo_discarded"] += 1
@@ -347,16 +386,17 @@ class TcpConnection:
         self._send_ack()
 
     def _accept_in_order(self, segment: TcpSegment) -> None:
-        if segment.payload:
-            self.rcv_nxt = seq_add(self.rcv_nxt, len(segment.payload))
-            self.stats["bytes_delivered"] += len(segment.payload)
+        payload = segment.payload
+        if payload:
+            self.rcv_nxt = (self.rcv_nxt + len(payload)) & SEQ_MASK
+            self.stats["bytes_delivered"] += len(payload)
             inv = self.sim.invariants
             if inv is not None:
-                inv.on_tcp_deliver(self, segment.payload)
+                inv.on_tcp_deliver(self, payload)
             if self.callbacks.on_data is not None:
-                self.callbacks.on_data(self, segment.payload)
-        if segment.fin:
-            self.rcv_nxt = seq_add(self.rcv_nxt, 1)
+                self.callbacks.on_data(self, payload)
+        if "FIN" in segment.flags:
+            self.rcv_nxt = (self.rcv_nxt + 1) & SEQ_MASK
             self._on_fin_received()
 
     def _on_fin_received(self) -> None:
@@ -381,25 +421,25 @@ class TcpConnection:
             self.state = FIN_WAIT_1
         elif self.state == CLOSE_WAIT:
             self.state = LAST_ACK
-        self._transmit(self._make_segment("FIN", "ACK"), reliable=True)
+        self._transmit(self._make_segment(FLAGS_FIN_ACK), reliable=True)
 
     # ------------------------------------------------------------- transmit
 
-    def _make_segment(self, *flags: str, payload: bytes = b"") -> TcpSegment:
+    def _make_segment(self, flags: frozenset[str], payload: bytes = b"") -> TcpSegment:
+        """A segment at ``snd_nxt``; ``flags`` is one of the ``FLAGS_*`` sets."""
         return TcpSegment(
-            src_port=self.local_port,
-            dst_port=self.remote_port,
-            seq=self.snd_nxt,
-            ack=self.rcv_nxt,
-            flags=frozenset(flags),
-            payload=payload,
+            self.local_port, self.remote_port, self.snd_nxt, self.rcv_nxt, flags, payload
         )
 
     def _transmit(self, segment: TcpSegment, reliable: bool) -> None:
         if reliable:
-            self.snd_nxt = seq_add(self.snd_nxt, segment.seq_space)
-            self._unacked.append(_Unacked(segment, first_sent=self.sim.now))
-            if self._retx_timer is None or not self._retx_timer.active:
+            flags = segment.flags
+            # seq_space: payload bytes, plus one each for SYN and FIN.
+            space = len(segment.payload) + ("SYN" in flags) + ("FIN" in flags)
+            self.snd_nxt = (self.snd_nxt + space) & SEQ_MASK
+            self._unacked.append(_Unacked(segment, (segment.seq + space) & SEQ_MASK))
+            timer = self._retx_timer
+            if timer is None or not timer.active:
                 self._arm_retx_timer(self.config.rto_initial)
         self._emit(segment)
 
@@ -410,14 +450,13 @@ class TcpConnection:
     def _send_ack(self, duplicate: bool = False) -> None:
         if duplicate:
             self.stats["duplicate_acks_sent"] += 1
-        self._emit(self._make_segment("ACK"))
+        self._emit(self._make_segment(FLAGS_ACK))
 
     # ------------------------------------------------------ retransmission
 
     def _arm_retx_timer(self, rto: float) -> None:
-        self._cancel_retx_timer()
-        self._retx_timer = self.sim.schedule(
-            rto, self._on_retx_timeout, rto, label=self._retx_label
+        self._retx_timer = self.sim.restart(
+            self._retx_timer, rto, self._on_retx_timeout, rto, label=self._retx_label
         )
 
     def _cancel_retx_timer(self) -> None:
@@ -475,9 +514,8 @@ class TcpConnection:
     def _arm_keepalive(self) -> None:
         if not self.config.keepalive_enabled:
             return
-        if self._keepalive_timer is not None:
-            self._keepalive_timer.cancel()
-        self._keepalive_timer = self.sim.schedule(
+        self._keepalive_timer = self.sim.restart(
+            self._keepalive_timer,
             self.config.keepalive_idle,
             self._on_keepalive_idle,
             label=self._ka_label,
@@ -497,7 +535,7 @@ class TcpConnection:
             dst_port=self.remote_port,
             seq=seq_add(self.snd_nxt, -1),
             ack=self.rcv_nxt,
-            flags=frozenset({"ACK"}),
+            flags=FLAGS_ACK,
         )
         self._emit(probe)
         self._keepalive_timer = self.sim.schedule(

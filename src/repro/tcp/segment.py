@@ -13,22 +13,40 @@ from dataclasses import dataclass, field
 
 TCP_HEADER_BYTES = 20
 SEQ_MODULUS = 2**32
+#: ``x & SEQ_MASK`` is ``x % SEQ_MODULUS`` for any int, negatives included.
+SEQ_MASK = SEQ_MODULUS - 1
+#: Half the sequence space: ``b`` is after ``a`` when ``b - a`` (mod 2**32)
+#: is below this.
+SEQ_HALF = SEQ_MODULUS // 2
 
 #: Default maximum segment size used by the stack.
 DEFAULT_MSS = 1460
 
+#: The flags a segment may carry, and the flag sets the stack sends, built
+#: once so the per-segment path allocates no frozenset.
+TCP_FLAGS = frozenset({"SYN", "ACK", "FIN", "RST", "PSH"})
+FLAGS_SYN = frozenset({"SYN"})
+FLAGS_SYN_ACK = frozenset({"SYN", "ACK"})
+FLAGS_ACK = frozenset({"ACK"})
+FLAGS_ACK_PSH = frozenset({"ACK", "PSH"})
+FLAGS_FIN_ACK = frozenset({"FIN", "ACK"})
+FLAGS_RST_ACK = frozenset({"RST", "ACK"})
+
+
+# The helpers below take 32-bit sequence numbers (0 <= n < 2**32).
+
 
 def seq_add(seq: int, delta: int) -> int:
-    return (seq + delta) % SEQ_MODULUS
+    return (seq + delta) & SEQ_MASK
 
 
 def seq_lt(a: int, b: int) -> bool:
     """Modular 'a strictly before b' comparison (RFC 793 style)."""
-    return ((b - a) % SEQ_MODULUS) != 0 and ((b - a) % SEQ_MODULUS) < SEQ_MODULUS // 2
+    return 0 < ((b - a) & SEQ_MASK) < SEQ_HALF
 
 
 def seq_leq(a: int, b: int) -> bool:
-    return a == b or seq_lt(a, b)
+    return ((b - a) & SEQ_MASK) < SEQ_HALF
 
 
 @dataclass(frozen=True)
@@ -44,9 +62,8 @@ class TcpSegment:
     window: int = 65535
 
     def __post_init__(self) -> None:
-        bad = self.flags - {"SYN", "ACK", "FIN", "RST", "PSH"}
-        if bad:
-            raise ValueError(f"unknown TCP flags: {bad}")
+        if not self.flags <= TCP_FLAGS:
+            raise ValueError(f"unknown TCP flags: {self.flags - TCP_FLAGS}")
 
     # -- convenience predicates -------------------------------------------
 

@@ -91,9 +91,7 @@ class TcpStack:
     # -------------------------------------------------------------- wire I/O
 
     def send_segment(self, conn: TcpConnection, segment: TcpSegment) -> None:
-        self.host.send_ip(
-            IpPacket(src_ip=self.host.ip, dst_ip=conn.remote_ip, payload=segment)
-        )
+        self.host.send_ip(IpPacket(self.host.ip, conn.remote_ip, segment))
 
     def _on_ip_packet(self, packet: IpPacket) -> None:
         segment = packet.payload

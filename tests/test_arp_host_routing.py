@@ -41,6 +41,16 @@ class TestArpCache:
         assert not cache.learn("10.0.0.1", "evil", solicited=False)
         assert cache.lookup("10.0.0.1") is None
 
+    def test_refresh_restarts_ttl(self, sim):
+        cache = ArpCache(sim, ttl=10.0)
+        cache.learn("10.0.0.1", "aa", solicited=True)
+        sim.run_until(8.0)
+        assert cache.learn("10.0.0.1", "bb", solicited=False)
+        sim.run_until(15.0)
+        assert cache.lookup("10.0.0.1") == "bb"
+        sim.run_until(18.5)
+        assert cache.lookup("10.0.0.1") is None
+
     def test_solicited_overwrites(self, sim):
         cache = ArpCache(sim)
         cache.learn("10.0.0.1", "aa", solicited=True)

@@ -65,6 +65,20 @@ class TestArpSpoofing:
         # ... and still reaches the cloud:
         assert tb.endpoints["smartthings"].events_from("c2")
 
+    def test_repoison_resends_one_reply_per_target_in_fresh_frames(self, home):
+        tb, _contact, hub, attacker = home
+        seen = []
+        hub.host.frame_taps.append(seen.append)
+        attacker.interpose(hub.ip)
+        tb.run(11.0)  # the initial poison plus two re-poison periods
+        poison = [f for f in seen if f.src_mac == attacker.host.mac
+                  and getattr(f.payload, "op", None) == "reply"]
+        assert len(poison) == 3
+        assert all(f.payload is poison[0].payload for f in poison)
+        assert len({f.frame_id for f in poison}) == 3
+        assert (poison[0].payload.sender_ip, poison[0].payload.target_ip) == (
+            tb.router.ip, hub.ip)
+
     def test_discover_mac(self, home):
         tb, _contact, hub, attacker = home
         assert attacker.discover_mac(hub.ip) == hub.host.mac
@@ -173,6 +187,26 @@ class TestHijackerHolds:
         attacker.hijacker.release(hold)
         tb.run(2.0)
         assert len(tb.endpoints["smartthings"].events_from("c2")) == 1
+
+    def test_hold_armed_after_finished_holds_still_triggers(self, home):
+        tb, contact, hub, attacker = home
+        attacker.interpose(hub.ip)
+        tb.run(35.0)
+        hijacker = attacker.hijacker
+        hijacker.cancel(hijacker.hold_events(hub.ip, trigger_size=355))
+        first = hijacker.hold_events(hub.ip, trigger_size=355)
+        contact.stimulate("open")
+        tb.run(2.0)
+        hijacker.release(first)
+        tb.run(2.0)
+        second = hijacker.hold_events(hub.ip, trigger_size=355)
+        contact.stimulate("closed")
+        tb.run(2.0)
+        assert second.holding and second.held_count == 1
+        hijacker.release(second)
+        tb.run(2.0)
+        names = [m.name for _, m in tb.endpoints["smartthings"].events_from("c2")]
+        assert names == ["contact.open", "contact.closed"]
 
     def test_flow_events_record_lifecycle(self, home):
         tb, _contact, hub, attacker = home

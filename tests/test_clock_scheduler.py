@@ -359,6 +359,72 @@ class TestTimerWheel:
         assert sim.events_processed == 2
 
 
+class TestRestart:
+    """``Simulator.restart`` is ``timer.cancel()`` then ``schedule``."""
+
+    def test_later_or_equal_deadline_rearms_in_place(self, sim):
+        scheduled = []
+
+        class Probe:
+            def timer_scheduled(self, timer, now):
+                scheduled.append((timer.label, timer.when, now))
+
+            def timer_fired(self, timer, now, queue_depth):
+                pass
+
+        fired = []
+        watchdog = sim.schedule(2.0, fired.append, "old", label="wd")
+        sim.set_observer(Probe())
+        sim.run_until(0.5)
+        assert sim.restart(watchdog, 3.0, fired.append, "new", label="wd2") is watchdog
+        assert sim.restart(watchdog, 3.0, fired.append, "same", label="wd3") is watchdog
+        assert (watchdog.when, watchdog.created_at, sim.pending_events) == (3.5, 0.5, 1)
+        assert scheduled == [("wd2", 3.5, 0.5), ("wd3", 3.5, 0.5)]
+        sim.run_until(5.0)
+        assert fired == ["same"] and sim.events_processed == 1
+
+    def test_earlier_deadline_cancels_and_schedules(self, sim):
+        fired = []
+        watchdog = sim.schedule(5.0, fired.append, "old")
+        fresh = sim.restart(watchdog, 1.0, fired.append, "new")
+        assert fresh is not watchdog and not watchdog.active and fresh.active
+        assert sim.pending_events == 1
+        sim.run_until(6.0)
+        assert fired == ["new"]
+
+    def test_fired_cancelled_missing_or_periodic_handle_gets_a_new_timer(self, sim):
+        fired = []
+        done = sim.schedule(0.5, fired.append, "done")
+        sim.run_until(1.0)
+        dropped = sim.schedule(9.0, fired.append, "dropped")
+        dropped.cancel()
+        beat = sim.schedule_periodic(1.0, fired.append, "beat")
+        handles = [sim.restart(t, 2.0, fired.append, name)
+                   for t, name in ((done, "a"), (dropped, "b"), (None, "c"), (beat, "d"))]
+        assert all(h.period is None and h.active for h in handles)
+        assert not ({id(h) for h in handles} & {id(done), id(dropped), id(beat)})
+        assert not beat.active and sim.pending_events == 4
+        sim.run_until(5.0)
+        assert fired == ["done", "a", "b", "c", "d"]
+
+    def test_negative_delay_cancels_then_raises(self, sim):
+        watchdog = sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.restart(watchdog, -0.5, lambda: None)
+        assert not watchdog.active and sim.pending_events == 0
+
+    def test_restarted_watchdog_fires_in_seq_order_at_a_tie(self, sim):
+        """Re-armed in place to an instant another timer already holds, the
+        watchdog fires after it: its seq was drawn at the restart."""
+        log = []
+        watchdog = sim.schedule(1.0, log.append, "wd")
+        sim.schedule(4.0, log.append, "first")
+        sim.restart(watchdog, 4.0, log.append, "wd")
+        sim.schedule(4.0, log.append, "last")
+        sim.run_until(4.0)
+        assert log == ["first", "wd", "last"]
+
+
 class TestPeriodicAndQuiescence:
     """Periodic timers, alone (an idle, quiescent home) and mixed with one-shots."""
 

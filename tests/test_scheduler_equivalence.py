@@ -5,10 +5,13 @@ Two layers of evidence that the event core fires exactly the textbook
 
 1. A hypothesis property drives randomly generated timer programs —
    one-shots and periodics with colliding fire times, cancellations
-   (including self-cancel and cancel-from-callback), mid-run spawns, and
-   net-zero cancel+respawn tricks — through :class:`Simulator` and
-   through a straight-heap reference model, and demands identical fire
-   logs, event counts, and final clocks.
+   (including self-cancel and cancel-from-callback), mid-run spawns,
+   net-zero cancel+respawn tricks, and watchdog restarts (later, equal and
+   earlier deadlines, from inside callbacks, of fired, cancelled and
+   periodic handles) — through :class:`Simulator` and through a
+   straight-heap reference model that restarts by cancel+schedule, driven
+   by one ``run_until``, by deadline slices, or by ``peek``/``step``, and
+   demands identical fire logs, event counts, and final clocks.
 
 2. Byte-identity pins: the rendered Table I and the canonical Table III
    result digests are asserted against recorded values.  Any scheduler
@@ -39,7 +42,7 @@ TABLE3_BLAKE2B = "b29df45a230f797f5cbe33dd7b4e8d2f"
 # --------------------------------------------------------------- reference
 
 class _RefTimer:
-    __slots__ = ("when", "callback", "args", "label", "period", "_cancelled")
+    __slots__ = ("when", "callback", "args", "label", "period", "_cancelled", "_fired")
 
     def __init__(self, when, callback, args, label, period):
         self.when = when
@@ -48,9 +51,12 @@ class _RefTimer:
         self.label = label
         self.period = period
         self._cancelled = False
+        self._fired = False
 
     def cancel(self):
-        self._cancelled = True
+        # Like Timer.cancel: a fired one-shot is inert.
+        if not self._fired:
+            self._cancelled = True
 
 
 class _HeapReference:
@@ -60,7 +66,8 @@ class _HeapReference:
     cancelled timers are skipped lazily at pop time; a fired periodic is
     re-armed with a fresh seq even when its own callback cancelled it (a
     seq drawn for a dead node moves no live timer's relative order); the
-    clock lands exactly on the deadline.
+    clock lands exactly on the deadline.  ``restart`` is literally
+    ``timer.cancel()`` followed by ``schedule``.
     """
 
     def __init__(self):
@@ -83,6 +90,34 @@ class _HeapReference:
         heapq.heappush(self._q, (timer.when, next(self._seq), timer))
         return timer
 
+    def restart(self, timer, delay, callback, *args, label=""):
+        if timer is not None:
+            timer.cancel()
+        return self.schedule(delay, callback, *args, label=label)
+
+    def peek(self):
+        q = self._q
+        while q and q[0][2]._cancelled:
+            heapq.heappop(q)
+        return q[0][0] if q else None
+
+    def step(self):
+        if self.peek() is None:
+            return False
+        when, _seq, timer = heapq.heappop(self._q)
+        self._fire(timer, when)
+        return True
+
+    def _fire(self, timer, when):
+        self.now = when
+        self._events_processed += 1
+        if timer.period is None:
+            timer._fired = True
+        timer.callback(*timer.args)
+        if timer.period is not None:
+            timer.when = when + timer.period
+            heapq.heappush(self._q, (timer.when, next(self._seq), timer))
+
     def run_until(self, deadline):
         q = self._q
         while q:
@@ -92,12 +127,7 @@ class _HeapReference:
             heapq.heappop(q)
             if timer._cancelled:
                 continue
-            self.now = when
-            self._events_processed += 1
-            timer.callback(*timer.args)
-            if timer.period is not None:
-                timer.when = when + timer.period
-                heapq.heappush(q, (timer.when, next(self._seq), timer))
+            self._fire(timer, when)
         self.now = max(self.now, deadline)
 
 
@@ -114,13 +144,71 @@ _PERIODIC = st.tuples(st.just("per"), _PERIODS, _DELAYS,
                       st.integers(min_value=0, max_value=6),
                       st.sampled_from(["stop", "stop+spawn", "ghost"]))
 
-_PROGRAM = st.lists(st.one_of(_ONESHOT, _PERIODIC), min_size=1, max_size=12)
+#: A watchdog re-armed with ``restart``: ``(first, kick_at, rearm, mode)``.
+#: ``outside`` restarts it before the run; ``kick`` from a callback at
+#: ``kick_at`` (after the watchdog fired, when ``kick_at`` is later);
+#: ``kick-twice`` twice at one instant (an equal deadline); ``kick-back``
+#: later, then earlier than that (a stale node cancelled); ``cancel-kick``
+#: a cancelled handle; ``self`` from the watchdog's own callback (a fired
+#: handle); ``sibling`` the previous program's handle, periodic or not.
+_RESTART = st.tuples(st.just("rst"), _DELAYS, _DELAYS, _DELAYS,
+                     st.sampled_from(["outside", "kick", "kick-twice", "kick-back",
+                                      "cancel-kick", "self", "sibling"]))
+
+_PROGRAM = st.lists(st.one_of(_ONESHOT, _PERIODIC, _RESTART), min_size=1, max_size=12)
+
+#: How a program is run to its deadline: one ``run_until``, a series of
+#: ``run_until`` slices (deadlines between and on fire instants, so stale
+#: nodes reach the top past a deadline), or ``peek``/``step`` one event at
+#: a time.
+_DRIVES = st.sampled_from(["run_until", "slices", "step"])
 
 
-def _execute(sim, program, deadline):
+def _drive(sim, deadline, drive):
+    if drive == "slices":
+        for fraction in (0.09, 0.25, 0.4, 0.5, 0.77):
+            sim.run_until(deadline * fraction)
+    elif drive == "step":
+        while True:
+            when = sim.peek()
+            if when is None or when > deadline:
+                break
+            assert sim.step()
+    sim.run_until(deadline)
+
+
+def _execute(sim, program, deadline, drive="run_until"):
     """Run one generated program on ``sim``; returns the fire log."""
     log = []
     handles = []
+
+    def restart(idx, target, delay):
+        handles[target] = sim.restart(
+            handles[target], delay, on_watchdog, idx, label=f"wd{idx}"
+        )
+
+    def on_watchdog(idx):
+        log.append(("wd", idx, sim.now))
+        _, _first, _kick_at, rearm, mode = program[idx]
+        if mode == "self" and sum(e[:2] == ("wd", idx) for e in log) < 3:
+            restart(idx, idx, rearm)
+
+    def kick(idx):
+        log.append(("kick", idx, sim.now))
+        _, _first, _kick_at, rearm, mode = program[idx]
+        if mode == "kick":
+            restart(idx, idx, rearm)
+        elif mode == "kick-twice":
+            restart(idx, idx, rearm)
+            restart(idx, idx, rearm)
+        elif mode == "kick-back":
+            restart(idx, idx, rearm + 7.75)
+            restart(idx, idx, rearm)
+        elif mode == "cancel-kick":
+            handles[idx].cancel()
+            restart(idx, idx, rearm)
+        elif mode == "sibling" and idx > 0:
+            restart(idx, idx - 1, rearm)
 
     def fire_oneshot(idx, action):
         log.append(("one", idx, sim.now))
@@ -143,7 +231,14 @@ def _execute(sim, program, deadline):
                     break
 
     for idx, spec in enumerate(program):
-        if spec[0] == "one":
+        if spec[0] == "rst":
+            _, first, kick_at, rearm, mode = spec
+            handles.append(sim.schedule(first, on_watchdog, idx, label=f"wd{idx}"))
+            if mode == "outside":
+                restart(idx, idx, rearm)
+            elif mode != "self":
+                sim.schedule(kick_at, kick, idx, label=f"kick{idx}")
+        elif spec[0] == "one":
             _, delay, action = spec
             handles.append(
                 sim.schedule(delay, fire_oneshot, idx, action, label=f"one{idx}")
@@ -173,26 +268,26 @@ def _execute(sim, program, deadline):
                 sim.schedule_periodic(period, fire, first=period + first_extra,
                                       label=f"per{idx}")
             )
-    sim.run_until(deadline)
+    _drive(sim, deadline, drive)
     return log
 
 
-@given(program=_PROGRAM)
-@settings(max_examples=60, deadline=None)
-def test_wheel_matches_heap_reference(program):
+@given(program=_PROGRAM, drive=_DRIVES)
+@settings(max_examples=90, deadline=None)
+def test_wheel_matches_heap_reference(program, drive):
     deadline = 12.0
     sim = Simulator()
     reference = _HeapReference()
-    log_sim = _execute(sim, program, deadline)
-    log_ref = _execute(reference, program, deadline)
+    log_sim = _execute(sim, program, deadline, drive)
+    log_ref = _execute(reference, program, deadline, drive)
     assert log_sim == log_ref
     assert sim._events_processed == reference._events_processed
     assert sim.now == reference.now == deadline
 
 
-@given(program=_PROGRAM)
+@given(program=_PROGRAM, drive=_DRIVES)
 @settings(max_examples=25, deadline=None)
-def test_wheel_overflow_horizon_matches_reference(program):
+def test_wheel_overflow_horizon_matches_reference(program, drive):
     """Same property with delays stretched to keep-alive scale (tens of s)."""
     deadline = 95.0
     sim = Simulator()
@@ -202,13 +297,54 @@ def test_wheel_overflow_horizon_matches_reference(program):
     def stretch(spec):
         if spec[0] == "one":
             return ("one", spec[1] * scale, spec[2])
+        if spec[0] == "rst":
+            return ("rst", spec[1] * scale, spec[2] * scale, spec[3] * scale, spec[4])
         return ("per", spec[1] * scale, spec[2] * scale, spec[3], spec[4])
 
     stretched = [stretch(s) for s in program]
-    assert _execute(sim, stretched, deadline) == _execute(
-        reference, stretched, deadline
+    assert _execute(sim, stretched, deadline, drive) == _execute(
+        reference, stretched, deadline, drive
     )
     assert sim._events_processed == reference._events_processed
+
+
+# ---------------------------------------------------- restart, stale nodes
+
+def _watchdog_behind_stale_node():
+    """A watchdog re-armed in place from 1.0 to 10.0, and a timer at 3.0."""
+    sim = Simulator()
+    fired = []
+    watchdog = sim.schedule(1.0, fired.append, "wd")
+    sim.schedule(3.0, fired.append, "other")
+    assert sim.restart(watchdog, 10.0, fired.append, "wd") is watchdog
+    assert (watchdog.when, watchdog.active, sim.pending_events) == (10.0, True, 2)
+    return sim, fired, watchdog
+
+
+def test_peek_requeues_stale_top_without_an_event():
+    sim, fired, _ = _watchdog_behind_stale_node()
+    assert sim.peek() == 3.0
+    assert (fired, sim.now, sim.events_processed, sim.pending_events) == ([], 0.0, 0, 2)
+
+
+def test_step_skips_stale_top_and_fires_next_live_event():
+    sim, fired, watchdog = _watchdog_behind_stale_node()
+    assert sim.step()
+    assert (fired, sim.now, sim.events_processed) == (["other"], 3.0, 1)
+    assert sim.step()
+    assert (fired, sim.now, sim.events_processed) == (["other", "wd"], 10.0, 2)
+    assert not watchdog.active and not sim.step()
+
+
+def test_run_until_past_stale_top_moves_clock_only_to_deadline():
+    sim, fired, watchdog = _watchdog_behind_stale_node()
+    sim.run_until(2.0)  # the stale node at 1.0 is re-queued at 10.0
+    assert (fired, sim.now, sim.events_processed, sim.pending_events) == ([], 2.0, 0, 2)
+    sim.run_until(9.999)
+    assert (fired, sim.events_processed) == (["other"], 1)
+    sim.run_until(10.0)
+    assert (fired, sim.now, sim.events_processed) == (["other", "wd"], 10.0, 2)
+    assert not watchdog.active and sim.pending_events == 0
 
 
 # ------------------------------------------------------------- digest pins

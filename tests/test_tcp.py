@@ -59,6 +59,32 @@ class TestSegment:
     def test_seq_leq_reflexive(self, a):
         assert seq_leq(a, a)
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.integers(-(2**33), 2**33),
+            # the half-window boundary and the wrap-around
+            st.sampled_from([0, 1, -1, 2**31 - 1, 2**31, 2**31 + 1, -(2**31),
+                             2**32 - 1, 2**32, -(2**32) + 1]),
+        ),
+    )
+    def test_mask_helpers_match_modular_definitions(self, a, delta):
+        modulus = 2**32
+        b = (a + delta) % modulus
+        assert seq_add(a, delta) == b
+        for x, y in ((a, b), (b, a)):
+            gap = (y - x) % modulus
+            lt = gap != 0 and gap < modulus // 2
+            assert seq_lt(x, y) == lt
+            assert seq_leq(x, y) == (x == y or lt)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_half_window_apart_is_neither_before_nor_after(self, a):
+        b = seq_add(a, 2**31)
+        assert (b - a) % 2**32 == 2**31
+        assert not seq_lt(a, b) and not seq_lt(b, a)
+        assert not seq_leq(a, b) and not seq_leq(b, a)
+
 
 def _wire_pair(seed=5, loss_filter=None):
     """Two stacks joined by a LAN, with optional frame dropping."""

@@ -15,7 +15,9 @@ The pipeline's contract has three load-bearing properties:
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,44 @@ class TestCapture:
         assert values[("scheduler", "simulations")]["value"] == 1
         assert values[("scheduler", "events_processed")]["value"] == 1
         assert sim.now == 5.0
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_finished_simulator_is_not_kept_alive(self, observed):
+        # The capture keeps an account of each simulation, not the
+        # simulator: a finished home is collectable while its shard runs,
+        # and the snapshot still reports it.
+        with capture() as cap:
+            sim = Simulator(seed=3)
+            if observed:
+                # Tracer only: a scheduler profiler would add its own
+                # events_processed counter to the merged snapshot.
+                sim.enable_observability(profile_scheduler=False)
+                sim.schedule(0.5, lambda: sim.obs.tracer.event("test", "tick"))
+            sim.schedule(1.0, lambda: None)
+            sim.run(5.0)
+            alive = weakref.ref(sim)
+            del sim
+            gc.collect()
+            assert alive() is None
+        values = {(r["component"], r["name"]): r for r in cap.snapshot().records}
+        assert values[("scheduler", "simulations")]["value"] == 1
+        assert values[("scheduler", "events_processed")]["value"] == (2 if observed else 1)
+        assert values[("scheduler", "sim_clock_seconds")]["max"] == 5.0
+        spans = cap.span_summaries()
+        if observed:
+            assert spans == ({"component": "test", "name": "tick", "count": 1,
+                              "total_duration": 0.0},)
+        else:
+            assert spans == ()
+
+    def test_live_simulator_reported_at_snapshot_time(self):
+        with capture() as cap:
+            sim = Simulator(seed=3)
+            sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(3.0)
+        values = {(r["component"], r["name"]): r for r in cap.snapshot().records}
+        assert values[("scheduler", "events_processed")]["value"] == 2
 
     def test_parallel_component_excluded(self):
         with capture() as cap:
