@@ -29,8 +29,7 @@ LABELS = ["HS1", "HS2", "C2", "M7", "HS3", "P1"]
 
 
 def _warm_run(cache: CampaignCache, trials: int, registry: MetricsRegistry):
-    runner = CampaignRunner(jobs=1, base_seed=7, registry=registry,
-                            campaign="table1", cache=cache)
+    runner = CampaignRunner(jobs=1, registry=registry, cache=cache)
     return run_table1(labels=LABELS, trials=trials, seed=7, runner=runner)
 
 
@@ -41,7 +40,7 @@ def test_table1_cache_roundtrip(once):
 
         start = time.perf_counter()
         cold_rows = run_table1(labels=LABELS, trials=trials, seed=7,
-                               jobs=1, cache=cache)
+                               runner=CampaignRunner(jobs=1, cache=cache))
         cold_s = time.perf_counter() - start
 
         registry = MetricsRegistry()

@@ -23,7 +23,7 @@ import tracemalloc
 from repro.fleet import FleetRunner
 from repro.fleet.engine import run_home
 from repro.fleet.sampler import FleetSampler
-from repro.parallel import fork_available
+from repro.parallel import CampaignRunner, fork_available
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
 from conftest import bench_jobs
@@ -53,8 +53,8 @@ def _home_peak_kb(homes: int) -> float:
 
 
 def _run(homes: int, jobs: int):
-    runner = FleetRunner(homes=homes, base_seed=0, jobs=jobs,
-                         cache=False, manifest=False)
+    runner = FleetRunner(homes=homes, base_seed=0,
+                         runner=CampaignRunner(jobs=jobs, manifest=False))
     start = time.perf_counter()
     report = runner.run(keep_rows=False)
     wall = time.perf_counter() - start

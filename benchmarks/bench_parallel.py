@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.experiments.table1 import render_table1, run_table1
-from repro.parallel import fork_available
+from repro.parallel import CampaignRunner, fork_available
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
 from conftest import bench_jobs, bench_trials
@@ -28,7 +28,7 @@ LABELS = ["HS1", "HS2", "C2", "M7", "HS3", "P1"]
 
 def _timed(jobs: int, trials: int):
     start = time.perf_counter()
-    rows = run_table1(labels=LABELS, trials=trials, jobs=jobs)
+    rows = run_table1(labels=LABELS, trials=trials, runner=CampaignRunner(jobs=jobs))
     return rows, time.perf_counter() - start
 
 

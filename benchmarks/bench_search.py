@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.parallel import fork_available
+from repro.parallel import CampaignRunner, fork_available
 from repro.search import run_search
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
@@ -27,8 +27,8 @@ def bench_programs(default: int = 48) -> int:
 
 def _run(programs: int, jobs: int):
     start = time.perf_counter()
-    report = run_search(programs, seed=0, jobs=jobs, cache=False,
-                        manifest=False)
+    report = run_search(programs, seed=0,
+                        runner=CampaignRunner(jobs=jobs, manifest=False))
     wall = time.perf_counter() - start
     return report, wall
 

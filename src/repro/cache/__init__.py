@@ -5,9 +5,9 @@ Public surface:
 * :class:`CampaignCache` — the disk store: ``key_for`` / ``get`` / ``put``
   plus the ``stats`` / ``verify`` / ``gc`` maintenance surface behind
   ``phantom-delay cache``;
-* :func:`resolve_cache` — normalises the ``cache=`` argument every
-  experiment driver accepts (``True`` → default store, ``False``/``None``
-  → off, instance → itself);
+* :func:`resolve_cache` — normalises the ``cache=`` argument a
+  :class:`~repro.parallel.CampaignRunner` accepts (``True`` → default
+  store, ``False``/``None`` → off, instance → itself);
 * :func:`code_fingerprint` / :func:`canonical` / :func:`digest` — the key
   derivation, pinned by golden digests in ``tests/test_cache.py``.
 

@@ -2,6 +2,14 @@
 
 Each subcommand regenerates one of the paper's artefacts and prints it as a
 text table; the same drivers back the pytest-benchmark harness.
+
+The experiments in :mod:`repro.experiments.registry` (Tables I-III,
+Figure 3, the verification test, robustness) have no handler here: their
+subcommands come from the registry, and :func:`_run_experiment` runs an
+entry exactly as the campaign service does.  So ``phantom-delay <name>``
+and ``phantom-delay submit <name>`` print the same output by construction.
+Every campaign command builds one :class:`~repro.parallel.CampaignRunner`
+from ``--jobs``, ``--cache`` and ``--manifest`` and hands it to the driver.
 """
 
 from __future__ import annotations
@@ -11,33 +19,56 @@ import sys
 
 from .analysis.reporting import TextTable, fmt_window
 from .devices.profiles import CATALOGUE
+from .experiments.registry import ExperimentSpec, experiment_names, get_experiment
+from .parallel import CampaignRunner
 
 
-def _manifest_for(args: argparse.Namespace, multi: bool = False):
-    """The ``manifest=`` value for a campaign driver.
+def _runner(args: argparse.Namespace, multi: bool = False) -> CampaignRunner:
+    """The execution context of one command, from the global flags.
 
-    ``--no-manifest`` disables the artifact; ``--manifest PATH`` redirects
-    it (single-campaign commands only — commands that run several campaigns
-    keep the per-campaign default paths so they never overwrite each
-    other).
+    ``--no-manifest`` disables the manifests; ``--manifest PATH`` redirects
+    a single-campaign command's manifest.  A command that runs several
+    campaigns (``multi``) keeps each campaign's default path, so none
+    overwrites another.
     """
-    if getattr(args, "no_manifest", False):
-        return False
-    path = getattr(args, "manifest", None)
-    if path and not multi:
-        return path
-    return True
+    if args.no_manifest:
+        manifest: bool | str = False
+    elif args.manifest and not multi:
+        manifest = args.manifest
+    else:
+        manifest = True
+    return CampaignRunner(jobs=args.jobs, cache=args.cache, manifest=manifest)
 
 
-def _print_manifest(args: argparse.Namespace, campaign: str,
-                    multi: bool = False) -> None:
-    """One ``manifest: <path>`` line per campaign (deterministic paths)."""
-    manifest = _manifest_for(args, multi)
-    if manifest is False:
-        return
-    from .obs.manifest import manifest_path_for
+def _print_manifests(runner: CampaignRunner, since: int = 0) -> None:
+    """One ``manifest: <path>`` line per manifest the runner wrote."""
+    for path in runner.manifest_paths[since:]:
+        print(f"manifest: {path}")
 
-    print(f"manifest: {manifest_path_for(campaign, None if manifest is True else manifest)}")
+
+def _given_flags(spec: ExperimentSpec, args: argparse.Namespace) -> dict:
+    """The global flags ``spec`` takes that the user gave on the command line."""
+    given = {
+        "labels": args.labels.split(",") if args.labels else None,
+        "trials": args.trials,
+        "faults": args.faults,
+    }
+    return {flag: given[flag] for flag in spec.flags if given[flag] is not None}
+
+
+def _run_experiment(args: argparse.Namespace, name: str,
+                    runner: CampaignRunner) -> int:
+    """Run one registered experiment the way the campaign service does."""
+    spec = get_experiment(name)
+    since = len(runner.manifest_paths)
+    result = spec.run(**_given_flags(spec, args), seed=args.seed, runner=runner)
+    print(spec.render(result))
+    _print_manifests(runner, since)
+    return spec.status(result)
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    return _run_experiment(args, args.command, _runner(args))
 
 
 def _cmd_catalogue(args: argparse.Namespace) -> int:
@@ -61,109 +92,6 @@ def _cmd_catalogue(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from .experiments.table1 import render_table1, run_table1
-
-    labels = args.labels.split(",") if args.labels else None
-    rows = run_table1(
-        labels=labels, trials=args.trials, seed=args.seed, jobs=args.jobs,
-        cache=args.cache, manifest=_manifest_for(args),
-    )
-    print(render_table1(rows))
-    _print_manifest(args, "table1")
-    return 0 if all(r.matches_expectation() for r in rows) else 1
-
-
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from .experiments.table2 import render_table2, run_table2
-
-    labels = args.labels.split(",") if args.labels else None
-    rows = run_table2(
-        labels=labels, trials=args.trials, seed=args.seed, jobs=args.jobs,
-        cache=args.cache, manifest=_manifest_for(args),
-    )
-    print(render_table2(rows))
-    _print_manifest(args, "table2")
-    return 0 if all(r.matches_expectation for r in rows) else 1
-
-
-def _table3_faults_summary(rows) -> str | None:
-    """One status line when the run was impaired + invariant-audited."""
-    if not any(r.attacked.fault_stats for r in rows):
-        return None
-    violations = sum(
-        len(r.baseline.invariant_violations or [])
-        + len(r.attacked.invariant_violations or [])
-        for r in rows
-    )
-    dropped = sum(
-        sum(v for k, v in (r.attacked.fault_stats or {}).items() if k.startswith("dropped"))
-        for r in rows
-    )
-    return (
-        f"fault injection: {dropped} frames dropped across attacked runs; "
-        f"invariant violations: {violations}"
-    )
-
-
-def _cmd_table3(args: argparse.Namespace) -> int:
-    from .experiments.table3 import render_table3, run_table3
-
-    faults = getattr(args, "faults", None)
-    rows = run_table3(
-        seed=args.seed, jobs=args.jobs, faults=faults,
-        check_invariants=bool(faults), cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_table3(rows))
-    _print_manifest(args, "table3")
-    summary = _table3_faults_summary(rows)
-    if summary:
-        print(summary)
-    return 0 if all(r.consequence_reproduced and r.stealthy for r in rows) else 1
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    from .experiments.table3 import render_table3, run_figure3
-
-    faults = getattr(args, "faults", None)
-    rows = run_figure3(
-        seed=args.seed, jobs=args.jobs, faults=faults,
-        check_invariants=bool(faults), cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_table3(rows, title="Figure 3 — the four illustrated attacks"))
-    _print_manifest(args, "table3")
-    summary = _table3_faults_summary(rows)
-    if summary:
-        print(summary)
-    return 0 if all(r.consequence_reproduced and r.stealthy for r in rows) else 1
-
-
-def _cmd_robustness(args: argparse.Namespace) -> int:
-    from .experiments.robustness import render_robustness, run_robustness
-
-    rows = run_robustness(
-        seed=args.seed, jobs=args.jobs, cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_robustness(rows))
-    _print_manifest(args, "robustness")
-    return 0 if all(r.success and r.violations == 0 for r in rows) else 1
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from .experiments.verification import render_verification, run_verification
-
-    rows = run_verification(
-        trials=args.trials, seed=args.seed, jobs=args.jobs, cache=args.cache,
-        manifest=_manifest_for(args),
-    )
-    print(render_verification(rows))
-    _print_manifest(args, "verification")
-    return 0 if all(r.success_rate == 1.0 for r in rows) else 1
-
-
 def _cmd_findings(args: argparse.Namespace) -> int:
     from .experiments.findings import (
         finding1_half_open,
@@ -179,7 +107,8 @@ def _cmd_findings(args: argparse.Namespace) -> int:
     return 0 if f1.reproduced and f3.reproduced else 1
 
 
-def _cmd_countermeasures(args: argparse.Namespace) -> int:
+def _cmd_countermeasures(args: argparse.Namespace,
+                         runner: CampaignRunner | None = None) -> int:
     from .experiments.countermeasures import (
         render_countermeasures,
         run_ack_timeout_sweep,
@@ -190,22 +119,19 @@ def _cmd_countermeasures(args: argparse.Namespace) -> int:
         run_timestamp_defense,
     )
 
-    manifest = _manifest_for(args, multi=True)
+    runner = runner or _runner(args, multi=True)
+    since = len(runner.manifest_paths)
     print(
         render_countermeasures(
-            run_ack_timeout_sweep(seed=args.seed, jobs=args.jobs, cache=args.cache,
-                                  manifest=manifest),
-            run_keepalive_cost_curve(seed=args.seed, jobs=args.jobs, cache=args.cache,
-                                     manifest=manifest),
-            run_timestamp_defense(seed=args.seed, jobs=args.jobs, cache=args.cache,
-                                  manifest=manifest),
+            run_ack_timeout_sweep(seed=args.seed, runner=runner),
+            run_keepalive_cost_curve(seed=args.seed, runner=runner),
+            run_timestamp_defense(seed=args.seed, runner=runner),
             run_delay_detection(seed=args.seed),
             run_static_arp_defense(seed=args.seed),
             run_remediation_experiment(seed=args.seed),
         )
     )
-    for campaign in ("cm-ack-timeout", "cm-keepalive-cost", "cm-timestamp"):
-        _print_manifest(args, campaign, multi=True)
+    _print_manifests(runner, since)
     return 0
 
 
@@ -452,36 +378,32 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.action == "breaking-point":
         from .experiments.breaking_point import run_breaking_point
 
+        runner = _runner(args, multi=True)
         report = run_breaking_point(
             start_homes=args.start_homes,
             growth_factor=args.growth_factor,
             max_steps=args.max_steps,
             seed=args.seed,
-            jobs=args.jobs,
             batch_size=args.batch_size,
             home_event_budget=args.home_event_budget,
             step_event_limit=args.step_event_limit,
             wall_limit=args.wall_limit,
             success_floor=args.success_floor,
-            cache=args.cache,
-            manifest=_manifest_for(args, multi=True),
+            runner=runner,
         )
         print(report.render())
-        for step in report.steps:
-            if step.manifest_path is not None:
-                print(f"manifest: {step.manifest_path}")
+        _print_manifests(runner)
         return 0
 
+    runner = _runner(args)
     report = run_fleet(
         homes=args.homes,
         seed=args.seed,
-        jobs=args.jobs,
         batch_size=args.batch_size,
         event_budget=args.home_event_budget,
-        cache=args.cache,
-        manifest=_manifest_for(args),
         keep_rows=False,
         stream_to=args.stream,
+        runner=runner,
     )
     print(
         f"fleet: {report.homes} home(s), {report.completed} completed, "
@@ -495,7 +417,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             print(f"home {index}: {digest}")
     if report.results_path is not None:
         print(f"results: {report.results_path}")
-    _print_manifest(args, "fleet")
+    _print_manifests(runner)
     print(
         f"{report.wall_seconds:.2f}s wall, "
         f"{report.homes_per_second:.1f} homes/s ({report.runner_summary})",
@@ -555,15 +477,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         print(f"corpus digest: {corpus_digest(hits)}")
         return status
 
+    runner = _runner(args)
     report = run_search(
         programs=args.programs,
         seed=args.seed,
-        jobs=args.jobs,
         batch_size=args.batch_size,
         config=config,
-        cache=args.cache,
-        manifest=_manifest_for(args),
         corpus_dir=args.corpus,
+        runner=runner,
     )
     for hit in report.hits:
         print(f"program {hit['program_index']:4d}: {hit['violation']:<20} "
@@ -574,7 +495,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"corpus digest: {report.corpus_digest}")
     if report.corpus_dir is not None:
         print(f"corpus: {report.corpus_dir} ({len(report.case_paths)} case files)")
-    _print_manifest(args, "search")
+    _print_manifests(runner)
     print(
         f"{report.wall_seconds:.2f}s wall, "
         f"{report.candidates_per_second:.1f} candidates/s "
@@ -716,13 +637,18 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
+    """Every paper artefact on one runner; each campaign keeps its own manifest."""
+    runner = _runner(args, multi=True)
     status = 0
-    for runner in (
-        _cmd_table1, _cmd_table2, _cmd_table3, _cmd_figure3,
-        _cmd_verify, _cmd_findings, _cmd_countermeasures, _cmd_integrity,
-    ):
-        status |= runner(args)
+    for name in ("table1", "table2", "table3", "figure3", "verify"):
+        status |= _run_experiment(args, name, runner)
         print()
+    status |= _cmd_findings(args)
+    print()
+    status |= _cmd_countermeasures(args, runner)
+    print()
+    status |= _cmd_integrity(args)
+    print()
     return status
 
 
@@ -737,8 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=7, help="simulation seed")
     parser.add_argument(
-        "--trials", type=int, default=3,
-        help="measurement trials per message type (paper: 20)",
+        "--trials", type=int, default=None,
+        help=(
+            "measurement trials per message type (table1/table2/verify "
+            "only; default 3; paper: 20)"
+        ),
     )
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -782,11 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn, doc in (
         ("catalogue", _cmd_catalogue, "list the 50-device catalogue"),
-        ("table1", _cmd_table1, "Table I: cloud device timeout profiling"),
-        ("table2", _cmd_table2, "Table II: HomeKit device profiling"),
-        ("table3", _cmd_table3, "Table III: the 11 PoC attack cases"),
-        ("figure3", _cmd_figure3, "Figure 3: the four illustrated attacks"),
-        ("verify", _cmd_verify, "Section VI-C verification test"),
+        *((name, _cmd_experiment, get_experiment(name).description)
+          for name in experiment_names()),
         ("findings", _cmd_findings, "Findings 1-3"),
         ("countermeasures", _cmd_countermeasures, "Section VII defences"),
         ("integrity", _cmd_integrity, "TLS integrity vs delay"),
@@ -795,8 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("export-knowledge", _cmd_export_knowledge,
          "dump the device-behaviour knowledge base as JSON (--labels sets the path)"),
         ("jamming", _cmd_jamming, "phantom delay vs packet discarding (extension)"),
-        ("robustness", _cmd_robustness,
-         "attack success over a loss x jitter grid with invariants audited"),
         ("all", _cmd_all, "run every experiment"),
     ):
         p = sub.add_parser(name, help=doc)
@@ -1010,8 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "experiment",
-        help="registered experiment name (table1, table2, table3, figure3, "
-             "verify, robustness)",
+        help=f"registered experiment name ({', '.join(experiment_names())})",
     )
     submit.add_argument(
         "--param", action="append", default=None, metavar="KEY=VALUE",

@@ -16,14 +16,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..analysis.reporting import TextTable, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.hijacker import TcpHijacker
 from ..core.predictor import TimeoutBehavior
 from ..devices.profiles import CATALOGUE
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from ._util import run_until
 
@@ -83,15 +82,10 @@ def _forged_ack_case(forge: bool, hold_for: float, seed: int) -> ForgedAckRow:
 
 
 def run_forged_ack_ablation(
-    seed: int = 71, hold_for: float = 25.0, jobs: int | None = 1, cache: Any = None,
-    manifest: Any = True,
+    seed: int = 71, hold_for: float = 25.0, runner: CampaignRunner | None = None,
 ) -> list[ForgedAckRow]:
     """The same 25 s event delay with and without ACK forging."""
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="ablation-forged-ack", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
+    return runner_or_serial(runner).run(
         [
             Shard(
                 key=f"forged-ack/{'on' if forge else 'off'}",
@@ -100,7 +94,9 @@ def run_forged_ack_ablation(
                 seed=seed,
             )
             for forge in (True, False)
-        ]
+        ],
+        campaign="ablation-forged-ack",
+        base_seed=seed,
     )
 
 
@@ -154,16 +150,10 @@ def run_margin_sweep(
     margins: tuple[float, ...] = (0.0, 0.5, 2.0, 5.0, 10.0),
     trials: int = 4,
     seed: int = 73,
-    jobs: int | None = 1,
-    cache: Any = None,
-    manifest: Any = True,
+    runner: CampaignRunner | None = None,
 ) -> list[MarginRow]:
     """Avoidance rate and achieved delay as the release margin varies."""
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="ablation-margin", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
+    return runner_or_serial(runner).run(
         [
             Shard(
                 key=f"margin/{margin:g}",
@@ -172,7 +162,9 @@ def run_margin_sweep(
                 seed=seed + i,
             )
             for i, margin in enumerate(margins)
-        ]
+        ],
+        campaign="ablation-margin",
+        base_seed=seed,
     )
 
 

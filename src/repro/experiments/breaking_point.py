@@ -26,6 +26,7 @@ from typing import Any
 from ..fleet import DEFAULT_BATCH_SIZE, FleetConfig, FleetReport, FleetRunner
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RegistrySnapshot
+from ..parallel import CampaignRunner, runner_or_serial
 
 #: Stop reasons, in the order they are checked (first trip wins).
 REASON_WALL_CLOCK = "wall-clock"
@@ -126,7 +127,6 @@ def run_breaking_point(
     growth_factor: int = 2,
     max_steps: int = 8,
     seed: int = 0,
-    jobs: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     config: FleetConfig | None = None,
     home_event_budget: int | None = None,
@@ -134,10 +134,13 @@ def run_breaking_point(
     wall_limit: float | None = None,
     success_floor: float = 0.95,
     campaign: str = "breaking-point",
-    cache: Any = None,
-    manifest: Any = True,
+    runner: CampaignRunner | None = None,
 ) -> BreakingPointReport:
     """Climb the ladder until a budget trips; one manifest per step.
+
+    Every step is its own campaign on the one ``runner`` (serial and
+    uncached by default), so give that runner default manifest paths: a
+    single path would be overwritten by each step in turn.
 
     ``home_event_budget`` caps each home's scheduler events (a home over
     budget counts as failed, feeding ``success_floor``);
@@ -150,21 +153,19 @@ def run_breaking_point(
         raise ValueError(f"start_homes must be >= 1: {start_homes}")
     if growth_factor < 2:
         raise ValueError(f"growth_factor must be >= 2: {growth_factor}")
+    runner = runner_or_serial(runner)
     report = BreakingPointReport()
     homes = start_homes
     for step in range(max_steps):
-        runner = FleetRunner(
+        fleet = FleetRunner(
             homes=homes,
             base_seed=seed,
-            jobs=jobs,
             batch_size=batch_size,
             config=config,
             event_budget=home_event_budget,
-            cache=cache,
-            manifest=manifest,
             campaign=step_campaign(campaign, homes),
-        )
-        fleet = runner.run(keep_rows=False)
+            runner=runner,
+        ).run(keep_rows=False)
         reason = _stop_reason(
             fleet,
             wall_limit=wall_limit,
@@ -211,7 +212,7 @@ def _stop_reason(
 
 
 def _attribute_step(
-    runner: FleetRunner,
+    runner: CampaignRunner,
     fleet: FleetReport,
     step: int,
     reason: str | None,
@@ -230,14 +231,11 @@ def _attribute_step(
     registry.counter("breaking_point", "homes_failed").inc(fleet.failed)
     outcome = reason if reason is not None else "pass"
     registry.counter("breaking_point", "stopped", reason=outcome).inc()
-    campaign_runner = runner.runner
-    campaign_runner.last_snapshot = campaign_runner.last_snapshot.merge(
-        RegistrySnapshot.of(registry)
-    )
-    if campaign_runner.manifest is None or campaign_runner.manifest is False:
+    runner.last_snapshot = runner.last_snapshot.merge(RegistrySnapshot.of(registry))
+    if runner.manifest is None or runner.manifest is False:
         return None
-    return campaign_runner.write_manifest(
-        None if campaign_runner.manifest is True else campaign_runner.manifest
+    return runner.write_manifest(
+        None if runner.manifest is True else runner.manifest
     )
 
 

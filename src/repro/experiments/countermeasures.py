@@ -15,7 +15,6 @@ stopped, exactly as the paper argues.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..analysis.reporting import TextTable, fmt_window
 from ..core.attacker import PhantomDelayAttacker
@@ -33,7 +32,7 @@ from ..countermeasures.ack_timeout import (
 )
 from ..countermeasures.timestamp_check import DelayAnomalyDetector
 from ..devices.profiles import CATALOGUE, Catalogue, TABLE_CLOUD
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from ._util import run_until
 
@@ -89,16 +88,10 @@ def run_ack_timeout_sweep(
     label: str = "HS1",
     timeouts: tuple[float | None, ...] = (None, 30.0, 20.0, 10.0, 5.0),
     seed: int = 41,
-    jobs: int | None = 1,
-    cache: Any = None,
-    manifest: Any = True,
+    runner: CampaignRunner | None = None,
 ) -> list[AckTimeoutRow]:
     """Measured attack window against progressively hardened profiles."""
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="cm-ack-timeout", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
+    return runner_or_serial(runner).run(
         [
             Shard(
                 key=f"ack-timeout/{label}/{'none' if timeout is None else f'{timeout:g}'}",
@@ -107,7 +100,9 @@ def run_ack_timeout_sweep(
                 seed=seed + i,
             )
             for i, timeout in enumerate(timeouts)
-        ]
+        ],
+        campaign="cm-ack-timeout",
+        base_seed=seed,
     )
 
 
@@ -139,9 +134,7 @@ def run_keepalive_cost_curve(
     periods: tuple[float, ...] = (120.0, 60.0, 30.0, 10.0, 5.0, 2.0),
     measure_periods: tuple[float, ...] = (30.0, 2.0),
     seed: int = 43,
-    jobs: int | None = 1,
-    cache: Any = None,
-    manifest: Any = True,
+    runner: CampaignRunner | None = None,
 ) -> list[TrafficRow]:
     """Window-vs-traffic trade-off for shortened keep-alive intervals."""
     profile = CATALOGUE.get(label, TABLE_CLOUD)
@@ -150,11 +143,7 @@ def run_keepalive_cost_curve(
         for period, window, rate in sweep_keepalive_period(profile, list(periods))
     ]
     to_measure = [row for row in rows if row.ka_period in measure_periods]
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="cm-keepalive-cost", cache=cache,
-        manifest=manifest,
-    )
-    measured = runner.run(
+    measured = runner_or_serial(runner).run(
         [
             Shard(
                 key=f"ka-traffic/{label}/{row.ka_period:g}",
@@ -163,7 +152,9 @@ def run_keepalive_cost_curve(
                 seed=seed,
             )
             for row in to_measure
-        ]
+        ],
+        campaign="cm-keepalive-cost",
+        base_seed=seed,
     )
     for row, rate in zip(to_measure, measured):
         row.measured_bytes_per_hour = rate
@@ -223,16 +214,11 @@ def _timestamp_case(shape: str, window: float | None, seed: int) -> TimestampDef
 
 
 def run_timestamp_defense(
-    seed: int = 47, jobs: int | None = 1, cache: Any = None,
-    manifest: Any = True,
+    seed: int = 47, runner: CampaignRunner | None = None,
 ) -> list[TimestampDefenseRow]:
     """Re-run three attack shapes with and without timestamp checking."""
     shapes = ("delayed-trigger", "delayed-condition", "state-update")
-    runner = CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="cm-timestamp", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(
+    return runner_or_serial(runner).run(
         [
             Shard(
                 key=f"timestamp/{shape}/{'off' if window is None else f'{window:g}'}",
@@ -242,7 +228,9 @@ def run_timestamp_defense(
             )
             for shape in shapes
             for window in (None, 10.0)
-        ]
+        ],
+        campaign="cm-timestamp",
+        base_seed=seed,
     )
 
 

@@ -1,17 +1,25 @@
-"""Registry mapping campaign-spec experiment names to their drivers.
+"""Registry mapping experiment names to their drivers.
 
-The campaign service (``repro.service``) accepts JSON specs that name an
-experiment; this table is the one place such a name resolves to a driver,
-a renderer, and the exit-status rule the one-shot CLI applies to the same
-rows.  Keeping all three together is what makes a served result provably
-equivalent to ``phantom-delay <experiment>``: both sides call the same
-driver with the same kwargs/seed and render with the same function.
+This table is the one place an experiment name resolves to a driver, a
+renderer, and an exit-status rule.  Both ``phantom-delay <experiment>``
+and the campaign service (``repro.service``, which accepts JSON specs that
+name an experiment) run a registered experiment the same way::
 
-Every registered ``run`` callable accepts ``**kwargs`` from the spec plus
-``seed=`` and ``runner=`` (a pre-built :class:`~repro.parallel.CampaignRunner`
-carrying the service's shared pool, cache policy, per-job manifest path,
-cancel signal, and progress observer).  Tests may :func:`register` their
-own experiments and :func:`unregister` them afterwards.
+    result = spec.run(**kwargs, seed=seed, runner=runner)
+    print(spec.render(result))
+    return spec.status(result)
+
+so a served result equals the one-shot CLI's output by construction: only
+one path leads from either front-end to the driver.
+
+Every registered ``run`` callable accepts ``**kwargs`` plus ``seed=`` and
+``runner=`` (a caller-built :class:`~repro.parallel.CampaignRunner`
+carrying worker count, cache, manifest policy and, in the service, the
+shared pool, cancel signal and progress observer).  The service passes a
+spec's kwargs; the CLI passes the global flags named in
+:attr:`ExperimentSpec.flags` that the user gave, so every default lives in
+the driver's signature.  Tests may :func:`register` their own experiments
+and :func:`unregister` them afterwards.
 """
 
 from __future__ import annotations
@@ -22,15 +30,18 @@ from typing import Any, Callable
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment: driver + renderer + CLI status rule."""
+    """One runnable experiment: driver + renderer + exit status rule."""
 
     name: str
     run: Callable[..., Any]
     render: Callable[[Any], str]
-    #: Maps the driver's result to the exit status the one-shot CLI would
-    #: return for it (0 = every row matched expectations).
+    #: Maps the driver's result to the command's exit status
+    #: (0 = every row matched expectations).
     status: Callable[[Any], int]
     description: str = ""
+    #: The CLI's global flags (``labels``, ``trials``, ``faults``) this
+    #: driver takes as keyword arguments; the CLI ignores the rest.
+    flags: tuple[str, ...] = ()
 
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
@@ -79,6 +90,7 @@ def _register_builtins() -> None:
         render=render_table1,
         status=_all_pass(lambda r: r.matches_expectation()),
         description="Table I: cloud device timeout profiling",
+        flags=("labels", "trials"),
     ))
     register(ExperimentSpec(
         name="table2",
@@ -86,6 +98,7 @@ def _register_builtins() -> None:
         render=render_table2,
         status=_all_pass(lambda r: r.matches_expectation),
         description="Table II: HomeKit device profiling",
+        flags=("labels", "trials"),
     ))
     register(ExperimentSpec(
         name="table3",
@@ -93,6 +106,7 @@ def _register_builtins() -> None:
         render=render_table3,
         status=_all_pass(lambda r: r.consequence_reproduced and r.stealthy),
         description="Table III: the 11 PoC attack cases",
+        flags=("faults",),
     ))
     register(ExperimentSpec(
         name="figure3",
@@ -102,6 +116,7 @@ def _register_builtins() -> None:
         ),
         status=_all_pass(lambda r: r.consequence_reproduced and r.stealthy),
         description="Figure 3: the four illustrated attacks",
+        flags=("faults",),
     ))
     register(ExperimentSpec(
         name="verify",
@@ -109,13 +124,14 @@ def _register_builtins() -> None:
         render=render_verification,
         status=_all_pass(lambda r: r.success_rate == 1.0),
         description="Section VI-C verification test",
+        flags=("trials",),
     ))
     register(ExperimentSpec(
         name="robustness",
         run=run_robustness,
         render=render_robustness,
         status=_all_pass(lambda r: r.success and r.violations == 0),
-        description="attack success over a loss x jitter grid",
+        description="attack success over a loss x jitter grid with invariants audited",
     ))
 
 

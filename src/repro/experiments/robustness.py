@@ -22,7 +22,7 @@ from ..analysis.reporting import TextTable
 from ..core.attacks.base import Scenario, compare_scenario
 from ..core.attacks.scenarios import TABLE3_SCENARIOS
 from ..faults.profiles import FaultProfile
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from .table3 import _consequence_holds
 
 #: Default sweep: clean through "bad home WiFi" (5% loss / 20 ms jitter).
@@ -81,12 +81,9 @@ def run_robustness(
     loss_grid: tuple[float, ...] = DEFAULT_LOSS_GRID,
     jitter_grid: tuple[float, ...] = DEFAULT_JITTER_GRID,
     scenarios: list[Scenario] | None = None,
-    jobs: int | None = 1,
     runner: CampaignRunner | None = None,
-    cache: Any = None,
-    manifest: Any = True,
 ) -> list[CellResult]:
-    """Sweep the grid; deterministic for a seed regardless of ``jobs``."""
+    """Sweep the grid; deterministic for a seed however ``runner`` runs it."""
     cases = list(scenarios or TABLE3_SCENARIOS)
     shards = [
         Shard(
@@ -99,11 +96,7 @@ def run_robustness(
         for jitter in jitter_grid
         for sc in cases
     ]
-    runner = runner or CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="robustness", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(shards)
+    return runner_or_serial(runner).run(shards, campaign="robustness", base_seed=seed)
 
 
 def render_robustness(

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..analysis.reporting import TextTable, fmt_seconds, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.profiler import ProfileReport
 from ..devices.base import HubChildDevice, HubDevice, IoTDevice
 from ..devices.profiles import CATALOGUE, Catalogue, DeviceProfile, TABLE_CLOUD
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 
 
@@ -145,19 +144,15 @@ def run_table1(
     trials: int = 3,
     seed: int = 7,
     catalogue: Catalogue | None = None,
-    jobs: int | None = 1,
     runner: CampaignRunner | None = None,
-    cache: Any = None,
-    manifest: Any = True,
 ) -> list[MeasuredRow]:
     """Profile every (requested) cloud device; defaults to the full table.
 
-    Each label is one shard; ``jobs`` (None = auto) fans them out across
-    worker processes.  Per-label seeds are fixed (``seed + index``) and
-    results merge in label order, so the rows — and the rendered table —
-    are identical for every ``jobs`` value.  ``cache`` (True, or a
-    :class:`~repro.cache.CampaignCache`) reuses content-addressed results
-    from previous runs.
+    Each label is one shard of campaign ``table1``; ``runner`` (serial and
+    uncached by default) may fan them out across worker processes and
+    reuse cached results.  Per-label seeds are fixed (``seed + index``)
+    and results merge in label order, so the rows — and the rendered
+    table — are identical however the runner executes them.
     """
     catalogue = catalogue or CATALOGUE
     if labels is None:
@@ -177,11 +172,7 @@ def run_table1(
         )
         for i, label in enumerate(labels)
     ]
-    runner = runner or CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="table1", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(shards)
+    return runner_or_serial(runner).run(shards, campaign="table1", base_seed=seed)
 
 
 def render_table1(rows: list[MeasuredRow]) -> str:

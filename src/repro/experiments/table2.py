@@ -11,13 +11,12 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..analysis.reporting import TextTable, fmt_seconds, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.profiler import ProfileReport
 from ..devices.profiles import CATALOGUE, Catalogue, TABLE_LOCAL, DeviceProfile
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from .table1 import make_event_trigger
 
@@ -74,13 +73,10 @@ def profile_local_label(
 
 def run_table2(
     labels: list[str] | None = None,
-    trials: int = 2,
+    trials: int = 3,
     seed: int = 11,
     catalogue: Catalogue | None = None,
-    jobs: int | None = 1,
     runner: CampaignRunner | None = None,
-    cache: Any = None,
-    manifest: Any = True,
 ) -> list[LocalMeasuredRow]:
     """One shard per HomeKit label; seeds and row order match a serial run."""
     catalogue = catalogue or CATALOGUE
@@ -99,11 +95,7 @@ def run_table2(
         )
         for i, label in enumerate(labels)
     ]
-    runner = runner or CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="table2", cache=cache,
-        manifest=manifest,
-    )
-    return runner.run(shards)
+    return runner_or_serial(runner).run(shards, campaign="table2", base_seed=seed)
 
 
 def render_table2(rows: list[LocalMeasuredRow]) -> str:

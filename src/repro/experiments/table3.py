@@ -13,7 +13,7 @@ from typing import Any
 from ..analysis.reporting import TextTable
 from ..core.attacks.base import Scenario, ScenarioResult, compare_scenario
 from ..core.attacks.scenarios import FIGURE3_SCENARIOS, TABLE3_SCENARIOS
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 
 
 @dataclass
@@ -77,76 +77,62 @@ def _disabled_flag(metrics: dict[str, Any]) -> str:
     raise KeyError(f"no disabled flag in {metrics}")
 
 
-def _run_case(
-    scenario: Scenario,
-    seed: int,
-    faults: Any = None,
-    check_invariants: bool = False,
-) -> CaseRow:
-    """One shard: the with/without pair for a single PoC case."""
+def _run_case(scenario: Scenario, seed: int, faults: Any = None) -> CaseRow:
+    """One shard: the with/without pair for a single PoC case.
+
+    An impaired run is always audited with the cross-layer invariant
+    suite: faults are what could make the simulator itself misbehave.
+    """
     baseline, attacked = compare_scenario(
-        scenario, seed=seed, faults=faults, check_invariants=check_invariants
+        scenario, seed=seed, faults=faults, check_invariants=bool(faults)
     )
     return CaseRow(scenario=scenario, baseline=baseline, attacked=attacked)
+
+
+def _run_cases(
+    campaign: str,
+    cases: list[Scenario],
+    seed: int,
+    faults: Any,
+    runner: CampaignRunner | None,
+) -> list[CaseRow]:
+    """One shard per case; every case keeps the campaign seed."""
+    shards = [
+        Shard(
+            key=f"table3/{scenario.case_id or scenario.name}",
+            fn=_run_case,
+            kwargs={"scenario": scenario, "faults": faults},
+            seed=seed,
+        )
+        for scenario in cases
+    ]
+    return runner_or_serial(runner).run(shards, campaign=campaign, base_seed=seed)
 
 
 def run_table3(
     seed: int = 3,
     scenarios: list[Scenario] | None = None,
-    jobs: int | None = 1,
     runner: CampaignRunner | None = None,
     faults: Any = None,
-    check_invariants: bool = False,
-    cache: Any = None,
-    manifest: Any = True,
 ) -> list[CaseRow]:
-    """One shard per case; every case keeps the campaign seed, as before.
+    """Every Table III case (or ``scenarios``) as campaign ``table3``.
 
-    ``faults`` (profile or spec string) runs every case on an impaired LAN;
-    ``check_invariants`` audits each run with the cross-layer suite;
-    ``cache`` reuses content-addressed shard results (the faults spec is
-    part of the key, so impaired and clean runs never mix).
+    ``faults`` (profile or spec string) runs every case on an impaired LAN
+    and audits each run with the invariant suite; the faults spec is part
+    of each shard's cache key, so impaired and clean runs never mix.
     """
-    cases = list(scenarios or TABLE3_SCENARIOS)
-    shards = [
-        Shard(
-            key=f"table3/{scenario.case_id or scenario.name}",
-            fn=_run_case,
-            kwargs={
-                "scenario": scenario,
-                "faults": faults,
-                "check_invariants": check_invariants,
-            },
-            seed=seed,
-        )
-        for scenario in cases
-    ]
-    runner = runner or CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="table3", cache=cache,
-        manifest=manifest,
+    return _run_cases(
+        "table3", list(scenarios or TABLE3_SCENARIOS), seed, faults, runner
     )
-    return runner.run(shards)
 
 
 def run_figure3(
     seed: int = 3,
-    jobs: int | None = 1,
     runner: CampaignRunner | None = None,
     faults: Any = None,
-    check_invariants: bool = False,
-    cache: Any = None,
-    manifest: Any = True,
 ) -> list[CaseRow]:
-    return run_table3(
-        seed=seed,
-        scenarios=FIGURE3_SCENARIOS,
-        jobs=jobs,
-        runner=runner,
-        faults=faults,
-        check_invariants=check_invariants,
-        cache=cache,
-        manifest=manifest,
-    )
+    """The four attacks Figure 3 illustrates, as campaign ``figure3``."""
+    return _run_cases("figure3", list(FIGURE3_SCENARIOS), seed, faults, runner)
 
 
 def _headline(metrics: dict[str, Any]) -> str:
@@ -162,6 +148,7 @@ def _headline(metrics: dict[str, Any]) -> str:
 
 
 def render_table3(rows: list[CaseRow], title: str = "Table III — PoC attack cases") -> str:
+    """The case table, plus one fault summary line if the LAN was impaired."""
     table = TextTable(
         ["Case", "Type", "Rule", "Without attack", "With attack", "Reproduced", "Stealthy"],
         title=title,
@@ -176,4 +163,24 @@ def render_table3(rows: list[CaseRow], title: str = "Table III — PoC attack ca
             "yes" if row.consequence_reproduced else "NO",
             "yes" if row.stealthy else "NO",
         )
-    return table.render()
+    summary = _faults_summary(rows)
+    return table.render() if summary is None else f"{table.render()}\n{summary}"
+
+
+def _faults_summary(rows: list[CaseRow]) -> str | None:
+    """Frames the injector dropped and invariants broken, if it ran."""
+    if not any(r.attacked.fault_stats for r in rows):
+        return None
+    violations = sum(
+        len(r.baseline.invariant_violations or [])
+        + len(r.attacked.invariant_violations or [])
+        for r in rows
+    )
+    dropped = sum(
+        sum(v for k, v in (r.attacked.fault_stats or {}).items() if k.startswith("dropped"))
+        for r in rows
+    )
+    return (
+        f"fault injection: {dropped} frames dropped across attacked runs; "
+        f"invariant violations: {violations}"
+    )

@@ -15,13 +15,12 @@ after the hold, (b) the hold ended by our own scheduled release, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..analysis.reporting import TextTable
 from ..core.attacker import PhantomDelayAttacker
 from ..core.predictor import TimeoutBehavior
 from ..devices.profiles import CATALOGUE, Catalogue, TABLE_CLOUD
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from ._util import run_until, uplink_ip_of
 from .table1 import make_event_trigger
@@ -116,13 +115,10 @@ def verify_device(
 
 def run_verification(
     labels: tuple[str, ...] = DEFAULT_LABELS,
-    trials: int = 5,
+    trials: int = 3,
     seed: int = 31,
     catalogue: Catalogue | None = None,
-    jobs: int | None = 1,
     runner: CampaignRunner | None = None,
-    cache: Any = None,
-    manifest: Any = True,
 ) -> list[VerificationRow]:
     shards = [
         Shard(
@@ -133,11 +129,9 @@ def run_verification(
         )
         for i, label in enumerate(labels)
     ]
-    runner = runner or CampaignRunner(
-        jobs=jobs, base_seed=seed, campaign="verification", cache=cache,
-        manifest=manifest,
+    return runner_or_serial(runner).run(
+        shards, campaign="verification", base_seed=seed
     )
-    return runner.run(shards)
 
 
 def render_verification(rows: list[VerificationRow]) -> str:

@@ -33,7 +33,7 @@ from typing import Any, Iterator, Sequence
 from ..automation.dsl import parse_rule
 from ..cache.keys import canonical
 from ..obs.metrics import MetricsRegistry
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from .sampler import FleetSampler, home_seed
 from .spec import FleetConfig, HomeSpec
@@ -284,25 +284,22 @@ class FleetRunner:
     """Steps a sampled fleet of homes in batches across the campaign pool.
 
     One runner is one fleet campaign: it owns the fleet size, the base
-    seed, the batch partition, and (through its internal
-    :class:`CampaignRunner`) the jobs/cache/manifest policy.  ``run()``
-    returns a :class:`FleetReport`; the campaign manifest, cache entries,
-    and merged telemetry land exactly where every other campaign puts
-    them.
+    seed, the batch partition and the campaign name, and runs on the
+    caller's :class:`CampaignRunner` (serial and uncached by default).
+    ``run()`` returns a :class:`FleetReport`; the campaign manifest, cache
+    entries, and merged telemetry land exactly where every other campaign
+    puts them.
     """
 
     def __init__(
         self,
         homes: int,
         base_seed: int = 0,
-        jobs: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         config: FleetConfig | None = None,
         event_budget: int | None = None,
-        cache: Any = None,
-        manifest: Any = True,
         campaign: str = "fleet",
-        registry: MetricsRegistry | None = None,
+        runner: CampaignRunner | None = None,
     ) -> None:
         if homes < 0:
             raise ValueError(f"fleet size must be >= 0: {homes}")
@@ -314,10 +311,7 @@ class FleetRunner:
         self.config = config or FleetConfig()
         self.event_budget = event_budget
         self.campaign = campaign
-        self.runner = CampaignRunner(
-            jobs=jobs, base_seed=base_seed, campaign=campaign, cache=cache,
-            manifest=manifest, registry=registry,
-        )
+        self.runner = runner_or_serial(runner)
 
     def shards(self) -> list[Shard]:
         """The fleet's batch partition — jobs- and cache-independent."""
@@ -353,7 +347,9 @@ class FleetRunner:
         million-home campaign needs.
         """
         start = time.perf_counter()
-        batches = self.runner.run(self.shards())
+        batches = self.runner.run(
+            self.shards(), campaign=self.campaign, base_seed=self.base_seed
+        )
         wall = time.perf_counter() - start
         digests: list[str] = []
         rows: list[HomeResult] = []
@@ -415,23 +411,19 @@ def fleet_digest(digests: Sequence[str]) -> str:
 def run_fleet(
     homes: int,
     seed: int = 0,
-    jobs: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     config: FleetConfig | None = None,
     event_budget: int | None = None,
-    cache: Any = None,
-    manifest: Any = True,
     campaign: str = "fleet",
     keep_rows: bool = True,
     stream_to: "str | os.PathLike | None" = None,
+    runner: CampaignRunner | None = None,
 ) -> FleetReport:
     """One-call fleet campaign (the CLI and bench entry point)."""
-    runner = FleetRunner(
-        homes=homes, base_seed=seed, jobs=jobs, batch_size=batch_size,
-        config=config, event_budget=event_budget, cache=cache,
-        manifest=manifest, campaign=campaign,
-    )
-    return runner.run(keep_rows=keep_rows, stream_to=stream_to)
+    return FleetRunner(
+        homes=homes, base_seed=seed, batch_size=batch_size, config=config,
+        event_budget=event_budget, campaign=campaign, runner=runner,
+    ).run(keep_rows=keep_rows, stream_to=stream_to)
 
 
 __all__ = [

@@ -4,7 +4,9 @@ Public surface:
 
 * :func:`derive_seed` — stable per-shard seed derivation;
 * :class:`Shard` — one independent simulation of a campaign;
-* :class:`CampaignRunner` — ordered, deterministic fan-out/merge;
+* :class:`CampaignRunner` — ordered, deterministic fan-out/merge: the
+  execution context a caller builds once and hands to any driver;
+* :func:`runner_or_serial` — a driver's default runner (serial, uncached);
 * :class:`CampaignCancelled` — raised on cooperative mid-campaign cancel;
 * :class:`SharedWorkerPool` — one long-lived pool shared by many runners
   (the campaign service's execution substrate);
@@ -21,6 +23,7 @@ from .runner import (
     SharedWorkerPool,
     fork_available,
     resolve_jobs,
+    runner_or_serial,
 )
 from .seeds import derive_seed
 
@@ -33,4 +36,5 @@ __all__ = [
     "derive_seed",
     "fork_available",
     "resolve_jobs",
+    "runner_or_serial",
 ]

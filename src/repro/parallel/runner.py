@@ -214,19 +214,20 @@ def _run_shard(shard: Shard, base_seed: int) -> tuple[Any, float, ShardTelemetry
 
 
 class CampaignRunner:
-    """Runs a list of :class:`Shard`\\ s and returns results in shard order.
+    """Runs lists of :class:`Shard`\\ s and returns results in shard order.
 
-    One runner is one campaign: it owns the worker-count decision, the
-    base seed for derived shard seeds, and the progress metrics.  Reuse
-    across campaigns is fine — metrics accumulate per ``campaign`` label.
+    A runner is the execution context a caller builds once: worker count,
+    cache, manifest policy, shared pool, cancel signal and progress
+    observer.  Each :meth:`run` names its campaign and base seed, so one
+    runner can carry a command that runs several campaigns; the
+    ``parallel`` metrics are booked under each run's ``campaign`` label and
+    every run writes its own manifest.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
-        base_seed: int = 0,
         registry: MetricsRegistry | None = None,
-        campaign: str = "campaign",
         cache: "CampaignCache | bool | None" = None,
         manifest: "bool | str | os.PathLike | None" = True,
         pool: SharedWorkerPool | None = None,
@@ -234,8 +235,9 @@ class CampaignRunner:
         on_progress: Callable[[int, int], None] | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
-        self.base_seed = base_seed
-        self.campaign = campaign
+        #: The campaign label and base seed of the current (or last) run.
+        self.campaign = "campaign"
+        self.base_seed = 0
         #: Shared executor (service mode); ``None`` means the runner owns a
         #: pool per ``run()`` as before.
         self.pool = pool
@@ -253,7 +255,7 @@ class CampaignRunner:
         self._on_progress = on_progress
         self.registry = registry if registry is not None else MetricsRegistry()
         self.last_wall_seconds = 0.0
-        #: Manifest policy: ``True`` writes the campaign's default path,
+        #: Manifest policy: ``True`` writes each campaign's default path,
         #: a path writes there, ``False``/``None`` disables the artifact.
         self.manifest = manifest
         #: Per-shard telemetry of the last ``run()`` (None for shards that
@@ -264,6 +266,8 @@ class CampaignRunner:
         self.last_shard_rows: tuple[ShardRow, ...] = ()
         self.last_manifest: RunManifest | None = None
         self.last_manifest_path: Path | None = None
+        #: Every manifest a ``run()`` wrote, in run order.
+        self.manifest_paths: list[Path] = []
         self._run_total = 0
         self._run_done = 0
         self._booked: set[int] = set()
@@ -279,6 +283,9 @@ class CampaignRunner:
             self.cache = resolve_cache(cache)
         else:
             self.cache = None
+
+    def _bind_metrics(self, campaign: str) -> None:
+        """Point the progress metrics at ``campaign``'s label."""
         self._total = self.registry.counter("parallel", "shards_total", campaign=campaign)
         self._completed = self.registry.counter(
             "parallel", "shards_completed", campaign=campaign
@@ -321,12 +328,16 @@ class CampaignRunner:
         """True once the runner's cancel signal (if any) has tripped."""
         return bool(self._cancel_check is not None and self._cancel_check())
 
-    def run(self, shards: Sequence[Shard]) -> list[Any]:
-        """Execute every shard; results come back in ``shards`` order.
+    def run(self, shards: Sequence[Shard], campaign: str = "campaign",
+            base_seed: int = 0) -> list[Any]:
+        """Execute every shard of ``campaign``; results come back in
+        ``shards`` order.
 
-        With a cache attached the run is hybrid: hits are filled from disk
-        without touching a worker, and only the misses (plus entries made
-        stale by a source change) are dispatched and then stored.
+        ``base_seed`` seeds every shard that sets no explicit seed (see
+        :func:`~repro.parallel.seeds.derive_seed`).  With a cache attached
+        the run is hybrid: hits are filled from disk without touching a
+        worker, and only the misses (plus entries made stale by a source
+        change) are dispatched and then stored.
 
         If a ``cancel`` signal was attached and trips mid-campaign, every
         shard completed so far is stored to the cache and
@@ -334,6 +345,9 @@ class CampaignRunner:
         campaign later resumes from those entries.
         """
         shards = list(shards)
+        self.campaign = campaign
+        self.base_seed = base_seed
+        self._bind_metrics(campaign)
         self._total.inc(len(shards))
         self._run_total = len(shards)
         self._run_done = 0
@@ -597,9 +611,9 @@ class CampaignRunner:
         )
         self._last_fault_profile = self._fault_profile_of(shards)
         if self.manifest is not None and self.manifest is not False:
-            self.write_manifest(
+            self.manifest_paths.append(self.write_manifest(
                 None if self.manifest is True else self.manifest
-            )
+            ))
 
     def write_manifest(self, path: "str | os.PathLike | None" = None) -> Path:
         """Write the last run's manifest; returns the path written."""
@@ -705,3 +719,9 @@ class CampaignRunner:
                 f"{int(self._cache_stale.value)} stale)"
             )
         return line
+
+
+def runner_or_serial(runner: CampaignRunner | None) -> CampaignRunner:
+    """``runner``, or what a driver runs on when its caller gave none:
+    serial, uncached, writing each campaign's default manifest."""
+    return runner if runner is not None else CampaignRunner(jobs=1)

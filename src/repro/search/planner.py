@@ -39,7 +39,7 @@ from typing import Any, Sequence
 from ..automation.dsl import parse_rule
 from ..cache.keys import canonical
 from ..obs.metrics import MetricsRegistry
-from ..parallel import CampaignRunner, Shard
+from ..parallel import CampaignRunner, Shard, runner_or_serial
 from .engine import BehaviorTrace, run_program
 from .generator import RuleSetGenerator
 from .oracles import classify, primary_class
@@ -284,19 +284,20 @@ class SearchReport:
 
 
 class SearchRunner:
-    """Steps an adversarial search in batches across the campaign pool."""
+    """Steps an adversarial search in batches across the campaign pool.
+
+    Runs on the caller's :class:`CampaignRunner` (serial and uncached by
+    default) as campaign ``campaign``.
+    """
 
     def __init__(
         self,
         programs: int,
         base_seed: int = 0,
-        jobs: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         config: SearchConfig | None = None,
-        cache: Any = None,
-        manifest: Any = True,
         campaign: str = "search",
-        registry: MetricsRegistry | None = None,
+        runner: CampaignRunner | None = None,
     ) -> None:
         if programs < 0:
             raise ValueError(f"program count must be >= 0: {programs}")
@@ -307,10 +308,7 @@ class SearchRunner:
         self.batch_size = batch_size
         self.config = config or SearchConfig()
         self.campaign = campaign
-        self.runner = CampaignRunner(
-            jobs=jobs, base_seed=base_seed, campaign=campaign, cache=cache,
-            manifest=manifest, registry=registry,
-        )
+        self.runner = runner_or_serial(runner)
 
     def shards(self) -> list[Shard]:
         """The search's batch partition — jobs- and cache-independent."""
@@ -340,7 +338,9 @@ class SearchRunner:
         from .corpus import corpus_digest, write_corpus
 
         start = time.perf_counter()
-        batches = self.runner.run(self.shards())
+        batches = self.runner.run(
+            self.shards(), campaign=self.campaign, base_seed=self.base_seed
+        )
         wall = time.perf_counter() - start
         rows = [row for batch in batches if batch is not None for row in batch]
         hits = tuple(row["hit"] for row in rows if row["hit"] is not None)
@@ -365,20 +365,17 @@ class SearchRunner:
 def run_search(
     programs: int,
     seed: int = 0,
-    jobs: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     config: SearchConfig | None = None,
-    cache: Any = None,
-    manifest: Any = True,
     campaign: str = "search",
     corpus_dir: "str | Path | None" = None,
+    runner: CampaignRunner | None = None,
 ) -> SearchReport:
     """One-call adversarial search (the CLI and bench entry point)."""
-    runner = SearchRunner(
-        programs=programs, base_seed=seed, jobs=jobs, batch_size=batch_size,
-        config=config, cache=cache, manifest=manifest, campaign=campaign,
-    )
-    return runner.run(corpus_dir=corpus_dir)
+    return SearchRunner(
+        programs=programs, base_seed=seed, batch_size=batch_size,
+        config=config, campaign=campaign, runner=runner,
+    ).run(corpus_dir=corpus_dir)
 
 
 def plan_specs(specs: Sequence[ProgramSpec],

@@ -259,8 +259,6 @@ class CampaignService:
 
         runner = CampaignRunner(
             jobs=self.jobs,
-            base_seed=spec.seed,
-            campaign=spec.experiment,
             cache=self.cache,
             manifest=self._manifest_path(job),
             pool=self.pool,

@@ -245,11 +245,10 @@ class TestStoreRoundtrip:
 class TestRunnerIntegration:
     def _run(self, tmp_path, registry, fingerprint="a" * 32, jobs=1):
         cache = CampaignCache(root=tmp_path / "cache", fingerprint=fingerprint)
-        runner = CampaignRunner(jobs=jobs, base_seed=3, registry=registry,
-                                campaign="cache-test", cache=cache)
+        runner = CampaignRunner(jobs=jobs, registry=registry, cache=cache)
         shards = [Shard(key=f"double/{v}", fn=_double, kwargs={"value": v})
                   for v in (1, 2, 3)]
-        return runner.run(shards), runner
+        return runner.run(shards, campaign="cache-test", base_seed=3), runner
 
     def test_cold_then_warm_counts_and_results(self, tmp_path):
         cold_reg = MetricsRegistry()
@@ -308,16 +307,15 @@ class TestWarmColdEquivalence:
         cache_root = tmp_path / "cache"  # shared across hypothesis examples
         cache = CampaignCache(root=cache_root)
         cold = render_table1(run_table1(labels=["M7"], trials=1, seed=7,
-                                        jobs=1, cache=cache))
+                                        runner=CampaignRunner(jobs=1, cache=cache)))
         registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=jobs, base_seed=7, registry=registry,
-                                campaign="table1", cache=cache)
+        runner = CampaignRunner(jobs=jobs, registry=registry, cache=cache)
         from repro.experiments.table1 import profile_label
 
         warm = render_table1(runner.run([
             Shard(key="table1/M7", fn=profile_label,
                   kwargs={"label": "M7", "trials": 1, "catalogue": None}, seed=7)
-        ]))
+        ], campaign="table1", base_seed=7))
         assert warm == cold
         assert registry.value("parallel", "cache_hits", campaign="table1") == 1
         assert registry.value("parallel", "shards_run_inprocess", campaign="table1") == 0

@@ -128,13 +128,14 @@ class TestSerialParallelEquivalence:
     def test_table3_sweep_identical_serial_and_parallel(self):
         from repro.core.attacks.scenarios import TABLE3_SCENARIOS
         from repro.experiments.table3 import run_table3
+        from repro.parallel import CampaignRunner
 
         cases = TABLE3_SCENARIOS[:3]
         serial = run_table3(
-            seed=3, scenarios=cases, jobs=1, faults="lossy", check_invariants=True
+            seed=3, scenarios=cases, runner=CampaignRunner(jobs=1), faults="lossy"
         )
         parallel = run_table3(
-            seed=3, scenarios=cases, jobs=2, faults="lossy", check_invariants=True
+            seed=3, scenarios=cases, runner=CampaignRunner(jobs=2), faults="lossy"
         )
         assert [_row_fingerprint(r) for r in serial] == [
             _row_fingerprint(r) for r in parallel
@@ -143,6 +144,7 @@ class TestSerialParallelEquivalence:
     def test_robustness_grid_identical_serial_and_parallel(self):
         from repro.core.attacks.scenarios import TABLE3_SCENARIOS
         from repro.experiments.robustness import run_robustness
+        from repro.parallel import CampaignRunner
 
         kwargs = dict(
             seed=3,
@@ -150,7 +152,8 @@ class TestSerialParallelEquivalence:
             jitter_grid=(0.0,),
             scenarios=TABLE3_SCENARIOS[:2],
         )
-        assert run_robustness(jobs=1, **kwargs) == run_robustness(jobs=2, **kwargs)
+        assert (run_robustness(runner=CampaignRunner(jobs=1), **kwargs)
+                == run_robustness(runner=CampaignRunner(jobs=2), **kwargs))
 
 
 class TestRobustnessAcceptance:
@@ -159,7 +162,7 @@ class TestRobustnessAcceptance:
     def test_all_cases_succeed_at_five_percent_loss(self):
         from repro.experiments.table3 import run_table3
 
-        rows = run_table3(seed=3, faults="loss=0.05", check_invariants=True)
+        rows = run_table3(seed=3, faults="loss=0.05")
         failures = [
             r.scenario.case_id
             for r in rows

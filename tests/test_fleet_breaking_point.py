@@ -19,6 +19,7 @@ from repro.experiments.breaking_point import (
     step_campaign,
 )
 from repro.obs.manifest import RunManifest
+from repro.parallel import CampaignRunner
 
 
 def metric(manifest: RunManifest, name: str, **labels) -> float | None:
@@ -33,8 +34,8 @@ def metric(manifest: RunManifest, name: str, **labels) -> float | None:
 class TestMiniatureLadder:
     def test_event_budget_trips_at_sixteen_homes(self):
         report = run_breaking_point(
-            start_homes=4, max_steps=3, seed=0, jobs=1,
-            step_event_limit=2500, cache=False,
+            start_homes=4, max_steps=3, seed=0,
+            step_event_limit=2500, runner=CampaignRunner(jobs=1),
         )
         assert [s.homes for s in report.steps] == [4, 8, 16]
         assert [s.step for s in report.steps] == [0, 1, 2]
@@ -53,8 +54,8 @@ class TestMiniatureLadder:
 
     def test_one_manifest_per_step_with_attribution(self):
         report = run_breaking_point(
-            start_homes=4, max_steps=3, seed=0, jobs=1,
-            step_event_limit=2500, cache=False, manifest=True,
+            start_homes=4, max_steps=3, seed=0,
+            step_event_limit=2500, runner=CampaignRunner(jobs=1),
         )
         paths = [s.manifest_path for s in report.steps]
         assert all(p is not None and p.exists() for p in paths)
@@ -76,8 +77,9 @@ class TestMiniatureLadder:
 
     def test_success_floor_attribution(self):
         report = run_breaking_point(
-            start_homes=4, max_steps=3, seed=0, jobs=1,
-            home_event_budget=400, success_floor=0.95, cache=False,
+            start_homes=4, max_steps=3, seed=0,
+            home_event_budget=400, success_floor=0.95,
+            runner=CampaignRunner(jobs=1),
         )
         assert report.stop_reason == REASON_SUCCESS_FLOOR
         assert report.breaking_point == 8
@@ -90,8 +92,8 @@ class TestMiniatureLadder:
 
     def test_wall_clock_trips_immediately(self):
         report = run_breaking_point(
-            start_homes=4, max_steps=3, seed=0, jobs=1,
-            wall_limit=0.0, cache=False, manifest=False,
+            start_homes=4, max_steps=3, seed=0,
+            wall_limit=0.0, runner=CampaignRunner(jobs=1, manifest=False),
         )
         assert report.stop_reason == REASON_WALL_CLOCK
         assert len(report.steps) == 1
@@ -99,7 +101,7 @@ class TestMiniatureLadder:
 
     def test_ladder_exhaustion_is_not_a_breaking_point(self):
         report = run_breaking_point(
-            start_homes=4, max_steps=2, seed=0, jobs=1, cache=False,
+            start_homes=4, max_steps=2, seed=0, runner=CampaignRunner(jobs=1),
         )
         assert report.stop_reason == REASON_MAX_STEPS
         assert report.breaking_point is None
@@ -107,8 +109,8 @@ class TestMiniatureLadder:
         assert all(s.passed for s in report.steps)
 
     def test_ladder_is_deterministic(self):
-        kwargs = dict(start_homes=4, max_steps=2, seed=5, jobs=1, cache=False,
-                      manifest=False)
+        kwargs = dict(start_homes=4, max_steps=2, seed=5,
+                      runner=CampaignRunner(jobs=1, manifest=False))
         a = run_breaking_point(**kwargs)
         b = run_breaking_point(**kwargs)
         assert [s.fleet_digest for s in a.steps] == [s.fleet_digest for s in b.steps]
@@ -118,8 +120,9 @@ class TestMiniatureLadder:
 class TestRendering:
     def test_report_renders_outcomes(self):
         report = run_breaking_point(
-            start_homes=4, max_steps=3, seed=0, jobs=1,
-            step_event_limit=2500, cache=False, manifest=False,
+            start_homes=4, max_steps=3, seed=0,
+            step_event_limit=2500,
+            runner=CampaignRunner(jobs=1, manifest=False),
         )
         text = report.render()
         assert "breaking point: 16 homes (event-budget)" in text
@@ -128,8 +131,8 @@ class TestRendering:
 
     def test_observe_report_renders_step_manifest(self, capsys):
         report = run_breaking_point(
-            start_homes=4, max_steps=1, seed=0, jobs=1,
-            wall_limit=0.0, cache=False, manifest=True,
+            start_homes=4, max_steps=1, seed=0,
+            wall_limit=0.0, runner=CampaignRunner(jobs=1),
         )
         path = report.steps[0].manifest_path
         assert main(["observe", "report", str(path)]) == 0
@@ -139,8 +142,7 @@ class TestRendering:
 
     def test_render_manifest_helper_directly(self):
         report = run_breaking_point(
-            start_homes=4, max_steps=1, seed=0, jobs=1, cache=False,
-            manifest=True,
+            start_homes=4, max_steps=1, seed=0, runner=CampaignRunner(jobs=1),
         )
         text = render_manifest(RunManifest.load(report.steps[0].manifest_path))
         assert "breaking_point" in text

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import FleetRunner, FleetSampler, run_fleet, run_home
+from repro.parallel import CampaignRunner
 
 
 def independent_digests(seed: int, homes: int) -> tuple[str, ...]:
@@ -30,8 +31,8 @@ class TestFleetEquivalence:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            homes=st.integers(min_value=1, max_value=4))
     def test_fleet_matches_independent_sims(self, jobs, seed, homes):
-        report = run_fleet(homes, seed=seed, jobs=jobs, batch_size=2,
-                           cache=False, manifest=False)
+        report = run_fleet(homes, seed=seed, batch_size=2,
+                           runner=CampaignRunner(jobs=jobs, manifest=False))
         assert report.homes == homes
         assert report.digests == independent_digests(seed, homes)
 
@@ -39,34 +40,34 @@ class TestFleetEquivalence:
     def test_batch_partition_is_invisible(self, jobs):
         expected = independent_digests(11, 6)
         for batch_size in (1, 2, 5, 16):
-            report = run_fleet(6, seed=11, jobs=jobs, batch_size=batch_size,
-                               cache=False, manifest=False)
+            report = run_fleet(6, seed=11, batch_size=batch_size,
+                               runner=CampaignRunner(jobs=jobs, manifest=False))
             assert report.digests == expected, f"batch_size={batch_size}"
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_warm_cache_replays_identically(self, jobs):
         # conftest points REPRO_CACHE_DIR at tmp_path, so cache=True here
         # is a genuinely cold cache the first time around.
-        cold = run_fleet(5, seed=23, jobs=jobs, batch_size=2, cache=True,
-                         manifest=False)
-        warm = run_fleet(5, seed=23, jobs=1, batch_size=2, cache=True,
-                         manifest=False)
+        cold = run_fleet(5, seed=23, batch_size=2, runner=CampaignRunner(
+            jobs=jobs, cache=True, manifest=False))
+        warm = run_fleet(5, seed=23, batch_size=2, runner=CampaignRunner(
+            jobs=1, cache=True, manifest=False))
         assert warm.digests == cold.digests
         assert warm.fleet_digest == cold.fleet_digest
         assert warm.digests == independent_digests(23, 5)
 
     def test_cache_is_actually_hit_on_replay(self):
-        runner = FleetRunner(homes=4, base_seed=9, jobs=1, batch_size=2,
-                             cache=True, manifest=False)
+        runner = FleetRunner(homes=4, base_seed=9, batch_size=2, runner=CampaignRunner(
+            jobs=1, cache=True, manifest=False))
         cold = runner.run()
-        replay = FleetRunner(homes=4, base_seed=9, jobs=1, batch_size=2,
-                             cache=True, manifest=False)
+        replay = FleetRunner(homes=4, base_seed=9, batch_size=2, runner=CampaignRunner(
+            jobs=1, cache=True, manifest=False))
         warm = replay.run()
         assert warm.digests == cold.digests
         assert replay.runner.cache_hits == 2  # both batches replayed
 
     def test_row_metadata_matches_specs(self):
-        report = run_fleet(6, seed=4, jobs=1, cache=False, manifest=False)
+        report = run_fleet(6, seed=4, runner=CampaignRunner(jobs=1, manifest=False))
         sampler = FleetSampler(4)
         for row in report.rows:
             spec = sampler.sample(row.home_index)
@@ -79,8 +80,8 @@ class TestFleetEquivalence:
         import json
 
         path = tmp_path / "rows.jsonl"
-        kept = run_fleet(4, seed=2, jobs=1, cache=False, manifest=False)
-        streamed = run_fleet(4, seed=2, jobs=1, cache=False, manifest=False,
+        kept = run_fleet(4, seed=2, runner=CampaignRunner(jobs=1, manifest=False))
+        streamed = run_fleet(4, seed=2, runner=CampaignRunner(jobs=1, manifest=False),
                              keep_rows=False, stream_to=path)
         assert streamed.rows == ()
         assert streamed.digests == kept.digests
@@ -88,7 +89,7 @@ class TestFleetEquivalence:
         assert [r["digest"] for r in rows] == list(kept.digests)
 
     def test_empty_fleet(self):
-        report = run_fleet(0, seed=0, jobs=1, cache=False, manifest=False)
+        report = run_fleet(0, seed=0, runner=CampaignRunner(jobs=1, manifest=False))
         assert report.homes == 0
         assert report.digests == ()
         assert report.success_rate == 1.0

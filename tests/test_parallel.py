@@ -127,45 +127,46 @@ class TestCampaignRunner:
                   kwargs={"name": f"r{i}", "delay": 0.05 * (3 - i)})
             for i in range(4)
         ]
-        runner = CampaignRunner(jobs=4, base_seed=0, campaign="order-test")
-        assert runner.run(shards) == ["r0", "r1", "r2", "r3"]
+        runner = CampaignRunner(jobs=4)
+        assert runner.run(shards, campaign="order-test", base_seed=0) == [
+            "r0", "r1", "r2", "r3"]
 
     def test_zero_shard_campaign_progress_line(self):
         # Regression: an empty campaign (e.g. a zero-home fleet) must not
         # divide by zero anywhere in the progress/summary path.
-        runner = CampaignRunner(jobs=1, base_seed=0, campaign="empty",
-                                manifest=False)
-        assert runner.run([]) == []
+        runner = CampaignRunner(jobs=1, manifest=False)
+        assert runner.run([], campaign="empty", base_seed=0) == []
         line = runner.render_progress()
         assert line.startswith("empty: 0/0 shard(s)")
         assert "%" not in line  # no percentage without a denominator
         assert "empty" in runner.summary()
 
     def test_progress_line_percentage(self):
-        runner = CampaignRunner(jobs=1, base_seed=0, campaign="pct",
-                                manifest=False)
+        runner = CampaignRunner(jobs=1, manifest=False)
         shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
                   for i in range(4)]
-        runner.run(shards)
+        runner.run(shards, campaign="pct", base_seed=0)
         assert "4/4 shard(s) (100%)" in runner.render_progress()
 
     def test_serial_path_preserves_order(self):
         shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
                   for i in range(3)]
-        runner = CampaignRunner(jobs=1, base_seed=9)
-        assert [name for name, _ in runner.run(shards)] == ["r0", "r1", "r2"]
+        runner = CampaignRunner(jobs=1)
+        assert [name for name, _ in runner.run(shards, base_seed=9)] == [
+            "r0", "r1", "r2"]
 
     def test_explicit_seed_passed_verbatim(self):
-        runner = CampaignRunner(jobs=1, base_seed=0)
+        runner = CampaignRunner(jobs=1)
         [(_, seed)] = runner.run(
-            [Shard(key="k", fn=_echo_shard, kwargs={"name": "n"}, seed=777)]
+            [Shard(key="k", fn=_echo_shard, kwargs={"name": "n"}, seed=777)],
+            base_seed=0,
         )
         assert seed == 777
 
     def test_derived_seed_used_when_unset(self):
-        runner = CampaignRunner(jobs=1, base_seed=7)
+        runner = CampaignRunner(jobs=1)
         [(_, seed)] = runner.run([Shard(key="table1/HS1", fn=_echo_shard,
-                                        kwargs={"name": "n"})])
+                                        kwargs={"name": "n"})], base_seed=7)
         assert seed == derive_seed(7, "table1/HS1")
 
     def test_pass_seed_false_omits_seed(self):
@@ -179,9 +180,9 @@ class TestCampaignRunner:
 
     def test_progress_counters(self):
         registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=1, registry=registry, campaign="metrics-test")
+        runner = CampaignRunner(jobs=1, registry=registry)
         runner.run([Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": "n"})
-                    for i in range(3)])
+                    for i in range(3)], campaign="metrics-test")
         assert registry.value("parallel", "shards_total", campaign="metrics-test") == 3
         assert registry.value("parallel", "shards_completed", campaign="metrics-test") == 3
         assert registry.value("parallel", "shards_in_flight", campaign="metrics-test") == 0
@@ -189,15 +190,40 @@ class TestCampaignRunner:
         assert runner.last_wall_seconds > 0.0
         assert "metrics-test" in runner.summary()
 
+    def test_one_runner_carries_two_campaigns(self, tmp_path, monkeypatch):
+        # The campaign and base seed belong to a run, not to the runner:
+        # each run writes its own manifest and books its own counters.
+        from repro.obs.manifest import RunManifest
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        registry = MetricsRegistry()
+        runner = CampaignRunner(jobs=1, registry=registry)
+        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+                  for i in range(3)]
+        first = runner.run(shards, campaign="alpha", base_seed=1)
+        second = runner.run(shards[:2], campaign="beta", base_seed=2)
+        assert first[0] == ("r0", derive_seed(1, "s/0"))
+        assert second[0] == ("r0", derive_seed(2, "s/0"))
+        assert runner.manifest_paths == [tmp_path / "alpha.jsonl",
+                                         tmp_path / "beta.jsonl"]
+        assert runner.last_manifest_path == tmp_path / "beta.jsonl"
+        for campaign, seed, count in (("alpha", 1, 3), ("beta", 2, 2)):
+            manifest = RunManifest.load(tmp_path / f"{campaign}.jsonl")
+            assert manifest.campaign == campaign
+            assert (manifest.header["seed"], manifest.header["shards"]) == (seed, count)
+            for name in ("shards_total", "shards_completed", "shards_run_inprocess"):
+                assert registry.value("parallel", name, campaign=campaign) == count
+
     def test_no_fork_falls_back_inprocess(self, monkeypatch):
         import repro.parallel.runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "fork_available", lambda: False)
         registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=4, registry=registry, campaign="fallback")
+        runner = CampaignRunner(jobs=4, registry=registry)
         shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
                   for i in range(3)]
-        assert [name for name, _ in runner.run(shards)] == ["r0", "r1", "r2"]
+        assert [name for name, _ in runner.run(shards, campaign="fallback")] == [
+            "r0", "r1", "r2"]
         assert registry.value("parallel", "shards_run_inprocess", campaign="fallback") == 3
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
@@ -206,12 +232,12 @@ class TestCampaignRunner:
         # must count the shard once — as replayed — not once in the pool
         # *and* once in-process, or completed drifts past total.
         registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=2, registry=registry, campaign="replay")
+        runner = CampaignRunner(jobs=2, registry=registry)
         shards = [
             Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}),
             Shard(key="bad", fn=_unpicklable_result),
         ]
-        results = runner.run(shards)
+        results = runner.run(shards, campaign="replay")
         assert results[0] == ("fine", derive_seed(0, "ok"))
         assert callable(results[1])  # healed: the replay ran in-process
 
@@ -240,14 +266,14 @@ class TestCampaignRunner:
         from repro.cache import CampaignCache
 
         registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=2, registry=registry, campaign="putfail",
+        runner = CampaignRunner(jobs=2, registry=registry,
                                 cache=CampaignCache(root=tmp_path),
                                 manifest=False)
         shards = [
             Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}),
             Shard(key="bad", fn=_unpicklable_result),
         ]
-        results = runner.run(shards)
+        results = runner.run(shards, campaign="putfail")
         assert results[0] == ("fine", derive_seed(0, "ok"))
         assert callable(results[1])  # healed in-process, result intact
 
@@ -264,10 +290,9 @@ class TestCampaignRunner:
         # runner hits the good shard and quietly re-runs the bad one.
         registry2 = MetricsRegistry()
         runner2 = CampaignRunner(jobs=2, registry=registry2,
-                                 campaign="putfail",
                                  cache=CampaignCache(root=tmp_path),
                                  manifest=False)
-        results2 = runner2.run(shards)
+        results2 = runner2.run(shards, campaign="putfail")
         assert results2[0] == results[0]
         assert callable(results2[1])
 
@@ -287,13 +312,12 @@ class TestCampaignRunner:
 
         registry = MetricsRegistry()
         shards = [Shard(key="k", fn=_echo_shard, kwargs={"name": "n"})]
-        CampaignRunner(jobs=1, campaign="guard",
-                       cache=CampaignCache(root=tmp_path),
-                       manifest=False).run(shards)
-        runner = CampaignRunner(jobs=1, registry=registry, campaign="guard",
+        CampaignRunner(jobs=1, cache=CampaignCache(root=tmp_path),
+                       manifest=False).run(shards, campaign="guard")
+        runner = CampaignRunner(jobs=1, registry=registry,
                                 cache=CampaignCache(root=tmp_path),
                                 manifest=False)
-        runner.run(shards)
+        runner.run(shards, campaign="guard")
 
         def value(name: str) -> float:
             return registry.value("parallel", name, campaign="guard")
@@ -306,13 +330,13 @@ class TestCampaignRunner:
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_failing_shard_reraises_with_original_error(self):
-        runner = CampaignRunner(jobs=2, campaign="failure-test")
+        runner = CampaignRunner(jobs=2)
         shards = [
             Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}),
             Shard(key="bad", fn=_failing_shard),
         ]
         with pytest.raises(ValueError, match="shard blew up"):
-            runner.run(shards)
+            runner.run(shards, campaign="failure-test")
 
 
 class TestSerialParallelEquivalence:
@@ -324,8 +348,10 @@ class TestSerialParallelEquivalence:
     def test_table1_rows_identical(self):
         from repro.experiments.table1 import render_table1, run_table1
 
-        serial = run_table1(labels=self.LABELS, trials=3, jobs=1)
-        parallel = run_table1(labels=self.LABELS, trials=3, jobs=4)
+        serial = run_table1(labels=self.LABELS, trials=3,
+                            runner=CampaignRunner(jobs=1))
+        parallel = run_table1(labels=self.LABELS, trials=3,
+                              runner=CampaignRunner(jobs=4))
         assert [r.profile.label for r in parallel] == self.LABELS
         assert render_table1(parallel) == render_table1(serial)
         for s_row, p_row in zip(serial, parallel):
@@ -333,11 +359,11 @@ class TestSerialParallelEquivalence:
             assert s_row.measured_command_window == p_row.measured_command_window
 
     def test_ablation_jobs_kwarg_accepted_serially(self):
-        # The sweep drivers grew a ``jobs`` parameter; jobs=1 must stay the
-        # plain in-process path (no pool spin-up inside unit tests).
+        # The sweep drivers take a caller-built runner; a jobs=1 runner must
+        # stay the plain in-process path (no pool spin-up inside unit tests).
         from repro.experiments.ablations import run_forged_ack_ablation
 
-        rows = run_forged_ack_ablation(seed=71, jobs=1)
+        rows = run_forged_ack_ablation(seed=71, runner=CampaignRunner(jobs=1))
         assert {row.forge_acks for row in rows} == {True, False}
 
 
@@ -373,10 +399,10 @@ class TestCancellation:
         stop = threading.Event()
         stop.set()
         cache = CampaignCache(root=tmp_path / "cache", fingerprint="a" * 32)
-        runner = CampaignRunner(jobs=1, campaign="cancel-now", cache=cache,
-                                manifest=False, cancel=stop)
+        runner = CampaignRunner(jobs=1, cache=cache, manifest=False,
+                                cancel=stop)
         with pytest.raises(CampaignCancelled) as err:
-            runner.run(self._shards())
+            runner.run(self._shards(), campaign="cancel-now")
         assert (err.value.done, err.value.total) == (0, 3)
         assert cache.stats()["entries"] == 0
 
@@ -390,19 +416,18 @@ class TestCancellation:
             seen["done"] = done
 
         runner = CampaignRunner(
-            jobs=1, base_seed=3, campaign="cancel-mid", cache=cache,
-            manifest=False, cancel=lambda: seen["done"] >= 1,
-            on_progress=on_progress,
+            jobs=1, cache=cache, manifest=False,
+            cancel=lambda: seen["done"] >= 1, on_progress=on_progress,
         )
         with pytest.raises(CampaignCancelled) as err:
-            runner.run(self._shards())
+            runner.run(self._shards(), campaign="cancel-mid", base_seed=3)
         assert (err.value.done, err.value.total) == (1, 3)
         assert cache.stats()["entries"] == 1
 
         registry = MetricsRegistry()
-        resumed = CampaignRunner(jobs=1, base_seed=3, campaign="cancel-mid",
-                                 cache=cache, manifest=False, registry=registry)
-        results = resumed.run(self._shards())
+        resumed = CampaignRunner(jobs=1, cache=cache, manifest=False,
+                                 registry=registry)
+        results = resumed.run(self._shards(), campaign="cancel-mid", base_seed=3)
         assert results == [("r0", pytest.approx(results[0][1])),
                            results[1], results[2]]
         assert registry.value("parallel", "cache_hits",
@@ -434,27 +459,25 @@ class TestCancellation:
                   kwargs={"path": str(ran_last)})
             for i in range(3, 10)
         ]
-        runner = CampaignRunner(jobs=2, base_seed=0, campaign="cancel-pool",
-                                cache=cache, manifest=False, cancel=cancel)
+        runner = CampaignRunner(jobs=2, cache=cache, manifest=False,
+                                cancel=cancel)
         with pytest.raises(CampaignCancelled) as err:
-            runner.run(shards)
+            runner.run(shards, campaign="cancel-pool", base_seed=0)
         # Shard 0 always completes.  The executor may have prefetched a few
         # of the tail shards into its call queue (those are uncancellable),
         # but the backlog beyond the prefetch window must have been revoked
         # — and every shard that did complete must be cached.
         assert 1 <= err.value.done < len(shards)
         assert cache.stats()["entries"] == err.value.done
-        warm = CampaignRunner(jobs=1, base_seed=0, campaign="cancel-pool",
-                              cache=cache, manifest=False)
+        warm = CampaignRunner(jobs=1, cache=cache, manifest=False)
         release.touch()
-        assert len(warm.run(shards)) == len(shards)
+        assert len(warm.run(shards, campaign="cancel-pool", base_seed=0)) == len(shards)
 
     def test_on_progress_reports_each_booked_shard(self):
         calls = []
-        runner = CampaignRunner(jobs=1, campaign="progress-hook",
-                                manifest=False,
+        runner = CampaignRunner(jobs=1, manifest=False,
                                 on_progress=lambda d, t: calls.append((d, t)))
-        runner.run(self._shards())
+        runner.run(self._shards(), campaign="progress-hook")
         assert calls == [(1, 3), (2, 3), (3, 3)]
 
 
@@ -472,11 +495,10 @@ class TestSharedWorkerPool:
                 Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
                 for i in range(3)
             ]
-            first = CampaignRunner(jobs=2, campaign="pool-a", manifest=False,
-                                   pool=pool)
-            second = CampaignRunner(jobs=2, campaign="pool-b", manifest=False,
-                                    pool=pool)
-            assert first.run(shards) == second.run(shards)
+            first = CampaignRunner(jobs=2, manifest=False, pool=pool)
+            second = CampaignRunner(jobs=2, manifest=False, pool=pool)
+            assert (first.run(shards, campaign="pool-a")
+                    == second.run(shards, campaign="pool-b"))
             assert pool.executor() is executor  # survived both campaigns
         finally:
             pool.shutdown()
@@ -494,7 +516,7 @@ class TestProgressTick:
                 return True
 
         stream = Tty()
-        runner = CampaignRunner(jobs=1, campaign="tick-test", manifest=False)
+        runner = CampaignRunner(jobs=1, manifest=False)
         runner._progress_stream = lambda: stream
         renders = {"count": 0}
         real_render = runner.render_progress

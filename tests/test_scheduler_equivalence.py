@@ -30,12 +30,12 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.keys import canonical
 from repro.simnet.scheduler import Simulator
 
-#: sha256 of ``render_table1(run_table1(labels, trials=3, cache=False))``;
+#: sha256 of ``render_table1(run_table1(labels, trials=3))`` (uncached);
 #: every scheduler since the original binary heap reproduces it.
 TABLE1_SHA256 = "9f9a848f786f46ddd76592c3d2a74206ea9cbb04fc6567177285be2eefc40f08"
 TABLE1_LABELS = ["HS1", "C2", "M7"]
 
-#: blake2b-128 of ``canonical(run_table3(cache=False))``, same provenance.
+#: blake2b-128 of ``canonical(run_table3())`` (uncached), same provenance.
 TABLE3_BLAKE2B = "b29df45a230f797f5cbe33dd7b4e8d2f"
 
 
@@ -352,7 +352,7 @@ def test_run_until_past_stale_top_moves_clock_only_to_deadline():
 def test_table1_byte_identity_pin():
     from repro.experiments.table1 import render_table1, run_table1
 
-    rows = run_table1(labels=TABLE1_LABELS, trials=3, cache=False)
+    rows = run_table1(labels=TABLE1_LABELS, trials=3)
     digest = hashlib.sha256(render_table1(rows).encode()).hexdigest()
     assert digest == TABLE1_SHA256, (
         "Table I bytes moved — the scheduler (or anything beneath it) "
@@ -364,7 +364,7 @@ def test_table3_canonical_digest_pin():
     from repro.experiments.table3 import run_table3
 
     digest = hashlib.blake2b(
-        canonical(run_table3(cache=False)), digest_size=16
+        canonical(run_table3()), digest_size=16
     ).hexdigest()
     assert digest == TABLE3_BLAKE2B, (
         f"Table III canonical result moved: {digest}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.parallel import CampaignRunner
 from repro.search import (
     TABLE3_EXPECTED,
     SearchConfig,
@@ -99,8 +100,8 @@ class TestGeneratedSearchAcceptance:
         table3_digests = {
             o["hit"]["case_digest"] for o in rediscoveries if o["hit"]
         }
-        report = run_search(16, seed=0, jobs=1, cache=False, manifest=False,
-                            corpus_dir=tmp_path)
+        report = run_search(16, seed=0, corpus_dir=tmp_path,
+                            runner=CampaignRunner(jobs=1, manifest=False))
         assert report.programs == 16
         novel = [h for h in report.hits
                  if h["case_digest"] not in table3_digests]

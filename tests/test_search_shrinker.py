@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import CampaignCache
+from repro.parallel import CampaignRunner
 from repro.search import (
     SearchConfig,
     SearchRunner,
@@ -42,16 +43,16 @@ class TestCorpusDeterminism:
     @pytest.fixture(scope="class")
     def reference(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("corpus-ref")
-        report = run_search(self.PROGRAMS, seed=0, jobs=1, cache=False,
-                            manifest=False, corpus_dir=out)
+        report = run_search(self.PROGRAMS, seed=0, corpus_dir=out,
+                            runner=CampaignRunner(jobs=1, manifest=False))
         assert report.hits, "the reference search must find something"
         return report, _corpus_bytes(out)
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_jobs_do_not_change_the_corpus(self, reference, tmp_path, jobs):
         report, files = reference
-        parallel = run_search(self.PROGRAMS, seed=0, jobs=jobs, cache=False,
-                              manifest=False, corpus_dir=tmp_path)
+        parallel = run_search(self.PROGRAMS, seed=0, corpus_dir=tmp_path,
+                              runner=CampaignRunner(jobs=jobs, manifest=False))
         assert parallel.corpus_digest == report.corpus_digest
         assert _corpus_bytes(tmp_path) == files
 
@@ -60,8 +61,8 @@ class TestCorpusDeterminism:
             self, reference, tmp_path, batch_size):
         # The partition changes every shard key; the corpus must not care.
         report, files = reference
-        runner = SearchRunner(self.PROGRAMS, base_seed=0, jobs=1,
-                              batch_size=batch_size, manifest=False)
+        runner = SearchRunner(self.PROGRAMS, base_seed=0, batch_size=batch_size,
+                              runner=CampaignRunner(jobs=1, manifest=False))
         other = runner.run(corpus_dir=tmp_path)
         assert other.corpus_digest == report.corpus_digest
         assert _corpus_bytes(tmp_path) == files
@@ -71,10 +72,10 @@ class TestCorpusDeterminism:
         cache = CampaignCache(root=tmp_path / "cache")
         cold_dir = tmp_path / "cold"
         warm_dir = tmp_path / "warm"
-        cold = run_search(self.PROGRAMS, seed=0, jobs=1, cache=cache,
-                          manifest=False, corpus_dir=cold_dir)
-        warm = run_search(self.PROGRAMS, seed=0, jobs=1, cache=cache,
-                          manifest=False, corpus_dir=warm_dir)
+        cold = run_search(self.PROGRAMS, seed=0, corpus_dir=cold_dir, runner=CampaignRunner(
+            jobs=1, cache=cache, manifest=False))
+        warm = run_search(self.PROGRAMS, seed=0, corpus_dir=warm_dir, runner=CampaignRunner(
+            jobs=1, cache=cache, manifest=False))
         assert cold.corpus_digest == warm.corpus_digest == report.corpus_digest
         assert _corpus_bytes(cold_dir) == _corpus_bytes(warm_dir) == files
         assert "hit" in warm.runner_summary  # the replay actually hit

@@ -289,7 +289,30 @@ class TestServiceCancellation:
         assert "unknown job" in error["message"]
 
 
+#: Every registered experiment at default flags, plus Table III on a lossy
+#: LAN: ``(experiment, served kwargs, the equivalent one-shot CLI flags)``.
+SERVED_CASES = [(name, {}, []) for name in experiment_names()] + [
+    ("table3", {"faults": "lossy"}, ["--faults", "lossy"]),
+]
+
+
 class TestServedEquivalence:
+    @pytest.mark.parametrize(
+        "experiment,kwargs,flags", SERVED_CASES,
+        ids=[name + "".join(f"-{v}" for v in kw.values())
+             for name, kw, _ in SERVED_CASES],
+    )
+    def test_served_output_and_status_match_one_shot_cli(
+            self, service, capsys, experiment, kwargs, flags):
+        _, served = service.submit_and_wait(experiment, kwargs=kwargs, seed=7)
+        assert served["event"] == "result"
+
+        from repro.cli import main
+
+        code = main([*flags, "--no-manifest", experiment])
+        assert capsys.readouterr().out == served["output"] + "\n"
+        assert code == served["status"]
+
     def test_served_table1_matches_one_shot_cli_cold_and_warm(
             self, service, capsys):
         kwargs = {"trials": 1, "labels": ["C1", "C2"]}

@@ -339,12 +339,11 @@ def _unpicklable_result(seed: int):
 
 class TestRunnerTelemetry:
     def test_serial_run_collects_telemetry_and_manifest(self, tmp_path):
-        runner = CampaignRunner(jobs=1, base_seed=5, campaign="tele-serial",
-                                manifest=str(tmp_path / "m.jsonl"))
+        runner = CampaignRunner(jobs=1, manifest=str(tmp_path / "m.jsonl"))
         results = runner.run([
             Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
             for i in range(3)
-        ])
+        ], campaign="tele-serial", base_seed=5)
         assert results == [3, 3, 3]
         assert len(runner.last_telemetry) == 3
         assert all(t is not None for t in runner.last_telemetry)
@@ -367,24 +366,22 @@ class TestRunnerTelemetry:
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_pool_telemetry_identical_to_serial(self, tmp_path):
         def merged(jobs: int) -> RegistrySnapshot:
-            runner = CampaignRunner(jobs=jobs, base_seed=5, campaign="tele-eq",
-                                    manifest=False)
+            runner = CampaignRunner(jobs=jobs, manifest=False)
             runner.run([
                 Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
                 for i in range(4)
-            ])
+            ], campaign="tele-eq", base_seed=5)
             return runner.last_snapshot
 
         assert merged(1) == merged(4)
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_replayed_flag_reaches_manifest_row(self, tmp_path):
-        runner = CampaignRunner(jobs=2, base_seed=0, campaign="tele-replay",
-                                manifest=str(tmp_path / "m.jsonl"))
+        runner = CampaignRunner(jobs=2, manifest=str(tmp_path / "m.jsonl"))
         runner.run([
             Shard(key="ok", fn=_sim_shard, kwargs={"label": "a"}),
             Shard(key="bad", fn=_unpicklable_result),
-        ])
+        ], campaign="tele-replay", base_seed=0)
         loaded = RunManifest.load(tmp_path / "m.jsonl")
         by_key = {row.key: row for row in loaded.shards}
         assert not by_key["ok"].replayed
@@ -399,12 +396,10 @@ class TestRunnerTelemetry:
             Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
             for i in range(3)
         ]
-        cold = CampaignRunner(jobs=1, base_seed=5, campaign="tele-cache",
-                              cache=cache, manifest=False)
-        cold.run(shards)
-        warm = CampaignRunner(jobs=1, base_seed=5, campaign="tele-cache",
-                              cache=cache, manifest=False)
-        warm.run(shards)
+        cold = CampaignRunner(jobs=1, cache=cache, manifest=False)
+        cold.run(shards, campaign="tele-cache", base_seed=5)
+        warm = CampaignRunner(jobs=1, cache=cache, manifest=False)
+        warm.run(shards, campaign="tele-cache", base_seed=5)
         assert warm.completed == 3
         assert all(t is not None and t.cached for t in warm.last_telemetry)
         # the deterministic merged snapshot is byte-identical warm vs cold
@@ -415,12 +410,12 @@ class TestRunnerTelemetry:
 
 class TestManifest:
     def _manifest(self, tmp_path, campaign="m-test"):
-        runner = CampaignRunner(jobs=1, base_seed=5, campaign=campaign,
+        runner = CampaignRunner(jobs=1,
                                 manifest=str(tmp_path / f"{campaign}.jsonl"))
         runner.run([
             Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
             for i in range(2)
-        ])
+        ], campaign=campaign, base_seed=5)
         return runner.last_manifest_path
 
     def test_round_trip_and_self_diff_empty(self, tmp_path):
@@ -493,8 +488,7 @@ class TestExperimentIntegration:
 
         def manifest_for(jobs: int, cache, tag: str) -> RunManifest:
             runner = CampaignRunner(
-                jobs=jobs, base_seed=7, campaign="table1", cache=cache,
-                manifest=str(tmp_path / f"{tag}.jsonl"),
+                jobs=jobs, cache=cache, manifest=str(tmp_path / f"{tag}.jsonl"),
             )
             run_table1(labels=self.LABELS, trials=1, seed=7, runner=runner)
             return RunManifest.load(runner.last_manifest_path)
@@ -515,9 +509,9 @@ class TestObserveCli:
     def test_report_and_diff(self, tmp_path, capsys):
         from repro.cli import main
 
-        runner = CampaignRunner(jobs=1, base_seed=3, campaign="cli-test",
-                                manifest=str(tmp_path / "m.jsonl"))
-        runner.run([Shard(key="s/0", fn=_sim_shard, kwargs={"label": "x"})])
+        runner = CampaignRunner(jobs=1, manifest=str(tmp_path / "m.jsonl"))
+        runner.run([Shard(key="s/0", fn=_sim_shard, kwargs={"label": "x"})],
+                   campaign="cli-test", base_seed=3)
 
         assert main(["observe", "report", str(tmp_path / "m.jsonl")]) == 0
         out = capsys.readouterr().out
@@ -532,12 +526,12 @@ class TestObserveCli:
         from repro.cli import main
 
         for shards, tag in ((1, "a"), (2, "b")):
-            runner = CampaignRunner(jobs=1, base_seed=3, campaign="cli-test",
+            runner = CampaignRunner(jobs=1,
                                     manifest=str(tmp_path / f"{tag}.jsonl"))
             runner.run([
                 Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": "x"})
                 for i in range(shards)
-            ])
+            ], campaign="cli-test", base_seed=3)
         assert main(["observe", "diff", str(tmp_path / "a.jsonl"),
                      str(tmp_path / "b.jsonl")]) == 1
         assert "DRIFT" in capsys.readouterr().out
@@ -557,3 +551,42 @@ class TestObserveCli:
                      "table1"]) == 0
         assert "manifest:" not in capsys.readouterr().out
         assert not (tmp_path / "none").exists()
+
+
+class TestCliManifestPaths:
+    """Every campaign a command runs keeps its own manifest."""
+
+    @staticmethod
+    def _printed(out: str) -> list[str]:
+        return [line.removeprefix("manifest: ") for line in out.splitlines()
+                if line.startswith("manifest: ")]
+
+    def test_table3_then_figure3_leave_two_manifests(self, capsys, tmp_path,
+                                                     monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        assert main(["table3"]) == 0
+        assert self._printed(capsys.readouterr().out) == [str(tmp_path / "table3.jsonl")]
+        assert main(["figure3"]) == 0
+        assert self._printed(capsys.readouterr().out) == [str(tmp_path / "figure3.jsonl")]
+        table3 = RunManifest.load(tmp_path / "table3.jsonl")
+        figure3 = RunManifest.load(tmp_path / "figure3.jsonl")
+        assert (table3.campaign, table3.header["shards"]) == ("table3", 11)
+        assert (figure3.campaign, figure3.header["shards"]) == ("figure3", 4)
+
+    def test_all_keeps_one_default_manifest_per_campaign(self, capsys, tmp_path,
+                                                         monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
+        redirect = tmp_path / "single.jsonl"
+        assert main(["--trials", "1", "--manifest", str(redirect), "all"]) == 0
+        campaigns = ["table1", "table2", "table3", "figure3", "verification",
+                     "cm-ack-timeout", "cm-keepalive-cost", "cm-timestamp"]
+        paths = [tmp_path / "manifests" / f"{c}.jsonl" for c in campaigns]
+        assert self._printed(capsys.readouterr().out) == [str(p) for p in paths]
+        assert not redirect.exists()
+        assert sorted((tmp_path / "manifests").iterdir()) == sorted(paths)
+        for campaign, path in zip(campaigns, paths):
+            assert RunManifest.load(path).campaign == campaign
