@@ -308,6 +308,11 @@ class TcpConnection:
 
     def _on_segment_syn_sent(self, segment: TcpSegment) -> None:
         if segment.syn and segment.ack_flag and segment.ack == seq_add(self.iss, 1):
+            if self._fin_queued:
+                # close() in SYN_SENT deletes the connection (RFC 793): a
+                # SYN-ACK that arrives afterwards is refused, not connected.
+                self.abort()
+                return
             self.rcv_nxt = seq_add(segment.seq, 1)
             self._handle_ack(segment.ack)
             self.state = ESTABLISHED

@@ -15,6 +15,7 @@ from repro.tcp.connection import (
     REASON_REMOTE_CLOSE,
     REASON_RESET,
     REASON_RETRANSMIT_TIMEOUT,
+    SYN_SENT,
     TcpCallbacks,
     TcpConfig,
 )
@@ -395,6 +396,34 @@ class TestTeardown:
         conn.close()
         with pytest.raises(RuntimeError):
             conn.send(b"late")
+
+    def test_syn_ack_after_close_is_reset(self):
+        # RFC 793: CLOSE in SYN-SENT deletes the connection, so the late
+        # SYN-ACK is answered with RST and the application never sees a
+        # connection it already closed.
+        sim, a, b = _wire_pair()
+        server = []
+        reasons_b = []
+
+        def on_accept(conn):
+            server.append(conn)
+            conn.callbacks.on_closed = lambda c, r: reasons_b.append(r)
+
+        b.listen(80, on_accept)
+        connected, reasons_a = [], []
+        conn = a.connect("10.0.0.2", 80, callbacks=TcpCallbacks(
+            on_connected=connected.append,
+            on_closed=lambda c, r: reasons_a.append(r),
+        ))
+        assert conn.state == SYN_SENT
+        conn.close()
+        sim.run(10.0)
+        assert connected == []
+        assert conn.state == CLOSED
+        assert len(reasons_a) == 1
+        assert server[0].state == CLOSED
+        assert reasons_b == [REASON_RESET]
+        assert a.connection_count() == 0
 
     def test_double_close_is_noop(self):
         sim, a, b = _wire_pair()
