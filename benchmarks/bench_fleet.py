@@ -20,9 +20,7 @@ import statistics
 import time
 import tracemalloc
 
-from repro.fleet import FleetRunner
-from repro.fleet.engine import run_home
-from repro.fleet.sampler import FleetSampler
+from repro.fleet import FleetSampler, run_fleet, run_home
 from repro.parallel import CampaignRunner, fork_available
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
@@ -53,13 +51,12 @@ def _home_peak_kb(homes: int) -> float:
 
 
 def _run(homes: int, jobs: int):
-    runner = FleetRunner(homes=homes, base_seed=0,
-                         runner=CampaignRunner(jobs=jobs, manifest=False))
+    runner = CampaignRunner(jobs=jobs, manifest=False)
     start = time.perf_counter()
-    report = runner.run(keep_rows=False)
+    report = run_fleet(homes, seed=0, keep_rows=False, runner=runner)
     wall = time.perf_counter() - start
     peak_rss_kb = max(
-        (row.peak_rss_kb for row in runner.runner.last_shard_rows), default=0
+        (row.peak_rss_kb for row in runner.last_shard_rows), default=0
     )
     return report, wall, peak_rss_kb
 

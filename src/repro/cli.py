@@ -436,17 +436,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
     from .search import (
         RuleSetGenerator,
-        SearchConfig,
         TABLE3_EXPECTED,
         plan_specs,
         run_search,
         table3_specs,
     )
 
-    config = SearchConfig(max_candidates=args.budget)
-
     if args.action == "spec":
-        generator = RuleSetGenerator(args.seed, config)
+        generator = RuleSetGenerator(args.seed)
         for spec in generator.sample_many(args.programs, start=args.start):
             record = spec.to_dict()
             record["digest"] = spec.digest()
@@ -457,7 +454,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         from .search.corpus import corpus_digest
 
         specs = table3_specs(args.seed)
-        outcomes = plan_specs(specs, config)
+        outcomes = plan_specs(specs, args.budget)
         hits = []
         status = 0
         for spec, outcome in zip(specs, outcomes):
@@ -482,7 +479,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         programs=args.programs,
         seed=args.seed,
         batch_size=args.batch_size,
-        config=config,
+        budget=args.budget,
         corpus_dir=args.corpus,
         runner=runner,
     )

@@ -8,7 +8,7 @@ condition trips:
 * **success-floor**: the fraction of homes that finished inside their
   per-home event budget fell below the floor.
 
-Every step is its own fleet campaign (``<campaign>-step-<homes>``) with
+Every step is its own fleet campaign (``breaking-point-step-<homes>``) with
 its own manifest; the tripping step's manifest carries the stop condition
 as a ``breaking_point/stopped{reason=...}`` counter, so ``observe report``
 and ``observe diff`` show *why* the ladder ended, not just where.  The
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..fleet import DEFAULT_BATCH_SIZE, FleetConfig, FleetReport, FleetRunner
+from ..fleet import DEFAULT_BATCH_SIZE, FleetReport, run_fleet
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import RegistrySnapshot
 from ..parallel import CampaignRunner, runner_or_serial
@@ -128,12 +128,10 @@ def run_breaking_point(
     max_steps: int = 8,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    config: FleetConfig | None = None,
     home_event_budget: int | None = None,
     step_event_limit: int | None = None,
     wall_limit: float | None = None,
     success_floor: float = 0.95,
-    campaign: str = "breaking-point",
     runner: CampaignRunner | None = None,
 ) -> BreakingPointReport:
     """Climb the ladder until a budget trips; one manifest per step.
@@ -157,15 +155,15 @@ def run_breaking_point(
     report = BreakingPointReport()
     homes = start_homes
     for step in range(max_steps):
-        fleet = FleetRunner(
-            homes=homes,
-            base_seed=seed,
+        fleet = run_fleet(
+            homes,
+            seed=seed,
             batch_size=batch_size,
-            config=config,
             event_budget=home_event_budget,
-            campaign=step_campaign(campaign, homes),
+            campaign=step_campaign("breaking-point", homes),
+            keep_rows=False,
             runner=runner,
-        ).run(keep_rows=False)
+        )
         reason = _stop_reason(
             fleet,
             wall_limit=wall_limit,

@@ -24,11 +24,35 @@ import random
 from ..devices.behaviors import KIND_BEHAVIORS, behavior_for
 from ..devices.profiles import ACTUATOR, CATALOGUE, SENSOR, TABLE_LOCAL
 from ..parallel.seeds import derive_seed
-from .spec import FleetConfig, HomeSpec, Stimulus
+from .spec import HomeSpec, Stimulus
 
 #: Seed namespace shared with the runner: home *i*'s seed is
 #: ``derive_seed(base_seed, SEED_NAMESPACE.format(i))``.
 SEED_NAMESPACE = "fleet/{}"
+
+# The distributions every fleet's homes are drawn from: a plausible
+# consumer home — a couple of sensors, sometimes an actuator, a small rule
+# set, a mostly-clean LAN, and an attacker on roughly half the homes (so a
+# fleet campaign measures attacked and baseline populations in one run).
+MIN_SENSORS, MAX_SENSORS = 1, 3
+MAX_ACTUATORS = 2
+MIN_RULES, MAX_RULES = 1, 4
+#: Probability a rule carries an IF condition on a second device.
+CONDITION_PROBABILITY = 0.3
+#: Probability a rule commands an actuator (vs notifying the user).
+COMMAND_PROBABILITY = 0.6
+#: Weighted fault-profile draw: (profile name or None, weight).
+FAULT_WEIGHTS: tuple[tuple[str | None, float], ...] = (
+    (None, 0.7), ("lossy", 0.15), ("jittery", 0.15),
+)
+ATTACKER_PROBABILITY = 0.5
+#: Hold duration draw: None (max safe) with this probability, else
+#: uniform in ``HOLD_RANGE``.
+MAX_SAFE_HOLD_PROBABILITY = 0.5
+HOLD_RANGE = (10.0, 40.0)
+#: Per-sensor stimulation count range and home run length range.
+MIN_STIMULI, MAX_STIMULI = 1, 3
+DURATION_RANGE = (60.0, 180.0)
 
 
 def home_seed(base_seed: int, home_index: int) -> int:
@@ -71,44 +95,42 @@ ACTUATOR_POOL: tuple[str, ...] = tuple(_actuator_pool())
 class FleetSampler:
     """Draws the ``home_index``-th :class:`HomeSpec` of one fleet."""
 
-    def __init__(self, base_seed: int, config: FleetConfig | None = None) -> None:
+    def __init__(self, base_seed: int) -> None:
         self.base_seed = base_seed
-        self.config = config or FleetConfig()
 
     def sample(self, home_index: int) -> HomeSpec:
-        cfg = self.config
         seed = home_seed(self.base_seed, home_index)
         rng = random.Random(seed)
 
         # Draw order is part of the reproducibility contract — see module
         # docstring.  1) device mix, 2) rules, 3) faults, 4) attacker,
         # 5) duration, 6) stimuli.
-        n_sensors = rng.randint(cfg.min_sensors, cfg.max_sensors)
+        n_sensors = rng.randint(MIN_SENSORS, MAX_SENSORS)
         sensors = rng.sample(SENSOR_POOL, n_sensors)
-        n_actuators = rng.randint(0, cfg.max_actuators)
+        n_actuators = rng.randint(0, MAX_ACTUATORS)
         actuators = rng.sample(ACTUATOR_POOL, n_actuators)
         devices = tuple(sensors + actuators)
 
         rules = tuple(
             self._sample_rule(rng, home_index, j, sensors, actuators)
-            for j in range(rng.randint(cfg.min_rules, cfg.max_rules))
+            for j in range(rng.randint(MIN_RULES, MAX_RULES))
         )
 
-        fault_profile = self._weighted(rng, cfg.fault_weights)
+        fault_profile = self._weighted(rng, FAULT_WEIGHTS)
 
-        attacker = rng.random() < cfg.attacker_probability
+        attacker = rng.random() < ATTACKER_PROBABILITY
         attack_target = rng.choice(sensors) if attacker else None
         hold_at = rng.uniform(1.0, 30.0) if attacker else 0.0
         hold_duration: float | None = None
-        if attacker and rng.random() >= cfg.max_safe_hold_probability:
-            hold_duration = rng.uniform(*cfg.hold_range)
+        if attacker and rng.random() >= MAX_SAFE_HOLD_PROBABILITY:
+            hold_duration = rng.uniform(*HOLD_RANGE)
 
-        duration = rng.uniform(*cfg.duration_range)
+        duration = rng.uniform(*DURATION_RANGE)
 
         stimuli = []
         for label in sensors:
             behavior = behavior_for(CATALOGUE.get(label).kind)
-            for k in range(rng.randint(cfg.min_stimuli, cfg.max_stimuli)):
+            for k in range(rng.randint(MIN_STIMULI, MAX_STIMULI)):
                 stimuli.append(Stimulus(
                     at=rng.uniform(1.0, max(2.0, duration - 10.0)),
                     device_id=label.lower(),
@@ -149,7 +171,6 @@ class FleetSampler:
 
     def _sample_rule(self, rng: random.Random, home_index: int, rule_index: int,
                      sensors: list[str], actuators: list[str]) -> str:
-        cfg = self.config
         trigger_label = rng.choice(sensors)
         trigger_behavior = behavior_for(CATALOGUE.get(trigger_label).kind)
         trigger_event = trigger_behavior.event_name(
@@ -157,14 +178,14 @@ class FleetSampler:
         )
         condition = ""
         others = [s for s in sensors if s != trigger_label]
-        if others and rng.random() < cfg.condition_probability:
+        if others and rng.random() < CONDITION_PROBABILITY:
             cond_label = rng.choice(others)
             cond_behavior = behavior_for(CATALOGUE.get(cond_label).kind)
             condition = (
                 f" IF {cond_label.lower()}.{cond_behavior.attribute}"
                 f" == {cond_behavior.initial}"
             )
-        if actuators and rng.random() < cfg.command_probability:
+        if actuators and rng.random() < COMMAND_PROBABILITY:
             target = rng.choice(actuators)
             command = rng.choice(sorted(
                 behavior_for(CATALOGUE.get(target).kind).commands

@@ -63,7 +63,7 @@ class HomeSpec:
     duration: float = 120.0
     stimuli: tuple[Stimulus, ...] = ()
     schema: int = SPEC_SCHEMA
-    #: Free-form provenance (sampler config digest etc.), not identity.
+    #: Free-form provenance, not identity.
     meta: dict[str, Any] = field(default_factory=dict, compare=False)
 
     # ------------------------------------------------------------- identity
@@ -109,66 +109,3 @@ class HomeSpec:
             schema=schema,
             meta=dict(record.get("meta", {})),
         )
-
-
-@dataclass(frozen=True)
-class FleetConfig:
-    """Sampler knobs: the distributions one fleet's homes are drawn from.
-
-    The defaults describe a plausible consumer home — a couple of sensors,
-    sometimes an actuator, a small rule set, a mostly-clean LAN, and an
-    attacker on roughly half the homes (so fleet campaigns measure attacked
-    and baseline populations in one run).  The config rides inside shard
-    kwargs, so it must stay a plain frozen dataclass of JSON-able values.
-    """
-
-    min_sensors: int = 1
-    max_sensors: int = 3
-    max_actuators: int = 2
-    min_rules: int = 1
-    max_rules: int = 4
-    #: Probability a rule carries an IF condition on a second device.
-    condition_probability: float = 0.3
-    #: Probability a rule commands an actuator (vs notifying the user).
-    command_probability: float = 0.6
-    #: Weighted fault-profile draw: (profile name or None, weight).
-    fault_weights: tuple[tuple[str | None, float], ...] = (
-        (None, 0.7), ("lossy", 0.15), ("jittery", 0.15),
-    )
-    attacker_probability: float = 0.5
-    #: Hold duration draw: None (max safe) with this probability, else
-    #: uniform in ``hold_range``.
-    max_safe_hold_probability: float = 0.5
-    hold_range: tuple[float, float] = (10.0, 40.0)
-    #: Per-sensor stimulation count range and home run length range.
-    min_stimuli: int = 1
-    max_stimuli: int = 3
-    duration_range: tuple[float, float] = (60.0, 180.0)
-    schema: int = SPEC_SCHEMA
-
-    def to_dict(self) -> dict[str, Any]:
-        record = asdict(self)
-        record["fault_weights"] = [list(pair) for pair in self.fault_weights]
-        record["hold_range"] = list(self.hold_range)
-        record["duration_range"] = list(self.duration_range)
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict[str, Any] | None) -> "FleetConfig":
-        if record is None:
-            return cls()
-        schema = record.get("schema", 0)
-        if schema > SPEC_SCHEMA:
-            raise ValueError(
-                f"fleet config schema {schema} is newer than supported "
-                f"({SPEC_SCHEMA}); upgrade the tooling"
-            )
-        kwargs = dict(record)
-        kwargs["fault_weights"] = tuple(
-            (pair[0], pair[1]) for pair in record.get("fault_weights", ())
-        ) or cls.fault_weights
-        kwargs["hold_range"] = tuple(record.get("hold_range", cls.hold_range))
-        kwargs["duration_range"] = tuple(
-            record.get("duration_range", cls.duration_range)
-        )
-        return cls(**kwargs)

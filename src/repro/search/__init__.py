@@ -16,9 +16,13 @@ The pipeline, end to end:
 4. :mod:`~repro.search.corpus` writes one JSONL case file per hit and
    folds the case digests into a campaign-level corpus digest.
 
-Searches shard over :class:`~repro.parallel.runner.CampaignRunner`, so
-they cache, parallelise, and manifest like every other campaign — and
-the corpus is byte-identical across ``--jobs`` and cache state.
+The search is the second population the fleet engine runs: programs are
+built and driven by :func:`~repro.fleet.engine.build_home` and
+:func:`~repro.fleet.engine.drive_home`, and shard over
+:class:`~repro.parallel.runner.CampaignRunner` through
+:func:`~repro.fleet.engine.run_batches`, so searches cache, parallelise,
+and manifest like every other campaign — and the corpus is
+byte-identical across ``--jobs`` and cache state.
 """
 
 from .corpus import (
@@ -27,7 +31,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .engine import BehaviorTrace, build_program, run_program
+from .engine import BehaviorTrace, run_program
 from .generator import RuleSetGenerator, program_seed, session_of
 from .oracles import (
     CLASS_PRIORITY,
@@ -41,7 +45,6 @@ from .oracles import (
 from .planner import (
     DEFAULT_BATCH_SIZE,
     SearchReport,
-    SearchRunner,
     candidate_schedules,
     case_digest,
     plan_program,
@@ -55,7 +58,6 @@ from .spec import (
     Hold,
     ProgramSpec,
     Schedule,
-    SearchConfig,
     schedule_from_lists,
     schedule_to_lists,
 )
@@ -74,11 +76,8 @@ __all__ = [
     "SEARCH_SCHEMA",
     "SPURIOUS",
     "Schedule",
-    "SearchConfig",
     "SearchReport",
-    "SearchRunner",
     "TABLE3_EXPECTED",
-    "build_program",
     "candidate_schedules",
     "case_digest",
     "classify",

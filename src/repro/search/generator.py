@@ -34,11 +34,33 @@ from ..devices.profiles import CATALOGUE
 from ..fleet.sampler import ACTUATOR_POOL, SENSOR_POOL
 from ..fleet.spec import Stimulus
 from ..parallel.seeds import derive_seed
-from .spec import ProgramSpec, SearchConfig
+from .spec import ProgramSpec
 
 #: Seed namespace shared with the runner: program *i*'s seed is
 #: ``derive_seed(base_seed, SEED_NAMESPACE.format(i))``.
 SEED_NAMESPACE = "search/{}"
+
+# The distributions every program is drawn from, biased toward
+# *attackable* structure: most rules carry an IF condition on a second
+# device (conditions are what the erroneous-execution attacks subvert) and
+# every rule gets a bait story in the stimulus timeline.
+MIN_SENSORS, MAX_SENSORS = 2, 4
+MAX_ACTUATORS = 2
+MIN_RULES, MAX_RULES = 1, 3
+#: Probability a rule carries an IF condition on a second device (high:
+#: conditioned rules are the interesting part of the space).
+CONDITION_PROBABILITY = 0.7
+#: Probability a rule commands an actuator (vs notifying the user).
+COMMAND_PROBABILITY = 0.6
+#: Probability a conditioned rule's bait story seeds the condition *true
+#: first* (spurious bait) vs *false first* (disabled bait).
+SPURIOUS_BAIT_PROBABILITY = 0.5
+#: Seconds between the two bait events, and between bait and trigger.
+GAP_RANGE = (4.0, 8.0)
+#: Idle seconds between consecutive rule stories.
+STORY_SPACING = (6.0, 10.0)
+#: Idle tail after the last stimulus (late holds must still release).
+TAIL_RANGE = (20.0, 40.0)
 
 
 def program_seed(base_seed: int, program_index: int) -> int:
@@ -60,34 +82,32 @@ def session_of(label: str) -> str:
 class RuleSetGenerator:
     """Draws the ``program_index``-th :class:`ProgramSpec` of one search."""
 
-    def __init__(self, base_seed: int, config: SearchConfig | None = None) -> None:
+    def __init__(self, base_seed: int) -> None:
         self.base_seed = base_seed
-        self.config = config or SearchConfig()
 
     def sample(self, program_index: int) -> ProgramSpec:
-        cfg = self.config
         seed = program_seed(self.base_seed, program_index)
         rng = random.Random(seed)
 
         # Draw order is part of the reproducibility contract — see module
         # docstring.  1) device mix, 2) per-rule structure + bait story
         # (trigger, condition, action, story shape, story gaps), 3) tail.
-        n_sensors = rng.randint(cfg.min_sensors, cfg.max_sensors)
+        n_sensors = rng.randint(MIN_SENSORS, MAX_SENSORS)
         sensors = rng.sample(SENSOR_POOL, n_sensors)
-        n_actuators = rng.randint(0, cfg.max_actuators)
+        n_actuators = rng.randint(0, MAX_ACTUATORS)
         actuators = rng.sample(ACTUATOR_POOL, n_actuators)
         devices = tuple(sensors + actuators)
 
         rules: list[str] = []
         stimuli: list[Stimulus] = []
         clock = 1.0
-        for j in range(rng.randint(cfg.min_rules, cfg.max_rules)):
+        for j in range(rng.randint(MIN_RULES, MAX_RULES)):
             rule, clock = self._sample_rule(
                 rng, program_index, j, sensors, actuators, stimuli, clock
             )
             rules.append(rule)
 
-        duration = round(clock + rng.uniform(*cfg.tail_range), 3)
+        duration = round(clock + rng.uniform(*TAIL_RANGE), 3)
 
         return ProgramSpec(
             program_index=program_index,
@@ -126,7 +146,6 @@ class RuleSetGenerator:
         * unconditioned: a single trigger event (state-update/action
           delay bait).
         """
-        cfg = self.config
         trigger_label = rng.choice(sensors)
         trigger_behavior = behavior_for(CATALOGUE.get(trigger_label).kind)
         trigger_value = rng.choice(trigger_behavior.sensor_values)
@@ -138,7 +157,7 @@ class RuleSetGenerator:
             s for s in sensors
             if session_of(s) != session_of(trigger_label)
         ]
-        if peers and rng.random() < cfg.condition_probability:
+        if peers and rng.random() < CONDITION_PROBABILITY:
             cond_label = rng.choice(peers)
             cond_behavior = behavior_for(CATALOGUE.get(cond_label).kind)
             cond_value = rng.choice(cond_behavior.sensor_values)
@@ -149,7 +168,7 @@ class RuleSetGenerator:
                 f" IF {cond_label.lower()}.{cond_behavior.attribute}"
                 f" == {cond_value}"
             )
-            if rng.random() < cfg.spurious_bait_probability:
+            if rng.random() < SPURIOUS_BAIT_PROBABILITY:
                 # Condition true first, falsified second: spurious bait.
                 cond_story = ((cond_label.lower(), cond_value),
                               (cond_label.lower(), cond_other))
@@ -158,7 +177,7 @@ class RuleSetGenerator:
                 cond_story = ((cond_label.lower(), cond_other),
                               (cond_label.lower(), cond_value))
 
-        if actuators and rng.random() < cfg.command_probability:
+        if actuators and rng.random() < COMMAND_PROBABILITY:
             target = rng.choice(actuators)
             command = rng.choice(sorted(
                 behavior_for(CATALOGUE.get(target).kind).commands
@@ -175,11 +194,11 @@ class RuleSetGenerator:
             for device_id, value in cond_story:
                 stimuli.append(Stimulus(at=round(t, 3), device_id=device_id,
                                         value=value))
-                t += rng.uniform(*cfg.gap_range)
+                t += rng.uniform(*GAP_RANGE)
         stimuli.append(Stimulus(at=round(t, 3),
                                 device_id=trigger_label.lower(),
                                 value=trigger_value))
-        t += rng.uniform(*cfg.story_spacing)
+        t += rng.uniform(*STORY_SPACING)
 
         rule = (
             f"WHEN {trigger_label.lower()} {trigger_event}{condition} "

@@ -16,13 +16,13 @@ out).  Candidate order:
 
 A hit is then handed to the deterministic shrinker: greedy hold removal
 in fixed index order (repeated until a fixed point), then a per-hold
-duration descent over the config ladder — each step re-verified against
+duration descent over :data:`DURATION_LADDER` — each step re-verified against
 the baseline, the primary violation class required to survive, and the
 schedule never allowed to grow.  The minimal witness is re-verified one
 final time before it becomes a corpus case.
 
-Work is sharded as fixed-size program batches over
-:class:`~repro.parallel.runner.CampaignRunner` (key
+Work is sharded as fixed-size program batches through the fleet engine's
+:func:`~repro.fleet.engine.run_batches` (key
 ``search/batch/<start>+<count>``, ``pass_seed=False``), so the batch
 partition — and with it every cache address — is a pure function of the
 program range, never of ``--jobs``.
@@ -31,24 +31,38 @@ program range, never of ``--jobs``.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
 from ..automation.dsl import parse_rule
 from ..cache.keys import canonical
+from ..fleet.engine import run_batches
 from ..obs.metrics import MetricsRegistry
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel import CampaignRunner, runner_or_serial
 from .engine import BehaviorTrace, run_program
 from .generator import RuleSetGenerator
 from .oracles import classify, primary_class
-from .spec import Hold, ProgramSpec, Schedule, SearchConfig, schedule_to_lists
+from .spec import Hold, ProgramSpec, Schedule, schedule_to_lists
 
 #: Programs per shard.  Fixed (never derived from ``jobs``) so the batch
 #: partition — and every shard key and cache address — is a pure function
 #: of the search size.
 DEFAULT_BATCH_SIZE = 8
+
+#: Candidate schedules explored per program before giving up (``--budget``).
+DEFAULT_BUDGET = 8
+
+#: Seconds before a device's first stimulus at which a hold arms.
+LEAD = 2.0
+
+#: Minimum attacked-vs-baseline latency shift that counts as a delay-class
+#: violation.
+DELAY_THRESHOLD = 5.0
+
+#: Finite durations the shrinker tries (ascending) in place of a
+#: maximum-safe hold.
+DURATION_LADDER = (5.0, 10.0, 20.0)
 
 
 # ------------------------------------------------------------- candidates
@@ -58,15 +72,14 @@ def _stimuli_of(spec: ProgramSpec, device_id: str):
     return [s for s in spec.stimuli if s.device_id == device_id]
 
 
-def _hold_for(spec: ProgramSpec, device_id: str, index: int,
-              config: SearchConfig) -> Hold:
+def _hold_for(spec: ProgramSpec, device_id: str, index: int) -> Hold:
     """A maximum-safe hold armed just before the device's ``index``-th
     stimulus — after the previous same-device stimulus, whose event size
     would otherwise trip the hold early."""
     stimuli = _stimuli_of(spec, device_id)
     stimulus = stimuli[index]
     if index == 0:
-        at = stimulus.at - config.lead
+        at = stimulus.at - LEAD
     else:
         at = (stimuli[index - 1].at + stimulus.at) / 2.0
     return Hold(device_id=device_id, at=round(at, 3), duration=None)
@@ -83,12 +96,12 @@ def condition_devices(spec: ProgramSpec) -> list[str]:
 
 
 def candidate_schedules(spec: ProgramSpec,
-                        config: SearchConfig) -> list[Schedule]:
-    """Candidate hold schedules in the fixed exploration order."""
+                        budget: int = DEFAULT_BUDGET) -> list[Schedule]:
+    """The first ``budget`` candidate hold schedules, in the fixed
+    exploration order."""
     candidates: list[Schedule] = []
     saturation = tuple(
-        _hold_for(spec, device_id, len(_stimuli_of(spec, device_id)) - 1,
-                  config)
+        _hold_for(spec, device_id, len(_stimuli_of(spec, device_id)) - 1)
         for device_id in condition_devices(spec)
         if _stimuli_of(spec, device_id)
     )
@@ -97,10 +110,10 @@ def candidate_schedules(spec: ProgramSpec,
     for label in spec.devices:
         device_id = label.lower()
         for index in range(len(_stimuli_of(spec, device_id))):
-            single = (_hold_for(spec, device_id, index, config),)
+            single = (_hold_for(spec, device_id, index),)
             if single not in candidates:
                 candidates.append(single)
-    return candidates[:config.max_candidates]
+    return candidates[:budget]
 
 
 # --------------------------------------------------------------- shrinking
@@ -111,7 +124,6 @@ def shrink(
     schedule: Schedule,
     violation: str,
     baseline: BehaviorTrace,
-    config: SearchConfig,
 ) -> tuple[Schedule, int]:
     """Minimise a violating schedule; returns ``(witness, steps)``.
 
@@ -126,7 +138,7 @@ def shrink(
         nonlocal steps
         steps += 1
         trace = run_program(spec, candidate)
-        found = classify(baseline, trace, config.delay_threshold)
+        found = classify(baseline, trace, DELAY_THRESHOLD)
         return (primary_class(found) == violation
                 and not trace.invariant_violations)
 
@@ -143,7 +155,7 @@ def shrink(
     minimized: list[Hold] = []
     for index, hold in enumerate(current):
         if hold.duration is None:
-            for duration in sorted(config.duration_ladder):
+            for duration in sorted(DURATION_LADDER):
                 candidate = (tuple(minimized)
                              + (replace(hold, duration=duration),)
                              + current[index + 1:])
@@ -167,7 +179,8 @@ def case_digest(spec_digest: str, schedule: Schedule, violation: str) -> str:
     return hashlib.blake2b(canonical(payload), digest_size=16).hexdigest()
 
 
-def plan_program(spec: ProgramSpec, config: SearchConfig) -> dict[str, Any]:
+def plan_program(spec: ProgramSpec,
+                 budget: int = DEFAULT_BUDGET) -> dict[str, Any]:
     """Search one program for a minimal verified violation witness.
 
     Returns ``{"program_index", "explored", "hit"}`` where ``hit`` is the
@@ -176,18 +189,17 @@ def plan_program(spec: ProgramSpec, config: SearchConfig) -> dict[str, Any]:
     """
     baseline = run_program(spec)
     explored = 0
-    for schedule in candidate_schedules(spec, config):
+    for schedule in candidate_schedules(spec, budget):
         attacked = run_program(spec, schedule)
         explored += 1
-        violations = classify(baseline, attacked, config.delay_threshold)
+        violations = classify(baseline, attacked, DELAY_THRESHOLD)
         if (not violations or attacked.invariant_violations
                 or baseline.invariant_violations):
             continue
         violation = primary_class(violations)
-        witness, shrink_steps = shrink(spec, schedule, violation, baseline,
-                                       config)
+        witness, shrink_steps = shrink(spec, schedule, violation, baseline)
         final = run_program(spec, witness)
-        final_violations = classify(baseline, final, config.delay_threshold)
+        final_violations = classify(baseline, final, DELAY_THRESHOLD)
         verified = (primary_class(final_violations) == violation
                     and not final.invariant_violations)
         if not verified:
@@ -225,18 +237,17 @@ def search_batch(
     start: int,
     count: int,
     base_seed: int,
-    config: dict[str, Any] | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[dict[str, Any]]:
     """Shard function: generate and search programs ``start .. start+count-1``.
 
     Module-level and pure — workers import it by qualified name and the
-    cache addresses it by ``(start, count, base_seed, config)``.  Search
+    cache addresses it by ``(start, count, base_seed, budget)``.  Search
     telemetry (candidates explored, hits, shrink steps) is recorded into
     a registry that auto-registers with the active telemetry capture, so
     it merges into the campaign snapshot and manifest.
     """
-    cfg = SearchConfig.from_dict(config)
-    generator = RuleSetGenerator(base_seed, cfg)
+    generator = RuleSetGenerator(base_seed)
     registry = MetricsRegistry()
     programs = registry.counter("search", "programs")
     candidates = registry.counter("search", "candidates_explored")
@@ -244,7 +255,7 @@ def search_batch(
     shrink_steps = registry.counter("search", "shrink_steps")
     rows: list[dict[str, Any]] = []
     for index in range(start, start + count):
-        outcome = plan_program(generator.sample(index), cfg)
+        outcome = plan_program(generator.sample(index), budget)
         programs.inc()
         candidates.inc(outcome["explored"])
         hit = outcome["hit"]
@@ -275,111 +286,49 @@ class SearchReport:
     runner_summary: str = ""
 
     @property
-    def hit_rate(self) -> float:
-        return len(self.hits) / self.programs if self.programs else 0.0
-
-    @property
     def candidates_per_second(self) -> float:
         return self.explored / self.wall_seconds if self.wall_seconds else 0.0
-
-
-class SearchRunner:
-    """Steps an adversarial search in batches across the campaign pool.
-
-    Runs on the caller's :class:`CampaignRunner` (serial and uncached by
-    default) as campaign ``campaign``.
-    """
-
-    def __init__(
-        self,
-        programs: int,
-        base_seed: int = 0,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        config: SearchConfig | None = None,
-        campaign: str = "search",
-        runner: CampaignRunner | None = None,
-    ) -> None:
-        if programs < 0:
-            raise ValueError(f"program count must be >= 0: {programs}")
-        if batch_size < 1:
-            raise ValueError(f"batch size must be >= 1: {batch_size}")
-        self.programs = programs
-        self.base_seed = base_seed
-        self.batch_size = batch_size
-        self.config = config or SearchConfig()
-        self.campaign = campaign
-        self.runner = runner_or_serial(runner)
-
-    def shards(self) -> list[Shard]:
-        """The search's batch partition — jobs- and cache-independent."""
-        config = (
-            None if self.config == SearchConfig() else self.config.to_dict()
-        )
-        out = []
-        for start in range(0, self.programs, self.batch_size):
-            count = min(self.batch_size, self.programs - start)
-            out.append(Shard(
-                key=f"search/batch/{start}+{count}",
-                fn=search_batch,
-                kwargs={
-                    "start": start,
-                    "count": count,
-                    "base_seed": self.base_seed,
-                    "config": config,
-                },
-                # Per-program seeds derive from (base_seed, program index)
-                # inside the batch; a shard-level seed would vary with
-                # batching.
-                pass_seed=False,
-            ))
-        return out
-
-    def run(self, corpus_dir: "str | Path | None" = None) -> SearchReport:
-        from .corpus import corpus_digest, write_corpus
-
-        start = time.perf_counter()
-        batches = self.runner.run(
-            self.shards(), campaign=self.campaign, base_seed=self.base_seed
-        )
-        wall = time.perf_counter() - start
-        rows = [row for batch in batches if batch is not None for row in batch]
-        hits = tuple(row["hit"] for row in rows if row["hit"] is not None)
-        case_paths: tuple[Path, ...] = ()
-        out_dir: Path | None = None
-        if corpus_dir is not None:
-            out_dir = Path(corpus_dir)
-            case_paths = tuple(write_corpus(hits, out_dir))
-        return SearchReport(
-            programs=len(rows),
-            explored=sum(row["explored"] for row in rows),
-            hits=hits,
-            corpus_digest=corpus_digest(hits),
-            wall_seconds=wall,
-            case_paths=case_paths,
-            corpus_dir=out_dir,
-            manifest_path=self.runner.last_manifest_path,
-            runner_summary=self.runner.summary(),
-        )
 
 
 def run_search(
     programs: int,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    config: SearchConfig | None = None,
-    campaign: str = "search",
+    budget: int = DEFAULT_BUDGET,
     corpus_dir: "str | Path | None" = None,
     runner: CampaignRunner | None = None,
 ) -> SearchReport:
-    """One-call adversarial search (the CLI and bench entry point)."""
-    return SearchRunner(
-        programs=programs, base_seed=seed, batch_size=batch_size,
-        config=config, campaign=campaign, runner=runner,
-    ).run(corpus_dir=corpus_dir)
+    """Search ``programs`` generated programs as campaign ``search``.
+
+    The batches run on the caller's :class:`CampaignRunner` (serial and
+    uncached by default); with ``corpus_dir`` every verified hit is
+    written there as one case file.
+    """
+    from .corpus import corpus_digest, write_corpus
+
+    runner = runner_or_serial(runner)
+    rows, wall = run_batches(search_batch, "search", programs, seed,
+                             batch_size, "search", runner, budget=budget)
+    hits = tuple(row["hit"] for row in rows if row["hit"] is not None)
+    case_paths: tuple[Path, ...] = ()
+    out_dir: Path | None = None
+    if corpus_dir is not None:
+        out_dir = Path(corpus_dir)
+        case_paths = tuple(write_corpus(hits, out_dir))
+    return SearchReport(
+        programs=len(rows),
+        explored=sum(row["explored"] for row in rows),
+        hits=hits,
+        corpus_digest=corpus_digest(hits),
+        wall_seconds=wall,
+        case_paths=case_paths,
+        corpus_dir=out_dir,
+        manifest_path=runner.last_manifest_path,
+        runner_summary=runner.summary(),
+    )
 
 
 def plan_specs(specs: Sequence[ProgramSpec],
-               config: SearchConfig | None = None) -> list[dict[str, Any]]:
+               budget: int = DEFAULT_BUDGET) -> list[dict[str, Any]]:
     """Plan a fixed spec list serially (the Table III differential path)."""
-    cfg = config or SearchConfig()
-    return [plan_program(spec, cfg) for spec in specs]
+    return [plan_program(spec, budget) for spec in specs]

@@ -74,7 +74,7 @@ class ProgramSpec:
     duration: float = 120.0
     stimuli: tuple[Stimulus, ...] = ()
     schema: int = SEARCH_SCHEMA
-    #: Free-form provenance (generator config digest etc.), not identity.
+    #: Free-form provenance (e.g. the Table III case), not identity.
     meta: dict[str, Any] = field(default_factory=dict, compare=False)
 
     # ------------------------------------------------------------- identity
@@ -120,78 +120,3 @@ class ProgramSpec:
             schema=schema,
             meta=dict(record.get("meta", {})),
         )
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Generator and planner knobs for one adversarial search campaign.
-
-    The generator defaults bias toward *attackable* structure: most rules
-    carry an IF condition on a second device (conditions are what the
-    erroneous-execution attacks subvert) and every rule gets a bait story
-    in the stimulus timeline.  The config rides inside shard kwargs, so
-    it must stay a plain frozen dataclass of JSON-able values.
-    """
-
-    # -- generator ---------------------------------------------------------
-    min_sensors: int = 2
-    max_sensors: int = 4
-    max_actuators: int = 2
-    min_rules: int = 1
-    max_rules: int = 3
-    #: Probability a rule carries an IF condition on a second device
-    #: (high: conditioned rules are the interesting part of the space).
-    condition_probability: float = 0.7
-    #: Probability a rule commands an actuator (vs notifying the user).
-    command_probability: float = 0.6
-    #: Probability a conditioned rule's bait story seeds the condition
-    #: *true first* (spurious bait) vs *false first* (disabled bait).
-    spurious_bait_probability: float = 0.5
-    #: Seconds between the two bait events, and between bait and trigger.
-    gap_range: tuple[float, float] = (4.0, 8.0)
-    #: Idle seconds between consecutive rule stories.
-    story_spacing: tuple[float, float] = (6.0, 10.0)
-    #: Idle tail after the last stimulus (late holds must still release).
-    tail_range: tuple[float, float] = (20.0, 40.0)
-
-    # -- planner -----------------------------------------------------------
-    #: Candidate schedules explored per program before giving up.
-    max_candidates: int = 8
-    #: Seconds before a device's first stimulus at which a hold arms.
-    lead: float = 2.0
-    #: Minimum attacked-vs-baseline latency shift that counts as a
-    #: delay-class violation.
-    delay_threshold: float = 5.0
-    #: Finite durations the shrinker tries (ascending) in place of a
-    #: maximum-safe hold.
-    duration_ladder: tuple[float, ...] = (5.0, 10.0, 20.0)
-    schema: int = SEARCH_SCHEMA
-
-    def to_dict(self) -> dict[str, Any]:
-        record = asdict(self)
-        record["gap_range"] = list(self.gap_range)
-        record["story_spacing"] = list(self.story_spacing)
-        record["tail_range"] = list(self.tail_range)
-        record["duration_ladder"] = list(self.duration_ladder)
-        return record
-
-    @classmethod
-    def from_dict(cls, record: dict[str, Any] | None) -> "SearchConfig":
-        if record is None:
-            return cls()
-        schema = record.get("schema", 0)
-        if schema > SEARCH_SCHEMA:
-            raise ValueError(
-                f"search config schema {schema} is newer than supported "
-                f"({SEARCH_SCHEMA}); upgrade the tooling"
-            )
-        kwargs = dict(record)
-        kwargs["gap_range"] = tuple(record.get("gap_range", cls.gap_range))
-        kwargs["story_spacing"] = tuple(
-            record.get("story_spacing", cls.story_spacing)
-        )
-        kwargs["tail_range"] = tuple(record.get("tail_range", cls.tail_range))
-        kwargs["duration_ladder"] = tuple(
-            record.get("duration_ladder", cls.duration_ladder)
-        )
-        return cls(**kwargs)

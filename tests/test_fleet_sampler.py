@@ -15,12 +15,12 @@ import pytest
 from repro.devices.profiles import CATALOGUE
 from repro.fleet import (
     SPEC_SCHEMA,
-    FleetConfig,
     FleetSampler,
     HomeSpec,
     Stimulus,
     home_seed,
 )
+from repro.fleet import sampler
 from repro.fleet.sampler import ACTUATOR_POOL, SENSOR_POOL
 
 
@@ -90,17 +90,9 @@ class TestSchemaGate:
         with pytest.raises(ValueError, match="newer than supported"):
             HomeSpec.from_dict(record)
 
-    def test_newer_config_schema_rejected(self):
-        record = FleetConfig().to_dict()
-        record["schema"] = SPEC_SCHEMA + 1
-        with pytest.raises(ValueError, match="newer than supported"):
-            FleetConfig.from_dict(record)
-
     def test_current_and_older_schemas_load(self):
         spec = FleetSampler(0).sample(0)
         assert HomeSpec.from_dict(spec.to_dict()).schema == SPEC_SCHEMA
-        assert FleetConfig.from_dict(FleetConfig().to_dict()) == FleetConfig()
-        assert FleetConfig.from_dict(None) == FleetConfig()
 
 
 class TestDistributions:
@@ -113,14 +105,13 @@ class TestDistributions:
         return FleetSampler(0).sample_many(self.DRAWS)
 
     def test_device_mix_within_config(self, specs):
-        cfg = FleetConfig()
         sensor_counts = collections.Counter()
         for spec in specs:
             sensors = [d for d in spec.devices if d in SENSOR_POOL]
             actuators = [d for d in spec.devices if d in ACTUATOR_POOL]
             assert len(sensors) + len(actuators) == len(spec.devices)
-            assert cfg.min_sensors <= len(sensors) <= cfg.max_sensors
-            assert len(actuators) <= cfg.max_actuators
+            assert sampler.MIN_SENSORS <= len(sensors) <= sampler.MAX_SENSORS
+            assert len(actuators) <= sampler.MAX_ACTUATORS
             sensor_counts[len(sensors)] += 1
         # Uniform over {1,2,3}: every bucket must be populated, roughly evenly.
         assert set(sensor_counts) == {1, 2, 3}
@@ -128,9 +119,9 @@ class TestDistributions:
             assert count > self.DRAWS // 6
 
     def test_rule_counts_within_config(self, specs):
-        cfg = FleetConfig()
         rule_counts = collections.Counter(len(s.rules) for s in specs)
-        assert set(rule_counts) == set(range(cfg.min_rules, cfg.max_rules + 1))
+        assert set(rule_counts) == set(
+            range(sampler.MIN_RULES, sampler.MAX_RULES + 1))
         for count in rule_counts.values():
             assert count > self.DRAWS // 8
 
@@ -149,7 +140,7 @@ class TestDistributions:
             assert spec.attack_target in SENSOR_POOL
             assert 1.0 <= spec.hold_at <= 30.0
             if spec.hold_duration is not None:
-                lo, hi = FleetConfig().hold_range
+                lo, hi = sampler.HOLD_RANGE
                 assert lo <= spec.hold_duration <= hi
         held = sum(1 for s in attacked if s.hold_duration is None)
         assert 0.3 < held / len(attacked) < 0.7
@@ -164,7 +155,7 @@ class TestDistributions:
                 assert stimulus.device_id in {d.lower() for d in spec.devices}
 
     def test_durations_within_range(self, specs):
-        lo, hi = FleetConfig().duration_range
+        lo, hi = sampler.DURATION_RANGE
         for spec in specs:
             assert lo <= spec.duration <= hi
 

@@ -23,7 +23,6 @@ from repro.search import (
     Hold,
     ProgramSpec,
     RuleSetGenerator,
-    SearchConfig,
     program_seed,
     schedule_from_lists,
     schedule_to_lists,
@@ -154,17 +153,6 @@ class TestSpecSerialisation:
         record["schema"] = SEARCH_SCHEMA + 1
         with pytest.raises(ValueError, match="newer than supported"):
             ProgramSpec.from_dict(record)
-
-    def test_newer_config_schema_rejected(self):
-        record = SearchConfig().to_dict()
-        record["schema"] = SEARCH_SCHEMA + 1
-        with pytest.raises(ValueError, match="newer than supported"):
-            SearchConfig.from_dict(record)
-
-    def test_config_round_trip(self):
-        config = SearchConfig(max_candidates=3, duration_ladder=(2.0, 4.0))
-        assert SearchConfig.from_dict(config.to_dict()) == config
-        assert SearchConfig.from_dict(None) == SearchConfig()
 
     def test_schedule_round_trip(self):
         schedule = (Hold("c1", 3.0, 5.0), Hold("m2", 10.5, None))

@@ -16,8 +16,6 @@ import pytest
 from repro.cache import CampaignCache
 from repro.parallel import CampaignRunner
 from repro.search import (
-    SearchConfig,
-    SearchRunner,
     candidate_schedules,
     plan_program,
     run_search,
@@ -61,9 +59,9 @@ class TestCorpusDeterminism:
             self, reference, tmp_path, batch_size):
         # The partition changes every shard key; the corpus must not care.
         report, files = reference
-        runner = SearchRunner(self.PROGRAMS, base_seed=0, batch_size=batch_size,
-                              runner=CampaignRunner(jobs=1, manifest=False))
-        other = runner.run(corpus_dir=tmp_path)
+        other = run_search(self.PROGRAMS, seed=0, batch_size=batch_size,
+                           corpus_dir=tmp_path,
+                           runner=CampaignRunner(jobs=1, manifest=False))
         assert other.corpus_digest == report.corpus_digest
         assert _corpus_bytes(tmp_path) == files
 
@@ -86,9 +84,8 @@ class TestShrinker:
     def sample(self):
         """A violating (spec, schedule, class, baseline) quadruple."""
         spec = table3_spec(5)
-        config = SearchConfig()
         baseline = run_program(spec)
-        for schedule in candidate_schedules(spec, config):
+        for schedule in candidate_schedules(spec):
             attacked = run_program(spec, schedule)
             violations = classify(baseline, attacked)
             if violations and not attacked.invariant_violations:
@@ -97,23 +94,20 @@ class TestShrinker:
 
     def test_shrink_never_lengthens(self, sample):
         spec, schedule, violation, baseline = sample
-        witness, steps = shrink(spec, schedule, violation, baseline,
-                                SearchConfig())
+        witness, steps = shrink(spec, schedule, violation, baseline)
         assert len(witness) <= len(schedule)
         assert len(witness) >= 1
         assert steps >= 1
 
     def test_shrink_is_deterministic(self, sample):
         spec, schedule, violation, baseline = sample
-        config = SearchConfig()
-        first = shrink(spec, schedule, violation, baseline, config)
-        second = shrink(spec, schedule, violation, baseline, config)
+        first = shrink(spec, schedule, violation, baseline)
+        second = shrink(spec, schedule, violation, baseline)
         assert first == second
 
     def test_minimal_witness_still_violates(self, sample):
         spec, schedule, violation, baseline = sample
-        witness, _ = shrink(spec, schedule, violation, baseline,
-                            SearchConfig())
+        witness, _ = shrink(spec, schedule, violation, baseline)
         attacked = run_program(spec, witness)
         assert primary_class(classify(baseline, attacked)) == violation
         assert not attacked.invariant_violations
@@ -133,14 +127,14 @@ class TestShrinker:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(planner_mod, "run_program", counting)
-        _, steps = shrink(spec, schedule, violation, baseline, SearchConfig())
+        _, steps = shrink(spec, schedule, violation, baseline)
         assert runs == steps
 
     def test_finite_durations_preferred_over_max_safe(self):
         # The ladder pass trades every max-safe hold for the smallest
         # finite duration that keeps the violation — witnesses should
         # normally carry concrete durations, not None.
-        outcome = plan_program(table3_spec(5), SearchConfig())
+        outcome = plan_program(table3_spec(5))
         hit = outcome["hit"]
         assert hit is not None
         durations = [duration for _dev, _at, duration in hit["schedule"]]
@@ -149,12 +143,11 @@ class TestShrinker:
     def test_generated_hits_already_minimal_under_reshrink(self):
         # Shrinking a shrunk witness again is a fixed point (up to the
         # verification runs it performs): nothing further to remove.
-        config = SearchConfig()
-        gen = RuleSetGenerator(0, config)
+        gen = RuleSetGenerator(0)
         shrunk = 0
         for index in range(4):
             spec = gen.sample(index)
-            outcome = plan_program(spec, config)
+            outcome = plan_program(spec)
             hit = outcome["hit"]
             if hit is None:
                 continue
@@ -162,8 +155,7 @@ class TestShrinker:
 
             witness = schedule_from_lists(hit["schedule"])
             baseline = run_program(spec)
-            again, _ = shrink(spec, witness, hit["violation"], baseline,
-                              config)
+            again, _ = shrink(spec, witness, hit["violation"], baseline)
             assert again == witness
             shrunk += 1
         assert shrunk >= 2
