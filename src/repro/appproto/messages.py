@@ -17,8 +17,10 @@ from __future__ import annotations
 import itertools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any
+
+from ..values import value
 
 # Canonical message kinds.
 CONNECT = "connect"
@@ -50,7 +52,7 @@ class MessageDecodeError(ValueError):
     """Raised when bytes cannot be decoded into an IoT message."""
 
 
-@dataclass(frozen=True)
+@value
 class IoTMessage:
     """One logical application-layer message."""
 

@@ -35,6 +35,7 @@ from ..simnet.host import Host
 from ..simnet.packet import EthernetFrame, IpPacket
 from ..simnet.trace import FlowKey
 from ..tcp.segment import FLAGS_ACK, SEQ_HALF, SEQ_MASK, TcpSegment, seq_add, seq_leq
+from ..values import value
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simnet.scheduler import Simulator
@@ -54,7 +55,7 @@ _LIFECYCLE_FLAGS = frozenset({"SYN", "FIN", "RST"})
 _hold_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@value
 class FlowEvent:
     """A connection-lifecycle observation on the hijacked path."""
 

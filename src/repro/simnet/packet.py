@@ -11,13 +11,22 @@ depend on byte-level fidelity:
 
 Everything above the IP layer is an object with a ``byte_size()``; link and
 capture code treats payloads opaquely.
+
+Frames and packets are immutable values (:func:`repro.values.value`): the
+LAN hands one frame object to the addressee and to every promiscuous NIC,
+and the hijacker queues and re-sends the very packet it intercepted, so no
+receiver may alter what another sees.  Every hop builds new ones, so they
+are slotted and their constructors store each field through its slot
+rather than through ``object.__setattr__``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any
+
+from ..values import value
 
 #: Broadcast MAC address, used by ARP requests.
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
@@ -55,7 +64,7 @@ class MacPool:
         return f"{self._prefix}:{(n >> 16) & 0xFF:02x}:{(n >> 8) & 0xFF:02x}:{n & 0xFF:02x}"
 
 
-@dataclass(frozen=True)
+@value
 class ArpPacket:
     """ARP request/reply body.
 
@@ -77,7 +86,7 @@ class ArpPacket:
         return ARP_BODY_BYTES
 
 
-@dataclass(frozen=True)
+@value
 class IpPacket:
     """Minimal IPv4 packet: addressing plus an opaque upper-layer payload."""
 
@@ -90,7 +99,7 @@ class IpPacket:
         return IPV4_HEADER_BYTES + _payload_size(self.payload)
 
 
-@dataclass(frozen=True)
+@value
 class EthernetFrame:
     """A layer-2 frame on the simulated WiFi broadcast medium."""
 

@@ -10,9 +10,9 @@ module (:mod:`repro.core.fingerprint`) is built on these records.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
 
+from ..values import value
 from .host import Host
 from .packet import EthernetFrame, IpPacket
 
@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Simulator
 
 
-@dataclass(frozen=True)
+@value
 class FlowKey:
     """Canonical (order-independent) identifier of a TCP flow."""
 
@@ -51,7 +51,7 @@ class FlowKey:
         raise ValueError(f"{ip} is not an endpoint of {self}")
 
 
-@dataclass(frozen=True)
+@value
 class CapturedFrame:
     """One observed frame with its capture timestamp."""
 
@@ -63,7 +63,7 @@ class CapturedFrame:
         return self.frame.byte_size()
 
 
-@dataclass(frozen=True)
+@value
 class PacketMeta:
     """The metadata triple fingerprinting operates on."""
 

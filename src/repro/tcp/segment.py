@@ -9,7 +9,9 @@ TLS records it cannot alter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
+
+from ..values import value
 
 TCP_HEADER_BYTES = 20
 SEQ_MODULUS = 2**32
@@ -49,7 +51,7 @@ def seq_leq(a: int, b: int) -> bool:
     return ((b - a) & SEQ_MASK) < SEQ_HALF
 
 
-@dataclass(frozen=True)
+@value
 class TcpSegment:
     """One TCP segment; flags are a frozenset of {SYN, ACK, FIN, RST, PSH}."""
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from dataclasses import dataclass
 
+from ..values import value
 from .errors import MacVerificationError, RecordFormatError
 
 # Record content types (TLS registry values).
@@ -39,7 +39,7 @@ HEADER_BYTES = 5
 MAX_RECORD_PAYLOAD = 2**14
 
 
-@dataclass(frozen=True)
+@value
 class TlsRecord:
     """A parsed (still encrypted) record."""
 
