@@ -12,7 +12,6 @@ from ...devices.base import IoTDevice
 from ..attacker import PhantomDelayAttacker
 from ..predictor import TimeoutBehavior
 from ..primitives import CDelay, DelayOperation, EDelay
-from .base import Scenario
 
 
 class ActionDelay:
@@ -35,13 +34,13 @@ class ActionDelay:
         self.operations: list[DelayOperation] = []
 
         if trigger_device is not None:
-            ip = Scenario.uplink_ip_of(trigger_device)
+            ip = trigger_device.uplink_ip
             attacker.interpose(ip, peer_ip=peer_ip)
             self._e_delay = attacker.e_delay(
                 ip, TimeoutBehavior.from_profile(trigger_device.profile)
             )
         if action_device is not None:
-            ip = Scenario.uplink_ip_of(action_device)
+            ip = action_device.uplink_ip
             attacker.interpose(ip, peer_ip=peer_ip)
             self._c_delay = attacker.c_delay(
                 ip, TimeoutBehavior.from_profile(action_device.profile)

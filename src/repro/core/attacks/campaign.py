@@ -66,7 +66,7 @@ class AttackCampaign:
         return self.report
 
     def _arm_one(self, opportunity: AttackOpportunity, device: IoTDevice) -> None:
-        uplink_ip = self._uplink_ip(device)
+        uplink_ip = device.uplink_ip
         self.attacker.interpose(uplink_ip)
         behavior = TimeoutBehavior.from_profile(device.profile)
         if opportunity.direction == "command":
@@ -80,14 +80,6 @@ class AttackCampaign:
             label=f"campaign:{opportunity.rule_id}:{opportunity.attack_type}",
         )
         self.report.armed.append(ArmedAttack(opportunity=opportunity, operation=operation))
-
-    @staticmethod
-    def _uplink_ip(device: IoTDevice) -> str:
-        from ...devices.base import HubChildDevice
-
-        if isinstance(device, HubChildDevice):
-            return device.hub.ip
-        return device.host.ip  # type: ignore[attr-defined]
 
 
 def render_campaign(report: CampaignReport) -> str:

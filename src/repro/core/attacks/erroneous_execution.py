@@ -21,7 +21,6 @@ from ...devices.base import IoTDevice
 from ..attacker import PhantomDelayAttacker
 from ..predictor import TimeoutBehavior
 from ..primitives import DelayOperation, EDelay
-from .base import Scenario
 
 
 class ConditionEventDelay:
@@ -39,7 +38,7 @@ class ConditionEventDelay:
         self.attacker = attacker
         self.condition_device = condition_device
         self.behavior = behavior or TimeoutBehavior.from_profile(condition_device.profile)
-        self.uplink_ip = Scenario.uplink_ip_of(condition_device)
+        self.uplink_ip = condition_device.uplink_ip
         attacker.interpose(self.uplink_ip, peer_ip=peer_ip)
         self._primitive: EDelay = attacker.e_delay(self.uplink_ip, self.behavior)
         self.operation: DelayOperation | None = None

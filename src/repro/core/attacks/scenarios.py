@@ -2,69 +2,55 @@
 
 Each scenario reproduces one real-world automation rule collected from IoT
 user forums, with the devices the paper used (or their catalogue stand-ins)
-and the attack the paper demonstrated.  The consequence column of Table III
-is what ``measure`` returns; the Table III bench prints the rows.
+and the attack the paper demonstrated.  Each case is a declaration — its
+devices, rule, seeded states, stimuli, the one hold the attacker arms, and
+the effect Table III reports — that :class:`~repro.core.attacks.base.Scenario`
+builds, drives and judges; :meth:`~repro.core.attacks.base.Scenario.reproduced`
+is the Table III verdict, and :mod:`repro.search.table3` builds its program
+specs from :data:`TABLE3_SCENARIOS`.  A class overrides a hook only where its
+case really differs: the action-delay holds, and the measures that report
+metrics of their own.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ...automation.dsl import parse_rule
 from ...testbed import SmartHomeTestbed
 from ..attacker import PhantomDelayAttacker
 from .action_delay import ActionDelay
 from .base import (
+    DELAY,
+    DISABLED,
+    SPURIOUS,
     Scenario,
     TYPE_ACTION_DELAY,
     TYPE_DISABLED_EXECUTION,
     TYPE_SPURIOUS_EXECUTION,
     TYPE_STATE_UPDATE_DELAY,
+    first_action_time,
 )
 from .erroneous_execution import DisabledExecution, SpuriousExecution
 from .state_update_delay import StateUpdateDelay
-
-
-def _first_action_time(device, command: str) -> float | None:
-    for ts, name, _data in device.actions_executed:
-        if name == command:
-            return ts
-    return None
 
 
 # ---------------------------------------------------------------------------
 # Type-I: state-update delay
 
 
-class Case1FrontDoorVoiceAlert(Scenario):
-    """Case 1: front door opened -> voice notification (late burglary alert)."""
+class _AlertDelay(Scenario):
+    """Type-I shape: hold the trigger's state update so the rule's alert
+    arrives late.  Cases 1, 2 and Figure 3(a) share it."""
 
-    name = "case1-front-door-voice-alert"
-    case_id = "Case 1"
     attack_type = TYPE_STATE_UPDATE_DELAY
-    description = "Front door opened -> voice notification"
-    rule_source = "[6]"
     duration = 90.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        contact = tb.add_device("C1")  # Ring contact via its base station
-        tb.add_device("SPK1")
-        tb.install_rule(
-            parse_rule('WHEN c1 contact.open THEN NOTIFY voice "Front door opened"')
-        )
-        return {"contact": contact}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        ctx["incident_at"] = tb.now + 5.0
-        tb.sim.schedule(5.0, ctx["contact"].stimulate, "open")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        delay = StateUpdateDelay(attacker, ctx["contact"])
-        ctx["operation"] = delay.arm(duration=None)  # maximum safe delay
+    hold = StateUpdateDelay
+    effect = DELAY
+    verdict_metric = "alert_latency"
 
     def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        delivered = tb.notifier.first_delivery_time("Front door opened")
-        latency = None if delivered is None else delivered - ctx["incident_at"]
+        delivered = tb.notifier.first_delivery_time(self.rule_action(tb).message)
+        latency = None if delivered is None else delivered - self.incident_at(ctx)
         out: dict[str, Any] = {"alert_latency": latency, "alert_delivered": delivered is not None}
         operation = ctx.get("operation")
         if operation is not None:
@@ -73,64 +59,51 @@ class Case1FrontDoorVoiceAlert(Scenario):
         return out
 
 
-class Case2MotionMobileAlert(Case1FrontDoorVoiceAlert):
+class Case1FrontDoorVoiceAlert(_AlertDelay):
+    """Case 1: front door opened -> voice notification (late burglary alert)."""
+
+    name = "case1-front-door-voice-alert"
+    case_id = "Case 1"
+    description = "Front door opened -> voice notification"
+    rule_source = "[6]"
+    devices = ("C1",)  # Ring contact via its base station
+    rules = ('WHEN c1 contact.open THEN NOTIFY voice "Front door opened"',)
+    stimuli = ((5.0, "c1", "open"),)
+    hold_device = "c1"
+
+    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
+        # Plus the speaker that voices the alert.  The search side's spec of
+        # this case has no speaker, and adding one moves every later LAN
+        # address and random draw, so it stays out of ``devices``.
+        ctx = super().build(tb)
+        tb.add_device("SPK1")
+        return ctx
+
+
+class Case2MotionMobileAlert(_AlertDelay):
     """Case 2: motion active -> mobile notification."""
 
     name = "case2-motion-mobile-alert"
     case_id = "Case 2"
     description = "Motion active -> mobile notification"
     rule_source = "[6]"
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        motion = tb.add_device("M1")  # Ring motion detector via the base
-        tb.install_rule(
-            parse_rule('WHEN m1 motion.active THEN NOTIFY push "Motion detected at home"')
-        )
-        return {"contact": motion}  # reuse parent's timeline machinery
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        ctx["incident_at"] = tb.now + 5.0
-        tb.sim.schedule(5.0, ctx["contact"].stimulate, "active")
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        delivered = tb.notifier.first_delivery_time("Motion detected")
-        latency = None if delivered is None else delivered - ctx["incident_at"]
-        out: dict[str, Any] = {"alert_latency": latency, "alert_delivered": delivered is not None}
-        operation = ctx.get("operation")
-        if operation is not None:
-            out["achieved_delay"] = operation.achieved_delay
-            out["stealthy_hold"] = operation.stealthy
-        return out
+    devices = ("M1",)  # Ring motion detector via the base
+    rules = ('WHEN m1 motion.active THEN NOTIFY push "Motion detected at home"',)
+    stimuli = ((5.0, "m1", "active"),)
+    hold_device = "m1"
 
 
-class Fig3aSmokeAlert(Case1FrontDoorVoiceAlert):
+class Fig3aSmokeAlert(_AlertDelay):
     """Figure 3(a): kitchen smoke detector's alert delayed."""
 
     name = "fig3a-smoke-alert"
     case_id = "Fig 3a"
     description = "Smoke detected -> phone alert"
     rule_source = "Fig. 3a"
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        smoke = tb.add_device("SM1")
-        tb.install_rule(
-            parse_rule('WHEN sm1 smoke.detected THEN NOTIFY push "Smoke detected in the kitchen"')
-        )
-        return {"contact": smoke}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        ctx["incident_at"] = tb.now + 5.0
-        tb.sim.schedule(5.0, ctx["contact"].stimulate, "detected")
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        delivered = tb.notifier.first_delivery_time("Smoke detected")
-        latency = None if delivered is None else delivered - ctx["incident_at"]
-        out: dict[str, Any] = {"alert_latency": latency, "alert_delivered": delivered is not None}
-        operation = ctx.get("operation")
-        if operation is not None:
-            out["achieved_delay"] = operation.achieved_delay
-            out["stealthy_hold"] = operation.stealthy
-        return out
+    devices = ("SM1",)
+    rules = ('WHEN sm1 smoke.detected THEN NOTIFY push "Smoke detected in the kitchen"',)
+    stimuli = ((5.0, "sm1", "detected"),)
+    hold_device = "sm1"
 
 
 # ---------------------------------------------------------------------------
@@ -145,35 +118,29 @@ class Case3DoorCloseAutoLock(Scenario):
     attack_type = TYPE_ACTION_DELAY
     description = "Front door closed -> lock the door"
     rule_source = "[12]"
-    duration = 120.0
     #: The August server expects the lock's command ack ~27 s after sending;
     #: the ack leaves *after* release, so on a lossy LAN it may need a full
     #: sender-RTO repair (1 s+) that the attacker cannot shepherd.  Budget
     #: the round trip: a 3.5 s margin still yields a >20 s phantom delay.
     attack_margin = 3.5
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        contact = tb.add_device("C2")
-        lock = tb.add_device("LK1")
-        tb.install_rule(parse_rule("WHEN c2 contact.closed THEN COMMAND lk1 lock"))
-        return {"contact": contact, "lock": lock}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        lock = ctx["lock"]
-        lock.state[lock.behavior.attribute] = "unlocked"  # user just came in
-        ctx["closed_at"] = tb.now + 5.0
-        tb.sim.schedule(5.0, ctx["contact"].stimulate, "closed")
+    devices = ("C2", "LK1")
+    rules = ("WHEN c2 contact.closed THEN COMMAND lk1 lock",)
+    initial_states = (("lk1", "unlocked"),)  # user just came in
+    stimuli = ((5.0, "c2", "closed"),)
+    effect = DELAY
+    verdict_metric = "lock_latency"
 
     def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        action_delay = ActionDelay(attacker, action_device=ctx["lock"])
+        action_delay = ActionDelay(attacker, action_device=tb.device("lk1"))
         ctx["operation"] = action_delay.arm_command_delay(duration=None)
 
     def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        locked_at = _first_action_time(ctx["lock"], "lock")
-        latency = None if locked_at is None else locked_at - ctx["closed_at"]
+        lock = tb.device("lk1")
+        locked_at = first_action_time(lock, "lock")
+        latency = None if locked_at is None else locked_at - self.incident_at(ctx)
         out: dict[str, Any] = {
             "lock_latency": latency,
-            "locked_eventually": ctx["lock"].attribute_value == "locked",
+            "locked_eventually": lock.attribute_value == "locked",
         }
         operation = ctx.get("operation")
         if operation is not None:
@@ -190,31 +157,27 @@ class Fig3bWaterValve(Scenario):
     description = "Water leak detected -> close the water valve"
     rule_source = "Fig. 3b"
     duration = 150.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        leak = tb.add_device("WL1")
-        valve = tb.add_device("V1")
-        tb.install_rule(parse_rule("WHEN wl1 water.wet THEN COMMAND v1 close"))
-        return {"leak": leak, "valve": valve}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        ctx["leak_at"] = tb.now + 5.0
-        tb.sim.schedule(5.0, ctx["leak"].stimulate, "wet")
+    devices = ("WL1", "V1")
+    rules = ("WHEN wl1 water.wet THEN COMMAND v1 close",)
+    stimuli = ((5.0, "wl1", "wet"),)
+    effect = DELAY
+    verdict_metric = "shutoff_latency"
 
     def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
         action_delay = ActionDelay(
-            attacker, trigger_device=ctx["leak"], action_device=ctx["valve"]
+            attacker, trigger_device=tb.device("wl1"), action_device=tb.device("v1")
         )
-        ctx["trigger_op"] = action_delay.arm_trigger_delay(duration=None)
-        ctx["command_op"] = action_delay.arm_command_delay(duration=None)
+        action_delay.arm_trigger_delay(duration=None)
+        action_delay.arm_command_delay(duration=None)
         ctx["action_delay"] = action_delay
 
     def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        closed_at = _first_action_time(ctx["valve"], "close")
-        latency = None if closed_at is None else closed_at - ctx["leak_at"]
+        valve = tb.device("v1")
+        closed_at = first_action_time(valve, "close")
+        latency = None if closed_at is None else closed_at - self.incident_at(ctx)
         out: dict[str, Any] = {
             "shutoff_latency": latency,
-            "valve_closed": ctx["valve"].attribute_value == "closed",
+            "valve_closed": valve.attribute_value == "closed",
         }
         if "action_delay" in ctx:
             out["combined_window"] = ctx["action_delay"].total_window
@@ -236,35 +199,30 @@ class Case4ArmedHeaterOff(Scenario):
     rule_source = "[12]"
     duration = 150.0
     integration_staleness = 30.0  # Alexa's observed discard window
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        base = tb.add_device("HS1")
-        heater = tb.add_device("P4")
-        tb.install_rule(parse_rule("WHEN hs1 security.armed-away THEN COMMAND p4 off"))
-        return {"base": base, "heater": heater}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        heater = ctx["heater"]
-        heater.state[heater.behavior.attribute] = "on"  # heater running
-        ctx["armed_at"] = tb.now + 5.0
-        tb.sim.schedule(5.0, ctx["base"].stimulate, "armed-away")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        delay = StateUpdateDelay(attacker, ctx["base"])
-        # Hold just past the discard window; well inside HS1's 60 s budget.
-        ctx["operation"] = delay.arm(duration=35.0)
+    devices = ("HS1", "P4")
+    rules = ("WHEN hs1 security.armed-away THEN COMMAND p4 off",)
+    initial_states = (("p4", "on"),)  # heater running
+    stimuli = ((5.0, "hs1", "armed-away"),)
+    hold = StateUpdateDelay
+    hold_device = "hs1"
+    # Hold just past the discard window; well inside HS1's 60 s budget.
+    hold_duration = 35.0
+    effect = DISABLED
+    verdict_metric = "heater_turned_off"
+    state_metric = "heater_state"
 
     def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        off_at = _first_action_time(ctx["heater"], "off")
-        return {
-            "heater_turned_off": off_at is not None,
-            "heater_state": ctx["heater"].attribute_value,
-            "events_discarded": tb.integration.stats["events_discarded"],
-        }
+        out = super().measure(tb, ctx)
+        out["events_discarded"] = tb.integration.stats["events_discarded"]
+        return out
 
 
 # ---------------------------------------------------------------------------
 # Type-III: spurious execution
+#
+# Each case seeds the condition true, falsifies it, then fires the trigger.
+# The hold is armed 4 s into the timeline: after the seeding event has passed
+# (its size would trigger the hold), before the condition-falsifying event.
 
 
 class Case5DisarmOnUnlock(Scenario):
@@ -275,82 +233,43 @@ class Case5DisarmOnUnlock(Scenario):
     attack_type = TYPE_SPURIOUS_EXECUTION
     description = "Front door unlocked, if entrance motion inactive, disarm security"
     rule_source = "[7]"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        lock = tb.add_device("LK1")
-        motion = tb.add_device("M2")
-        base = tb.add_device("HS2")
-        tb.install_rule(
-            parse_rule(
-                "WHEN lk1 lock.unlocked IF m2.motion == inactive THEN COMMAND hs2 disarm"
-            )
-        )
-        return {"lock": lock, "motion": motion, "base": base}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        base = ctx["base"]
-        base.state[base.behavior.attribute] = "armed-away"
-        # Seed the shadow: entrance quiet, then someone approaches, then the
-        # door is unlocked (e.g. by a returning housemate's key fob).
-        tb.sim.schedule(1.0, ctx["motion"].stimulate, "inactive")
-        tb.sim.schedule(8.0, ctx["motion"].stimulate, "active")
-        tb.sim.schedule(14.0, ctx["lock"].stimulate, "unlocked")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        spurious = SpuriousExecution(attacker, ctx["motion"])
-        # Arm after the seeding event has passed (its size would trigger the
-        # hold), before the condition-falsifying 'motion.active'.
-        tb.sim.schedule(self.observe + 4.0, spurious.arm, None)
-        ctx["spurious"] = spurious
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        disarm_at = _first_action_time(ctx["base"], "disarm")
-        return {
-            "disarmed": disarm_at is not None,
-            "security_state": ctx["base"].attribute_value,
-        }
+    devices = ("LK1", "M2", "HS2")
+    rules = ("WHEN lk1 lock.unlocked IF m2.motion == inactive THEN COMMAND hs2 disarm",)
+    initial_states = (("hs2", "armed-away"),)
+    # Entrance quiet, then someone approaches, then the door is unlocked
+    # (e.g. by a returning housemate's key fob).
+    stimuli = ((1.0, "m2", "inactive"), (8.0, "m2", "active"), (14.0, "lk1", "unlocked"))
+    hold = SpuriousExecution
+    hold_device = "m2"
+    hold_at = 4.0
+    effect = SPURIOUS
+    verdict_metric = "disarmed"
+    state_metric = "security_state"
 
 
 class Case6BedroomHeater(Scenario):
-    """Case 6: bedroom motion IF bedroom door closed -> turn on heater."""
+    """Case 6: bedroom motion IF bedroom door closed -> turn on heater.
+
+    The trigger motion and the condition contact must not share one hub
+    session — holding the condition event would hold the trigger too (order
+    is preserved on a flow).  The paper's homes mix vendors, so the bedroom
+    motion here is a WiFi sensor.
+    """
 
     name = "case6-bedroom-heater"
     case_id = "Case 6"
     attack_type = TYPE_SPURIOUS_EXECUTION
     description = "Bedroom motion active, if bedroom door closed, turn on bedroom heater"
     rule_source = "[5]"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        # The trigger motion and the condition contact must not share one
-        # hub session — holding the condition event would hold the trigger
-        # too (order is preserved on a flow).  The paper's homes mix
-        # vendors, so the bedroom motion here is a WiFi sensor.
-        motion = tb.add_device("M7")
-        contact = tb.add_device("C3")
-        heater = tb.add_device("P2")
-        tb.install_rule(
-            parse_rule("WHEN m7 motion.active IF c3.contact == closed THEN COMMAND p2 on")
-        )
-        return {"motion": motion, "contact": contact, "heater": heater}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["contact"].stimulate, "closed")
-        tb.sim.schedule(8.0, ctx["contact"].stimulate, "open")  # door opened
-        tb.sim.schedule(14.0, ctx["motion"].stimulate, "active")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        spurious = SpuriousExecution(attacker, ctx["contact"])
-        tb.sim.schedule(self.observe + 4.0, spurious.arm, None)
-        ctx["spurious"] = spurious
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        on_at = _first_action_time(ctx["heater"], "on")
-        return {
-            "heater_turned_on": on_at is not None,
-            "heater_state": ctx["heater"].attribute_value,
-        }
+    devices = ("M7", "C3", "P2")
+    rules = ("WHEN m7 motion.active IF c3.contact == closed THEN COMMAND p2 on",)
+    stimuli = ((1.0, "c3", "closed"), (8.0, "c3", "open"), (14.0, "m7", "active"))
+    hold = SpuriousExecution
+    hold_device = "c3"
+    hold_at = 4.0
+    effect = SPURIOUS
+    verdict_metric = "heater_turned_on"
+    state_metric = "heater_state"
 
 
 class Case7StudyWindow(Scenario):
@@ -361,33 +280,16 @@ class Case7StudyWindow(Scenario):
     attack_type = TYPE_SPURIOUS_EXECUTION
     description = "Study motion active, if study door closed, open the study window"
     rule_source = "[5]"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        motion = tb.add_device("M3")   # Hue motion via the bridge
-        contact = tb.add_device("C2")
-        window = tb.add_device("P3")   # window-opener relay plug
-        tb.install_rule(
-            parse_rule("WHEN m3 motion.active IF c2.contact == closed THEN COMMAND p3 on")
-        )
-        return {"motion": motion, "contact": contact, "window": window}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["contact"].stimulate, "closed")
-        tb.sim.schedule(8.0, ctx["contact"].stimulate, "open")
-        tb.sim.schedule(14.0, ctx["motion"].stimulate, "active")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        spurious = SpuriousExecution(attacker, ctx["contact"])
-        tb.sim.schedule(self.observe + 4.0, spurious.arm, None)
-        ctx["spurious"] = spurious
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        opened_at = _first_action_time(ctx["window"], "on")
-        return {
-            "window_opened": opened_at is not None,
-            "window_state": ctx["window"].attribute_value,
-        }
+    # Hue motion via the bridge; P3 is the window-opener relay plug.
+    devices = ("M3", "C2", "P3")
+    rules = ("WHEN m3 motion.active IF c2.contact == closed THEN COMMAND p3 on",)
+    stimuli = ((1.0, "c2", "closed"), (8.0, "c2", "open"), (14.0, "m3", "active"))
+    hold = SpuriousExecution
+    hold_device = "c2"
+    hold_at = 4.0
+    effect = SPURIOUS
+    verdict_metric = "window_opened"
+    state_metric = "window_state"
 
 
 class Case8StormDoorUnlock(Scenario):
@@ -397,6 +299,14 @@ class Case8StormDoorUnlock(Scenario):
     interior door.  The attacker holds 'presence.away' when the resident
     leaves, then pulls the storm door: the stale condition unlocks the
     house for them.
+
+    Matching the paper's build: a SmartThings presence sensor, an August
+    lock, and a SmartLife WiFi contact sensor on the storm door — three
+    *different* sessions, so holding the presence event leaves the
+    storm-door trigger free to race past it.  The burglar pulls the storm
+    door while 'away' is still in transit: they watch the hold trigger and
+    act inside the worst-case window (grace alone is 16 s for the
+    SmartThings session).
     """
 
     name = "case8-storm-door-unlock"
@@ -404,85 +314,50 @@ class Case8StormDoorUnlock(Scenario):
     attack_type = TYPE_SPURIOUS_EXECUTION
     description = "Storm door opened, if presence on, unlock the interior door"
     rule_source = "[5]"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        # Matching the paper's build: a SmartThings presence sensor, an
-        # August lock, and a SmartLife WiFi contact sensor on the storm
-        # door — three *different* sessions, so holding the presence event
-        # leaves the storm-door trigger free to race past it.
-        storm = tb.add_device("C5")
-        presence = tb.add_device("PR1")
-        lock = tb.add_device("LK1")
-        tb.install_rule(
-            parse_rule(
-                "WHEN c5 contact.open IF pr1.presence == present THEN COMMAND lk1 unlock"
-            )
-        )
-        return {"storm": storm, "presence": presence, "lock": lock}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["presence"].stimulate, "present")
-        tb.sim.schedule(8.0, ctx["presence"].stimulate, "away")  # resident leaves
-        # The burglar pulls the storm door while 'away' is still in transit
-        # — they watch the hold trigger and act inside the worst-case
-        # window (grace alone is 16 s for the SmartThings session).
-        ctx["pulled_at"] = tb.now + 18.0
-        tb.sim.schedule(18.0, ctx["storm"].stimulate, "open")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        spurious = SpuriousExecution(attacker, ctx["presence"])
-        tb.sim.schedule(self.observe + 4.0, spurious.arm, None)
-        ctx["spurious"] = spurious
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        unlock_at = _first_action_time(ctx["lock"], "unlock")
-        return {
-            "unlocked": unlock_at is not None,
-            "lock_state": ctx["lock"].attribute_value,
-        }
+    devices = ("C5", "PR1", "LK1")
+    rules = ("WHEN c5 contact.open IF pr1.presence == present THEN COMMAND lk1 unlock",)
+    stimuli = ((1.0, "pr1", "present"), (8.0, "pr1", "away"), (18.0, "c5", "open"))
+    hold = SpuriousExecution
+    hold_device = "pr1"
+    hold_at = 4.0
+    effect = SPURIOUS
+    verdict_metric = "unlocked"
+    state_metric = "lock_state"
 
 
 # ---------------------------------------------------------------------------
 # Type-III: disabled execution
+#
+# Each case seeds the condition false, enables it, then fires the trigger;
+# the hold on the enabling event is armed 4 s into the timeline.
 
 
 class Case9DoorOpenText(Scenario):
-    """Case 9: presence away IF front door open -> send text message."""
+    """Case 9: presence away IF front door open -> send text message.
+
+    The condition contact is on its own (Tuya WiFi) session, so its event
+    can be delayed without holding the presence trigger.
+    """
 
     name = "case9-door-open-text"
     case_id = "Case 9"
     attack_type = TYPE_DISABLED_EXECUTION
     description = "Presence away, if front door open, send text message"
     rule_source = "[4]"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        # Condition contact on its own (Tuya WiFi) session, so its event
-        # can be delayed without holding the presence trigger.
-        presence = tb.add_device("PR1")
-        contact = tb.add_device("C5")
-        tb.install_rule(
-            parse_rule(
-                'WHEN pr1 presence.away IF c5.contact == open THEN NOTIFY sms "Front door left open!"'
-            )
-        )
-        return {"presence": presence, "contact": contact}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["contact"].stimulate, "closed")
-        tb.sim.schedule(8.0, ctx["contact"].stimulate, "open")  # left open!
-        tb.sim.schedule(14.0, ctx["presence"].stimulate, "away")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        disabled = DisabledExecution(attacker, ctx["contact"])
-        tb.sim.schedule(self.observe + 4.0, disabled.arm, None)
-        ctx["disabled"] = disabled
+    devices = ("PR1", "C5")
+    rules = (
+        'WHEN pr1 presence.away IF c5.contact == open THEN NOTIFY sms "Front door left open!"',
+    )
+    stimuli = ((1.0, "c5", "closed"), (8.0, "c5", "open"), (14.0, "pr1", "away"))
+    hold = DisabledExecution
+    hold_device = "c5"
+    hold_at = 4.0
+    effect = DISABLED
+    verdict_metric = "warning_sent"
 
     def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "warning_sent": tb.notifier.first_delivery_time("Front door left open") is not None,
-        }
+        warning = self.rule_action(tb).message
+        return {"warning_sent": tb.notifier.first_delivery_time(warning) is not None}
 
 
 class Case10AutoLockOnLeave(Scenario):
@@ -497,34 +372,15 @@ class Case10AutoLockOnLeave(Scenario):
     attack_type = TYPE_DISABLED_EXECUTION
     description = "Presence away, if front door unlocked, lock the front door"
     rule_source = "[5]"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        presence = tb.add_device("PR1")
-        lock = tb.add_device("LK1")
-        tb.install_rule(
-            parse_rule(
-                "WHEN pr1 presence.away IF lk1.lock == unlocked THEN COMMAND lk1 lock"
-            )
-        )
-        return {"presence": presence, "lock": lock}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["lock"].stimulate, "locked")  # seed shadow
-        tb.sim.schedule(8.0, ctx["lock"].stimulate, "unlocked")  # user exits
-        tb.sim.schedule(16.0, ctx["presence"].stimulate, "away")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        disabled = DisabledExecution(attacker, ctx["lock"])
-        tb.sim.schedule(self.observe + 4.0, disabled.arm, None)
-        ctx["disabled"] = disabled
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        lock_cmd_at = _first_action_time(ctx["lock"], "lock")
-        return {
-            "auto_locked": lock_cmd_at is not None,
-            "lock_state": ctx["lock"].attribute_value,
-        }
+    devices = ("PR1", "LK1")
+    rules = ("WHEN pr1 presence.away IF lk1.lock == unlocked THEN COMMAND lk1 lock",)
+    stimuli = ((1.0, "lk1", "locked"), (8.0, "lk1", "unlocked"), (16.0, "pr1", "away"))
+    hold = DisabledExecution
+    hold_device = "lk1"
+    hold_at = 4.0
+    effect = DISABLED
+    verdict_metric = "auto_locked"
+    state_metric = "lock_state"
 
 
 class Case11HeaterOffOnLeave(Scenario):
@@ -535,32 +391,15 @@ class Case11HeaterOffOnLeave(Scenario):
     attack_type = TYPE_DISABLED_EXECUTION
     description = "Presence away, if heater is on, turn off heater"
     rule_source = "[10]"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        presence = tb.add_device("PR1")
-        heater = tb.add_device("P4")
-        tb.install_rule(
-            parse_rule("WHEN pr1 presence.away IF p4.switch == on THEN COMMAND p4 off")
-        )
-        return {"presence": presence, "heater": heater}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["heater"].stimulate, "off")  # seed shadow
-        tb.sim.schedule(8.0, ctx["heater"].stimulate, "on")   # heater running
-        tb.sim.schedule(16.0, ctx["presence"].stimulate, "away")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        disabled = DisabledExecution(attacker, ctx["heater"])
-        tb.sim.schedule(self.observe + 4.0, disabled.arm, None)
-        ctx["disabled"] = disabled
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        off_at = _first_action_time(ctx["heater"], "off")
-        return {
-            "heater_turned_off": off_at is not None,
-            "heater_state": ctx["heater"].attribute_value,
-        }
+    devices = ("PR1", "P4")
+    rules = ("WHEN pr1 presence.away IF p4.switch == on THEN COMMAND p4 off",)
+    stimuli = ((1.0, "p4", "off"), (8.0, "p4", "on"), (16.0, "pr1", "away"))
+    hold = DisabledExecution
+    hold_device = "p4"
+    hold_at = 4.0
+    effect = DISABLED
+    verdict_metric = "heater_turned_off"
+    state_metric = "heater_state"
 
 
 class Fig3dDoorCloseLockDisabled(Scenario):
@@ -571,35 +410,20 @@ class Fig3dDoorCloseLockDisabled(Scenario):
     attack_type = TYPE_DISABLED_EXECUTION
     description = "Front door closed, if lock unlocked, lock the front door"
     rule_source = "Fig. 3d"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        contact = tb.add_device("C2")
-        lock = tb.add_device("LK1")
-        tb.install_rule(
-            parse_rule(
-                "WHEN c2 contact.closed IF lk1.lock == unlocked THEN COMMAND lk1 lock"
-            )
-        )
-        return {"contact": contact, "lock": lock}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["lock"].stimulate, "locked")     # seed shadow
-        tb.sim.schedule(8.0, ctx["lock"].stimulate, "unlocked")   # user exits
-        tb.sim.schedule(12.0, ctx["contact"].stimulate, "open")
-        tb.sim.schedule(16.0, ctx["contact"].stimulate, "closed")
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        disabled = DisabledExecution(attacker, ctx["lock"])
-        tb.sim.schedule(self.observe + 4.0, disabled.arm, None)
-        ctx["disabled"] = disabled
-
-    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        lock_cmd_at = _first_action_time(ctx["lock"], "lock")
-        return {
-            "auto_locked": lock_cmd_at is not None,
-            "lock_state": ctx["lock"].attribute_value,
-        }
+    devices = ("C2", "LK1")
+    rules = ("WHEN c2 contact.closed IF lk1.lock == unlocked THEN COMMAND lk1 lock",)
+    stimuli = (
+        (1.0, "lk1", "locked"),
+        (8.0, "lk1", "unlocked"),
+        (12.0, "c2", "open"),
+        (16.0, "c2", "closed"),
+    )
+    hold = DisabledExecution
+    hold_device = "lk1"
+    hold_at = 4.0
+    effect = DISABLED
+    verdict_metric = "auto_locked"
+    state_metric = "lock_state"
 
 
 class DelayedTriggerSpurious(Scenario):
@@ -617,30 +441,19 @@ class DelayedTriggerSpurious(Scenario):
     attack_type = TYPE_SPURIOUS_EXECUTION
     description = "Motion active (delayed trigger), if door closed, turn on heater"
     rule_source = "Section V-C(1)"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        motion = tb.add_device("M7")   # trigger on its own on-demand session
-        contact = tb.add_device("C3")
-        heater = tb.add_device("P2")
-        tb.install_rule(
-            parse_rule("WHEN m7 motion.active IF c3.contact == closed THEN COMMAND p2 on")
-        )
-        return {"motion": motion, "contact": contact, "heater": heater}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["contact"].stimulate, "open")     # condition false
-        tb.sim.schedule(6.0, ctx["motion"].stimulate, "active")    # trigger: no fire
-        tb.sim.schedule(12.0, ctx["contact"].stimulate, "closed")  # condition true
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        delay = StateUpdateDelay(attacker, ctx["motion"])
-        ctx["operation"] = delay.arm(duration=20.0)  # trigger lands after +26
+    devices = ("M7", "C3", "P2")  # trigger on its own on-demand session
+    rules = ("WHEN m7 motion.active IF c3.contact == closed THEN COMMAND p2 on",)
+    # Condition false, trigger (no fire), then condition true.
+    stimuli = ((1.0, "c3", "open"), (6.0, "m7", "active"), (12.0, "c3", "closed"))
+    hold = StateUpdateDelay
+    hold_device = "m7"
+    hold_duration = 20.0  # the trigger lands after +26
+    effect = SPURIOUS
+    verdict_metric = "heater_turned_on"
 
     def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        on_at = _first_action_time(ctx["heater"], "on")
         return {
-            "heater_turned_on": on_at is not None,
+            "heater_turned_on": first_action_time(tb.device("p2"), "on") is not None,
             "stale_triggers_suppressed": len(
                 tb.integration.engine.stale_triggers_suppressed
             ),
@@ -662,30 +475,29 @@ class DisorderedOppositeActions(Scenario):
     attack_type = TYPE_SPURIOUS_EXECUTION
     description = "Presence unlocks / door-closed locks: actions disordered"
     rule_source = "Section V-B"
-    duration = 120.0
-
-    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
-        presence = tb.add_device("PR1")   # SmartThings session
-        contact = tb.add_device("C5")     # Tuya on-demand session
-        lock = tb.add_device("LK1")       # August session
-        tb.install_rule(parse_rule("WHEN pr1 presence.present THEN COMMAND lk1 unlock"))
-        tb.install_rule(parse_rule("WHEN c5 contact.closed THEN COMMAND lk1 lock"))
-        return {"presence": presence, "contact": contact, "lock": lock}
-
-    def timeline(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> None:
-        tb.sim.schedule(1.0, ctx["presence"].stimulate, "away")  # seed shadow
-        tb.sim.schedule(8.0, ctx["presence"].stimulate, "present")  # returns home
-        tb.sim.schedule(12.0, ctx["contact"].stimulate, "open")    # walks in
-        tb.sim.schedule(16.0, ctx["contact"].stimulate, "closed")  # door shuts
-
-    def attack(self, tb, ctx, attacker: PhantomDelayAttacker) -> None:
-        # Hold 'presence.present' past the door-closed lock command.
-        spurious = SpuriousExecution(attacker, ctx["presence"])
-        tb.sim.schedule(self.observe + 4.0, spurious.arm, 20.0)
-        ctx["spurious"] = spurious
+    # SmartThings, Tuya on-demand and August sessions.
+    devices = ("PR1", "C5", "LK1")
+    rules = (
+        "WHEN pr1 presence.present THEN COMMAND lk1 unlock",
+        "WHEN c5 contact.closed THEN COMMAND lk1 lock",
+    )
+    # The user returns home, walks in, and the door shuts.
+    stimuli = (
+        (1.0, "pr1", "away"),
+        (8.0, "pr1", "present"),
+        (12.0, "c5", "open"),
+        (16.0, "c5", "closed"),
+    )
+    # Hold 'presence.present' past the door-closed lock command.
+    hold = SpuriousExecution
+    hold_device = "pr1"
+    hold_at = 4.0
+    hold_duration = 20.0
+    effect = SPURIOUS
+    verdict_metric = "left_unlocked"
 
     def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
-        lock = ctx["lock"]
+        lock = tb.device("lk1")
         order = [name for _, name, _ in lock.actions_executed]
         return {
             "action_order": "->".join(order),

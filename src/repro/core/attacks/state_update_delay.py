@@ -11,7 +11,6 @@ from ...devices.base import IoTDevice
 from ..attacker import PhantomDelayAttacker
 from ..predictor import TimeoutBehavior
 from ..primitives import DelayOperation, EDelay
-from .base import Scenario
 
 
 class StateUpdateDelay:
@@ -27,7 +26,7 @@ class StateUpdateDelay:
         self.attacker = attacker
         self.device = device
         self.behavior = behavior or TimeoutBehavior.from_profile(device.profile)
-        self.uplink_ip = Scenario.uplink_ip_of(device)
+        self.uplink_ip = device.uplink_ip
         attacker.interpose(self.uplink_ip, peer_ip=peer_ip)
         self._primitive: EDelay = attacker.e_delay(self.uplink_ip, self.behavior)
         self.operations: list[DelayOperation] = []

@@ -82,6 +82,11 @@ class IoTDevice:
     def attribute_value(self) -> str:
         return self.state[self.behavior.attribute]
 
+    @property
+    def uplink_ip(self) -> str:
+        """The LAN address whose TCP session carries this device's messages."""
+        raise NotImplementedError
+
     def _set_state(self, attribute: str, value: str) -> None:
         self.state[attribute] = value
         self.state_history.append((self.sim.now, attribute, value))
@@ -148,6 +153,10 @@ class WifiDevice(IoTDevice):
 
     @property
     def ip(self) -> str:
+        return self.host.ip
+
+    @property
+    def uplink_ip(self) -> str:
         return self.host.ip
 
     def start(self) -> None:
@@ -305,6 +314,11 @@ class HubChildDevice(IoTDevice):
             raise ValueError(f"profile {profile.label} is not a hub child")
         self.hub = hub
         hub.attach_child(self)
+
+    @property
+    def uplink_ip(self) -> str:
+        """A hub child talks through its hub's session."""
+        return self.hub.ip
 
     def _emit_event(self, name: str, data: dict[str, Any]) -> None:
         self.hub.forward_child_event(self, name, data)

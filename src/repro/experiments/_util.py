@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Callable, TYPE_CHECKING
 
-from ..devices.base import HubChildDevice, IoTDevice
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..simnet.scheduler import Simulator
 
@@ -29,10 +27,3 @@ def run_until(sim: "Simulator", predicate: Callable[[], bool], timeout: float) -
             return predicate()
         sim.run_until(nxt)
     return True
-
-
-def uplink_ip_of(device: IoTDevice) -> str:
-    """The LAN address whose TCP session carries this device's messages."""
-    if isinstance(device, HubChildDevice):
-        return device.hub.ip
-    return device.host.ip  # type: ignore[attr-defined]

@@ -15,6 +15,7 @@ stopped, exactly as the paper argues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from ..analysis.reporting import TextTable, fmt_window
 from ..core.attacker import PhantomDelayAttacker
@@ -30,6 +31,7 @@ from ..countermeasures.ack_timeout import (
     harden_profile,
     sweep_keepalive_period,
 )
+from ..countermeasures.remediation import RemediationPolicy
 from ..countermeasures.timestamp_check import DelayAnomalyDetector
 from ..devices.profiles import CATALOGUE, Catalogue, TABLE_CLOUD
 from ..parallel import CampaignRunner, Shard, runner_or_serial
@@ -296,33 +298,34 @@ class RemediationResult:
         return not self.spuriously_unlocked
 
 
+class Case8WithRemediation(Case8StormDoorUnlock):
+    """Case 8 on a server that runs the remedial-action policy."""
+
+    name = "case8-storm-door-unlock-remediated"
+
+    def build(self, tb: SmartHomeTestbed) -> dict[str, Any]:
+        ctx = super().build(tb)
+        ctx["policy"] = RemediationPolicy(sim=tb.sim, engine=tb.integration.engine)
+        ctx["policy"].install()
+        return ctx
+
+    def measure(self, tb: SmartHomeTestbed, ctx: dict[str, Any]) -> dict[str, Any]:
+        remediations = ctx["policy"].remediations
+        return {
+            "spuriously_unlocked": super().measure(tb, ctx)["unlocked"],
+            "remediated": bool(remediations),
+            "exposure": remediations[0].exposure if remediations else None,
+        }
+
+
 def run_remediation_experiment(seed: int = 67) -> RemediationResult:
     """Case 8 under the remedial-action policy (Section VII-B's analysis).
 
     The server re-locks the door once the stale 'away' event exposes the
     spurious unlock — the experiment measures how long the house stood open.
     """
-    from ..core.attacks.scenarios import Case8StormDoorUnlock
-    from ..countermeasures.remediation import RemediationPolicy
-
-    scenario = Case8StormDoorUnlock()
-    tb = SmartHomeTestbed(seed=seed)
-    ctx = scenario.build(tb)
-    policy = RemediationPolicy(sim=tb.sim, engine=tb.integration.engine)
-    policy.install()
-    tb.settle(scenario.settle)
-    attacker = PhantomDelayAttacker.deploy(tb)
-    scenario.attack(tb, ctx, attacker)
-    tb.run(scenario.observe)
-    scenario.timeline(tb, ctx)
-    tb.run(scenario.duration)
-    lock = ctx["lock"]
-    unlocked = any(name == "unlock" for _, name, _ in lock.actions_executed)
-    return RemediationResult(
-        spuriously_unlocked=unlocked,
-        remediated=bool(policy.remediations),
-        exposure=policy.remediations[0].exposure if policy.remediations else None,
-    )
+    result = run_scenario(Case8WithRemediation(), attacked=True, seed=seed)
+    return RemediationResult(**result.metrics)
 
 
 @dataclass

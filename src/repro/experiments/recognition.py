@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from ..analysis.reporting import TextTable
 from ..core.attacker import PhantomDelayAttacker
 from ..core.fingerprint import extract_observation
-from ..devices.base import HubChildDevice
 from ..testbed import SmartHomeTestbed
 
 #: Mixed homes used for the accuracy measurement: (wifi devices, hub children).
@@ -81,11 +80,8 @@ def _survey_home(labels: tuple[str, ...], window: float, seed: int) -> list[Reco
     attacker.capture.clear()
     tb.run(window)
     for device in devices:
-        uplink_ip = (
-            device.hub.ip if isinstance(device, HubChildDevice) else device.host.ip  # type: ignore[attr-defined]
-        )
         matches: list = []
-        for observation in extract_observation(attacker.capture, uplink_ip, tb.internet.dns):
+        for observation in extract_observation(attacker.capture, device.uplink_ip, tb.internet.dns):
             matches.extend(attacker.database.match_flow(observation))
         matches.sort(key=lambda m: -m.score)
         # For a hub child, the right answer is the child (its event length

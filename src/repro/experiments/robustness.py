@@ -23,7 +23,6 @@ from ..core.attacks.base import Scenario, compare_scenario
 from ..core.attacks.scenarios import TABLE3_SCENARIOS
 from ..faults.profiles import FaultProfile
 from ..parallel import CampaignRunner, Shard, runner_or_serial
-from .table3 import _consequence_holds
 
 #: Default sweep: clean through "bad home WiFi" (5% loss / 20 ms jitter).
 DEFAULT_LOSS_GRID = (0.0, 0.01, 0.03, 0.05)
@@ -69,7 +68,7 @@ def _run_cell_case(
         jitter=jitter,
         scenario=scenario.name,
         case_id=scenario.case_id,
-        reproduced=_consequence_holds(scenario, baseline, attacked),
+        reproduced=scenario.reproduced(baseline, attacked),
         stealthy=attacked.stealthy,
         violations=violations,
         fault_stats=attacked.fault_stats,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..analysis.reporting import TextTable, fmt_seconds, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.profiler import ProfileReport
-from ..devices.base import HubChildDevice, HubDevice, IoTDevice
+from ..devices.base import HubDevice, IoTDevice
 from ..devices.profiles import CATALOGUE, Catalogue, DeviceProfile, TABLE_CLOUD
 from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
@@ -123,9 +123,7 @@ def profile_label(
     tb.settle(8.0)
 
     attacker = PhantomDelayAttacker.deploy(tb)
-    uplink_ip = (
-        device.hub.ip if isinstance(device, HubChildDevice) else device.host.ip  # type: ignore[attr-defined]
-    )
+    uplink_ip = device.uplink_ip
     attacker.interpose(uplink_ip)
     profiler = attacker.profiler_for(uplink_ip, trigger_event, trigger_command)
     if not profile.long_live:

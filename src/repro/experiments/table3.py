@@ -25,56 +25,11 @@ class CaseRow:
     @property
     def consequence_reproduced(self) -> bool:
         """Did the attack change the outcome the way the paper reports?"""
-        return _consequence_holds(self.scenario, self.baseline, self.attacked)
+        return self.scenario.reproduced(self.baseline, self.attacked)
 
     @property
     def stealthy(self) -> bool:
         return self.attacked.stealthy
-
-
-def _consequence_holds(
-    scenario: Scenario, baseline: ScenarioResult, attacked: ScenarioResult
-) -> bool:
-    b, a = baseline.metrics, attacked.metrics
-    kind = scenario.attack_type
-    if kind == "state-update-delay":
-        if scenario.case_id == "Case 4":
-            return bool(b.get("heater_turned_off")) and not a.get("heater_turned_off")
-        return (
-            a.get("alert_latency") is not None
-            and b.get("alert_latency") is not None
-            and a["alert_latency"] > b["alert_latency"] + 10.0
-        )
-    if kind == "action-delay":
-        if scenario.case_id == "Case 4":
-            return bool(b.get("heater_turned_off")) and not a.get("heater_turned_off")
-        key = "lock_latency" if "lock_latency" in b else "shutoff_latency"
-        return (
-            a.get(key) is not None
-            and b.get(key) is not None
-            and a[key] > b[key] + 10.0
-        )
-    if kind == "spurious-execution":
-        flag = _spurious_flag(b)
-        return not b.get(flag) and bool(a.get(flag))
-    if kind == "disabled-execution":
-        flag = _disabled_flag(b)
-        return bool(b.get(flag)) and not a.get(flag)
-    return False
-
-
-def _spurious_flag(metrics: dict[str, Any]) -> str:
-    for key in ("disarmed", "heater_turned_on", "window_opened", "unlocked"):
-        if key in metrics:
-            return key
-    raise KeyError(f"no spurious flag in {metrics}")
-
-
-def _disabled_flag(metrics: dict[str, Any]) -> str:
-    for key in ("warning_sent", "auto_locked", "heater_turned_off"):
-        if key in metrics:
-            return key
-    raise KeyError(f"no disabled flag in {metrics}")
 
 
 def _run_case(scenario: Scenario, seed: int, faults: Any = None) -> CaseRow:

@@ -22,7 +22,7 @@ from ..core.predictor import TimeoutBehavior
 from ..devices.profiles import CATALOGUE, Catalogue, TABLE_CLOUD
 from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
-from ._util import run_until, uplink_ip_of
+from ._util import run_until
 from .table1 import make_event_trigger
 
 #: Devices exercised by default: one per timeout shape — on-idle hub
@@ -75,7 +75,7 @@ def verify_device(
     tb.settle(8.0)
 
     attacker = PhantomDelayAttacker.deploy(tb)
-    uplink = uplink_ip_of(device)
+    uplink = device.uplink_ip
     attacker.interpose(uplink)
     endpoint = tb.endpoints[profile.server]
     behavior = TimeoutBehavior.from_profile(profile)

@@ -25,12 +25,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any
 
+from ..core.attacks.base import DELAY, DISABLED, SPURIOUS
 from .engine import BehaviorTrace
 
-SPURIOUS = "spurious-execution"
-DISABLED = "disabled-execution"
 DISORDER = "action-disorder"
-DELAY = "delay"
 
 #: Most severe first; the first class present is a hit's primary class.
 CLASS_PRIORITY = (SPURIOUS, DISABLED, DISORDER, DELAY)

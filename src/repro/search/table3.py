@@ -1,12 +1,14 @@
-"""The paper's Table III attack cases, re-encoded as program specs.
+"""The paper's Table III attack cases, as program specs.
 
-Each of the eleven end-to-end cases the paper demonstrates (and
-:mod:`repro.core.attacks.scenarios` scripts imperatively) is restated
-here as a declarative :class:`~repro.search.spec.ProgramSpec` — the same
-devices, rules, pre-seeded states, and stimulus timeline, minus the
-hand-written attack.  The differential harness then requires the planner
-to *rediscover* a violating hold schedule for every case, and the
-classified violation must match the effect column of the table:
+Each of the eleven end-to-end cases the paper demonstrates is declared
+once, as a :class:`~repro.core.attacks.base.Scenario` in
+:data:`~repro.core.attacks.scenarios.TABLE3_SCENARIOS`.  This module copies
+each declaration's home — devices, rules, seeded states, stimulus timeline,
+staleness window and duration — field by field into a
+:class:`~repro.search.spec.ProgramSpec`, minus the declared hold.  The
+differential harness then requires the planner to *rediscover* a violating
+hold schedule for every case, and the classified violation must match the
+case's declared ``effect``, Table III's effect column:
 
 =====  ============================  ======================
 case   paper effect                  expected class
@@ -17,6 +19,10 @@ case   paper effect                  expected class
 9-11   condition stale-false         ``disabled-execution``
 =====  ============================  ======================
 
+Two differences from the scenario runs are deliberate: the specs seed
+their initial states before settle (in ``build_home``) rather than when
+the timeline starts, and Case 1's spec has no speaker.
+
 These specs also serve as the *novelty* reference: a generated search
 hit whose case digest collides with a Table III rediscovery digest is
 counted as a rediscovery, not a novel case.
@@ -24,10 +30,10 @@ counted as a rediscovery, not a novel case.
 
 from __future__ import annotations
 
-from ..parallel.seeds import derive_seed
-from .oracles import DELAY, DISABLED, SPURIOUS
-from .spec import ProgramSpec
+from ..core.attacks.scenarios import TABLE3_SCENARIOS
 from ..fleet.spec import Stimulus
+from ..parallel.seeds import derive_seed
+from .spec import ProgramSpec
 
 #: Seed namespace for the encoded cases (distinct from generated
 #: programs so digests can never collide by construction).
@@ -35,73 +41,7 @@ TABLE3_NAMESPACE = "search/table3/{}"
 
 #: ``case number -> expected primary violation class``.
 TABLE3_EXPECTED: dict[int, str] = {
-    1: DELAY, 2: DELAY, 3: DELAY,
-    4: DISABLED,
-    5: SPURIOUS, 6: SPURIOUS, 7: SPURIOUS, 8: SPURIOUS,
-    9: DISABLED, 10: DISABLED, 11: DISABLED,
-}
-
-#: ``case -> (devices, rule, initial_states, staleness, stimuli, duration)``.
-_CASES: dict[int, tuple] = {
-    # Type-I/II delays: a lone trigger whose downstream effect the hold
-    # pushes past the delay threshold.
-    1: (("C1",),
-        'WHEN c1 contact.open THEN NOTIFY voice "Front door opened"',
-        (), None, ((5.0, "c1", "open"),), 90.0),
-    2: (("M1",),
-        'WHEN m1 motion.active THEN NOTIFY push "Motion detected at home"',
-        (), None, ((5.0, "m1", "active"),), 90.0),
-    3: (("C2", "LK1"),
-        "WHEN c2 contact.closed THEN COMMAND lk1 lock",
-        (("lk1", "unlocked"),), None, ((5.0, "c2", "closed"),), 120.0),
-    # Stale-trigger discard: the platform's 30 s staleness policy drops
-    # the held arm event, so the plug never turns off.
-    4: (("HS1", "P4"),
-        "WHEN hs1 security.armed-away THEN COMMAND p4 off",
-        (("p4", "on"),), 30.0, ((5.0, "hs1", "armed-away"),), 150.0),
-    # Condition stale-true: seed the condition, falsify it, fire the
-    # trigger; holding the falsifier makes the rule fire spuriously.
-    5: (("LK1", "M2", "HS2"),
-        "WHEN lk1 lock.unlocked IF m2.motion == inactive "
-        "THEN COMMAND hs2 disarm",
-        (("hs2", "armed-away"),), None,
-        ((1.0, "m2", "inactive"), (8.0, "m2", "active"),
-         (14.0, "lk1", "unlocked")), 120.0),
-    6: (("M7", "C3", "P2"),
-        "WHEN m7 motion.active IF c3.contact == closed THEN COMMAND p2 on",
-        (), None,
-        ((1.0, "c3", "closed"), (8.0, "c3", "open"),
-         (14.0, "m7", "active")), 120.0),
-    7: (("M3", "C2", "P3"),
-        "WHEN m3 motion.active IF c2.contact == closed THEN COMMAND p3 on",
-        (), None,
-        ((1.0, "c2", "closed"), (8.0, "c2", "open"),
-         (14.0, "m3", "active")), 120.0),
-    8: (("C5", "PR1", "LK1"),
-        "WHEN c5 contact.open IF pr1.presence == present "
-        "THEN COMMAND lk1 unlock",
-        (), None,
-        ((1.0, "pr1", "present"), (8.0, "pr1", "away"),
-         (18.0, "c5", "open")), 120.0),
-    # Condition stale-false: seed the condition false, enable it, fire
-    # the trigger; holding the enabler suppresses the rule.
-    9: (("PR1", "C5"),
-        'WHEN pr1 presence.away IF c5.contact == open '
-        'THEN NOTIFY sms "Front door left open!"',
-        (), None,
-        ((1.0, "c5", "closed"), (8.0, "c5", "open"),
-         (14.0, "pr1", "away")), 120.0),
-    10: (("PR1", "LK1"),
-         "WHEN pr1 presence.away IF lk1.lock == unlocked "
-         "THEN COMMAND lk1 lock",
-         (), None,
-         ((1.0, "lk1", "locked"), (8.0, "lk1", "unlocked"),
-          (16.0, "pr1", "away")), 120.0),
-    11: (("PR1", "P4"),
-         "WHEN pr1 presence.away IF p4.switch == on THEN COMMAND p4 off",
-         (), None,
-         ((1.0, "p4", "off"), (8.0, "p4", "on"),
-          (16.0, "pr1", "away")), 120.0),
+    case: scenario.effect for case, scenario in enumerate(TABLE3_SCENARIOS, 1)
 }
 
 
@@ -111,21 +51,20 @@ def table3_spec(case: int, base_seed: int = 0) -> ProgramSpec:
     ``program_index`` is the negated case number so table specs can never
     collide with generated programs (whose indices are >= 0).
     """
-    devices, rule, initial, staleness, stimuli, duration = _CASES[case]
+    scenario = TABLE3_SCENARIOS[case - 1]
     return ProgramSpec(
         program_index=-case,
         seed=derive_seed(base_seed, TABLE3_NAMESPACE.format(case)),
-        devices=devices,
-        rules=(rule,),
-        initial_states=tuple(initial),
-        integration_staleness=staleness,
-        duration=duration,
-        stimuli=tuple(Stimulus(at=s[0], device_id=s[1], value=s[2])
-                      for s in stimuli),
+        devices=scenario.devices,
+        rules=scenario.rules,
+        initial_states=scenario.initial_states,
+        integration_staleness=scenario.integration_staleness,
+        duration=scenario.duration,
+        stimuli=tuple(Stimulus(*stimulus) for stimulus in scenario.stimuli),
         meta={"table3_case": case},
     )
 
 
 def table3_specs(base_seed: int = 0) -> list[ProgramSpec]:
     """All eleven case specs in table order."""
-    return [table3_spec(case, base_seed) for case in sorted(_CASES)]
+    return [table3_spec(case, base_seed) for case in TABLE3_EXPECTED]

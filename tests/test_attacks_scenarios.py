@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.attacks.base import compare_scenario, run_scenario
+from repro.core.attacks.base import ScenarioResult, compare_scenario, run_scenario
 from repro.core.attacks.scenarios import (
     Case1FrontDoorVoiceAlert,
     Case3DoorCloseAutoLock,
@@ -18,6 +18,13 @@ from repro.core.attacks.scenarios import (
     TABLE3_SCENARIOS,
     scenario_by_case,
 )
+
+#: Every declared case once: Table III, Figure 3 and the two extensions.
+ALL_SCENARIOS = list({
+    s.case_id: s
+    for s in TABLE3_SCENARIOS + FIGURE3_SCENARIOS
+    + [DelayedTriggerSpurious(), DisorderedOppositeActions()]
+}.values())
 
 
 class TestScenarioFramework:
@@ -121,3 +128,47 @@ class TestBaselineSanity:
     def test_baseline_runs_clean(self, scenario):
         result = run_scenario(scenario, attacked=False, seed=11)
         assert result.alarms == {}
+
+
+class TestDeclaredVerdict:
+    """``Scenario.reproduced`` judges every case by its declared effect."""
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS, ids=lambda s: s.case_id)
+    def test_paired_run_reproduces_declared_effect(self, scenario):
+        baseline, attacked = compare_scenario(scenario, seed=3)
+        assert scenario.verdict_metric in baseline.metrics
+        assert scenario.verdict_metric in attacked.metrics
+        assert scenario.reproduced(baseline, attacked)
+
+    def test_missing_verdict_metric_raises(self):
+        scenario = Case8StormDoorUnlock()
+        baseline = ScenarioResult(scenario.name, attacked=False, metrics={"unlocked": False})
+        attacked = ScenarioResult(scenario.name, attacked=True, metrics={"lock_state": "unlocked"})
+        with pytest.raises(KeyError):
+            scenario.reproduced(baseline, attacked)
+
+
+class TestRuleIds:
+    def test_rule_ids_do_not_depend_on_earlier_parses(self):
+        """Scenario rules are named ``<scenario name>-r<j>``, so a run's rule
+        spans and metric keys are the same however many rules the process
+        parsed before it (a ``--jobs N`` worker runs several shards)."""
+
+        def rule_names():
+            result = run_scenario(
+                Case8StormDoorUnlock(), attacked=True, seed=3, observe=True
+            )
+            spans = sorted(
+                {s.name for s in result.obs.tracer.spans if s.name.startswith("rule:")}
+            )
+            keys = sorted(
+                (m["component"], m["name"], m["labels"]["rule"])
+                for m in result.obs.registry.snapshot()
+                if "rule" in m["labels"]
+            )
+            return spans, keys
+
+        first = rule_names()
+        assert first == rule_names()
+        assert first[0] == ["rule:case8-storm-door-unlock-r0"]
+        assert ("automation", "rule_firings", "case8-storm-door-unlock-r0") in first[1]

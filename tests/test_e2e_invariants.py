@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.attacker import PhantomDelayAttacker
 from repro.core.predictor import TimeoutBehavior, TimeoutPredictor
 from repro.devices.profiles import CATALOGUE, TABLE_CLOUD
-from repro.experiments._util import run_until, uplink_ip_of
+from repro.experiments._util import run_until
 from repro.testbed import SmartHomeTestbed
 
 
@@ -80,7 +80,7 @@ class TestWindowHonouring:
         device = tb.add_device(label)
         tb.settle(8.0)
         attacker = PhantomDelayAttacker.deploy(tb)
-        uplink = uplink_ip_of(device)
+        uplink = device.uplink_ip
         attacker.interpose(uplink)
         tb.run(45.0)
         operation = attacker.delay_next_event(
