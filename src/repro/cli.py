@@ -3,10 +3,11 @@
 Each subcommand regenerates one of the paper's artefacts and prints it as a
 text table; the same drivers back the pytest-benchmark harness.
 
-The experiments in :mod:`repro.experiments.registry` (Tables I-III,
-Figure 3, the verification test, robustness) have no handler here: their
-subcommands come from the registry, and :func:`_run_experiment` runs an
-entry exactly as the campaign service does.  So ``phantom-delay <name>``
+The paper artefacts in :mod:`repro.experiments.registry` (Tables I-III,
+Figure 3, the verification test, the findings, the countermeasures, TLS
+integrity, robustness, jamming and recognition) have no handler here:
+their subcommands come from the registry, and :func:`_run_experiment` runs
+an entry exactly as the campaign service does.  So ``phantom-delay <name>``
 and ``phantom-delay submit <name>`` print the same output by construction.
 Every campaign command builds one :class:`~repro.parallel.CampaignRunner`
 from ``--jobs``, ``--cache`` and ``--manifest`` and hands it to the driver.
@@ -23,20 +24,13 @@ from .experiments.registry import ExperimentSpec, experiment_names, get_experime
 from .parallel import CampaignRunner
 
 
-def _runner(args: argparse.Namespace, multi: bool = False) -> CampaignRunner:
+def _runner(args: argparse.Namespace) -> CampaignRunner:
     """The execution context of one command, from the global flags.
 
-    ``--no-manifest`` disables the manifests; ``--manifest PATH`` redirects
-    a single-campaign command's manifest.  A command that runs several
-    campaigns (``multi``) keeps each campaign's default path, so none
-    overwrites another.
+    ``--no-manifest`` disables the manifests; ``--manifest PATH`` holds the
+    command's first campaign, and later ones keep their default paths.
     """
-    if args.no_manifest:
-        manifest: bool | str = False
-    elif args.manifest and not multi:
-        manifest = args.manifest
-    else:
-        manifest = True
+    manifest = False if args.no_manifest else args.manifest or True
     return CampaignRunner(jobs=args.jobs, cache=args.cache, manifest=manifest)
 
 
@@ -92,69 +86,6 @@ def _cmd_catalogue(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_findings(args: argparse.Namespace) -> int:
-    from .experiments.findings import (
-        finding1_half_open,
-        finding2_event_discard,
-        finding3_unidirectional_liveness,
-        render_findings,
-    )
-
-    f1 = finding1_half_open(seed=args.seed)
-    f2 = finding2_event_discard(seed=args.seed)
-    f3 = finding3_unidirectional_liveness(seed=args.seed)
-    print(render_findings(f1, f2, f3))
-    return 0 if f1.reproduced and f3.reproduced else 1
-
-
-def _cmd_countermeasures(args: argparse.Namespace,
-                         runner: CampaignRunner | None = None) -> int:
-    from .experiments.countermeasures import (
-        render_countermeasures,
-        run_ack_timeout_sweep,
-        run_delay_detection,
-        run_keepalive_cost_curve,
-        run_remediation_experiment,
-        run_static_arp_defense,
-        run_timestamp_defense,
-    )
-
-    runner = runner or _runner(args, multi=True)
-    since = len(runner.manifest_paths)
-    print(
-        render_countermeasures(
-            run_ack_timeout_sweep(seed=args.seed, runner=runner),
-            run_keepalive_cost_curve(seed=args.seed, runner=runner),
-            run_timestamp_defense(seed=args.seed, runner=runner),
-            run_delay_detection(seed=args.seed),
-            run_static_arp_defense(seed=args.seed),
-            run_remediation_experiment(seed=args.seed),
-        )
-    )
-    _print_manifests(runner, since)
-    return 0
-
-
-def _cmd_integrity(args: argparse.Namespace) -> int:
-    from .experiments.tls_integrity import render_integrity, run_integrity_experiment
-
-    rows = run_integrity_experiment(seed=args.seed)
-    print(render_integrity(rows))
-    return 0 if all(r.matches_paper for r in rows) else 1
-
-
-def _cmd_jamming(args: argparse.Namespace) -> int:
-    from .experiments.jamming_contrast import (
-        render_jamming_contrast,
-        run_jamming_contrast,
-    )
-
-    rows = run_jamming_contrast(seed=args.seed)
-    print(render_jamming_contrast(rows))
-    phantom = next(r for r in rows if r.mode == "phantom-delay")
-    return 0 if phantom.silent and phantom.event_delivered else 1
-
-
 def _cmd_export_knowledge(args: argparse.Namespace) -> int:
     """Write the attacker knowledge base (profiled behaviours) to JSON."""
     from .core.knowledge import KnowledgeBase
@@ -164,14 +95,6 @@ def _cmd_export_knowledge(args: argparse.Namespace) -> int:
     kb.save(path)
     print(f"wrote {len(kb)} device behaviours to {path}")
     return 0
-
-
-def _cmd_recognition(args: argparse.Namespace) -> int:
-    from .experiments.recognition import render_recognition, run_recognition
-
-    report = run_recognition(seed=args.seed)
-    print(render_recognition(report))
-    return 0 if report.accuracy == 1.0 else 1
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -378,7 +301,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.action == "breaking-point":
         from .experiments.breaking_point import run_breaking_point
 
-        runner = _runner(args, multi=True)
+        runner = _runner(args)
         report = run_breaking_point(
             start_homes=args.start_homes,
             growth_factor=args.growth_factor,
@@ -634,18 +557,14 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
-    """Every paper artefact on one runner; each campaign keeps its own manifest."""
-    runner = _runner(args, multi=True)
+    """Every paper artefact on one runner; each campaign keeps its default manifest."""
+    runner = CampaignRunner(jobs=args.jobs, cache=args.cache,
+                            manifest=not args.no_manifest)
     status = 0
-    for name in ("table1", "table2", "table3", "figure3", "verify"):
+    for name in ("table1", "table2", "table3", "figure3", "verify",
+                 "findings", "countermeasures", "integrity"):
         status |= _run_experiment(args, name, runner)
         print()
-    status |= _cmd_findings(args)
-    print()
-    status |= _cmd_countermeasures(args, runner)
-    print()
-    status |= _cmd_integrity(args)
-    print()
     return status
 
 
@@ -696,9 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--manifest", type=str, default=None, metavar="PATH",
         help=(
-            "write the campaign run manifest to PATH instead of the default "
-            "$REPRO_MANIFEST_DIR/<campaign>.jsonl (render it later with "
-            "`observe report`)"
+            "write the command's first campaign run manifest to PATH instead "
+            "of the default $REPRO_MANIFEST_DIR/<campaign>.jsonl; later "
+            "campaigns keep their default paths (`all` keeps every default; "
+            "render one later with `observe report`)"
         ),
     )
     parser.add_argument(
@@ -710,14 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
         ("catalogue", _cmd_catalogue, "list the 50-device catalogue"),
         *((name, _cmd_experiment, get_experiment(name).description)
           for name in experiment_names()),
-        ("findings", _cmd_findings, "Findings 1-3"),
-        ("countermeasures", _cmd_countermeasures, "Section VII defences"),
-        ("integrity", _cmd_integrity, "TLS integrity vs delay"),
         ("plan", _cmd_plan, "attack planner over an inferred rule set"),
-        ("recognition", _cmd_recognition, "device recognition accuracy (extension)"),
         ("export-knowledge", _cmd_export_knowledge,
          "dump the device-behaviour knowledge base as JSON (--labels sets the path)"),
-        ("jamming", _cmd_jamming, "phantom delay vs packet discarding (extension)"),
         ("all", _cmd_all, "run every experiment"),
     ):
         p = sub.add_parser(name, help=doc)

@@ -1,83 +1,5 @@
 """Experiment drivers: one module per paper table/figure/finding.
 
-Shared by the CLI (``phantom-delay <experiment>``) and the pytest-benchmark
-harness under ``benchmarks/``.
+Import a driver from its module; :mod:`repro.experiments.registry` names
+every artefact the CLI and the campaign service run.
 """
-
-from .ablations import (
-    render_ablations,
-    run_forged_ack_ablation,
-    run_margin_sweep,
-    run_pattern_comparison,
-)
-from .countermeasures import (
-    run_ack_timeout_sweep,
-    run_delay_detection,
-    run_keepalive_cost_curve,
-    run_static_arp_defense,
-    run_timestamp_defense,
-    render_countermeasures,
-)
-from .findings import (
-    finding1_half_open,
-    finding2_event_discard,
-    finding3_unidirectional_liveness,
-    render_findings,
-)
-from .jamming_contrast import render_jamming_contrast, run_jamming_contrast
-from .recognition import render_recognition, run_recognition
-from .registry import (
-    ExperimentSpec,
-    experiment_names,
-    get_experiment,
-    register,
-    unregister,
-)
-from .robustness import render_robustness, run_robustness
-from .table1 import profile_label, render_table1, run_table1
-from .table2 import profile_local_label, render_table2, run_table2
-from .table3 import render_table3, run_figure3, run_table3
-from .tls_integrity import render_integrity, run_integrity_experiment
-from .verification import render_verification, run_verification, verify_device
-
-__all__ = [
-    "ExperimentSpec",
-    "experiment_names",
-    "get_experiment",
-    "register",
-    "unregister",
-    "finding1_half_open",
-    "render_ablations",
-    "run_forged_ack_ablation",
-    "run_margin_sweep",
-    "run_pattern_comparison",
-    "run_static_arp_defense",
-    "render_jamming_contrast",
-    "render_recognition",
-    "render_robustness",
-    "run_jamming_contrast",
-    "run_recognition",
-    "run_robustness",
-    "finding2_event_discard",
-    "finding3_unidirectional_liveness",
-    "profile_label",
-    "profile_local_label",
-    "render_countermeasures",
-    "render_findings",
-    "render_integrity",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "render_verification",
-    "run_ack_timeout_sweep",
-    "run_delay_detection",
-    "run_figure3",
-    "run_integrity_experiment",
-    "run_keepalive_cost_curve",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_timestamp_defense",
-    "run_verification",
-    "verify_device",
-]

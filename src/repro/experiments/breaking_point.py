@@ -137,8 +137,8 @@ def run_breaking_point(
     """Climb the ladder until a budget trips; one manifest per step.
 
     Every step is its own campaign on the one ``runner`` (serial and
-    uncached by default), so give that runner default manifest paths: a
-    single path would be overwritten by each step in turn.
+    uncached by default); an explicit manifest path on that runner holds
+    the first step, and later steps write their default paths.
 
     ``home_event_budget`` caps each home's scheduler events (a home over
     budget counts as failed, feeding ``success_floor``);
@@ -232,9 +232,7 @@ def _attribute_step(
     runner.last_snapshot = runner.last_snapshot.merge(RegistrySnapshot.of(registry))
     if runner.manifest is None or runner.manifest is False:
         return None
-    return runner.write_manifest(
-        None if runner.manifest is True else runner.manifest
-    )
+    return runner.write_manifest(runner.last_manifest_path)
 
 
 __all__ = [

@@ -221,7 +221,8 @@ class CampaignRunner:
     observer.  Each :meth:`run` names its campaign and base seed, so one
     runner can carry a command that runs several campaigns; the
     ``parallel`` metrics are booked under each run's ``campaign`` label and
-    every run writes its own manifest.
+    every run writes its own manifest.  An explicit manifest path holds the
+    runner's first campaign; every later campaign writes its default path.
     """
 
     def __init__(
@@ -256,7 +257,8 @@ class CampaignRunner:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.last_wall_seconds = 0.0
         #: Manifest policy: ``True`` writes each campaign's default path,
-        #: a path writes there, ``False``/``None`` disables the artifact.
+        #: a path takes the first campaign (later ones write their default
+        #: path), ``False``/``None`` disables the artifact.
         self.manifest = manifest
         #: Per-shard telemetry of the last ``run()`` (None for shards that
         #: carried none, e.g. pre-telemetry cache entries).
@@ -611,8 +613,9 @@ class CampaignRunner:
         )
         self._last_fault_profile = self._fault_profile_of(shards)
         if self.manifest is not None and self.manifest is not False:
+            explicit = self.manifest is not True and not self.manifest_paths
             self.manifest_paths.append(self.write_manifest(
-                None if self.manifest is True else self.manifest
+                self.manifest if explicit else None
             ))
 
     def write_manifest(self, path: "str | os.PathLike | None" = None) -> Path:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import inspect
 import itertools
 import threading
 import time
@@ -170,8 +171,17 @@ class CampaignService:
         every submitter watches the same stream.  Failed and cancelled
         jobs do *not* memoise: resubmitting one schedules a fresh run
         (which resumes from whatever its predecessor already cached).
+        Kwargs that the experiment's ``run`` cannot take alongside ``seed``
+        and ``runner`` raise :class:`ProtocolError`, and nothing is queued.
         """
-        get_experiment(spec.experiment)  # unknown names fail fast
+        experiment = get_experiment(spec.experiment)  # unknown names fail fast
+        try:
+            inspect.signature(experiment.run).bind(
+                **spec.kwargs, seed=spec.seed, runner=None)
+        except TypeError as exc:
+            raise ProtocolError(
+                f"{spec.experiment!r} cannot take kwargs {sorted(spec.kwargs)}: {exc}"
+            ) from None
         key = spec.key()
         existing = self._by_key.get(key)
         if existing is not None and (existing.active or existing.state == "done"):
@@ -270,8 +280,8 @@ class CampaignService:
             "event": "result",
             "status": experiment.status(result),
             "output": experiment.render(result),
-            "manifest": str(runner.last_manifest_path)
-            if runner.last_manifest_path is not None else None,
+            "manifest": str(runner.manifest_paths[0])
+            if runner.manifest_paths else None,
             "metrics": [dict(r) for r in runner.last_snapshot.records],
             "shards": len(runner.last_shard_rows),
             "cached_shards": sum(1 for r in runner.last_shard_rows if r.cached),

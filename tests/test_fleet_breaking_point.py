@@ -75,6 +75,18 @@ class TestMiniatureLadder:
         assert metric(tripped, "homes_completed") == 16
         assert metric(tripped, "step") == 2
 
+    def test_explicit_manifest_path_holds_the_first_step(self, tmp_path):
+        explicit = tmp_path / "ladder.jsonl"
+        report = run_breaking_point(
+            start_homes=2, max_steps=2, seed=0,
+            runner=CampaignRunner(jobs=1, manifest=explicit),
+        )
+        first, second = (s.manifest_path for s in report.steps)
+        assert first == explicit
+        assert second.name == step_campaign("breaking-point", 4) + ".jsonl"
+        assert metric(RunManifest.load(first), "homes") == 2
+        assert metric(RunManifest.load(second), "homes") == 4
+
     def test_success_floor_attribution(self):
         report = run_breaking_point(
             start_homes=4, max_steps=3, seed=0,

@@ -214,6 +214,22 @@ class TestCampaignRunner:
             for name in ("shards_total", "shards_completed", "shards_run_inprocess"):
                 assert registry.value("parallel", name, campaign=campaign) == count
 
+    def test_explicit_manifest_path_holds_only_the_first_campaign(
+            self, tmp_path, monkeypatch):
+        from repro.obs.manifest import RunManifest
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "default"))
+        explicit = tmp_path / "explicit.jsonl"
+        runner = CampaignRunner(jobs=1, manifest=explicit)
+        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+                  for i in range(2)]
+        runner.run(shards, campaign="alpha", base_seed=1)
+        runner.run(shards, campaign="beta", base_seed=2)
+        assert runner.manifest_paths == [explicit,
+                                         tmp_path / "default" / "beta.jsonl"]
+        assert RunManifest.load(explicit).campaign == "alpha"
+        assert RunManifest.load(runner.manifest_paths[1]).campaign == "beta"
+
     def test_no_fork_falls_back_inprocess(self, monkeypatch):
         import repro.parallel.runner as runner_mod
 

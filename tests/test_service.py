@@ -102,6 +102,118 @@ class TestRegistry:
             register(spec)
 
 
+def _findings_result():
+    from repro.experiments.findings import (
+        Finding1Result,
+        Finding2Row,
+        Finding3Result,
+    )
+
+    return (
+        Finding1Result(device_timed_out=True, reconnected=True,
+                       half_open_during=2, half_open_after=0, offline_alarms=0),
+        [Finding2Row(delay=delay, delivered_to_engine=delay <= 30.0,
+                     discarded=delay > 30.0, alarms=0)
+         for delay in (10.0, 30.0, 35.0)],
+        Finding3Result(hold_duration=40.0, downlink_data_packets=0,
+                       server_still_believes_online=True),
+    )
+
+
+def _jamming_result():
+    from repro.experiments.jamming_contrast import ContrastRow
+
+    return [
+        ContrastRow("phantom-delay", 0, 0, 0, True, 25.0),
+        ContrastRow("drop-segments", 4, 0, 0, True, 26.0),
+        ContrastRow("drop-all", 6, 1, 1, False, None),
+    ]
+
+
+def _countermeasures_result():
+    from repro.experiments.countermeasures import (
+        AckTimeoutRow,
+        DetectionResult,
+        RemediationResult,
+        StaticArpRow,
+        TimestampDefenseRow,
+        TrafficRow,
+    )
+
+    return (
+        [AckTimeoutRow(timeout, (0.0, 60.0), delay, True)
+         for timeout, delay in ((None, 43.9), (30.0, 28.0), (10.0, 8.0))],
+        [TrafficRow(120.0, (0.0, 120.0), 100.0, None, 900.0),
+         TrafficRow(30.0, (0.0, 30.0), 400.0, 420.0, 200.0),
+         TrafficRow(2.0, (0.0, 2.0), 6000.0, 5500.0, 20.0)],
+        [TimestampDefenseRow(attack, window, "", attack_succeeded=(
+            window is None or attack != "spurious via delayed trigger"))
+         for attack in ("spurious via delayed trigger",
+                        "spurious via delayed condition (Case 8)",
+                        "state-update delay (Case 1)")
+         for window in (None, 10.0)],
+        DetectionResult(threshold=10.0, detections=1, detected=True),
+        [StaticArpRow(hardened=False, hold_triggered=True, event_delay=20.0),
+         StaticArpRow(hardened=True, hold_triggered=False, event_delay=0.1)],
+        RemediationResult(spuriously_unlocked=True, remediated=True,
+                          exposure=30.0),
+    )
+
+
+#: Results on which every claim holds, built without a simulation.
+CLAIM_RESULTS = {
+    "findings": _findings_result,
+    "jamming": _jamming_result,
+    "countermeasures": _countermeasures_result,
+}
+
+#: One broken claim each: (experiment, index path to one object of the
+#: result, the field values that break the claim).
+BROKEN_CLAIMS = [
+    ("findings", (0,), {"offline_alarms": 1}),
+    ("findings", (1, 2), {"delivered_to_engine": True}),
+    ("findings", (1, 0), {"alarms": 1}),
+    ("findings", (2,), {"downlink_data_packets": 1}),
+    ("jamming", (0,), {"alarms": 1}),
+    ("jamming", (0,), {"event_delivered": False}),
+    ("jamming", (1,), {"retransmissions": 0}),
+    ("jamming", (2,), {"retransmissions": 0, "reconnects": 0, "alarms": 0}),
+    ("countermeasures", (0, 2), {"achieved_delay": 50.0}),
+    ("countermeasures", (0, 1), {"achieved_delay": None}),
+    ("countermeasures", (0, 1), {"stealthy": False}),
+    ("countermeasures", (1, 2), {"analytic_bytes_per_hour": 50.0,
+                                 "measured_bytes_per_hour": None}),
+    ("countermeasures", (1, 1), {"measured_bytes_per_hour": 520.0}),
+    ("countermeasures", (1, 2), {"battery_days": 40.0}),
+    ("countermeasures", (2, 1), {"attack_succeeded": True}),
+    ("countermeasures", (2, 3), {"attack_succeeded": False}),
+    ("countermeasures", (3,), {"detected": False}),
+    ("countermeasures", (4, 1), {"hold_triggered": True, "event_delay": 20.0}),
+    ("countermeasures", (5,), {"exposure": 5.0}),
+]
+
+
+class TestStatusRules:
+    @pytest.mark.parametrize("experiment", sorted(CLAIM_RESULTS))
+    def test_every_claim_holding_gives_status_0(self, experiment):
+        status = get_experiment(experiment).status
+        assert status(CLAIM_RESULTS[experiment]()) == 0
+
+    @pytest.mark.parametrize(
+        "experiment,path,fields", BROKEN_CLAIMS,
+        ids=[f"{name}-{'.'.join(map(str, path))}-{'-'.join(fields)}"
+             for name, path, fields in BROKEN_CLAIMS],
+    )
+    def test_one_broken_claim_gives_status_1(self, experiment, path, fields):
+        result = CLAIM_RESULTS[experiment]()
+        target = result
+        for index in path:
+            target = target[index]
+        for name, value in fields.items():
+            setattr(target, name, value)
+        assert get_experiment(experiment).status(result) == 1
+
+
 # Toy experiments: module-level so cached calls stay picklable.  Each
 # execution appends one line to a log file, which is how the dedup tests
 # count actual executions.
@@ -223,6 +335,14 @@ class TestServiceDedup:
         assert error["event"] == "error"
         assert "table1" in error["message"]
 
+    @pytest.mark.parametrize("kwargs", [{"seed": 3}, {"bogus": 1}],
+                             ids=["seed-twice", "unknown-kwarg"])
+    def test_kwargs_the_driver_cannot_take_queue_nothing(self, service, kwargs):
+        [error] = list(service.submit("table3", kwargs=kwargs, watch=False))
+        assert error["event"] == "error"
+        assert "cannot take kwargs" in error["message"]
+        assert service.status()["jobs"] == []
+
     def test_malformed_request_yields_protocol_error(self, service):
         [error] = list(service.request({"op": "frobnicate"}))
         assert error["event"] == "error"
@@ -343,6 +463,16 @@ class TestServedEquivalence:
         assert manifest.parent.name == "service"
         key = JobSpec("table1", {"trials": 1, "labels": ["C1"]}, seed=7).key()
         assert manifest.stem == key
+
+    def test_served_multi_campaign_job_reports_its_first_manifest(
+            self, service):
+        from repro.obs.manifest import RunManifest
+
+        _, final = service.submit_and_wait("countermeasures", seed=7)
+        manifest = Path(final["manifest"])
+        assert manifest.parent.name == "service"
+        assert manifest.stem == JobSpec("countermeasures", {}, seed=7).key()
+        assert RunManifest.load(manifest).campaign == "cm-ack-timeout"
 
     def test_result_carries_the_merged_metrics_snapshot(self, service):
         _, final = service.submit_and_wait(

@@ -590,3 +590,17 @@ class TestCliManifestPaths:
         assert sorted((tmp_path / "manifests").iterdir()) == sorted(paths)
         for campaign, path in zip(campaigns, paths):
             assert RunManifest.load(path).campaign == campaign
+
+    def test_manifest_flag_takes_the_first_of_several_campaigns(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "manifests"))
+        redirect = tmp_path / "single.jsonl"
+        assert main(["--manifest", str(redirect), "countermeasures"]) == 0
+        assert self._printed(capsys.readouterr().out) == [
+            str(redirect),
+            str(tmp_path / "manifests" / "cm-keepalive-cost.jsonl"),
+            str(tmp_path / "manifests" / "cm-timestamp.jsonl"),
+        ]
+        assert RunManifest.load(redirect).campaign == "cm-ack-timeout"
