@@ -13,7 +13,6 @@ import time
 
 from repro.automation import parse_rule
 from repro.core import PhantomDelayAttacker
-from repro.core.attacks import StateUpdateDelay
 from repro.obs import attribute_delay, link_hold_spans
 from repro.testbed import SmartHomeTestbed
 
@@ -26,7 +25,7 @@ def _edelay_run(observe: bool) -> SmartHomeTestbed:
     ))
     home.settle()
     attacker = PhantomDelayAttacker.deploy(home)
-    delay = StateUpdateDelay(attacker, smoke)
+    delay = attacker.delay_for(smoke)
     home.run(70.0)
     delay.arm()
     smoke.stimulate("detected")

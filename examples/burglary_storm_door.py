@@ -16,7 +16,6 @@ Run:  python examples/burglary_storm_door.py
 
 from repro.automation import parse_rule
 from repro.core import PhantomDelayAttacker
-from repro.core.attacks import SpuriousExecution
 from repro.testbed import SmartHomeTestbed
 
 
@@ -33,7 +32,7 @@ def run(attacked: bool) -> SmartHomeTestbed:
     spurious = None
     if attacked:
         attacker = PhantomDelayAttacker.deploy(home)
-        spurious = SpuriousExecution(attacker, presence)
+        spurious = attacker.delay_for(presence)
         home.run(40.0)  # observe the SmartThings keep-alive phase
 
     # --- Timeline (identical in both runs) ------------------------------

@@ -15,7 +15,6 @@ Run:  python examples/fault_injection_demo.py
 
 from repro.automation import parse_rule
 from repro.core import PhantomDelayAttacker
-from repro.core.attacks import StateUpdateDelay
 from repro.faults import get_profile
 from repro.testbed import SmartHomeTestbed
 
@@ -33,7 +32,7 @@ def run_home(profile_name: str | None, attacked: bool) -> SmartHomeTestbed:
     home.settle()
     if attacked:
         attacker = PhantomDelayAttacker.deploy(home)
-        delay = StateUpdateDelay(attacker, contact)
+        delay = attacker.delay_for(contact)
         home.run(70.0)  # sniff one keep-alive pass
         delay.arm()
     else:

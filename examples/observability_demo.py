@@ -13,7 +13,6 @@ Run:  python examples/observability_demo.py
 
 from repro.automation import parse_rule
 from repro.core import PhantomDelayAttacker
-from repro.core.attacks import StateUpdateDelay
 from repro.obs import attribute_delay, link_hold_spans
 from repro.testbed import SmartHomeTestbed
 
@@ -27,7 +26,7 @@ def main() -> None:
     home.settle()
 
     attacker = PhantomDelayAttacker.deploy(home)
-    delay = StateUpdateDelay(attacker, smoke)
+    delay = attacker.delay_for(smoke)
     home.run(70.0)  # watch a keep-alive pass (SM1's period is 60 s)
     delay.arm()
 

@@ -11,7 +11,6 @@ Run:  python examples/smoke_alert_delay.py
 
 from repro.automation import parse_rule
 from repro.core import PhantomDelayAttacker
-from repro.core.attacks import StateUpdateDelay
 from repro.testbed import SmartHomeTestbed
 
 
@@ -25,7 +24,7 @@ def run(attacked: bool) -> tuple[float | None, SmartHomeTestbed]:
 
     if attacked:
         attacker = PhantomDelayAttacker.deploy(home)
-        delay = StateUpdateDelay(attacker, smoke)
+        delay = attacker.delay_for(smoke)
         home.run(70.0)  # watch a keep-alive pass (SM1's period is 60 s)
         delay.arm()     # hold the next smoke event as long as safely possible
     else:

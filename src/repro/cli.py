@@ -193,7 +193,6 @@ def _cmd_observe(args: argparse.Namespace) -> int:
 
     from .automation import parse_rule
     from .core import PhantomDelayAttacker
-    from .core.attacks import StateUpdateDelay
     from .testbed import SmartHomeTestbed
 
     home = SmartHomeTestbed(seed=args.seed, observe=True)
@@ -203,7 +202,7 @@ def _cmd_observe(args: argparse.Namespace) -> int:
     )
     home.settle()
     attacker = PhantomDelayAttacker.deploy(home)
-    delay = StateUpdateDelay(attacker, smoke)
+    delay = attacker.delay_for(smoke)
     home.run(70.0)  # watch a keep-alive pass so the session phase is known
     delay.arm()
     fire_at = home.now

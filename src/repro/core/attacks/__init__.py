@@ -1,6 +1,6 @@
-"""The three attack families built on e-Delay / c-Delay (Section V)."""
+"""The Section V attacks: the paper's cases declared as scenarios, and the
+planner and campaign that arm e-Delay / c-Delay holds in a live home."""
 
-from .action_delay import ActionDelay
 from .base import (
     Scenario,
     ScenarioResult,
@@ -12,31 +12,24 @@ from .base import (
     run_scenario,
 )
 from .campaign import ArmedAttack, AttackCampaign, CampaignReport, render_campaign
-from .erroneous_execution import ConditionEventDelay, DisabledExecution, SpuriousExecution
 from .planner import AttackOpportunity, AttackPlanner, render_plan
 from .scenarios import (
     FIGURE3_SCENARIOS,
     TABLE3_SCENARIOS,
     scenario_by_case,
 )
-from .state_update_delay import StateUpdateDelay
 
 __all__ = [
-    "ActionDelay",
     "ArmedAttack",
     "AttackCampaign",
     "AttackOpportunity",
     "AttackPlanner",
     "CampaignReport",
     "render_campaign",
-    "ConditionEventDelay",
     "render_plan",
-    "DisabledExecution",
     "FIGURE3_SCENARIOS",
     "Scenario",
     "ScenarioResult",
-    "SpuriousExecution",
-    "StateUpdateDelay",
     "TABLE3_SCENARIOS",
     "TYPE_ACTION_DELAY",
     "TYPE_DISABLED_EXECUTION",

@@ -74,11 +74,12 @@ class Scenario:
 
     The home uses :class:`~repro.search.spec.ProgramSpec`'s field names, so
     the search side's Table III specs copy them field by field.  The hold is
-    one attack family armed against one device, and the consequence is an
-    ``effect`` (``DELAY``, ``SPURIOUS`` or ``DISABLED``) judged on one
-    ``verdict_metric`` of :meth:`measure`; :meth:`reproduced` is the Table
-    III and robustness verdict.  Instances stay stateless: per-run state
-    lives in the context dict that :meth:`build` returns.
+    the e-Delay of one device (``attack_type`` names the family it serves),
+    and the consequence is an ``effect`` (``DELAY``, ``SPURIOUS`` or
+    ``DISABLED``) judged on one ``verdict_metric`` of :meth:`measure`;
+    :meth:`reproduced` is the Table III and robustness verdict.  Instances
+    stay stateless: per-run state lives in the context dict that
+    :meth:`build` returns.
     """
 
     name = "scenario"
@@ -116,9 +117,7 @@ class Scenario:
 
     # ------------------------------------------------------------ the hold
 
-    #: Attack family armed against ``hold_device``: ``StateUpdateDelay``,
-    #: ``SpuriousExecution`` or ``DisabledExecution``.
-    hold: Any = None
+    #: The device whose next state event the attacker holds.
     hold_device = ""
     #: Seconds into the timeline the hold is armed; None arms it at once.
     hold_at: float | None = None
@@ -155,8 +154,8 @@ class Scenario:
     def attack(
         self, tb: SmartHomeTestbed, ctx: dict[str, Any], attacker: PhantomDelayAttacker
     ) -> None:
-        """Interpose on the held device and arm (or schedule) its hold."""
-        primitive = self.hold(attacker, tb.device(self.hold_device))
+        """Interpose on the held device and arm (or schedule) its e-Delay."""
+        primitive = attacker.delay_for(tb.device(self.hold_device))
         if self.hold_at is None:
             ctx["operation"] = primitive.arm(self.hold_duration)
         else:

@@ -19,7 +19,6 @@ from ...analysis.reporting import TextTable
 from ...devices.base import IoTDevice
 from ...testbed import SmartHomeTestbed
 from ..attacker import PhantomDelayAttacker
-from ..predictor import TimeoutBehavior
 from ..primitives import DelayOperation
 from .planner import AttackOpportunity
 
@@ -66,18 +65,11 @@ class AttackCampaign:
         return self.report
 
     def _arm_one(self, opportunity: AttackOpportunity, device: IoTDevice) -> None:
-        uplink_ip = device.uplink_ip
-        self.attacker.interpose(uplink_ip)
-        behavior = TimeoutBehavior.from_profile(device.profile)
-        if opportunity.direction == "command":
-            primitive = self.attacker.c_delay(uplink_ip, behavior)
-            trigger_size = device.profile.command_size
-        else:
-            primitive = self.attacker.e_delay(uplink_ip, behavior)
-            trigger_size = device.profile.event_size
+        primitive = self.attacker.delay_for(
+            device, command=opportunity.direction == "command"
+        )
         operation = primitive.arm(
-            trigger_size=trigger_size,
-            label=f"campaign:{opportunity.rule_id}:{opportunity.attack_type}",
+            label=f"campaign:{opportunity.rule_id}:{opportunity.attack_type}"
         )
         self.report.armed.append(ArmedAttack(opportunity=opportunity, operation=operation))
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from ..analysis.reporting import TextTable
 from ..core.attacker import PhantomDelayAttacker
 from ..core.hijacker import TcpHijacker
-from ..core.predictor import TimeoutBehavior
 from ..simnet.packet import EthernetFrame, IpPacket
 from ..tcp.segment import TcpSegment
 from ..testbed import SmartHomeTestbed
@@ -92,10 +91,7 @@ def _run_mode(mode: str, window: float, seed: int) -> ContrastRow:
     event_time = tb.now
 
     if mode == "phantom-delay":
-        attacker.delay_next_event(
-            hub.ip, TimeoutBehavior.from_profile(hub.profile),
-            duration=window, trigger_size=contact.profile.event_size,
-        )
+        attacker.delay_for(contact).arm(duration=window)
         contact.stimulate("open")
         tb.run(window + 60.0)
     else:

@@ -52,8 +52,8 @@ def profile_local_label(
 
     attacker = PhantomDelayAttacker.deploy(tb)
     server = tb.ensure_local_server()
-    attacker.interpose(device.host.ip, peer_ip=server.ip)  # type: ignore[attr-defined]
-    profiler = attacker.profiler_for(device.host.ip, trigger_event)  # type: ignore[attr-defined]
+    attacker.interpose(device.uplink_ip, peer_ip=server.ip)
+    profiler = attacker.profiler_for(device.uplink_ip, trigger_event)
     profiler.max_wait = LOCAL_TRIAL_BOUND
     # HAP sessions are idle unless events flow: a short observation window
     # suffices to confirm there is no keep-alive.

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace as dc_replace
 from ..analysis.reporting import TextTable
 from ..core.attacker import PhantomDelayAttacker
 from ..core.hijacker import TcpHijacker
-from ..core.predictor import TimeoutBehavior
 from ..simnet.packet import EthernetFrame, IpPacket
 from ..tcp.segment import TcpSegment, seq_add
 from ..testbed import SmartHomeTestbed
@@ -126,12 +125,7 @@ def _run_mode(mode: str, seed: int) -> IntegrityRow:
     alarms_before = tb.alarms.count()
 
     if mode == "hold-release":
-        attacker.delay_next_event(
-            hub.ip,
-            TimeoutBehavior.from_profile(hub.profile),
-            duration=20.0,
-            trigger_size=contact.profile.event_size,
-        )
+        attacker.delay_for(contact).arm(duration=20.0)
     elif mode in ("corrupt", "inject", "drop"):
         middlebox.tamper_next(hub.ip, mode, trigger_size=contact.profile.event_size)
 

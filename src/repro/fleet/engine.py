@@ -140,9 +140,9 @@ def drive_home(
 
     The home settles for ``settle`` seconds.  With ``holds`` — one
     ``(device_id, at, duration)`` triple per hold — a phantom-delay
-    attacker is deployed and each hold is scheduled as a deferred
-    ``StateUpdateDelay.arm`` at ``observe + at`` (``duration=None`` holds
-    for the maximum safe window), with one primitive per device.  A
+    attacker is deployed and each hold is scheduled as a deferred ``arm``
+    of the device's e-Delay from ``delay_for`` at ``observe + at``
+    (``duration=None`` holds for the maximum safe window).  A
     non-zero ``observe`` window then runs before the stimuli are scheduled
     ``at`` seconds after it, and the timeline runs for ``duration``.
 
@@ -157,14 +157,14 @@ def drive_home(
         tb.settle(settle)
         if holds:
             from ..core.attacker import PhantomDelayAttacker
-            from ..core.attacks.state_update_delay import StateUpdateDelay
+            from ..core.primitives import CDelay, EDelay
 
             attacker = PhantomDelayAttacker.deploy(tb)
-            primitives: dict[str, StateUpdateDelay] = {}
+            primitives: dict[str, EDelay | CDelay] = {}
             for device_id, at, hold_duration in holds:
                 primitive = primitives.get(device_id)
                 if primitive is None:
-                    primitive = StateUpdateDelay(attacker, tb.device(device_id))
+                    primitive = attacker.delay_for(tb.device(device_id))
                     primitives[device_id] = primitive
                 tb.sim.schedule(
                     max(0.0, observe + at),

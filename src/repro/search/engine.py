@@ -12,7 +12,7 @@ The program is built and run by the fleet engine's
 :func:`~repro.fleet.engine.drive_home`, with the run structure of :func:`repro.core.attacks.base.run_scenario`:
 settle, then an observe window in *both* runs so baseline and attacked
 stay time-aligned, then the stimulus timeline; each hold is a deferred
-``StateUpdateDelay.arm`` keyed on the target device's event-size
+``arm`` of the target device's e-Delay, keyed on its event-size
 fingerprint.  Invariant checking is always on — a hit only counts when
 the cross-layer :class:`~repro.faults.InvariantSuite` stayed silent,
 which is the paper's stealthiness claim.

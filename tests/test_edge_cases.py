@@ -104,13 +104,9 @@ class TestEndpointStaleHandling:
         attacker = PhantomDelayAttacker.deploy(tb)
         attacker.interpose(keypad.host.ip)
         tb.run(30.0)
-        attacker.delay_next_event(
-            keypad.host.ip,
-            TimeoutBehavior.from_profile(keypad.profile),
-            duration=40.0,
-            clamp=False,
-            suppress_close=True,
-        )
+        attacker.e_delay(
+            keypad.host.ip, TimeoutBehavior.from_profile(keypad.profile)
+        ).arm(duration=40.0, clamp=False, suppress_close=True)
         keypad.stimulate("code-entered")
         tb.run(30.0)  # device times out at 20 s, reconnects at 22 s
         assert endpoint.half_open_count("hs3") == 1  # old one was closed

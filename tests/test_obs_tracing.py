@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.timeline import build_timeline_from_trace
 from repro.automation import parse_rule
 from repro.core import PhantomDelayAttacker
-from repro.core.attacks import StateUpdateDelay
 from repro.obs import Tracer, attribute_delay, link_hold_spans, render_span_tree
 from repro.testbed import SmartHomeTestbed
 
@@ -21,7 +20,7 @@ def edelay_run():
     ))
     home.settle()
     attacker = PhantomDelayAttacker.deploy(home)
-    delay = StateUpdateDelay(attacker, smoke)
+    delay = attacker.delay_for(smoke)
     home.run(70.0)
     delay.arm()
     fire_at = home.now
