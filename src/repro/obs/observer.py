@@ -79,14 +79,6 @@ class SchedulerProfiler(SimObserver):
         self._latency[label].observe(now - timer.created_at)
         self._depth.set(queue_depth)
 
-    # ------------------------------------------------------------- queries
-
-    def fire_counts(self) -> dict[str, int]:
-        return {label: c.value for label, c in self._fired.items()}
-
-    def events_per_second(self, elapsed: float) -> float:
-        return self._events.value / elapsed if elapsed > 0 else 0.0
-
 
 class Observability:
     """Registry + tracer for one simulation; disabled (and empty) by default.

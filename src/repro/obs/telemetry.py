@@ -156,10 +156,6 @@ class ShardTelemetry:
     replayed: bool = False
     cached: bool = False
 
-    @classmethod
-    def empty(cls) -> "ShardTelemetry":
-        return cls()
-
     def deterministic(self) -> "ShardTelemetry":
         """The cacheable part: run-specific usage and flags stripped."""
         return replace(self, usage=None, replayed=False, cached=False)
@@ -228,7 +224,11 @@ class TelemetryCapture:
             merged.merge(registry, exclude_components=NONDETERMINISTIC_COMPONENTS)
         if self.simulations:
             sims = merged.counter("scheduler", "simulations")
+            # Each simulation's events count once, from its account: an
+            # observed simulator's profiler counted the same events into
+            # the registry merged above.
             events = merged.counter("scheduler", "events_processed")
+            events.value = 0
             clock = merged.histogram("scheduler", "sim_clock_seconds")
             for account in self.simulations:
                 account.settle()

@@ -206,9 +206,7 @@ class TestCapture:
         with capture() as cap:
             sim = Simulator(seed=3)
             if observed:
-                # Tracer only: a scheduler profiler would add its own
-                # events_processed counter to the merged snapshot.
-                sim.enable_observability(profile_scheduler=False)
+                sim.enable_observability()
                 sim.schedule(0.5, lambda: sim.obs.tracer.event("test", "tick"))
             sim.schedule(1.0, lambda: None)
             sim.run(5.0)
