@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any
 
 from ..experiments.registry import experiment_names, get_experiment
-from ..obs.manifest import manifest_dir
+from ..obs.manifest import RunManifest, manifest_dir
 from ..obs.metrics import MetricsRegistry
 from ..parallel import (
     CampaignCancelled,
@@ -276,16 +276,27 @@ class CampaignService:
             on_progress=on_progress,
         )
         result = experiment.run(**spec.kwargs, seed=spec.seed, runner=runner)
-        return {
+        event: dict[str, Any] = {
             "event": "result",
             "status": experiment.status(result),
             "output": experiment.render(result),
-            "manifest": str(runner.manifest_paths[0])
-            if runner.manifest_paths else None,
-            "metrics": [dict(r) for r in runner.last_snapshot.records],
-            "shards": len(runner.last_shard_rows),
-            "cached_shards": sum(1 for r in runner.last_shard_rows if r.cached),
+            "manifest": None,
+            "metrics": [],
+            "shards": 0,
+            "cached_shards": 0,
         }
+        if runner.manifest_paths:
+            # A multi-campaign job reports its first campaign throughout:
+            # the one its manifest holds.
+            path = runner.manifest_paths[0]
+            manifest = RunManifest.load(path)
+            event.update(
+                manifest=str(path),
+                metrics=[dict(r) for r in manifest.metrics],
+                shards=manifest.header["shards"],
+                cached_shards=manifest.header["cached_shards"],
+            )
+        return event
 
     def _manifest_path(self, job: Job) -> Path:
         """One manifest per job, content-addressed like its cache entries."""

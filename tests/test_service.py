@@ -472,7 +472,12 @@ class TestServedEquivalence:
         manifest = Path(final["manifest"])
         assert manifest.parent.name == "service"
         assert manifest.stem == JobSpec("countermeasures", {}, seed=7).key()
-        assert RunManifest.load(manifest).campaign == "cm-ack-timeout"
+        loaded = RunManifest.load(manifest)
+        assert loaded.campaign == "cm-ack-timeout"
+        # Every field of the event describes that same first campaign.
+        assert final["shards"] == loaded.header["shards"]
+        assert final["cached_shards"] == loaded.header["cached_shards"]
+        assert final["metrics"] == [dict(r) for r in loaded.metrics]
 
     def test_result_carries_the_merged_metrics_snapshot(self, service):
         _, final = service.submit_and_wait(
