@@ -97,12 +97,6 @@ class EndpointServer:
             raise ValueError(f"{self.name}: device already registered: {device_id}")
         self.registry[device_id] = DeviceRecord(device_id=device_id, profile=profile, via=via)
 
-    def record_of(self, device_id: str) -> DeviceRecord:
-        try:
-            return self.registry[device_id]
-        except KeyError:
-            raise LookupError(f"{self.name}: unknown device {device_id!r}") from None
-
     # --------------------------------------------------------------- accept
 
     def _accept(self, conn: TcpConnection) -> None:

@@ -23,7 +23,6 @@ from typing import Iterable
 from ..devices.profiles import Catalogue, CATALOGUE, DeviceProfile
 from ..simnet.inet import DnsRegistry
 from ..simnet.trace import FlowKey, PacketCapture, PacketMeta
-from ..tls.session import RECORD_OVERHEAD
 
 #: Tolerance when matching keep-alive periods (fraction of the period).
 PERIOD_TOLERANCE = 0.15
@@ -79,9 +78,6 @@ class FlowObservation:
     ka_period: float | None
     ka_wire_size: int | None
     uplink_sizes: dict[int, int] = field(default_factory=dict)  # size -> count
-
-    def dominant_sizes(self) -> list[int]:
-        return sorted(self.uplink_sizes, key=lambda s: -self.uplink_sizes[s])
 
 
 @dataclass(frozen=True)
@@ -248,8 +244,3 @@ class FingerprintDatabase:
             if signature.label == label and signature.table == table:
                 return signature
         raise LookupError(f"no signature for {label!r} table {table}")
-
-
-def plaintext_size(wire_size: int) -> int:
-    """Convert an observed record size back to its plaintext length."""
-    return max(wire_size - RECORD_OVERHEAD, 0)

@@ -444,9 +444,6 @@ class TcpHijacker:
 
     # ------------------------------------------------------------ inspection
 
-    def events_on_flow(self, flow: FlowKey, since: float = 0.0) -> list[FlowEvent]:
-        return [e for e in self.flow_events if e.flow == flow and e.ts >= since]
-
     def close_events_involving(self, device_ip: str, since: float = 0.0) -> list[FlowEvent]:
         return [
             e

@@ -86,9 +86,6 @@ class KnowledgeBase:
     def behavior_of(self, label: str) -> TimeoutBehavior:
         return self.lookup(label).behavior
 
-    def known_labels(self) -> list[str]:
-        return sorted(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 

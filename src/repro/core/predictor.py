@@ -203,11 +203,3 @@ class TimeoutPredictor:
         if not prediction.bounded:
             return INF
         return max(prediction.at - self.margin - hold_start, 0.0)
-
-    def max_safe_command_delay(
-        self, hold_start: float, next_ka_send: float | None = None
-    ) -> float:
-        prediction = self.command_hold_timeout(hold_start, next_ka_send)
-        if not prediction.bounded:
-            return INF
-        return max(prediction.at - self.margin - hold_start, 0.0)

@@ -160,9 +160,6 @@ class PacketCapture:
             )
         return metas
 
-    def flows_involving(self, ip: str) -> list[FlowKey]:
-        return [key for key in self.flows() if key.involves_ip(ip)]
-
     def flow_summary(self) -> list[dict]:
         """Per-flow statistics: packet/byte counts, span, payload volume."""
         out = []

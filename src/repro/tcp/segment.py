@@ -97,9 +97,6 @@ class TcpSegment:
     def byte_size(self) -> int:
         return TCP_HEADER_BYTES + len(self.payload)
 
-    def reversed_flow(self) -> tuple[int, int]:
-        return (self.dst_port, self.src_port)
-
     def describe(self) -> str:
         flag_str = ",".join(sorted(self.flags)) or "-"
         return (
