@@ -25,6 +25,7 @@ from typing import Callable, TYPE_CHECKING
 
 from ..appproto.keepalive import FIXED, ON_IDLE
 from ..simnet.inet import DnsRegistry
+from ..simnet.scheduler import run_until
 from ..simnet.trace import PacketCapture
 from .fingerprint import extract_observation
 from .hijacker import EVENT_FIN, EVENT_RST, FlowEvent, Hold, TcpHijacker
@@ -318,7 +319,7 @@ class TimeoutProfiler:
     def _run_delay_trial(self, hold: Hold, trigger: Callable[[], None] | None) -> TrialResult:
         if trigger is not None:
             trigger()
-        if not self._run_until(lambda: hold.triggered_at is not None, self.max_wait):
+        if not run_until(self.sim, lambda: hold.triggered_at is not None, self.max_wait):
             self.hijacker.cancel(hold)
             return TrialResult(started_at=self.sim.now, timed_out_at=None)
         started = hold.triggered_at
@@ -344,7 +345,7 @@ class TimeoutProfiler:
                     close = event
             return close is not None
 
-        if self._run_until(closed, self.max_wait):
+        if run_until(self.sim, closed, self.max_wait):
             assert close is not None
             result = TrialResult(started_at=started, timed_out_at=close.ts)
         else:
@@ -357,19 +358,6 @@ class TimeoutProfiler:
         self.sim.run(self.recovery)
 
     # --------------------------------------------------------------- helpers
-
-    def _run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
-        # Batch-steps one simulated instant at a time (see
-        # repro.experiments._util.run_until): the predicate only changes
-        # when events fire, so per-event re-evaluation is pure overhead.
-        deadline = self.sim.now + timeout
-        while not predicate():
-            nxt = self.sim.peek()
-            if nxt is None or nxt > deadline:
-                self.sim.run_until(deadline)
-                return predicate()
-            self.sim.run_until(nxt)
-        return True
 
     def _uplink_sizes_since(self, mark: float) -> list[int]:
         sizes = []
@@ -413,7 +401,7 @@ class TimeoutProfiler:
                     return True
             return False
 
-        if not self._run_until(seen, window):
+        if not run_until(self.sim, seen, window):
             raise RuntimeError("no keep-alive observed while waiting")
         self.sim.run(0.2)  # let the keep-alive's reply complete
         return found[0]

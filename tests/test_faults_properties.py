@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.experiments._util import run_until
+from repro.simnet.scheduler import run_until
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantSuite
 from repro.faults.profiles import get_profile
