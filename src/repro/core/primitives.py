@@ -105,7 +105,7 @@ class _DelayPrimitive:
         that provokes a timeout — what the profiling campaign and the
         half-open-connection experiment deliberately do.
         """
-        hold = self._make_hold(trigger_size, label or self.kind)
+        hold = self._make_hold(trigger_size, label or f"{self.kind}:{self.device_ip}")
         hold.suppress_close = suppress_close
         operation = DelayOperation(
             kind=self.kind,
