@@ -127,6 +127,12 @@ def is_compact(data: bytes) -> bool:
     return bool(data) and data[0] == _COMPACT_MAGIC
 
 
+#: The body encoder, built once: ``json.dumps`` with any keyword argument
+#: builds a new encoder on every call.  Same bytes as
+#: ``json.dumps(obj, separators=(",", ":"), sort_keys=True)``.
+_BODY_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode_body(message: IoTMessage, pad_to: int | None = None) -> bytes:
     """Serialise a message, optionally padding the plaintext to ``pad_to``.
 
@@ -136,7 +142,7 @@ def encode_body(message: IoTMessage, pad_to: int | None = None) -> bytes:
     """
     # Single-letter keys keep the natural encoding small enough to fit the
     # catalogue's smallest observed wire sizes (padding can only grow).
-    body = json.dumps(
+    body = _BODY_ENCODER.encode(
         {
             "k": message.kind,
             "n": message.name,
@@ -144,9 +150,7 @@ def encode_body(message: IoTMessage, pad_to: int | None = None) -> bytes:
             "i": message.msg_id,
             "t": message.device_time,
             "s": message.device_id,
-        },
-        separators=(",", ":"),
-        sort_keys=True,
+        }
     ).encode()
     if pad_to is not None and pad_to > len(body):
         body = body + b"\x00" + b"p" * (pad_to - len(body) - 1)

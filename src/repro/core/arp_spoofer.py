@@ -84,7 +84,9 @@ class ArpSpoofer:
             return
         self._running = True
         self._poison_all()
-        self._schedule_next()
+        self._timer = self.sim.schedule_periodic(
+            self.period, self._poison_all, label="arp-spoof"
+        )
 
     def stop(self) -> None:
         self._running = False
@@ -101,17 +103,7 @@ class ArpSpoofer:
     def _send_poison(self, target: SpoofTarget, poison: ArpPacket) -> None:
         self.replies_sent += 1
         host = self.host
-        host.nic.send(EthernetFrame(host.mac, target.victim_mac, poison))
-
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        self._timer = self.sim.schedule(self.period, self._tick, label="arp-spoof")
-
-    def _tick(self) -> None:
-        self._timer = None
-        self._poison_all()
-        self._schedule_next()
+        host.lan.transmit(EthernetFrame(host.mac, target.victim_mac, poison), host.nic)
 
     # ---------------------------------------------------- request overriding
 
@@ -124,7 +116,7 @@ class ArpSpoofer:
             return
         for target, poison in self.targets:
             if arp.sender_ip == target.victim_ip and arp.target_ip == target.impersonated_ip:
-                self.sim.schedule(
+                self.sim.post(
                     REQUEST_OVERRIDE_DELAY,
                     self._send_poison,
                     target,

@@ -400,7 +400,7 @@ class TcpHijacker:
         segment = packet.payload
         if isinstance(segment, TcpSegment) and segment.payload:
             self.last_payload_forwarded[(packet.src_ip, packet.dst_ip)] = self.sim.now
-            self.sim.schedule(
+            self.sim.post(
                 self.FORWARD_RETRY_INTERVAL,
                 self._check_forward,
                 key if key is not None else self._flow_key(packet, segment),
@@ -423,7 +423,7 @@ class TcpHijacker:
             return
         self.stats["forward_retries"] += 1
         self.host.send_ip(packet)
-        self.sim.schedule(
+        self.sim.post(
             self.FORWARD_RETRY_INTERVAL,
             self._check_forward,
             flow,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..appproto.keepalive import FIXED, ON_IDLE
+from ..appproto.keepalive import ON_IDLE
 from ..devices.profiles import DeviceProfile
 
 INF = math.inf

@@ -83,6 +83,10 @@ class FaultInjector:
         resolved = resolve_profile(profile)
         assert resolved is not None
         self.profile = resolved
+        #: ``profile.impaired``, read once: the profile is frozen.
+        self._impaired = resolved.impaired
+        #: ``_drift_factor`` per sender MAC, hashed on the MAC's first frame.
+        self._drift: dict[str, float] = {}
         self.seed = seed
         self.rng = Random(derive_seed(seed, f"faults/{self.profile.name}"))
         self._in_burst = False
@@ -108,9 +112,9 @@ class FaultInjector:
         An empty plan means the frame was lost.  Exactly nine uniform
         draws are consumed per eligible frame, whatever happens.
         """
-        profile = self.profile
-        if not profile.impaired or not self.eligible(frame):
+        if not self._impaired or not self.eligible(frame):
             return [(base_delay, frame)]
+        profile = self.profile
         self.stats["frames_seen"] += 1
         rng = self.rng
         (u_trans, u_burst_drop, u_loss, u_corrupt, u_corrupt_byte,
@@ -118,9 +122,10 @@ class FaultInjector:
 
         delay = base_delay
         if profile.drift_ppm > 0:
-            delay += (
-                _drift_factor(frame.src_mac) * profile.drift_ppm * 1e-6 * self.sim.now
-            )
+            drift = self._drift.get(frame.src_mac)
+            if drift is None:
+                drift = self._drift[frame.src_mac] = _drift_factor(frame.src_mac)
+            delay += drift * profile.drift_ppm * 1e-6 * self.sim.now
         if profile.jitter > 0:
             delay += u_jitter * profile.jitter
 

@@ -44,17 +44,17 @@ class ArpCache:
         accept_unsolicited: bool = True,
     ) -> None:
         self.sim = sim
-        self._clock = sim.clock
         self.ttl = ttl
         self.accept_unsolicited = accept_unsolicited
         self._entries: dict[str, ArpEntry] = {}
-        self._outstanding: set[str] = set()
+        #: IPs with a request in flight: a reply from one of them is solicited.
+        self.outstanding: set[str] = set()
 
     def lookup(self, ip: str) -> str | None:
         entry = self._entries.get(ip)
         if entry is None:
             return None
-        if not entry.static and self._clock._now - entry.learned_at > self.ttl:
+        if not entry.static and self.sim.now - entry.learned_at > self.ttl:
             del self._entries[ip]
             return None
         return entry.mac
@@ -71,24 +71,24 @@ class ArpCache:
         if not solicited and not self.accept_unsolicited:
             return False
         if existing is None:
-            self._entries[ip] = ArpEntry(mac, self._clock._now)
+            self._entries[ip] = ArpEntry(mac, self.sim.now)
         else:
             # A refresh (every re-poison is one): update the entry in place.
             existing.mac = mac
-            existing.learned_at = self._clock._now
+            existing.learned_at = self.sim.now
         return True
 
     def set_static(self, ip: str, mac: str) -> None:
         self._entries[ip] = ArpEntry(mac=mac, learned_at=self.sim.now, static=True)
 
     def mark_requested(self, ip: str) -> None:
-        self._outstanding.add(ip)
+        self.outstanding.add(ip)
 
     def is_outstanding(self, ip: str) -> bool:
-        return ip in self._outstanding
+        return ip in self.outstanding
 
     def clear_outstanding(self, ip: str) -> None:
-        self._outstanding.discard(ip)
+        self.outstanding.discard(ip)
 
     def snapshot(self) -> dict[str, str]:
         """Current live mappings (for assertions and attack diagnostics)."""

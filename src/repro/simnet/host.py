@@ -93,7 +93,7 @@ class Host:
     def _send_via(self, next_hop_ip: str, packet: IpPacket) -> None:
         mac = self.arp.lookup(next_hop_ip)
         if mac is not None:
-            self.nic.send(EthernetFrame(self.mac, mac, packet))
+            self.lan.transmit(EthernetFrame(self.mac, mac, packet), self.nic)
             return
         self._arp_wait_queue.setdefault(next_hop_ip, []).append(packet)
         if not self.arp.is_outstanding(next_hop_ip):
@@ -108,7 +108,7 @@ class Host:
             target_mac=BROADCAST_MAC,
             target_ip=target_ip,
         )
-        self.nic.send(EthernetFrame(self.mac, BROADCAST_MAC, request))
+        self.lan.transmit(EthernetFrame(self.mac, BROADCAST_MAC, request), self.nic)
 
     def send_arp_reply(self, claimed_ip: str, to_mac: str, to_ip: str) -> None:
         """Emit an ARP reply binding ``claimed_ip`` to our MAC.
@@ -125,7 +125,7 @@ class Host:
             target_mac=to_mac,
             target_ip=to_ip,
         )
-        self.nic.send(EthernetFrame(self.mac, to_mac, reply))
+        self.lan.transmit(EthernetFrame(self.mac, to_mac, reply), self.nic)
 
     # --------------------------------------------------------------- receive
 
@@ -139,13 +139,18 @@ class Host:
         if self.frame_taps:
             for tap in list(self.frame_taps):
                 tap(frame)
-        addressed_to_us = frame.dst_mac in (self.mac, BROADCAST_MAC)
-        if isinstance(frame.payload, ArpPacket):
-            if addressed_to_us:
-                self._on_arp(frame.payload)
-        elif isinstance(frame.payload, IpPacket):
-            if frame.dst_mac == self.mac:
-                self._on_ip(frame.payload, frame)
+        payload = frame.payload
+        kind = type(payload)
+        if kind is IpPacket:
+            if frame.dst_mac != self.mac:
+                return  # overheard by a promiscuous NIC
+            if payload.dst_ip != self.ip:
+                self._handle_foreign_ip(payload, frame)
+            elif self.ip_handler is not None:
+                self.ip_handler(payload)
+        elif kind is ArpPacket:
+            if frame.dst_mac == self.mac or frame.dst_mac == BROADCAST_MAC:
+                self._on_arp(payload)
 
     def _on_arp(self, arp: ArpPacket) -> None:
         if arp.op == "request":
@@ -156,12 +161,13 @@ class Host:
                 self.send_arp_reply(self.ip, to_mac=arp.sender_mac, to_ip=arp.sender_ip)
             return
         sender_ip = arp.sender_ip
-        solicited = self.arp.is_outstanding(sender_ip)
-        if self.arp.learn(sender_ip, arp.sender_mac, solicited=solicited):
+        cache = self.arp
+        solicited = sender_ip in cache.outstanding
+        if cache.learn(sender_ip, arp.sender_mac, solicited=solicited):
             # An unsolicited reply (every re-poison) has no mark to clear,
             # and only a resolution we waited on has packets to flush.
             if solicited:
-                self.arp.clear_outstanding(sender_ip)
+                cache.clear_outstanding(sender_ip)
             if sender_ip in self._arp_wait_queue:
                 self._flush_arp_queue(sender_ip)
 
@@ -170,14 +176,7 @@ class Host:
         if mac is None:
             return
         for packet in self._arp_wait_queue.pop(next_hop_ip, []):
-            self.nic.send(EthernetFrame(self.mac, mac, packet))
-
-    def _on_ip(self, packet: IpPacket, frame: EthernetFrame) -> None:
-        if packet.dst_ip == self.ip:
-            if self.ip_handler is not None:
-                self.ip_handler(packet)
-            return
-        self._handle_foreign_ip(packet, frame)
+            self.lan.transmit(EthernetFrame(self.mac, mac, packet), self.nic)
 
     def _handle_foreign_ip(self, packet: IpPacket, frame: EthernetFrame) -> None:
         """IP packet for another host landed on our MAC.

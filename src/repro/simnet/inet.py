@@ -98,4 +98,4 @@ class Internet:
         if handler is None:
             return
         self.packets_carried += 1
-        self.sim.schedule(self.latency, handler, packet, label="wan")
+        self.sim.post(self.latency, handler, packet, label="wan")

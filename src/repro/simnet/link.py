@@ -45,7 +45,7 @@ class Nic:
 class Lan:
     """A broadcast domain with uniform per-frame latency.
 
-    ``transmit`` schedules delivery to the addressed NIC (or all NICs for
+    ``transmit`` posts delivery to the addressed NIC (or all NICs for
     broadcast) and, regardless of addressing, to every promiscuous NIC —
     which is how the attacker's sniffer sees traffic it is not a party to.
     """
@@ -113,9 +113,11 @@ class Lan:
     def transmit(self, frame: EthernetFrame, sender: Nic) -> None:
         """Queue ``frame`` for delivery after one LAN latency.
 
-        Each delivery is a scheduled event stamped with a per-frame
-        sequence number; the fault injector (when attached) may reshape
-        the plan into zero, one, or several deliveries.
+        Each delivery is a posted event stamped with a per-frame sequence
+        number; the fault injector (when attached) may reshape the plan
+        into zero, one, or several deliveries.  Hosts call this directly
+        with their own NIC; :meth:`Nic.send` is the same call for callers
+        that hold only the NIC.
         """
         self.frames_transmitted += 1
         self.bytes_transmitted += frame.byte_size()
@@ -124,19 +126,18 @@ class Lan:
             delay += self.sim.rng.uniform(0.0, self.jitter)
         injector = self.fault_injector
         if injector is None:
-            deliveries = ((delay, frame),)
-        else:
-            deliveries = injector.plan(frame, delay)
-            if not deliveries:
-                self.frames_dropped += 1
-                return
+            self.sim.post(
+                delay, self._deliver, frame, sender.mac, next(self._frame_seq),
+                label=self._label,
+            )
+            return
+        deliveries = injector.plan(frame, delay)
+        if not deliveries:
+            self.frames_dropped += 1
+            return
         for when, copy in deliveries:
-            self.sim.schedule(
-                when,
-                self._deliver,
-                copy,
-                sender.mac,
-                next(self._frame_seq),
+            self.sim.post(
+                when, self._deliver, copy, sender.mac, next(self._frame_seq),
                 label=self._label,
             )
 

@@ -96,7 +96,12 @@ class IpPacket:
     ttl: int = 64
 
     def byte_size(self) -> int:
-        return IPV4_HEADER_BYTES + _payload_size(self.payload)
+        # Every packet the stack builds carries a sized value (a TCP
+        # segment); raw bytes and None take the general path.
+        size = getattr(self.payload, "byte_size", None)
+        if size is None:
+            return IPV4_HEADER_BYTES + _payload_size(self.payload)
+        return IPV4_HEADER_BYTES + size()
 
 
 @value
@@ -109,7 +114,13 @@ class EthernetFrame:
     frame_id: int = field(default_factory=_packet_ids.__next__)
 
     def byte_size(self) -> int:
-        return ETHERNET_HEADER_BYTES + _payload_size(self.payload)
+        payload = self.payload
+        kind = type(payload)
+        if kind is IpPacket:
+            return ETHERNET_HEADER_BYTES + payload.byte_size()
+        if kind is ArpPacket:
+            return ETHERNET_HEADER_BYTES + ARP_BODY_BYTES
+        return ETHERNET_HEADER_BYTES + _payload_size(payload)
 
     @property
     def is_broadcast(self) -> bool:

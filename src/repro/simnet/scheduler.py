@@ -1,4 +1,4 @@
-"""Discrete-event scheduler: one binary heap of ``(when, seq, timer)`` nodes.
+"""Discrete-event scheduler: one binary heap of ``(when, seq, event)`` nodes.
 
 The scheduler is the heartbeat of the whole reproduction: TCP retransmission
 and keep-alive timers, MQTT PINGREQ periods, HTTP response timeouts, sensor
@@ -7,19 +7,29 @@ events in a single logical timeline.  Determinism matters — two runs with
 the same seed and the same timeline must produce identical packet traces —
 so ties are broken by insertion order, never by object identity.
 
-Every pending timer, one-shot or periodic, sits in one :mod:`heapq` list as
-a plain ``(when, seq, timer)`` tuple.  ``seq`` is a single per-simulator
-insertion counter, so tuple comparison (done in C) settles every order on
-the first two fields and fire order is exactly ``(when, seq)``.
+Every pending event sits in one :mod:`heapq` list as a plain
+``(when, seq, event)`` tuple, where ``event`` is either a :class:`Timer`
+(one-shot or periodic) or, for a handle-less post, the tuple
+``(callback, args, label, created_at)``.  ``seq`` is a single
+per-simulator insertion counter, so tuple comparison (done in C) settles
+every order on the first two fields and fire order is exactly
+``(when, seq)``.
 
+* **Handle-less posts.**  :meth:`Simulator.post` is
+  :meth:`~Simulator.schedule` for callers that never keep the handle (LAN
+  and WAN deliveries, the hijacker's relay): it draws its ``seq`` at the
+  same point but queues no :class:`Timer`, so it can be neither cancelled
+  nor re-armed.  A post fires exactly as a one-shot timer would; an
+  observer sees it as one (see :meth:`Simulator.post`).
 * **Lazy cancellation.**  ``Timer.cancel()`` only flags the timer and
   drops it from the live count; the node stays in the heap and is skipped
   when it reaches the top.  The heap stays small on every campaign (a few
   hundred nodes at peak), so cancelled nodes never need compacting.
 * **Periodic timers.**  :meth:`Simulator.schedule_periodic` returns a
   :class:`PeriodicTimer` that the loop re-arms in place after each fire,
-  drawing its new ``seq`` after the callback returns — exactly as if the
-  callback had ended with ``sim.schedule(period, ...)``.
+  drawing its new ``seq`` after the callback returns and setting
+  ``created_at`` to the fire instant — exactly as if the callback had
+  ended with ``sim.schedule(period, ...)``.
 * **Watchdog re-arm.**  :meth:`Simulator.restart` is ``timer.cancel()``
   followed by :meth:`~Simulator.schedule`.  When a live one-shot's deadline
   does not move earlier, the timer keeps its heap node: the re-arm draws
@@ -29,9 +39,10 @@ the first two fields and fire order is exactly ``(when, seq)``.
   has a smaller key than the new one, so fire order stays exactly
   ``(when, seq)``; the re-queue is no event and moves no clock.
 
-``tests/test_scheduler_equivalence.py`` drives random schedule / cancel /
-re-arm / restart programs through this loop and through a textbook heap
-reference, and pins the rendered Table I and canonical Table III digests.
+``tests/test_scheduler_equivalence.py`` drives random schedule / post /
+cancel / re-arm / restart programs through this loop and through a
+textbook heap reference, and pins the rendered Table I and canonical
+Table III digests.
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ from typing import Any, Callable, TYPE_CHECKING
 
 from ..obs import telemetry
 from ..obs.observer import Observability
-from .clock import Clock
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.observer import SimObserver
@@ -139,13 +149,15 @@ class PeriodicTimer(Timer):
 
 
 class Simulator:
-    """Event loop owning the virtual :class:`Clock`.
+    """Event loop owning the virtual clock.
 
     Components schedule callbacks with :meth:`schedule` (relative delay),
-    :meth:`at` (absolute time), or :meth:`schedule_periodic` (recurring).
-    ``run_until`` / ``run`` drive the loop.  The simulator also owns a
-    seeded :class:`random.Random` so that jitter (for example TCP
-    retransmission backoff randomisation) is reproducible.
+    :meth:`at` (absolute time), :meth:`schedule_periodic` (recurring), or
+    :meth:`post` (relative delay, no handle).  ``run_until`` / ``run``
+    drive the loop.  :attr:`now` is a plain attribute that only the loop
+    writes; everything else reads it.  The simulator also owns a seeded
+    :class:`random.Random` so that jitter (for example TCP retransmission
+    backoff randomisation) is reproducible.
     """
 
     #: When the event budget is near, fire counts over this trailing window
@@ -161,9 +173,13 @@ class Simulator:
     _telemetry_account: "telemetry.SimulationAccount | None" = None
 
     def __init__(self, seed: int = 0, observer: "SimObserver | None" = None) -> None:
-        self.clock = Clock()
+        #: Current simulated time in seconds; read-only outside the loop.
+        self.now = 0.0
         self.rng = random.Random(seed)
-        self._heap: list[tuple[float, int, Timer]] = []
+        #: ``(when, seq, timer)`` and ``(when, seq, (callback, args, label,
+        #: created_at))`` nodes; ``seq`` is unique, so no comparison ever
+        #: reaches the third field.
+        self._heap: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
         self._pending = 0  # live (un-fired, un-cancelled) timers, all kinds
         self._events_processed = 0
@@ -189,10 +205,6 @@ class Simulator:
         account = self._telemetry_account
         if account is not None:
             account.settle(self)
-
-    @property
-    def now(self) -> float:
-        return self.clock._now
 
     @property
     def events_processed(self) -> int:
@@ -223,7 +235,11 @@ class Simulator:
         self._tally_total = 0
 
     def set_observer(self, observer: "SimObserver | None") -> None:
-        """Install (or remove) the scheduler profiling observer."""
+        """Install (or remove) the scheduler profiling observer.
+
+        Posts queued before the install are reported when they fire, each
+        through a :class:`Timer` built from its node.
+        """
         self._observer = observer
 
     def enable_observability(self) -> Observability:
@@ -252,7 +268,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: delay={delay}")
-        return self._insert(self.clock._now + delay, callback, args, label)
+        return self._insert(self.now + delay, callback, args, label)
 
     def at(
         self,
@@ -266,7 +282,34 @@ class Simulator:
 
     def call_soon(self, callback: Callable[..., Any], *args: Any, label: str = "") -> Timer:
         """Schedule a callback at the current instant (after pending events)."""
-        return self._insert(self.clock._now, callback, args, label)
+        return self._insert(self.now, callback, args, label)
+
+    def post(
+        self,
+        delay: float,
+        callback: Callable[..., Any],
+        *args: Any,
+        label: str = "",
+    ) -> None:
+        """:meth:`schedule` without a handle: a one-shot nobody can cancel.
+
+        For the per-packet callers that drop the handle (LAN and WAN
+        deliveries, the hijacker's relay).  The ``seq`` is drawn here,
+        exactly where :meth:`schedule` draws it, and the node fires as a
+        one-shot timer would: same clock, event count, budget tally (by
+        ``label``) and :attr:`pending_events`.  With an observer installed
+        a post is a :meth:`schedule`, so the observer sees it scheduled.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past: delay={delay}")
+        now = self.now
+        if self._observer is not None:
+            self._insert(now + delay, callback, args, label)
+            return
+        heapq.heappush(
+            self._heap, (now + delay, next(self._seq), (callback, args, label, now))
+        )
+        self._pending += 1
 
     def schedule_periodic(
         self,
@@ -281,8 +324,9 @@ class Simulator:
         The first fire is ``first`` seconds from now (default: one period).
         After each fire the scheduler re-arms the same
         :class:`PeriodicTimer` in place with a fresh insertion sequence
-        number, exactly as if the callback had ended with
-        ``sim.schedule(period, ...)``.  Cancel to stop.
+        number and ``created_at`` set to the fire instant, exactly as if
+        the callback had ended with ``sim.schedule(period, ...)``.  Cancel
+        to stop.
         """
         if period <= 0:
             raise ValueError(f"period must be positive: {period}")
@@ -290,7 +334,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: first={first}")
         return self._insert(  # type: ignore[return-value]
-            self.clock._now + delay, callback, args, label, period
+            self.now + delay, callback, args, label, period
         )
 
     def restart(
@@ -313,7 +357,7 @@ class Simulator:
         written.  Either way the observer sees the re-arm as one
         :meth:`~repro.obs.observer.SimObserver.timer_scheduled` call.
         """
-        now = self.clock._now
+        now = self.now
         when = now + delay
         if (
             timer is not None
@@ -346,7 +390,7 @@ class Simulator:
         period: float | None = None,
     ) -> Timer:
         """Queue a new timer (a :class:`PeriodicTimer` when ``period`` is given)."""
-        now = self.clock._now
+        now = self.now
         if when < now:
             raise ValueError(f"cannot schedule in the past: {when} < {now}")
         if period is None:
@@ -367,11 +411,13 @@ class Simulator:
         """Time of the next pending event, or None when the queue is drained."""
         heap = self._heap
         while heap:
-            when, seq, timer = heap[0]
-            if timer._cancelled:
+            when, seq, event = heap[0]
+            if type(event) is tuple:  # a post is always live
+                return when
+            if event._cancelled:
                 heapq.heappop(heap)
-            elif seq != timer._seq:  # re-armed in place: re-queue, no event
-                heapq.heapreplace(heap, (timer.when, timer._seq, timer))
+            elif seq != event._seq:  # re-armed in place: re-queue, no event
+                heapq.heapreplace(heap, (event.when, event._seq, event))
             else:
                 return when
         return None
@@ -384,12 +430,17 @@ class Simulator:
         self._fire(heapq.heappop(self._heap)[2], when)
         return True
 
-    def _fire(self, timer: Timer, when: float) -> None:
-        """Fire one live timer just popped off the heap, re-arming periodics.
+    def _fire(self, timer: Any, when: float) -> None:
+        """Fire one live event just popped off the heap, re-arming periodics.
 
-        ``run_until`` inlines the one-shot case, which is nearly every event.
+        A post node fires through the one-shot :class:`Timer` it stands for,
+        so an observer installed after it was queued still sees it.
+        ``run_until`` inlines the unobserved post and the one-shot timer,
+        which are nearly every event.
         """
-        self.clock._now = when  # heap order guarantees monotonicity
+        if type(timer) is tuple:  # (callback, args, label, created_at)
+            timer = Timer(when, *timer)
+        self.now = when  # heap order guarantees monotonicity
         self._events_processed += 1
         if self._events_processed > self._tally_after:
             self._tally_near_budget(timer.label)
@@ -404,7 +455,10 @@ class Simulator:
             self._observer.timer_fired(timer, when, depth)
         timer.callback(*timer.args)
         if period is not None and not timer._cancelled:
+            # Exactly ``sim.schedule(period, ...)`` from the callback: a
+            # fresh seq drawn now, and the re-arm scheduled at this instant.
             timer.when = when + period
+            timer.created_at = when
             timer._seq = seq = next(self._seq)
             heapq.heappush(self._heap, (timer.when, seq, timer))
 
@@ -450,36 +504,47 @@ class Simulator:
         """
         heap = self._heap
         pop = heapq.heappop
-        clock = self.clock
         while heap:
-            when, seq, timer = heap[0]
+            when, seq, event = heap[0]
             if when > deadline:
                 break
             pop(heap)
-            if timer._cancelled:
+            if type(event) is tuple:  # a post: a one-shot without a handle
+                if self._observer is not None:
+                    self._fire(event, when)
+                    continue
+                callback, args, label, _ = event
+                self.now = when
+                self._events_processed = fired = self._events_processed + 1
+                if fired > self._tally_after:
+                    self._tally_near_budget(label)
+                self._pending -= 1
+                callback(*args)
                 continue
-            if seq != timer._seq:  # re-armed in place: re-queue, no event
-                heapq.heappush(heap, (timer.when, timer._seq, timer))
+            if event._cancelled:
                 continue
-            if timer.period is not None:
-                self._fire(timer, when)
+            if seq != event._seq:  # re-armed in place: re-queue, no event
+                heapq.heappush(heap, (event.when, event._seq, event))
                 continue
-            clock._now = when
+            if event.period is not None:
+                self._fire(event, when)
+                continue
+            self.now = when
             self._events_processed = fired = self._events_processed + 1
             if fired > self._tally_after:
-                self._tally_near_budget(timer.label)
-            timer._fired = True
+                self._tally_near_budget(event.label)
+            event._fired = True
             self._pending -= 1
             if self._observer is not None:
-                self._observer.timer_fired(timer, when, self._pending)
-            timer.callback(*timer.args)
-        if deadline > clock._now:
-            clock._now = deadline
+                self._observer.timer_fired(event, when, self._pending)
+            event.callback(*event.args)
+        if deadline > self.now:
+            self.now = deadline
 
     def run(self, for_duration: float | None = None) -> None:
         """Run for ``for_duration`` seconds, or drain the queue when None."""
         if for_duration is not None:
-            self.run_until(self.clock._now + for_duration)
+            self.run_until(self.now + for_duration)
             return
         while self.step():
             pass

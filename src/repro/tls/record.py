@@ -129,16 +129,20 @@ def reset_memo() -> None:
     _MAC_MEMO.clear()
 
 
-def _keystream(enc_key: bytes, seq: int, length: int) -> bytes:
-    """Deterministic per-record keystream (counter-mode style)."""
-    out = bytearray()
-    block = 0
-    while len(out) < length:
-        out += hashlib.sha256(
-            enc_key + seq.to_bytes(8, "big") + block.to_bytes(4, "big")
-        ).digest()
-        block += 1
-    return bytes(out[:length])
+def _keystream(primed: "hashlib._Hash", seq: int, length: int) -> bytes:
+    """Deterministic per-record keystream (counter-mode style).
+
+    Block ``i`` is ``sha256(enc_key || seq || i)`` as 8- and 4-byte big-endian
+    integers.  ``primed`` is ``sha256(enc_key)``, hashed once per direction;
+    each block copies it and hashes only the counter bytes.
+    """
+    prefix = seq.to_bytes(8, "big")
+    blocks = []
+    for block in range((length + 31) // 32):
+        digest = primed.copy()
+        digest.update(prefix + block.to_bytes(4, "big"))
+        blocks.append(digest.digest())
+    return b"".join(blocks)[:length]
 
 
 def _xor(data: bytes, keystream: bytes) -> bytes:
@@ -177,6 +181,7 @@ class RecordWriter:
 
     def __init__(self, enc_key: bytes, mac_key: bytes) -> None:
         self._enc_key = enc_key
+        self._keystream_hash = hashlib.sha256(enc_key)
         self._mac_key = mac_key
         self.seq = 0
 
@@ -195,7 +200,7 @@ class RecordWriter:
         ks_key = (self._enc_key, seq, length)
         keystream = _KEYSTREAM_MEMO.take(ks_key)
         if keystream is None:
-            keystream = _keystream(self._enc_key, seq, length)
+            keystream = _keystream(self._keystream_hash, seq, length)
         _KEYSTREAM_MEMO.put(ks_key, keystream)
         ciphertext = _xor(plaintext, keystream)
         mac = _record_mac(self._mac_key, seq, content_type, ciphertext)
@@ -209,6 +214,7 @@ class RecordReader:
 
     def __init__(self, enc_key: bytes, mac_key: bytes) -> None:
         self._enc_key = enc_key
+        self._keystream_hash = hashlib.sha256(enc_key)
         self._mac_key = mac_key
         self.seq = 0
         self._buffer = bytearray()
@@ -258,7 +264,7 @@ class RecordReader:
         length = len(record.ciphertext)
         keystream = _KEYSTREAM_MEMO.take((self._enc_key, self.seq, length))
         if keystream is None:
-            keystream = _keystream(self._enc_key, self.seq, length)
+            keystream = _keystream(self._keystream_hash, self.seq, length)
         plaintext = _xor(record.ciphertext, keystream)
         self.seq += 1
         return record.content_type, plaintext

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.arp_spoofer import ArpSpoofer
 from repro.core.attacker import PhantomDelayAttacker
 from repro.core.fingerprint import FingerprintDatabase, extract_observation
 from repro.core.predictor import (
@@ -88,6 +89,73 @@ class TestArpSpoofing:
         tb, _contact, hub, attacker = home
         found = attacker.scan([hub.ip, "192.168.1.250"])
         assert found == {hub.ip: hub.host.mac}
+
+
+class TestSpooferSchedule:
+    """When re-poison frames leave, on a bare LAN with nothing else queued."""
+
+    @staticmethod
+    def _setup(net, spoofer_cls=ArpSpoofer):
+        attacker = net.add_lan_host("attacker")
+        device = net.add_lan_host("device")
+        hub = net.add_lan_host("hub")
+        sniffer = net.add_lan_host("sniffer", promiscuous=True)
+        left = []
+
+        def overhear(frame):
+            payload = frame.payload
+            if frame.src_mac == attacker.mac and getattr(payload, "op", "") == "reply":
+                left.append((round(net.sim.now - net.lan.latency, 9), payload.target_ip))
+
+        sniffer.frame_taps.append(overhear)
+        spoofer = spoofer_cls(attacker)
+        return spoofer, device, hub, left
+
+    def test_repoison_instants(self, net):
+        spoofer, device, hub, left = self._setup(net)
+        router = net.router
+        spoofer.poison_pair(device.ip, device.mac, router.ip, router.mac)
+        net.sim.run_until(1.0)
+        spoofer.start()
+        net.sim.run_until(7.5)
+        spoofer.poison_pair(hub.ip, hub.mac, router.ip, router.mac)  # while running
+        net.sim.run_until(17.0)
+        pair = [device.ip, router.ip]
+        both = pair + [hub.ip, router.ip]
+        expected = [(t, ip) for t in (1.0, 6.0) for ip in pair]
+        expected += [(t, ip) for t in (7.5, 11.0, 16.0) for ip in both]
+        assert left == expected
+        assert spoofer.replies_sent == len(expected)
+
+    def test_nothing_leaves_after_stop(self, net):
+        spoofer, device, _hub, left = self._setup(net)
+        router = net.router
+        spoofer.poison_pair(device.ip, device.mac, router.ip, router.mac)
+        spoofer.start()
+        net.sim.run_until(7.0)
+        spoofer.stop()
+        net.sim.run_until(40.0)
+        assert [t for t, _ in left] == [0.0, 0.0, 5.0, 5.0]
+        assert net.sim.pending_events == 0
+
+    def test_stop_from_inside_a_poison_round(self, net):
+        class StopsOnThirdRound(ArpSpoofer):
+            rounds = 0
+
+            def _poison_all(self):
+                super()._poison_all()
+                self.rounds += 1
+                if self.rounds == 3:
+                    self.stop()
+
+        spoofer, device, _hub, left = self._setup(net, StopsOnThirdRound)
+        router = net.router
+        spoofer.poison_pair(device.ip, device.mac, router.ip, router.mac)
+        spoofer.start()
+        net.sim.run_until(40.0)
+        assert [t for t, _ in left] == [0.0, 0.0, 5.0, 5.0, 10.0, 10.0]
+        assert spoofer.rounds == 3
+        assert net.sim.pending_events == 0
 
 
 class TestHijackerHolds:

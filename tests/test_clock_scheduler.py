@@ -359,6 +359,80 @@ class TestTimerWheel:
         assert sim.events_processed == 2
 
 
+class TestPost:
+    """Handle-less posts: one-shots nobody can cancel."""
+
+    class _Probe:
+        def __init__(self):
+            self.scheduled = []
+            self.fired = []
+
+        def timer_scheduled(self, timer, now):
+            self.scheduled.append((timer.label, now))
+
+        def timer_fired(self, timer, now, queue_depth):
+            self.fired.append((timer.label, now, timer.created_at, queue_depth))
+
+    def test_post_returns_nothing_and_fires_in_seq_order(self, sim):
+        order = []
+        sim.schedule(1.0, order.append, "timer-a")
+        assert sim.post(1.0, order.append, "post") is None
+        sim.schedule(1.0, order.append, "timer-b")
+        sim.post(0.5, order.append, "early-post")
+        sim.run_until(2.0)
+        assert order == ["early-post", "timer-a", "post", "timer-b"]
+        assert sim.events_processed == 4
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(ValueError):
+            sim.post(-0.1, lambda: None)
+
+    def test_post_counts_in_pending_events(self, sim):
+        sim.post(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.pending_events == 2
+        assert sim.peek() == 1.0
+        sim.run_until(1.0)
+        assert sim.pending_events == 1
+        assert sim.step() and sim.pending_events == 0
+
+    def test_post_counts_against_budget_and_names_label(self, sim):
+        sim.max_events = 5
+
+        def respawn():
+            sim.post(1.0, respawn, label="runaway-post")
+
+        sim.post(1.0, respawn, label="runaway-post")
+        with pytest.raises(RuntimeError, match="runaway-post"):
+            sim.run(100.0)
+        assert sim.events_processed == 6  # the sixth event tripped the budget
+
+    def test_post_under_observer_is_a_scheduled_timer(self, sim):
+        probe = self._Probe()
+        sim.set_observer(probe)
+        sim.post(1.5, lambda: None, label="observed-post")
+        sim.run_until(2.0)
+        assert probe.scheduled == [("observed-post", 0.0)]
+        assert probe.fired == [("observed-post", 1.5, 0.0, 0)]
+
+    @pytest.mark.parametrize("drive", ["run_until", "step"])
+    def test_observer_installed_mid_run_sees_queued_post(self, sim, drive):
+        """The "takes effect from the next event on" contract holds for a
+        post queued, handle-less, before the observer was installed."""
+        probe = self._Probe()
+        sim.run_until(0.5)
+        sim.post(2.0, lambda: None, label="queued-post")
+        sim.schedule(3.0, lambda: None, label="later")
+        sim.schedule(1.0, lambda: sim.set_observer(probe), label="installer")
+        if drive == "step":
+            while sim.step():
+                pass
+        else:
+            sim.run_until(4.0)
+        assert probe.scheduled == []
+        assert probe.fired == [("queued-post", 2.5, 0.5, 1), ("later", 3.5, 0.5, 0)]
+
+
 class TestRestart:
     """``Simulator.restart`` is ``timer.cancel()`` then ``schedule``."""
 
@@ -472,6 +546,16 @@ class TestPeriodicAndQuiescence:
         sim.run_until(5.0)
         assert fired == [1.0, 2.0]
         assert sim.pending_events == 0 and sim.peek() is None
+
+    def test_observed_periodic_latency_is_one_period(self, sim):
+        """Each re-arm is scheduled at the fire it follows, as
+        ``sim.schedule(period, ...)`` from the callback would be, so the
+        profiler's firing latency is one period on every fire."""
+        registry = sim.enable_observability().registry
+        sim.schedule_periodic(2.0, lambda: None, label="beat")
+        sim.run_until(10.0)
+        latency = registry.get("scheduler", "firing_latency", label="beat")
+        assert (latency.count, latency.min, latency.max) == (5, 2.0, 2.0)
 
     def test_step_fires_and_rearms_periodic(self, sim):
         fired = []

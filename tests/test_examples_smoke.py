@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

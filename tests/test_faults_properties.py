@@ -20,7 +20,6 @@ from repro.faults.profiles import get_profile
 from repro.simnet.link import Lan
 from repro.simnet.packet import EthernetFrame, IpPacket
 from repro.simnet.scheduler import Simulator
-from repro.tcp.segment import TcpSegment
 from repro.tcp.stack import TcpStack
 
 

@@ -253,6 +253,20 @@ class TestDeliveryOrder:
             ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + TCP_HEADER_BYTES + 33
         )
 
+    @pytest.mark.parametrize("raw", [None, b"", b"q" * 17, bytearray(b"r" * 5)])
+    def test_bytes_transmitted_counts_raw_payloads(self, raw):
+        size = 0 if raw is None else len(raw)
+        assert self._sent_bytes(raw) == ETHERNET_HEADER_BYTES + size
+        assert self._sent_bytes(IpPacket("10.0.0.1", "10.0.0.2", raw)) == (
+            ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + size
+        )
+
+    def test_unsized_payload_still_rejected_at_every_depth(self):
+        with pytest.raises(TypeError):
+            self._sent_bytes(object())
+        with pytest.raises(TypeError):
+            self._sent_bytes(IpPacket("10.0.0.1", "10.0.0.2", object()))
+
     def test_bytes_transmitted_nests_ip_tls_record(self):
         record = TlsRecord(23, b"z" * 48, b"m" * MAC_BYTES)
         packet = IpPacket("10.0.0.1", "10.0.0.2", record)

@@ -8,10 +8,13 @@ Two layers of evidence that the event core fires exactly the textbook
    (including self-cancel and cancel-from-callback), mid-run spawns,
    net-zero cancel+respawn tricks, and watchdog restarts (later, equal and
    earlier deadlines, from inside callbacks, of fired, cancelled and
-   periodic handles) — through :class:`Simulator` and through a
-   straight-heap reference model that restarts by cancel+schedule, driven
-   by one ``run_until``, by deadline slices, or by ``peek``/``step``, and
-   demands identical fire logs, event counts, and final clocks.
+   periodic handles) and handle-less posts (at the top level, from timer
+   and post callbacks, at colliding instants) — through
+   :class:`Simulator` and through a straight-heap reference model that
+   restarts by cancel+schedule and posts by scheduling and dropping the
+   handle, driven by one ``run_until``, by deadline slices, or by
+   ``peek``/``step``, and demands identical fire logs, event counts, and
+   final clocks.
 
 2. Byte-identity pins: the rendered Table I and the canonical Table III
    result digests are asserted against recorded values.  Any scheduler
@@ -95,6 +98,9 @@ class _HeapReference:
             timer.cancel()
         return self.schedule(delay, callback, *args, label=label)
 
+    def post(self, delay, callback, *args, label=""):
+        self.schedule(delay, callback, *args, label=label)
+
     def peek(self):
         q = self._q
         while q and q[0][2]._cancelled:
@@ -157,6 +163,17 @@ _RESTART = st.tuples(st.just("rst"), _DELAYS, _DELAYS, _DELAYS,
 
 _PROGRAM = st.lists(st.one_of(_ONESHOT, _PERIODIC, _RESTART), min_size=1, max_size=12)
 
+#: A handle-less post: ``(delay, mode)``.  ``top`` posts from the program;
+#: ``chain`` also posts again from its own callback at the same instant;
+#: ``spawn`` schedules a timer from its callback; ``from-timer`` is posted
+#: by a timer's callback (a timer the ``cancel`` one-shots can cancel).
+_POST = st.tuples(st.just("post"), _DELAYS,
+                  st.sampled_from(["top", "chain", "spawn", "from-timer"]))
+
+_PROGRAM_WITH_POSTS = st.lists(
+    st.one_of(_ONESHOT, _PERIODIC, _RESTART, _POST), min_size=1, max_size=12
+)
+
 #: How a program is run to its deadline: one ``run_until``, a series of
 #: ``run_until`` slices (deadlines between and on fire instants, so stale
 #: nodes reach the top past a deadline), or ``peek``/``step`` one event at
@@ -210,28 +227,51 @@ def _execute(sim, program, deadline, drive="run_until"):
         elif mode == "sibling" and idx > 0:
             restart(idx, idx - 1, rearm)
 
+    def fire_post(idx, mode):
+        log.append(("post", idx, sim.now))
+        if mode == "chain":
+            sim.post(0.0, lambda: log.append(("chained", idx, sim.now)),
+                     label=f"chain{idx}")
+        elif mode == "spawn":
+            sim.schedule(0.25, lambda: log.append(("post-spawned", idx, sim.now)),
+                         label=f"pspawn{idx}")
+
+    def post_from_timer(idx):
+        log.append(("poster", idx, sim.now))
+        sim.post(0.5, fire_post, idx, "top", label=f"post{idx}")
+
     def fire_oneshot(idx, action):
         log.append(("one", idx, sim.now))
         if action == "spawn":
             sim.schedule(0.25, lambda: log.append(("spawned", idx, sim.now)),
                          label=f"spawn{idx}")
         elif action == "cancel":
-            # Cancel the *next* armed sibling that is still pending.
+            # Cancel the *next* armed sibling that is still pending (a
+            # post has no handle: its slot holds None).
             for h in handles[idx + 1:]:
-                if not h._cancelled:
+                if h is not None and not h._cancelled:
                     h.cancel()
                     break
         elif action == "respawn":
             # Net-zero trick: replace a pending sibling with a new timer.
             for h in handles[idx + 1:]:
-                if not h._cancelled:
+                if h is not None and not h._cancelled:
                     h.cancel()
                     sim.schedule(0.5, lambda: log.append(("resp", idx, sim.now)),
                                  label=f"resp{idx}")
                     break
 
     for idx, spec in enumerate(program):
-        if spec[0] == "rst":
+        if spec[0] == "post":
+            _, delay, mode = spec
+            if mode == "from-timer":
+                handles.append(
+                    sim.schedule(delay, post_from_timer, idx, label=f"poster{idx}")
+                )
+            else:
+                sim.post(delay, fire_post, idx, mode, label=f"post{idx}")
+                handles.append(None)
+        elif spec[0] == "rst":
             _, first, kick_at, rearm, mode = spec
             handles.append(sim.schedule(first, on_watchdog, idx, label=f"wd{idx}"))
             if mode == "outside":
@@ -299,6 +339,8 @@ def test_wheel_overflow_horizon_matches_reference(program, drive):
             return ("one", spec[1] * scale, spec[2])
         if spec[0] == "rst":
             return ("rst", spec[1] * scale, spec[2] * scale, spec[3] * scale, spec[4])
+        if spec[0] == "post":
+            return ("post", spec[1] * scale, spec[2])
         return ("per", spec[1] * scale, spec[2] * scale, spec[3], spec[4])
 
     stretched = [stretch(s) for s in program]
@@ -306,6 +348,24 @@ def test_wheel_overflow_horizon_matches_reference(program, drive):
         reference, stretched, deadline, drive
     )
     assert sim._events_processed == reference._events_processed
+
+
+@given(program=_PROGRAM_WITH_POSTS, drive=_DRIVES)
+@settings(max_examples=90, deadline=None)
+def test_posts_match_heap_reference(program, drive):
+    """Posts fire exactly where a dropped-handle ``schedule`` would."""
+    deadline = 12.0
+    sim = Simulator()
+    reference = _HeapReference()
+    log_sim = _execute(sim, program, deadline, drive)
+    log_ref = _execute(reference, program, deadline, drive)
+    assert log_sim == log_ref
+    assert sim._events_processed == reference._events_processed
+    assert sim.now == reference.now == deadline
+    # Nothing is left pending that the reference would not also hold.
+    assert sim.pending_events == sum(
+        1 for *_, timer in reference._q if not timer._cancelled
+    )
 
 
 # ---------------------------------------------------- restart, stale nodes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from repro.tls.record import (
     MAC_BYTES,
     RecordReader,
     RecordWriter,
+    _keystream,
     derive_keys,
     memo_stats,
     reset_memo,
@@ -153,6 +156,39 @@ class TestRecordLayer:
             out.extend(reader.feed(wire[i : i + step]))
             i += step
         assert out == [(CONTENT_APPLICATION, payload)]
+
+
+class TestKeystream:
+    """The keystream hashed from a digest primed once per direction."""
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 300])
+    def test_primed_keystream_matches_textbook_blocks(self, length):
+        enc_key, _ = derive_keys(b"m" * 32, "client")
+        seq = 2**40 + 7
+        textbook = b"".join(
+            hashlib.sha256(
+                enc_key + seq.to_bytes(8, "big") + block.to_bytes(4, "big")
+            ).digest()
+            for block in range(10)
+        )[:length]
+        primed = hashlib.sha256(enc_key)
+        assert _keystream(primed, seq, length) == textbook
+        # Each block hashes a copy: the primed digest is never consumed.
+        assert _keystream(primed, seq, length) == textbook
+        assert primed.digest() == hashlib.sha256(enc_key).digest()
+
+    def test_reader_opens_cold_records_with_its_own_primed_digest(self):
+        writer, reader = _channel()
+        plaintexts = [b"", b"a", b"b" * 33, b"c" * 300]
+        wires = [writer.seal(CONTENT_APPLICATION, p) for p in plaintexts]
+        reset_memo()  # the reader derives every keystream itself
+        try:
+            assert reader.feed(b"".join(wires)) == [
+                (CONTENT_APPLICATION, p) for p in plaintexts
+            ]
+            assert memo_stats()["keystream_hits"] == 0
+        finally:
+            reset_memo()
 
 
 class TestKeyEscrow:
