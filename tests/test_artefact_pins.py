@@ -1,9 +1,12 @@
-"""Canonical-result pins for the paper artefacts that arm attacker holds.
+"""Canonical-result pins for registry artefacts beyond Tables I and III.
 
 Table I and Table III carry their own pins in
-``test_scheduler_equivalence``; these cover the remaining registry
-artefacts whose drivers build e-Delay/c-Delay holds, so a refactor of how
-a hold is armed cannot move a single result without failing here.
+``test_scheduler_equivalence``.  These cover the registry artefacts whose
+drivers build e-Delay/c-Delay holds, Table II (HomeKit devices profiled
+against the LAN server) and device recognition (sniffed flows matched
+against the fingerprint database), so a refactor of how a hold is armed,
+how the testbed builds a device or how a server terminates its session
+cannot move a single result without failing here.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ ARTEFACT_BLAKE2B = {
     "integrity": "c0f66036fd578b22986a87591c1fad60",
     "jamming": "900df2f4dee4278b0e8618e0812454d8",
     "verify": "8c127d282d3eafd4c63e4f476291ca26",
+    "table2": "b419219218363def5ebf95fc6f763db1",
+    "recognition": "4477ed5d78d769976aacffe27d4858fb",
 }
 
 
