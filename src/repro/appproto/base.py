@@ -32,7 +32,7 @@ from ..alarms import (
     ALARM_TLS_ALERT,
     AlarmLog,
 )
-from ..tcp.connection import TcpConfig, TcpConnection
+from ..tcp.connection import TcpConnection
 from ..tcp.stack import TcpStack
 from ..tls.session import KeyEscrow, RECORD_OVERHEAD, TlsSession
 from .codecs import WireCodec, codec_by_name
@@ -132,7 +132,6 @@ class DeviceProtocolClient:
         alarm_log: AlarmLog,
         escrow: KeyEscrow,
         on_command: Callable[[IoTMessage], None] | None = None,
-        tcp_config: TcpConfig | None = None,
     ) -> None:
         self.stack = stack
         self.sim: "Simulator" = stack.sim
@@ -143,7 +142,6 @@ class DeviceProtocolClient:
         self.alarm_log = alarm_log
         self.escrow = escrow
         self.on_command = on_command
-        self.tcp_config = tcp_config
         self._codec = config.codec()
 
         self.session: TlsSession | None = None
@@ -197,9 +195,7 @@ class DeviceProtocolClient:
         self._generation += 1
         generation = self._generation
         self.stats["sessions_opened"] += 1
-        conn = self.stack.connect(
-            self.server_ip, self.server_port, config=self.tcp_config
-        )
+        conn = self.stack.connect(self.server_ip, self.server_port)
         self.session = TlsSession(
             conn,
             role="client",
@@ -533,7 +529,6 @@ class ServerDeviceSession:
         server_name: str,
         on_event: Callable[["ServerDeviceSession", IoTMessage], None] | None = None,
         on_device_connected: Callable[["ServerDeviceSession"], None] | None = None,
-        on_closed: Callable[["ServerDeviceSession", str], None] | None = None,
         on_stale: Callable[["ServerDeviceSession"], None] | None = None,
         codec_fallbacks: tuple[WireCodec, ...] = (),
     ) -> None:
@@ -543,7 +538,6 @@ class ServerDeviceSession:
         self.server_name = server_name
         self.on_event = on_event
         self.on_device_connected = on_device_connected
-        self.on_closed = on_closed
         self.on_stale = on_stale
         self._codec = config.codec()
         self._codec_fallbacks = codec_fallbacks
@@ -765,8 +759,6 @@ class ServerDeviceSession:
         self.pending_commands.clear()
         if not self.session.closed:
             self.session.close()
-        if self.on_closed is not None:
-            self.on_closed(self, reason)
 
     def _on_session_closed(self, reason: str) -> None:
         if "tls-alert" in reason:

@@ -2,7 +2,7 @@
 
 from .endpoint import DeviceRecord, EndpointServer, DEFAULT_PORT
 from .integration import DiscardedEvent, IntegrationServer, DEFAULT_C2C_LATENCY
-from .local_server import DEFAULT_HAP_PORT, LocalDeviceRecord, LocalIoTServer
+from .local_server import DEFAULT_HAP_PORT, LocalIoTServer
 from .notifications import DEFAULT_PUSH_LATENCY, Notification, NotificationService
 from .user_app import AppView, ManualCommand, UserApp
 
@@ -18,7 +18,6 @@ __all__ = [
     "DiscardedEvent",
     "EndpointServer",
     "IntegrationServer",
-    "LocalDeviceRecord",
     "LocalIoTServer",
     "Notification",
     "NotificationService",

@@ -1,8 +1,13 @@
-"""Vendor endpoint servers.
+"""Device-session servers: one class for vendor clouds and the HomePod.
 
-An endpoint server is operated by a device vendor and speaks directly to
-its devices (Section II-A).  Besides terminating sessions, the endpoint
-exhibits two evaluation-relevant behaviours:
+An :class:`EndpointServer` terminates device sessions on the host it is
+given and routes commands back down them.  A vendor runs one on a
+:class:`~repro.simnet.cloudhost.CloudHost` and relays events to the
+integration servers linked to it (Section II-A, Figure 1a); the HomePod,
+:class:`~repro.cloud.local_server.LocalIoTServer`, runs one on a LAN
+:class:`~repro.simnet.host.Host` and feeds its own rule engine (Figure 1b).
+Besides terminating sessions, the endpoint exhibits two evaluation-relevant
+behaviours:
 
 * **Half-open connections (Finding 1).**  When a device reconnects, the
   stale previous connection is *kept* (``close_stale_on_reconnect=False``,
@@ -21,14 +26,14 @@ from ..alarms import AlarmLog
 from ..appproto.base import PendingCommand, ProtocolConfig, ServerDeviceSession
 from ..appproto.codecs import CODECS
 from ..appproto.messages import IoTMessage
-from ..simnet.cloudhost import CloudHost
-from ..simnet.inet import Internet
-from ..tcp.connection import TcpConfig, TcpConnection
+from ..tcp.connection import TcpConnection
 from ..tcp.stack import TcpStack
 from ..tls.session import KeyEscrow
 from ..devices.profiles import DeviceProfile
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..simnet.cloudhost import CloudHost
+    from ..simnet.host import Host
     from ..simnet.scheduler import Simulator
 
 #: Default listening port for device sessions (MQTT-over-TLS convention).
@@ -56,21 +61,22 @@ class DeviceRecord:
 
 
 class EndpointServer:
-    """One vendor's cloud: accepts device sessions, relays events upstream."""
+    """Accepts device sessions on ``host`` and hands their events to hooks.
+
+    ``default_config`` serves a session until its CONNECT names a
+    registered device, whose profile the session then adopts.
+    """
 
     def __init__(
         self,
         sim: "Simulator",
-        internet: Internet,
+        host: CloudHost | Host,
         name: str,
-        ip: str,
-        domain: str,
         alarm_log: AlarmLog,
         escrow: KeyEscrow,
         port: int = DEFAULT_PORT,
         default_config: ProtocolConfig | None = None,
         close_stale_on_reconnect: bool = False,
-        tcp_config: TcpConfig | None = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -79,8 +85,8 @@ class EndpointServer:
         self.port = port
         self.default_config = default_config or ProtocolConfig()
         self.close_stale_on_reconnect = close_stale_on_reconnect
-        self.host = CloudHost(sim, internet, ip=ip, hostname=name, domain=domain)
-        self.stack = TcpStack(self.host, default_config=tcp_config)
+        self.host = host
+        self.stack = TcpStack(host)
         self.stack.listen(port, self._accept)
 
         self.registry: dict[str, DeviceRecord] = {}

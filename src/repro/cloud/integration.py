@@ -83,10 +83,6 @@ class IntegrationServer:
     def install_rule(self, rule: Rule) -> None:
         self.engine.install_rule(rule)
 
-    def install_rules(self, rules: list[Rule]) -> None:
-        for rule in rules:
-            self.engine.install_rule(rule)
-
     # ---------------------------------------------------------------- events
 
     def _on_endpoint_event(

@@ -2,7 +2,10 @@
 
 Local deployments (Figure 1b) keep the automation engine inside the home:
 devices speak HAP-style sessions directly to the HomePod, which also pushes
-notifications.  Crucially for Table II, HAP event messages are **never
+notifications.  The HomePod terminates those sessions as any
+:class:`~repro.cloud.endpoint.EndpointServer` does; what is local is its
+LAN host, its HAP port and pre-CONNECT config, and the rule engine its
+events feed.  Crucially for Table II, HAP event messages are **never
 acknowledged**, so e-Delay against local devices has no upper bound — and
 because both endpoints sit on the LAN, ARP spoofing can interpose on the
 device side, the server side, or both.
@@ -10,20 +13,17 @@ device side, the server side, or both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from ..alarms import AlarmLog
-from ..appproto.base import PendingCommand, ProtocolConfig, ServerDeviceSession
+from ..appproto.base import ProtocolConfig, ServerDeviceSession
 from ..appproto.messages import IoTMessage
 from ..automation.engine import AutomationEngine
 from ..automation.rules import Rule
-from ..devices.profiles import DeviceProfile
 from ..simnet.host import Host
 from ..simnet.link import Lan
-from ..tcp.connection import TcpConnection
-from ..tcp.stack import TcpStack
 from ..tls.session import KeyEscrow
+from .endpoint import EndpointServer
 from .notifications import NotificationService
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,20 +31,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Conventional HAP accessory port.
 DEFAULT_HAP_PORT = 51827
+#: The HomePod's LAN address, hostname and default gateway.
+HOMEPOD_IP = "192.168.1.2"
+HOMEPOD_HOSTNAME = "homepod"
+HOMEPOD_GATEWAY_IP = "192.168.1.1"
+#: Served until CONNECT names a paired accessory: HAP has no keep-alive and
+#: never acknowledges events; only commands time out.
+HAP_CONFIG = ProtocolConfig(
+    codec_name="hap",
+    keepalive=None,
+    ka_response_timeout=None,
+    server_liveness_grace=None,
+    event_acked=False,
+    command_response_timeout=10.0,
+)
 
 
-@dataclass
-class LocalDeviceRecord:
-    device_id: str
-    profile: DeviceProfile
-    sessions: list[ServerDeviceSession] = field(default_factory=list)
-
-    def newest_live(self) -> ServerDeviceSession | None:
-        live = [s for s in self.sessions if not s.closed]
-        return live[-1] if live else None
-
-
-class LocalIoTServer:
+class LocalIoTServer(EndpointServer):
     """A LAN-resident IoT server with an embedded automation engine."""
 
     def __init__(
@@ -54,108 +57,40 @@ class LocalIoTServer:
         alarm_log: AlarmLog,
         escrow: KeyEscrow,
         notifier: NotificationService,
-        ip: str = "192.168.1.2",
-        hostname: str = "homepod",
-        port: int = DEFAULT_HAP_PORT,
-        gateway_ip: str = "192.168.1.1",
     ) -> None:
-        self.sim = sim
-        self.alarm_log = alarm_log
-        self.escrow = escrow
-        self.notifier = notifier
-        self.port = port
-        self.host = Host(sim, lan, ip=ip, hostname=hostname, gateway_ip=gateway_ip)
-        self.stack = TcpStack(self.host)
-        self.stack.listen(port, self._accept)
+        host = Host(
+            sim, lan, ip=HOMEPOD_IP, hostname=HOMEPOD_HOSTNAME, gateway_ip=HOMEPOD_GATEWAY_IP
+        )
+        super().__init__(
+            sim,
+            host,
+            name=HOMEPOD_HOSTNAME,
+            alarm_log=alarm_log,
+            escrow=escrow,
+            port=DEFAULT_HAP_PORT,
+            default_config=HAP_CONFIG,
+        )
         self.engine = AutomationEngine(
             sim,
-            command_sink=self._dispatch_command,
-            notify_sink=lambda message, channel: notifier.deliver(message, channel),
-            name=hostname,
+            command_sink=self.send_command,
+            notify_sink=notifier.deliver,
+            name=HOMEPOD_HOSTNAME,
         )
-        self.registry: dict[str, LocalDeviceRecord] = {}
-        self.events: list[tuple[float, str, IoTMessage]] = []
-        self.event_hooks: list[Callable[[str, IoTMessage], None]] = []
-        self._default_config = ProtocolConfig(
-            codec_name="hap",
-            keepalive=None,
-            ka_response_timeout=None,
-            server_liveness_grace=None,
-            event_acked=False,
-            command_response_timeout=10.0,
-        )
+        self.event_hooks.append(self._run_rules)
 
     @property
     def ip(self) -> str:
         return self.host.ip
 
-    # ------------------------------------------------------------- registry
-
-    def register_device(self, device_id: str, profile: DeviceProfile) -> None:
-        if device_id in self.registry:
-            raise ValueError(f"device already paired: {device_id}")
-        self.registry[device_id] = LocalDeviceRecord(device_id=device_id, profile=profile)
-
     def install_rule(self, rule: Rule) -> None:
         self.engine.install_rule(rule)
 
-    def install_rules(self, rules: list[Rule]) -> None:
-        for rule in rules:
-            self.engine.install_rule(rule)
-
-    # --------------------------------------------------------------- accept
-
-    def _accept(self, conn: TcpConnection) -> None:
-        ServerDeviceSession(
-            conn,
-            config=self._default_config,
-            alarm_log=self.alarm_log,
-            escrow=self.escrow,
-            server_name=self.host.hostname,
-            on_event=self._on_event,
-            on_device_connected=self._on_device_connected,
-        )
-
-    def _on_device_connected(self, session: ServerDeviceSession) -> None:
-        record = self.registry.get(session.device_id or "")
-        if record is None:
-            return
-        session.adopt_config(record.profile.protocol_config())
-        record.sessions.append(session)
-
-    def _on_event(self, session: ServerDeviceSession, message: IoTMessage) -> None:
-        source_id = message.data.get("child") or message.device_id
-        self.events.append((self.sim.now, source_id, message))
-        for hook in list(self.event_hooks):
-            hook(source_id, message)
+    def _run_rules(
+        self, source_id: str, message: IoTMessage, session: ServerDeviceSession
+    ) -> None:
         self.engine.handle_event(
             device_id=source_id,
             event_name=message.name,
             device_time=message.device_time,
             data=message.data,
-        )
-
-    # ------------------------------------------------------------- commands
-
-    def _dispatch_command(self, device_id: str, command: str, data: dict[str, Any]) -> None:
-        self.send_command(device_id, command, data)
-
-    def send_command(
-        self,
-        device_id: str,
-        command: str,
-        data: dict[str, Any] | None = None,
-        on_result: Callable[[PendingCommand], None] | None = None,
-    ) -> PendingCommand | None:
-        record = self.registry.get(device_id)
-        if record is None:
-            return None
-        session = record.newest_live()
-        if session is None:
-            return None
-        return session.send_command(
-            command,
-            data=dict(data or {}),
-            wire_size=record.profile.command_size,
-            on_result=on_result,
         )

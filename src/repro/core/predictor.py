@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from ..appproto.keepalive import ON_IDLE
-from ..devices.profiles import DeviceProfile
+from ..devices.profiles import DeviceProfile, delay_window
 
 INF = math.inf
 
@@ -74,26 +74,12 @@ class TimeoutBehavior:
 
     def event_delay_window(self) -> tuple[float, float]:
         """Achievable e-Delay (worst phase, best phase)."""
-        caps = [self.event_timeout] if self.event_timeout is not None else []
-        if not self.long_live or self.ka_period is None or self.ka_timeout is None:
-            bound = min(caps) if caps else INF
-            return (bound, bound)
-        lo, hi = self.ka_timeout, self.ka_period + self.ka_timeout
-        if caps:
-            cap = min(caps)
-            return (min(lo, cap), min(hi, cap))
-        return (lo, hi)
+        return delay_window(
+            self.ka_period, self.ka_timeout, self.event_timeout, self.long_live
+        )
 
     def command_delay_window(self) -> tuple[float, float]:
-        caps = [self.command_timeout] if self.command_timeout is not None else []
-        if self.ka_period is None or self.ka_timeout is None:
-            bound = min(caps) if caps else INF
-            return (bound, bound)
-        lo, hi = self.ka_timeout, self.ka_period + self.ka_timeout
-        if caps:
-            cap = min(caps)
-            return (min(lo, cap), min(hi, cap))
-        return (lo, hi)
+        return delay_window(self.ka_period, self.ka_timeout, self.command_timeout)
 
 
 @dataclass(frozen=True)

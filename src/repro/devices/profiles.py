@@ -132,21 +132,9 @@ class DeviceProfile:
         timeout caps both ends; no keep-alive and no ack timeout means
         unbounded delay.
         """
-        caps: list[float] = []
-        if self.event_ack_timeout is not None:
-            caps.append(self.event_ack_timeout)
-        if not self.long_live:
-            bound = min(caps) if caps else INF
-            return (bound, bound)
-        if self.ka_period is None or self.ka_grace is None:
-            bound = min(caps) if caps else INF
-            return (bound, bound)
-        lo = self.ka_grace
-        hi = self.ka_period + self.ka_grace
-        if caps:
-            cap = min(caps)
-            return (min(lo, cap), min(hi, cap))
-        return (lo, hi)
+        return delay_window(
+            self.ka_period, self.ka_grace, self.event_ack_timeout, self.long_live
+        )
 
     def command_delay_window(self) -> tuple[float, float] | None:
         """Ground-truth achievable c-Delay window, or None for no commands.
@@ -158,18 +146,29 @@ class DeviceProfile:
         """
         if not self.supports_commands:
             return None
-        caps: list[float] = []
-        if self.command_response_timeout is not None:
-            caps.append(self.command_response_timeout)
-        if self.ka_period is None or self.ka_grace is None:
-            bound = min(caps) if caps else INF
-            return (bound, bound)
-        lo = self.ka_grace
-        hi = self.ka_period + self.ka_grace
-        if caps:
-            cap = min(caps)
-            return (min(lo, cap), min(hi, cap))
+        return delay_window(self.ka_period, self.ka_grace, self.command_response_timeout)
+
+
+def delay_window(
+    ka_period: float | None,
+    grace: float | None,
+    timeout: float | None,
+    long_live: bool = True,
+) -> tuple[float, float]:
+    """Achievable delay ``(worst phase, best phase)`` of one held message.
+
+    A long-live session with a keep-alive dies ``grace`` to
+    ``ka_period + grace`` into the hold, depending on phase, capped by the
+    message's own ``timeout``; without a keep-alive (or for a session per
+    message) only ``timeout`` bounds it, and ``None`` means no bound.
+    """
+    if not long_live or ka_period is None or grace is None:
+        bound = INF if timeout is None else timeout
+        return (bound, bound)
+    lo, hi = grace, ka_period + grace
+    if timeout is None:
         return (lo, hi)
+    return (min(lo, timeout), min(hi, timeout))
 
 
 # --------------------------------------------------------------------------

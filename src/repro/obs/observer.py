@@ -1,12 +1,15 @@
 """Scheduler observers and the per-simulation observability facade.
 
 The :class:`~repro.simnet.scheduler.Simulator` hot loop must stay fast:
-profiling is therefore *injected*.  :class:`SimObserver` is the no-op base —
+profiling is therefore *injected* with
+:meth:`~repro.simnet.scheduler.Simulator.set_observer`, and its one hook is
+:meth:`SimObserver.timer_fired`.  :class:`SimObserver` is the no-op base —
 install it (or nothing) and the loop pays one attribute load and a branch
-per event.  :class:`SchedulerProfiler` is the real implementation: it keeps
-per-label fire counters, a queue-depth gauge, and per-label firing-latency
-histograms (time from ``schedule()`` to the callback running) in a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+per event.
+:class:`SchedulerProfiler` is the real implementation: it keeps per-label
+fire counters, a queue-depth gauge, and per-label firing-latency
+histograms (time from ``schedule()`` or ``post()`` to the callback
+running) in a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 :class:`Observability` bundles the registry and tracer for one simulation.
 Every :class:`Simulator` owns a disabled instance from birth; components
@@ -27,16 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SimObserver:
-    """No-op scheduler observer; subclass and override what you need."""
-
-    def timer_scheduled(self, timer: "Timer", now: float) -> None:
-        """A timer was entered into the event store at simulated time ``now``.
-
-        :meth:`~repro.simnet.scheduler.Simulator.restart` reports its re-arm
-        here too, once, whether it re-armed the same timer in place (``timer``
-        is then the handle passed in, with its new ``when``) or cancelled it
-        and scheduled a new one.
-        """
+    """No-op scheduler observer; subclass and override :meth:`timer_fired`."""
 
     def timer_fired(self, timer: "Timer", now: float, queue_depth: int) -> None:
         """A timer's callback is about to run; ``queue_depth`` excludes it.
@@ -44,7 +38,9 @@ class SimObserver:
         ``queue_depth`` is the number of *live* pending timers (scheduled,
         not yet fired or cancelled) — cancelled timers still in the heap
         awaiting lazy removal are never counted.  The hook fires once per
-        event, every fire of a periodic timer included.
+        event, every fire of a periodic timer included.  A handle-less post
+        arrives as a one-shot :class:`~repro.simnet.scheduler.Timer` built
+        from its node, with the ``created_at`` of the post call.
         """
 
 

@@ -19,8 +19,8 @@ every order on the first two fields and fire order is exactly
   :meth:`~Simulator.schedule` for callers that never keep the handle (LAN
   and WAN deliveries, the hijacker's relay): it draws its ``seq`` at the
   same point but queues no :class:`Timer`, so it can be neither cancelled
-  nor re-armed.  A post fires exactly as a one-shot timer would; an
-  observer sees it as one (see :meth:`Simulator.post`).
+  nor re-armed.  A post fires exactly as a one-shot timer would, and an
+  observer sees it fire through a :class:`Timer` built from its node.
 * **Lazy cancellation.**  ``Timer.cancel()`` only flags the timer and
   drops it from the live count; the node stays in the heap and is skipped
   when it reaches the top.  The heap stays small on every campaign (a few
@@ -172,7 +172,7 @@ class Simulator:
     #: The telemetry capture's account of this simulator, if one was active.
     _telemetry_account: "telemetry.SimulationAccount | None" = None
 
-    def __init__(self, seed: int = 0, observer: "SimObserver | None" = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         #: Current simulated time in seconds; read-only outside the loop.
         self.now = 0.0
         self.rng = random.Random(seed)
@@ -188,7 +188,7 @@ class Simulator:
         self._label_fires: dict[str, int] = {}
         self._tally_total = 0
         #: Scheduler profiling hook; None keeps the hot loop branch-cheap.
-        self._observer = observer
+        self._observer: "SimObserver | None" = None
         #: Per-simulation observability facade; disabled until enabled.
         self.obs = Observability()
         #: Optional cross-layer invariant suite (see
@@ -237,8 +237,9 @@ class Simulator:
     def set_observer(self, observer: "SimObserver | None") -> None:
         """Install (or remove) the scheduler profiling observer.
 
-        Posts queued before the install are reported when they fire, each
-        through a :class:`Timer` built from its node.
+        The observer sees every event from the next one on.  A post, queued
+        before or after the install, is reported when it fires through a
+        :class:`Timer` built from its node.
         """
         self._observer = observer
 
@@ -297,15 +298,12 @@ class Simulator:
         deliveries, the hijacker's relay).  The ``seq`` is drawn here,
         exactly where :meth:`schedule` draws it, and the node fires as a
         one-shot timer would: same clock, event count, budget tally (by
-        ``label``) and :attr:`pending_events`.  With an observer installed
-        a post is a :meth:`schedule`, so the observer sees it scheduled.
+        ``label``) and :attr:`pending_events`.  An observer sees it fire
+        through a :class:`Timer` built from its node.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: delay={delay}")
         now = self.now
-        if self._observer is not None:
-            self._insert(now + delay, callback, args, label)
-            return
         heapq.heappush(
             self._heap, (now + delay, next(self._seq), (callback, args, label, now))
         )
@@ -354,8 +352,7 @@ class Simulator:
         node, which the loop re-queues at the new key once it reaches the
         top.  Every other case — an earlier deadline, a fired or cancelled
         timer, no timer, a periodic timer — cancels and schedules exactly as
-        written.  Either way the observer sees the re-arm as one
-        :meth:`~repro.obs.observer.SimObserver.timer_scheduled` call.
+        written.
         """
         now = self.now
         when = now + delay
@@ -372,8 +369,6 @@ class Simulator:
             timer.args = args
             timer.label = label
             timer.created_at = now
-            if self._observer is not None:
-                self._observer.timer_scheduled(timer, now)
             return timer
         if timer is not None:
             timer.cancel()
@@ -401,8 +396,6 @@ class Simulator:
         timer._seq = seq = next(self._seq)
         heapq.heappush(self._heap, (when, seq, timer))
         self._pending += 1
-        if self._observer is not None:
-            self._observer.timer_scheduled(timer, now)
         return timer
 
     # ------------------------------------------------------------------ firing
@@ -434,9 +427,9 @@ class Simulator:
         """Fire one live event just popped off the heap, re-arming periodics.
 
         A post node fires through the one-shot :class:`Timer` it stands for,
-        so an observer installed after it was queued still sees it.
-        ``run_until`` inlines the unobserved post and the one-shot timer,
-        which are nearly every event.
+        so an observer sees it as that timer.  ``run_until`` inlines the
+        unobserved post and the one-shot timer, which are nearly every
+        event.
         """
         if type(timer) is tuple:  # (callback, args, label, created_at)
             timer = Timer(when, *timer)

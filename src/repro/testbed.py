@@ -31,6 +31,7 @@ from .devices.profiles import CATALOGUE, Catalogue, DeviceProfile, TABLE_CLOUD, 
 from .faults.injector import FaultInjector
 from .faults.invariants import InvariantSuite
 from .faults.profiles import FaultProfile, resolve_profile
+from .simnet.cloudhost import CloudHost
 from .simnet.host import Host
 from .simnet.inet import Internet
 from .simnet.link import DEFAULT_LAN_LATENCY, Lan
@@ -156,12 +157,17 @@ class SmartHomeTestbed:
         existing = self.endpoints.get(server_key)
         if existing is not None:
             return existing
-        endpoint = EndpointServer(
+        host = CloudHost(
             self.sim,
             self.internet,
-            name=server_key,
             ip=self._allocate_cloud_ip(),
+            hostname=server_key,
             domain=VENDOR_DOMAINS.get(server_key, f"{server_key}.iotcloud.example"),
+        )
+        endpoint = EndpointServer(
+            self.sim,
+            host,
+            name=server_key,
             alarm_log=self.alarms,
             escrow=self.escrow,
             close_stale_on_reconnect=self._close_stale_on_reconnect,
@@ -196,17 +202,20 @@ class SmartHomeTestbed:
         if device_id in self.devices:
             return self.devices[device_id]
 
-        if table == TABLE_LOCAL:
-            device = self._add_local_device(profile, device_id)
-        elif profile.is_hub_child:
+        if profile.is_hub_child:
             device = self._add_hub_child(profile, device_id)
         else:
-            device = self._add_cloud_wifi_device(profile, device_id)
+            device = self._add_wifi_device(profile, device_id)
         self.devices[device_id] = device
         return device
 
-    def _add_cloud_wifi_device(self, profile: DeviceProfile, device_id: str) -> WifiDevice:
-        endpoint = self.endpoint(profile.server)
+    def _add_wifi_device(self, profile: DeviceProfile, device_id: str) -> WifiDevice:
+        """Build and start a device on its own LAN host, paired with the
+        HomePod for Table II and with its vendor's endpoint otherwise."""
+        if profile.table == TABLE_LOCAL:
+            endpoint: EndpointServer = self.ensure_local_server()
+        else:
+            endpoint = self.endpoint(profile.server)
         if profile.device_class in ("hub",) or profile.kind in ("hub", "security-base"):
             cls = HubDevice
         elif profile.kind == "camera":
@@ -236,23 +245,6 @@ class SmartHomeTestbed:
         endpoint = self.endpoint(profile.server)
         endpoint.register_device(device_id, profile, via=hub_device.device_id)
         return child
-
-    def _add_local_device(self, profile: DeviceProfile, device_id: str) -> WifiDevice:
-        server = self.ensure_local_server()
-        device = WifiDevice(
-            self.sim,
-            self.lan,
-            ip=self._allocate_lan_ip(),
-            profile=profile,
-            server_ip=server.ip,
-            server_port=server.port,
-            alarm_log=self.alarms,
-            escrow=self.escrow,
-            device_id=device_id,
-        )
-        server.register_device(device_id, profile)
-        device.start()
-        return device
 
     def device(self, device_id: str) -> IoTDevice:
         return self.devices[device_id]

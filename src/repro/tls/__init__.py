@@ -1,11 +1,9 @@
 """Simulated TLS: record protection decoupled from any timeout detection."""
 
 from .errors import (
-    AlertReceived,
     HandshakeError,
     MacVerificationError,
     RecordFormatError,
-    SequenceViolationError,
     TlsError,
 )
 from .record import (
@@ -23,7 +21,6 @@ from .record import (
 from .session import GLOBAL_ESCROW, KeyEscrow, RECORD_OVERHEAD, TlsSession
 
 __all__ = [
-    "AlertReceived",
     "CONTENT_ALERT",
     "CONTENT_APPLICATION",
     "CONTENT_HANDSHAKE",
@@ -38,7 +35,6 @@ __all__ = [
     "RecordFormatError",
     "RecordReader",
     "RecordWriter",
-    "SequenceViolationError",
     "TlsError",
     "TlsRecord",
     "TlsSession",

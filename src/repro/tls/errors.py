@@ -24,19 +24,3 @@ class RecordFormatError(TlsError):
 
 class MacVerificationError(TlsError):
     """Record MAC did not verify — data was forged or modified in flight."""
-
-
-class SequenceViolationError(MacVerificationError):
-    """A record arrived out of sequence (replay, reorder, or drop).
-
-    In real TLS this *is* a MAC failure, because the implicit sequence
-    number is an input to the MAC; we subclass accordingly.
-    """
-
-
-class AlertReceived(TlsError):
-    """The peer sent a fatal alert and closed the session."""
-
-    def __init__(self, description: str) -> None:
-        super().__init__(f"fatal TLS alert: {description}")
-        self.description = description

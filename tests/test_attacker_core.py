@@ -138,6 +138,19 @@ class TestSpooferSchedule:
         assert [t for t, _ in left] == [0.0, 0.0, 5.0, 5.0]
         assert net.sim.pending_events == 0
 
+    def test_queued_override_does_not_outlive_stop(self, net):
+        spoofer, device, _hub, left = self._setup(net)
+        router = net.router
+        spoofer.poison_pair(device.ip, device.mac, router.ip, router.mac)
+        spoofer.start()
+        net.sim.run_until(1.0)
+        device._send_arp_request(router.ip)  # the victim re-ARPs the gateway
+        net.sim.run_until(1.01)  # the spoofer has overheard it and queued poison
+        spoofer.stop()
+        net.sim.run_until(40.0)
+        assert [t for t, _ in left] == [0.0, 0.0]
+        assert spoofer.replies_sent == 2
+
     def test_stop_from_inside_a_poison_round(self, net):
         class StopsOnThirdRound(ArpSpoofer):
             rounds = 0
