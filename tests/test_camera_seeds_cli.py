@@ -28,6 +28,17 @@ class TestCameraStreaming:
         assert camera.stream_frames_sent >= 9
         assert tb.alarms.silent
 
+    def test_homekit_camera_streams_to_the_homepod(self):
+        tb = SmartHomeTestbed(seed=251)
+        camera = tb.add_device("CM1", table=2)
+        assert isinstance(camera, CameraDevice) and not camera.streaming
+        tb.settle(8.0)
+        camera.start_stream()
+        tb.run(5.5)  # frames leave each second; the last one lands by now
+        frames = [m for _t, _src, m in tb.local_server.events if m.name == "stream.frame"]
+        assert len(frames) == camera.stream_frames_sent == 5
+        assert tb.alarms.silent
+
     def test_stop_stream(self):
         tb, camera = self._streaming_home()
         camera.stop_stream()
