@@ -6,7 +6,8 @@ drivers build e-Delay/c-Delay holds, Table II (HomeKit devices profiled
 against the LAN server) and device recognition (sniffed flows matched
 against the fingerprint database), so a refactor of how a hold is armed,
 how the testbed builds a device or how a server terminates its session
-cannot move a single result without failing here.
+cannot move a single result without failing here.  Robustness replays the
+Table III cases over the loss x jitter grid of the fault injector.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ ARTEFACT_BLAKE2B = {
     "verify": "8c127d282d3eafd4c63e4f476291ca26",
     "table2": "b419219218363def5ebf95fc6f763db1",
     "recognition": "4477ed5d78d769976aacffe27d4858fb",
+    "robustness": "9fc65d03e21b33c0bbf1a5f5ce2553e2",
 }
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cli import main
@@ -116,10 +119,23 @@ class TestSeedRobustness:
         assert attacked.alarms == {}, seed
 
 
+#: blake2b-128 of the stdout of ``phantom-delay --no-cache --no-manifest plan``.
+PLAN_BLAKE2B = "e1799f36a81451d7aa7f4458792f0bdb"
+
+#: blake2b-128 of the file ``phantom-delay --labels PATH export-knowledge`` writes.
+KNOWLEDGE_BLAKE2B = "b9d1ce4f819f281acb4802caa17d6e5a"
+
+
+def _blake2b_128(data: bytes) -> str:
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
 class TestCliCoverage:
     def test_plan_command(self, capsys):
-        assert main(["plan"]) == 0
-        assert "Attack plan" in capsys.readouterr().out
+        assert main(["--no-cache", "--no-manifest", "plan"]) == 0
+        out = capsys.readouterr().out
+        assert "Attack plan" in out
+        assert _blake2b_128(out.encode()) == PLAN_BLAKE2B
 
     def test_integrity_command(self, capsys):
         assert main(["integrity"]) == 0
@@ -131,8 +147,8 @@ class TestCliCoverage:
         assert "Finding 1" in capsys.readouterr().out
 
     def test_export_knowledge(self, tmp_path, capsys):
-        path = str(tmp_path / "kb.json")
-        assert main(["--labels", path, "export-knowledge"]) == 0
-        from repro.core import KnowledgeBase
-
-        assert len(KnowledgeBase.load(path)) == 50
+        path = tmp_path / "kb.json"
+        assert main(["--labels", str(path), "export-knowledge"]) == 0
+        data = path.read_bytes()
+        assert len(json.loads(data)["entries"]) == 50
+        assert _blake2b_128(data) == KNOWLEDGE_BLAKE2B
