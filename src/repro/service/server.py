@@ -34,6 +34,7 @@ import asyncio
 import contextlib
 import inspect
 import itertools
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -430,6 +431,12 @@ def serve(socket_path: "str | Path | None" = None, host: str = "127.0.0.1",
             from .client import default_socket_path
 
             await service.start(socket_path=socket_path or default_socket_path())
+        # After start() forked the pool, so only the service handles them:
+        # a stop signal runs the same teardown as a client's shutdown, which
+        # shuts the pool down instead of leaving its workers orphaned.
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, service.request_shutdown)
         print(f"phantom-delay service listening on {service.address}",
               flush=True)
         try:

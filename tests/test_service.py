@@ -17,11 +17,17 @@ multi-threaded pytest process would trip the dev-mode warning gate.
 
 from __future__ import annotations
 
+import os
+import select
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.registry import (
     ExperimentSpec,
     experiment_names,
@@ -523,3 +529,59 @@ class TestServiceStatus:
         assert status["service"]["queue_depth"] == 0
         one = service.status(job_id=high_id)
         assert [row["job_id"] for row in one["jobs"]] == [high_id]
+
+
+def _child_pids(pid: int) -> list[int]:
+    """Live children of ``pid``, read from ``/proc/*/stat``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestServeSignals:
+    def test_sigterm_stops_the_service_and_its_workers(self, tmp_path):
+        """``phantom-delay serve`` shuts its pool down on SIGTERM instead
+        of dying and leaving the forked workers to PID 1."""
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "--jobs", "2", "serve",
+             "--socket", str(tmp_path / "svc.sock")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+        )
+        workers: list[int] = []
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+            assert ready and b"listening" in proc.stdout.readline()
+            workers = _child_pids(proc.pid)
+            assert len(workers) >= 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10.0) == 0
+            deadline = time.monotonic() + 10.0
+            while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
