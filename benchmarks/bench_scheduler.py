@@ -30,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.obs import telemetry
-from repro.simnet.clock import Clock
 from repro.simnet.scheduler import Simulator, Timer
 
 from _perf import check_regression, record_bench
@@ -43,11 +42,29 @@ class _Entry:
     timer: "Timer" = field(compare=False)
 
 
+class _Clock:
+    """The seed's virtual clock, which ``_LegacySimulator`` reads time through."""
+
+    __slots__ = ("_now",)
+
+    def __init__(self) -> None:
+        self._now = 0.0
+
+    @property
+    def now(self) -> float:
+        return self._now
+
+    def advance_to(self, when: float) -> None:
+        if when < self._now:
+            raise ValueError(f"time cannot move backwards: {when} < {self._now}")
+        self._now = when
+
+
 class _LegacySimulator:
     """The seed scheduler's hot loop, kept verbatim as the perf baseline."""
 
     def __init__(self) -> None:
-        self.clock = Clock()
+        self.clock = _Clock()
         self._queue: list[_Entry] = []
         self._seq = itertools.count()
         self._events_processed = 0

@@ -11,7 +11,7 @@ attack run is stealthy exactly when the alarm log stayed empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simnet.scheduler import Simulator
@@ -60,15 +60,6 @@ class AlarmLog:
     def of_kind(self, kind: str) -> list[Alarm]:
         return [a for a in self.alarms if a.kind == kind]
 
-    def from_source(self, source: str) -> list[Alarm]:
-        return [a for a in self.alarms if a.source == source]
-
-    def since(self, ts: float) -> list[Alarm]:
-        return [a for a in self.alarms if a.ts >= ts]
-
-    def kinds(self) -> set[str]:
-        return {a.kind for a in self.alarms}
-
     @property
     def silent(self) -> bool:
         """True when no alarm of any kind has been raised."""
@@ -83,10 +74,4 @@ class AlarmLog:
         out: dict[str, int] = {}
         for alarm in self.alarms:
             out[alarm.kind] = out.get(alarm.kind, 0) + 1
-        return out
-
-    def extend_summary(self, kinds: Iterable[str]) -> dict[str, int]:
-        """Summary including zero counts for the given kinds."""
-        out = {kind: 0 for kind in kinds}
-        out.update(self.summary())
         return out

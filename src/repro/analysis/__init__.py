@@ -5,8 +5,6 @@ from .reporting import (
     fmt_bool,
     fmt_seconds,
     fmt_window,
-    mean,
-    median,
     render_manifest,
     render_manifest_diff,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "fmt_bool",
     "fmt_seconds",
     "fmt_window",
-    "mean",
-    "median",
     "ordering_violations",
     "render_manifest",
     "render_manifest_diff",

@@ -8,7 +8,7 @@ plotting dependencies are needed.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any
 
 
 def fmt_seconds(value: float | None, precision: int = 1) -> str:
@@ -70,23 +70,6 @@ class TextTable:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def median(values: Iterable[float]) -> float:
-    data = sorted(values)
-    if not data:
-        raise ValueError("median of empty sequence")
-    mid = len(data) // 2
-    if len(data) % 2:
-        return data[mid]
-    return (data[mid - 1] + data[mid]) / 2.0
-
-
-def mean(values: Iterable[float]) -> float:
-    data = list(values)
-    if not data:
-        raise ValueError("mean of empty sequence")
-    return sum(data) / len(data)
 
 
 def render_manifest(manifest: Any) -> str:

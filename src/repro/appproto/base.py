@@ -324,7 +324,7 @@ class DeviceProtocolClient:
             )
         elif not self.config.long_live and not self.config.event_acked:
             # Fire-and-forget on-demand message: hang up once sent.
-            self.sim.call_soon(self._hang_up, label=f"{self.device_id}:hangup")
+            self.sim.schedule(0.0, self._hang_up, label=f"{self.device_id}:hangup")
 
     def _send_on_demand(self, message: IoTMessage, wire_size: int) -> None:
         # A one-shot session: connect, send, await ack (or not), hang up.

@@ -1,6 +1,6 @@
 """Trigger-condition-action automation: rules, engine, and DSL."""
 
-from .dsl import RuleSyntaxError, parse_rule, parse_rules
+from .dsl import RuleSyntaxError, parse_rule
 from .engine import AutomationEngine, ReceivedEvent, ShadowState
 from .rules import (
     Action,
@@ -25,5 +25,4 @@ __all__ = [
     "RuleSyntaxError",
     "ShadowState",
     "parse_rule",
-    "parse_rules",
 ]

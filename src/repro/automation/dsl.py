@@ -78,55 +78,3 @@ def _parse_tokens(tokens: list[str], rule_id: str, line: str) -> Rule:
         action=action,
         description=line.strip(),
     )
-
-
-def _quote(token: str) -> str:
-    """Render one token so :func:`shlex.split` gives it back verbatim.
-
-    :func:`shlex.quote` already quotes everything outside ``[\\w@%+=:,./-]``
-    — including ``#``, which matters because :func:`parse_rule` splits
-    with comments enabled.
-    """
-    return shlex.quote(token)
-
-
-def unparse_rule(rule: Rule) -> str:
-    """Render a :class:`Rule` back into one DSL line.
-
-    The inverse of :func:`parse_rule` up to token spelling:
-    ``parse_rule(unparse_rule(rule))`` reproduces the rule's trigger,
-    condition, and action exactly (``rule_id`` and ``description`` are
-    not part of the grammar and are not preserved).
-    """
-    parts = ["WHEN", _quote(rule.trigger.device_id),
-             _quote(rule.trigger.event_name)]
-    if rule.condition is not None:
-        parts += [
-            "IF",
-            f"{rule.condition.device_id}.{rule.condition.attribute}",
-            "==",
-            _quote(rule.condition.equals),
-        ]
-    parts.append("THEN")
-    if isinstance(rule.action, CommandAction):
-        parts += ["COMMAND", _quote(rule.action.device_id),
-                  _quote(rule.action.command)]
-    elif isinstance(rule.action, NotifyAction):
-        parts += ["NOTIFY", _quote(rule.action.channel),
-                  _quote(rule.action.message)]
-    else:
-        raise RuleSyntaxError(
-            f"cannot render action of type {type(rule.action).__name__}"
-        )
-    return " ".join(parts)
-
-
-def parse_rules(text: str) -> list[Rule]:
-    """Parse a block of DSL text, skipping blank and comment lines."""
-    rules = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rules.append(parse_rule(line))
-    return rules

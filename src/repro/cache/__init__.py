@@ -22,7 +22,6 @@ from .store import (
     CampaignCache,
     VerifyOutcome,
     default_cache_dir,
-    load_function,
     resolve_cache,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "digest",
-    "load_function",
     "qualified_name",
     "resolve_cache",
 ]

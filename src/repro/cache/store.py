@@ -21,7 +21,6 @@ different source tree is *stale* and is overwritten on the next put.
 from __future__ import annotations
 
 import base64
-import importlib
 import json
 import os
 import pickle
@@ -376,10 +375,3 @@ def resolve_cache(cache: "CampaignCache | bool | None") -> CampaignCache | None:
     if cache is True:
         return CampaignCache()
     return cache
-
-
-def load_function(qualified: str) -> Callable[..., Any]:
-    """Resolve a ``module.attr`` path back to the callable (for tooling)."""
-    module_name, _, attr = qualified.rpartition(".")
-    module = importlib.import_module(module_name)
-    return getattr(module, attr)

@@ -59,9 +59,6 @@ class NotificationService:
                 notification.obs_span, delivered_at=self.sim.now
             )
 
-    def delivered(self) -> list[Notification]:
-        return [n for n in self.notifications if n.delivered]
-
     def matching(self, substring: str) -> list[Notification]:
         return [n for n in self.notifications if substring in n.message]
 

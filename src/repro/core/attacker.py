@@ -11,7 +11,7 @@ Bundles the pieces in the order the paper uses them (Section IV-C summary):
    c-Delay primitives.
 
 The facade drives the simulation clock for its own reconnaissance steps
-(scanning, surveying), mirroring how attack scripts run in wall-clock time.
+(ARP discovery, surveying), mirroring how attack scripts run in wall-clock time.
 """
 
 from __future__ import annotations
@@ -80,15 +80,6 @@ class PhantomDelayAttacker:
         self.sim.run(wait)
         return self.host.arp.lookup(ip)
 
-    def scan(self, ips: list[str], wait: float = 0.5) -> dict[str, str]:
-        """ARP-scan a list of candidate addresses; returns responders."""
-        for ip in ips:
-            if self.host.arp.lookup(ip) is None:
-                self.host.arp.mark_requested(ip)
-                self.host._send_arp_request(ip)
-        self.sim.run(wait)
-        return {ip: mac for ip in ips if (mac := self.host.arp.lookup(ip)) is not None}
-
     def survey(self, window: float, device_ips: list[str]) -> dict[str, list[Match]]:
         """Sniff for ``window`` seconds and recognise the given devices.
 
@@ -132,26 +123,12 @@ class PhantomDelayAttacker:
 
     # ------------------------------------------------------------ primitives
 
-    def e_delay(
-        self,
-        device_ip: str,
-        behavior: TimeoutBehavior,
-        server_ip: str | None = None,
-    ) -> EDelay:
+    def e_delay(self, device_ip: str, behavior: TimeoutBehavior) -> EDelay:
         """Build the event-delay primitive for an interposed device."""
-        return EDelay(
-            self.sim, self.hijacker, behavior, device_ip, server_ip, margin=self.margin
-        )
+        return EDelay(self.sim, self.hijacker, behavior, device_ip, margin=self.margin)
 
-    def c_delay(
-        self,
-        device_ip: str,
-        behavior: TimeoutBehavior,
-        server_ip: str | None = None,
-    ) -> CDelay:
-        return CDelay(
-            self.sim, self.hijacker, behavior, device_ip, server_ip, margin=self.margin
-        )
+    def c_delay(self, device_ip: str, behavior: TimeoutBehavior) -> CDelay:
+        return CDelay(self.sim, self.hijacker, behavior, device_ip, margin=self.margin)
 
     def delay_for(self, device: "IoTDevice", command: bool = False) -> EDelay | CDelay:
         """Interpose on ``device``'s uplink and build its e-Delay (its

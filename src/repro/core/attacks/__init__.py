@@ -13,11 +13,7 @@ from .base import (
 )
 from .campaign import ArmedAttack, AttackCampaign, CampaignReport, render_campaign
 from .planner import AttackOpportunity, AttackPlanner, render_plan
-from .scenarios import (
-    FIGURE3_SCENARIOS,
-    TABLE3_SCENARIOS,
-    scenario_by_case,
-)
+from .scenarios import FIGURE3_SCENARIOS, TABLE3_SCENARIOS
 
 __all__ = [
     "ArmedAttack",
@@ -37,5 +33,4 @@ __all__ = [
     "TYPE_STATE_UPDATE_DELAY",
     "compare_scenario",
     "run_scenario",
-    "scenario_by_case",
 ]

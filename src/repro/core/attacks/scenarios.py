@@ -516,10 +516,3 @@ FIGURE3_SCENARIOS: list[Scenario] = [
     Case8StormDoorUnlock(),  # Figure 3(c) is the storm-door case
     Fig3dDoorCloseLockDisabled(),
 ]
-
-
-def scenario_by_case(case_id: str) -> Scenario:
-    for scenario in TABLE3_SCENARIOS + FIGURE3_SCENARIOS:
-        if scenario.case_id == case_id:
-            return scenario
-    raise LookupError(f"no scenario for {case_id!r}")

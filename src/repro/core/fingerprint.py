@@ -224,23 +224,3 @@ class FingerprintDatabase:
                 matches.append(Match(signature, score, tuple(reasons)))
         matches.sort(key=lambda m: (-m.score, m.signature.label))
         return matches
-
-    def classify_size(self, server_domain: str | None, size: int) -> list[TrafficSignature]:
-        """Which devices' events a packet of ``size`` could carry.
-
-        On a hub session this disambiguates the children: a 986-byte record
-        on the Ring flow is the contact sensor, not the keypad.
-        """
-        out = []
-        for signature in self.signatures:
-            if server_domain is not None and signature.server_domain != server_domain:
-                continue
-            if signature.event_wire_size == size:
-                out.append(signature)
-        return out
-
-    def signature_of(self, label: str, table: int = 1) -> TrafficSignature:
-        for signature in self.signatures:
-            if signature.label == label and signature.table == table:
-                return signature
-        raise LookupError(f"no signature for {label!r} table {table}")

@@ -70,10 +70,6 @@ class HeldPacket:
     ts: float
     packet: IpPacket
 
-    @property
-    def segment(self) -> TcpSegment:
-        return self.packet.payload
-
 
 @dataclass
 class Hold:
@@ -433,13 +429,9 @@ class TcpHijacker:
             label="hijack-shepherd",
         )
 
-    def last_delivery_from(self, src_ip: str, dst_ip: str | None = None) -> float | None:
+    def last_delivery_from(self, src_ip: str) -> float | None:
         """When the far side last actually received data from ``src_ip``."""
-        times = [
-            ts
-            for (s, d), ts in self.last_payload_forwarded.items()
-            if s == src_ip and (dst_ip is None or d == dst_ip)
-        ]
+        times = [ts for (s, _), ts in self.last_payload_forwarded.items() if s == src_ip]
         return max(times) if times else None
 
     # ------------------------------------------------------------ inspection

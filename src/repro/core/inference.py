@@ -62,13 +62,6 @@ class RuleHypothesis:
     verified: bool | None = None  # None = not yet probed
     probe_shift: float | None = None
 
-    def describe(self) -> str:
-        return (
-            f"{self.trigger_ip}[{self.trigger_size}B] -> "
-            f"{self.command_ip}[{self.command_size}B] "
-            f"(support={self.support}, latency~{self.mean_latency:.2f}s)"
-        )
-
 
 def extract_messages(
     capture: PacketCapture,

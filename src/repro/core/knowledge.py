@@ -14,7 +14,6 @@ from pathlib import Path
 
 from ..devices.profiles import CATALOGUE, Catalogue
 from .predictor import TimeoutBehavior
-from .profiler import ProfileReport
 
 FORMAT_VERSION = 1
 
@@ -32,24 +31,12 @@ class KnowledgeEntry:
 
 
 class KnowledgeBase:
-    """Profiled timeout behaviours, persistable and mergeable."""
+    """Profiled timeout behaviours, saved as a shareable JSON document."""
 
     def __init__(self) -> None:
         self._entries: dict[str, KnowledgeEntry] = {}
 
     # ------------------------------------------------------------- building
-
-    def add_report(self, label: str, model: str, report: ProfileReport) -> KnowledgeEntry:
-        entry = KnowledgeEntry(
-            label=label,
-            model=model,
-            behavior=report.behavior(),
-            source="profiled",
-            trials=len(report.event_trials),
-            notes=list(report.notes),
-        )
-        self._entries[label] = entry
-        return entry
 
     def add_behavior(self, label: str, model: str, behavior: TimeoutBehavior,
                      source: str = "shared") -> KnowledgeEntry:
@@ -75,35 +62,8 @@ class KnowledgeBase:
             )
         return kb
 
-    # --------------------------------------------------------------- lookup
-
-    def lookup(self, label: str) -> KnowledgeEntry:
-        try:
-            return self._entries[label]
-        except KeyError:
-            raise LookupError(f"no knowledge of device model {label!r}") from None
-
-    def behavior_of(self, label: str) -> TimeoutBehavior:
-        return self.lookup(label).behavior
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def merge(self, other: "KnowledgeBase", prefer_profiled: bool = True) -> None:
-        """Fold another attacker's knowledge in.
-
-        Measured ("profiled") entries beat catalogue/shared ones when both
-        exist, unless ``prefer_profiled`` is off.
-        """
-        rank = {"profiled": 2, "shared": 1, "catalogue": 0}
-        for label, entry in other._entries.items():
-            existing = self._entries.get(label)
-            if (
-                existing is None
-                or not prefer_profiled
-                or rank[entry.source] >= rank[existing.source]
-            ):
-                self._entries[label] = entry
 
     # ---------------------------------------------------------- persistence
 
@@ -123,21 +83,3 @@ class KnowledgeBase:
             ],
         }
         Path(path).write_text(json.dumps(doc, indent=2))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KnowledgeBase":
-        doc = json.loads(Path(path).read_text())
-        if doc.get("format") != FORMAT_VERSION:
-            raise ValueError(f"unsupported knowledge-base format: {doc.get('format')!r}")
-        kb = cls()
-        for raw in doc["entries"]:
-            entry = KnowledgeEntry(
-                label=raw["label"],
-                model=raw["model"],
-                behavior=TimeoutBehavior(**raw["behavior"]),
-                source=raw.get("source", "shared"),
-                trials=raw.get("trials", 0),
-                notes=list(raw.get("notes", [])),
-            )
-            kb._entries[entry.label] = entry
-        return kb

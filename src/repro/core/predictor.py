@@ -97,11 +97,8 @@ class Prediction:
 class TimeoutPredictor:
     """Predicts timeout instants from a behaviour model plus wire context."""
 
-    def __init__(self, behavior: TimeoutBehavior, margin: float = 2.0) -> None:
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
+    def __init__(self, behavior: TimeoutBehavior) -> None:
         self.behavior = behavior
-        self.margin = margin
 
     # ----------------------------------------------------------- event hold
 
@@ -175,17 +172,3 @@ class TimeoutPredictor:
         if not candidates:
             return Prediction(INF, CAUSE_NONE)
         return min(candidates, key=lambda p: p.at)
-
-    # ------------------------------------------------------------ max delay
-
-    def max_safe_event_delay(
-        self,
-        hold_start: float,
-        last_delivered: float | None = None,
-        next_ka_send: float | None = None,
-    ) -> float:
-        """Longest delay that still avoids every timeout (margin applied)."""
-        prediction = self.event_hold_timeout(hold_start, last_delivered, next_ka_send)
-        if not prediction.bounded:
-            return INF
-        return max(prediction.at - self.margin - hold_start, 0.0)

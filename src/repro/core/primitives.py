@@ -76,15 +76,15 @@ class _DelayPrimitive:
         hijacker: TcpHijacker,
         behavior: TimeoutBehavior,
         device_ip: str,
-        server_ip: str | None = None,
         margin: float = 2.0,
     ) -> None:
+        if margin < 0:
+            raise ValueError("margin must be non-negative")
         self.sim = sim
         self.hijacker = hijacker
         self.behavior = behavior
         self.device_ip = device_ip
-        self.server_ip = server_ip
-        self.predictor = TimeoutPredictor(behavior, margin=margin)
+        self.predictor = TimeoutPredictor(behavior)
         self.margin = margin
         self.operations: list[DelayOperation] = []
 
@@ -173,13 +173,12 @@ class EDelay(_DelayPrimitive):
     def _make_hold(self, trigger_size: int | None, label: str) -> Hold:
         return self.hijacker.hold_events(
             self.device_ip,
-            self.server_ip,
             trigger_size=trigger_size if trigger_size is not None else self.behavior.event_size,
             label=label,
         )
 
     def _predict(self, now: float) -> Prediction:
-        last_delivered = self.hijacker.last_delivery_from(self.device_ip, self.server_ip)
+        last_delivered = self.hijacker.last_delivery_from(self.device_ip)
         return self.predictor.event_hold_timeout(now, last_delivered=last_delivered)
 
 
@@ -191,7 +190,6 @@ class CDelay(_DelayPrimitive):
     def _make_hold(self, trigger_size: int | None, label: str) -> Hold:
         return self.hijacker.hold_commands(
             self.device_ip,
-            self.server_ip,
             trigger_size=trigger_size if trigger_size is not None else self.behavior.command_size,
             label=label,
         )

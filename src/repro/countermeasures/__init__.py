@@ -3,8 +3,6 @@
 from .ack_timeout import (
     harden_profile,
     keepalive_traffic_rate,
-    residual_event_window,
-    sweep_ack_timeout,
     sweep_keepalive_period,
 )
 from .ack_timeout import battery_life_days
@@ -24,7 +22,5 @@ __all__ = [
     "battery_life_days",
     "harden_profile",
     "keepalive_traffic_rate",
-    "residual_event_window",
-    "sweep_ack_timeout",
     "sweep_keepalive_period",
 ]

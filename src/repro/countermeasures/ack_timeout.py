@@ -47,11 +47,6 @@ def harden_profile(
     return replace(profile, **changes)
 
 
-def residual_event_window(profile: DeviceProfile, event_ack_timeout: float) -> tuple[float, float]:
-    """Attack window left after mandating an event-ack timeout."""
-    return harden_profile(profile, event_ack_timeout=event_ack_timeout).event_delay_window()
-
-
 def keepalive_traffic_rate(profile: DeviceProfile, ka_period: float | None = None) -> float:
     """Keep-alive bytes per hour on the wire for one device.
 
@@ -65,13 +60,6 @@ def keepalive_traffic_rate(profile: DeviceProfile, ka_period: float | None = Non
     request = profile.keepalive_size + _FRAME_OVERHEAD + _ACK_FRAME
     reply = profile.keepalive_size + _FRAME_OVERHEAD + _ACK_FRAME
     return exchanges_per_hour * (request + reply)
-
-
-def sweep_ack_timeout(
-    profile: DeviceProfile, timeouts: list[float]
-) -> list[tuple[float, tuple[float, float]]]:
-    """(timeout, residual window) for each candidate ACK timeout."""
-    return [(t, residual_event_window(profile, t)) for t in timeouts]
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,6 @@ class WifiDevice(IoTDevice):
     def start(self) -> None:
         self.client.start()
 
-    def stop(self) -> None:
-        self.client.stop()
-
     def _emit_event(self, name: str, data: dict[str, Any]) -> None:
         self.client.send_event(name, data, wire_size=self.profile.event_size)
 

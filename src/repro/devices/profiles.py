@@ -473,9 +473,6 @@ class Catalogue:
     def local_profiles(self) -> list[DeviceProfile]:
         return [p for p in self.profiles if p.table == TABLE_LOCAL]
 
-    def hubs(self) -> list[DeviceProfile]:
-        return [p for p in self.profiles if p.device_class == HUB or p.kind == "security-base"]
-
     def children_of(self, hub_label: str) -> list[DeviceProfile]:
         return [p for p in self.profiles if p.hub_label == hub_label]
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 from ..fleet import DEFAULT_BATCH_SIZE, FleetReport, run_fleet
 from ..obs.metrics import MetricsRegistry
@@ -53,20 +52,6 @@ class StepResult:
     @property
     def passed(self) -> bool:
         return self.stop_reason is None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "step": self.step,
-            "homes": self.homes,
-            "completed": self.completed,
-            "events": self.events,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "homes_per_second": round(self.homes_per_second, 3),
-            "success_rate": round(self.success_rate, 6),
-            "fleet_digest": self.fleet_digest,
-            "stop_reason": self.stop_reason,
-            "manifest_path": str(self.manifest_path) if self.manifest_path else None,
-        }
 
 
 @dataclass

@@ -15,7 +15,7 @@ from ..analysis.reporting import TextTable, fmt_seconds, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.profiler import ProfileReport
 from ..devices.base import HubDevice, IoTDevice
-from ..devices.profiles import CATALOGUE, Catalogue, DeviceProfile, TABLE_CLOUD
+from ..devices.profiles import CATALOGUE, DeviceProfile, TABLE_CLOUD
 from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 
@@ -59,7 +59,7 @@ class MeasuredRow:
         return True
 
 
-def make_event_trigger(device: IoTDevice, catalogue: Catalogue, tb: SmartHomeTestbed):
+def make_event_trigger(device: IoTDevice, tb: SmartHomeTestbed):
     """A callable that makes 'the device' emit one event per invocation.
 
     Hubs themselves raise no events, so (as on the paper's testbed) a child
@@ -76,10 +76,10 @@ def make_event_trigger(device: IoTDevice, catalogue: Catalogue, tb: SmartHomeTes
 
         return trigger
     if isinstance(device, HubDevice):
-        children = catalogue.children_of(device.profile.label)
+        children = tb.catalogue.children_of(device.profile.label)
         if children:
             child = tb.add_device(children[0].label)
-            return make_event_trigger(child, catalogue, tb)
+            return make_event_trigger(child, tb)
         # A hub with nothing paired still reports its own status events.
         return lambda: device.client.send_event(
             "status.heartbeat", wire_size=device.profile.event_size
@@ -108,15 +108,13 @@ def profile_label(
     label: str,
     trials: int = 3,
     seed: int = 7,
-    catalogue: Catalogue | None = None,
     idle_window: float = 420.0,
 ) -> MeasuredRow:
     """Run the full measurement campaign against one cloud device."""
-    catalogue = catalogue or CATALOGUE
-    profile = catalogue.get(label, TABLE_CLOUD)
-    tb = SmartHomeTestbed(seed=seed, catalogue=catalogue)
+    profile = CATALOGUE.get(label, TABLE_CLOUD)
+    tb = SmartHomeTestbed(seed=seed)
     device = tb.add_device(label)
-    trigger_event = make_event_trigger(device, catalogue, tb)
+    trigger_event = make_event_trigger(device, tb)
     trigger_command = (
         make_command_trigger(device, tb) if profile.supports_commands else None
     )
@@ -141,7 +139,6 @@ def run_table1(
     labels: list[str] | None = None,
     trials: int = 3,
     seed: int = 7,
-    catalogue: Catalogue | None = None,
     runner: CampaignRunner | None = None,
 ) -> list[MeasuredRow]:
     """Profile every (requested) cloud device; defaults to the full table.
@@ -152,20 +149,13 @@ def run_table1(
     and results merge in label order, so the rows — and the rendered
     table — are identical however the runner executes them.
     """
-    catalogue = catalogue or CATALOGUE
     if labels is None:
-        labels = [p.label for p in catalogue.cloud_profiles()]
+        labels = [p.label for p in CATALOGUE.cloud_profiles()]
     shards = [
         Shard(
             key=f"table1/{label}",
             fn=profile_label,
-            kwargs={
-                "label": label,
-                "trials": trials,
-                # The default catalogue is importable in every worker; only
-                # a caller-supplied one needs to travel with the shard.
-                "catalogue": None if catalogue is CATALOGUE else catalogue,
-            },
+            kwargs={"label": label, "trials": trials},
             seed=seed + i,
         )
         for i, label in enumerate(labels)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..analysis.reporting import TextTable, fmt_seconds, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.profiler import ProfileReport
-from ..devices.profiles import CATALOGUE, Catalogue, TABLE_LOCAL, DeviceProfile
+from ..devices.profiles import CATALOGUE, TABLE_LOCAL, DeviceProfile
 from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from .table1 import make_event_trigger
@@ -41,13 +41,11 @@ def profile_local_label(
     label: str,
     trials: int = 2,
     seed: int = 11,
-    catalogue: Catalogue | None = None,
 ) -> LocalMeasuredRow:
-    catalogue = catalogue or CATALOGUE
-    profile = catalogue.get(label, TABLE_LOCAL)
-    tb = SmartHomeTestbed(seed=seed, catalogue=catalogue)
+    profile = CATALOGUE.get(label, TABLE_LOCAL)
+    tb = SmartHomeTestbed(seed=seed)
     device = tb.add_device(label, table=TABLE_LOCAL)
-    trigger_event = make_event_trigger(device, catalogue, tb)
+    trigger_event = make_event_trigger(device, tb)
     tb.settle(8.0)
 
     attacker = PhantomDelayAttacker.deploy(tb)
@@ -75,22 +73,16 @@ def run_table2(
     labels: list[str] | None = None,
     trials: int = 3,
     seed: int = 11,
-    catalogue: Catalogue | None = None,
     runner: CampaignRunner | None = None,
 ) -> list[LocalMeasuredRow]:
     """One shard per HomeKit label; seeds and row order match a serial run."""
-    catalogue = catalogue or CATALOGUE
     if labels is None:
-        labels = [p.label for p in catalogue.local_profiles()]
+        labels = [p.label for p in CATALOGUE.local_profiles()]
     shards = [
         Shard(
             key=f"table2/{label}",
             fn=profile_local_label,
-            kwargs={
-                "label": label,
-                "trials": trials,
-                "catalogue": None if catalogue is CATALOGUE else catalogue,
-            },
+            kwargs={"label": label, "trials": trials},
             seed=seed + i,
         )
         for i, label in enumerate(labels)

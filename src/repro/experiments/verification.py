@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..analysis.reporting import TextTable
 from ..core.attacker import PhantomDelayAttacker
-from ..devices.profiles import CATALOGUE, Catalogue, TABLE_CLOUD
+from ..devices.profiles import CATALOGUE, TABLE_CLOUD
 from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from ..simnet.scheduler import run_until
@@ -64,13 +64,11 @@ def verify_device(
     label: str,
     trials: int = 5,
     seed: int = 31,
-    catalogue: Catalogue | None = None,
 ) -> VerificationRow:
-    catalogue = catalogue or CATALOGUE
-    profile = catalogue.get(label, TABLE_CLOUD)
-    tb = SmartHomeTestbed(seed=seed, catalogue=catalogue)
+    profile = CATALOGUE.get(label, TABLE_CLOUD)
+    tb = SmartHomeTestbed(seed=seed)
     device = tb.add_device(label)
-    trigger = make_event_trigger(device, catalogue, tb)
+    trigger = make_event_trigger(device, tb)
     tb.settle(8.0)
 
     attacker = PhantomDelayAttacker.deploy(tb)
@@ -114,14 +112,13 @@ def run_verification(
     labels: tuple[str, ...] = DEFAULT_LABELS,
     trials: int = 3,
     seed: int = 31,
-    catalogue: Catalogue | None = None,
     runner: CampaignRunner | None = None,
 ) -> list[VerificationRow]:
     shards = [
         Shard(
             key=f"verification/{label}",
             fn=verify_device,
-            kwargs={"label": label, "trials": trials, "catalogue": catalogue},
+            kwargs={"label": label, "trials": trials},
             seed=seed + i,
         )
         for i, label in enumerate(labels)

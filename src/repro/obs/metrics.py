@@ -380,17 +380,6 @@ class MetricsRegistry:
             raise
         return len(records)
 
-    @classmethod
-    def import_jsonl(cls, path: str) -> "MetricsRegistry":
-        """Rebuild a registry from an exported snapshot."""
-        records = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        return cls.from_records(records)
-
     # ------------------------------------------------------------ rendering
 
     def render_table(self, component: str | None = None) -> str:

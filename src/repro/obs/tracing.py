@@ -187,21 +187,8 @@ class Tracer:
     def trace(self, trace_id: int) -> list[Span]:
         return [s for s in self.spans if s.trace_id == trace_id]
 
-    def roots(self) -> list[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
     def children(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
-
-    def find(
-        self, component: str | None = None, name_prefix: str = ""
-    ) -> list[Span]:
-        return [
-            s
-            for s in self.spans
-            if (component is None or s.component == component)
-            and s.name.startswith(name_prefix)
-        ]
 
     # ------------------------------------------------------------- rendering
 

@@ -25,12 +25,7 @@ and manifest like every other campaign — and the corpus is
 byte-identical across ``--jobs`` and cache state.
 """
 
-from .corpus import (
-    corpus_digest,
-    read_case,
-    read_corpus,
-    write_corpus,
-)
+from .corpus import corpus_digest, write_corpus
 from .engine import BehaviorTrace, run_program
 from .generator import RuleSetGenerator, program_seed, session_of
 from .oracles import (
@@ -86,8 +81,6 @@ __all__ = [
     "plan_specs",
     "primary_class",
     "program_seed",
-    "read_case",
-    "read_corpus",
     "run_program",
     "run_search",
     "schedule_from_lists",

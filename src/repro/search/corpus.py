@@ -17,8 +17,6 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .spec import SEARCH_SCHEMA
-
 
 def case_filename(case: dict[str, Any]) -> str:
     index = case["program_index"]
@@ -42,26 +40,6 @@ def write_corpus(cases: Sequence[dict[str, Any]],
     return [
         write_case(case, directory)
         for case in sorted(cases, key=lambda c: c["program_index"])
-    ]
-
-
-def read_case(path: "str | Path") -> dict[str, Any]:
-    """Load one case file, refusing records from a newer schema."""
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    schema = record.get("schema", 0)
-    if schema > SEARCH_SCHEMA:
-        raise ValueError(
-            f"corpus case schema {schema} is newer than supported "
-            f"({SEARCH_SCHEMA}); upgrade the tooling"
-        )
-    return record
-
-
-def read_corpus(directory: "str | Path") -> list[dict[str, Any]]:
-    """Load every case in a corpus directory, in file-name order."""
-    return [
-        read_case(path)
-        for path in sorted(Path(directory).glob("case-*.jsonl"))
     ]
 
 

@@ -72,20 +72,6 @@ class BehaviorTrace:
             "invariant_violations": list(self.invariant_violations),
         }
 
-    @classmethod
-    def from_dict(cls, record: dict[str, Any]) -> "BehaviorTrace":
-        return cls(
-            completed=record["completed"],
-            events=record["events"],
-            now=record["now"],
-            firings=tuple(tuple(row) for row in record["firings"]),
-            actions=tuple(tuple(row) for row in record["actions"]),
-            notifications=tuple(tuple(row) for row in record["notifications"]),
-            states=tuple(tuple(row) for row in record["states"]),
-            alarms=tuple(tuple(row) for row in record["alarms"]),
-            invariant_violations=tuple(record["invariant_violations"]),
-        )
-
 
 def run_program(spec: ProgramSpec, schedule: Schedule = ()) -> BehaviorTrace:
     """Run one program through its timeline, attacked iff ``schedule``."""

@@ -1,7 +1,6 @@
-"""Discrete-event network substrate: clock, LAN, ARP, WAN, capture."""
+"""Discrete-event network substrate: scheduler, LAN, ARP, WAN, capture."""
 
 from .arp import ArpCache, ArpEntry, DEFAULT_ARP_TTL
-from .clock import Clock
 from .cloudhost import CloudHost
 from .host import Host, same_subnet
 from .inet import DnsRegistry, Internet, DEFAULT_WAN_LATENCY
@@ -23,7 +22,6 @@ __all__ = [
     "ArpPacket",
     "BROADCAST_MAC",
     "CapturedFrame",
-    "Clock",
     "CloudHost",
     "DEFAULT_ARP_TTL",
     "DEFAULT_LAN_LATENCY",

@@ -80,9 +80,6 @@ class Internet:
             raise ValueError(f"subnet already routed: {prefix}")
         self._subnets[prefix] = handler
 
-    def detach(self, ip: str) -> None:
-        self._hosts.pop(ip, None)
-
     def send(self, packet: IpPacket) -> None:
         """Carry ``packet`` to its destination after one WAN latency.
 

@@ -55,20 +55,14 @@ class Lan:
         sim: "Simulator",
         name: str = "home-lan",
         latency: float = DEFAULT_LAN_LATENCY,
-        jitter: float = 0.0,
         mac_pool: MacPool | None = None,
     ) -> None:
         if latency < 0:
             raise ValueError("latency must be non-negative")
-        if jitter < 0:
-            raise ValueError("jitter must be non-negative")
         self.sim = sim
         self.name = name
         self._label = f"lan:{name}"
         self.latency = latency
-        #: Extra uniform random delay per frame (deterministic via the
-        #: simulator's seeded RNG) — contention on a busy WiFi channel.
-        self.jitter = jitter
         self._macs = mac_pool or MacPool()
         self._nics: dict[str, Nic] = {}
         # Delivery order, rebuilt (never mutated) on attach/detach: every
@@ -121,17 +115,14 @@ class Lan:
         """
         self.frames_transmitted += 1
         self.bytes_transmitted += frame.byte_size()
-        delay = self.latency
-        if self.jitter > 0:
-            delay += self.sim.rng.uniform(0.0, self.jitter)
         injector = self.fault_injector
         if injector is None:
             self.sim.post(
-                delay, self._deliver, frame, sender.mac, next(self._frame_seq),
+                self.latency, self._deliver, frame, sender.mac, next(self._frame_seq),
                 label=self._label,
             )
             return
-        deliveries = injector.plan(frame, delay)
+        deliveries = injector.plan(frame, self.latency)
         if not deliveries:
             self.frames_dropped += 1
             return

@@ -125,11 +125,3 @@ class EthernetFrame:
     @property
     def is_broadcast(self) -> bool:
         return self.dst_mac == BROADCAST_MAC
-
-    def describe(self) -> str:
-        """One-line summary used by traces and debugging output."""
-        kind = type(self.payload).__name__
-        return (
-            f"#{self.frame_id} {self.src_mac} -> {self.dst_mac} "
-            f"{kind} ({self.byte_size()}B)"
-        )

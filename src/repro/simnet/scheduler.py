@@ -152,8 +152,8 @@ class Simulator:
     """Event loop owning the virtual clock.
 
     Components schedule callbacks with :meth:`schedule` (relative delay),
-    :meth:`at` (absolute time), :meth:`schedule_periodic` (recurring), or
-    :meth:`post` (relative delay, no handle).  ``run_until`` / ``run``
+    :meth:`schedule_periodic` (recurring), or :meth:`post` (relative
+    delay, no handle).  ``run_until`` / ``run``
     drive the loop.  :attr:`now` is a plain attribute that only the loop
     writes; everything else reads it.  The simulator also owns a seeded
     :class:`random.Random` so that jitter (for example TCP retransmission
@@ -270,20 +270,6 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past: delay={delay}")
         return self._insert(self.now + delay, callback, args, label)
-
-    def at(
-        self,
-        when: float,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> Timer:
-        """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
-        return self._insert(when, callback, args, label)
-
-    def call_soon(self, callback: Callable[..., Any], *args: Any, label: str = "") -> Timer:
-        """Schedule a callback at the current instant (after pending events)."""
-        return self._insert(self.now, callback, args, label)
 
     def post(
         self,

@@ -9,7 +9,6 @@ module (:mod:`repro.core.fingerprint`) is built on these records.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, TYPE_CHECKING
 
 from ..values import value
@@ -58,10 +57,6 @@ class CapturedFrame:
     ts: float
     frame: EthernetFrame
 
-    @property
-    def byte_size(self) -> int:
-        return self.frame.byte_size()
-
 
 @value
 class PacketMeta:
@@ -93,17 +88,9 @@ class PacketCapture:
         #: Frames evicted by the rolling-buffer overflow — silent loss is
         #: itself a measurement artefact, so it is counted and exported.
         self.dropped_frames = 0
-        self._attached: list[Host] = []
 
     def attach(self, host: Host) -> None:
         host.frame_taps.append(self._tap)
-        self._attached.append(host)
-
-    def detach(self, host: Host) -> None:
-        if self._tap in host.frame_taps:
-            host.frame_taps.remove(self._tap)
-        if host in self._attached:
-            self._attached.remove(host)
 
     def clear(self) -> None:
         self.frames.clear()
@@ -159,69 +146,3 @@ class PacketCapture:
                 )
             )
         return metas
-
-    def flow_summary(self) -> list[dict]:
-        """Per-flow statistics: packet/byte counts, span, payload volume."""
-        out = []
-        for key, frames in self.flows().items():
-            payload_bytes = 0
-            data_packets = 0
-            for captured in frames:
-                segment = captured.frame.payload.payload  # type: ignore[union-attr]
-                size = getattr(segment, "payload_size", 0)
-                if size:
-                    payload_bytes += size
-                    data_packets += 1
-            out.append(
-                {
-                    "flow": f"{key.ip_a}:{key.port_a}<->{key.ip_b}:{key.port_b}",
-                    "packets": len(frames),
-                    "data_packets": data_packets,
-                    "payload_bytes": payload_bytes,
-                    "first_ts": frames[0].ts,
-                    "last_ts": frames[-1].ts,
-                    "dropped_frames": self.dropped_frames,
-                }
-            )
-        out.sort(key=lambda row: row["first_ts"])
-        return out
-
-    def export_jsonl(self, path: str) -> int:
-        """Dump the capture as JSON lines (a pcap stand-in for analysis).
-
-        Only metadata is exported — timestamps, addressing, flags, and
-        payload sizes — mirroring what an analyst keeps from encrypted
-        captures.  Returns the number of frame records written.  When the
-        rolling buffer overflowed, a leading ``capture-summary`` meta record
-        reports how many frames were evicted before this export.
-        """
-        lines: list[str] = []
-        if self.dropped_frames:
-            lines.append(
-                json.dumps(
-                    {"meta": "capture-summary", "dropped_frames": self.dropped_frames}
-                )
-            )
-        for captured in self.frames:
-            frame = captured.frame
-            record: dict = {
-                "ts": round(captured.ts, 6),
-                "src_mac": frame.src_mac,
-                "dst_mac": frame.dst_mac,
-                "bytes": frame.byte_size(),
-                "kind": type(frame.payload).__name__,
-            }
-            payload = frame.payload
-            if isinstance(payload, IpPacket):
-                record["src_ip"] = payload.src_ip
-                record["dst_ip"] = payload.dst_ip
-                segment = payload.payload
-                if hasattr(segment, "src_port"):
-                    record["src_port"] = segment.src_port
-                    record["dst_port"] = segment.dst_port
-                    record["flags"] = sorted(segment.flags)
-                    record["payload_len"] = segment.payload_size
-            lines.append(json.dumps(record))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-        return len(self.frames)

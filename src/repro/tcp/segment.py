@@ -97,13 +97,6 @@ class TcpSegment:
     def byte_size(self) -> int:
         return TCP_HEADER_BYTES + len(self.payload)
 
-    def describe(self) -> str:
-        flag_str = ",".join(sorted(self.flags)) or "-"
-        return (
-            f"TCP {self.src_port}->{self.dst_port} [{flag_str}] "
-            f"seq={self.seq} ack={self.ack} len={len(self.payload)}"
-        )
-
 
 def make_segment(
     src_port: int,

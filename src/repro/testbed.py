@@ -18,8 +18,6 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any
-
 from .alarms import AlarmLog
 from .automation.rules import Rule
 from .cloud.endpoint import EndpointServer
@@ -34,7 +32,7 @@ from .faults.profiles import FaultProfile, resolve_profile
 from .simnet.cloudhost import CloudHost
 from .simnet.host import Host
 from .simnet.inet import Internet
-from .simnet.link import DEFAULT_LAN_LATENCY, Lan
+from .simnet.link import Lan
 from .simnet.router import Router
 from .simnet.scheduler import Simulator
 from .tls.session import KeyEscrow
@@ -71,8 +69,6 @@ class SmartHomeTestbed:
         integration_staleness: float | None = None,
         trigger_timestamp_window: float | None = None,
         close_stale_on_reconnect: bool = False,
-        lan_latency: float | None = None,
-        lan_jitter: float = 0.0,
         observe: bool = False,
         faults: "FaultProfile | str | None" = None,
         check_invariants: bool = False,
@@ -86,11 +82,7 @@ class SmartHomeTestbed:
             # Before any component is built, so every layer hook is live.
             self.invariants = InvariantSuite(self.sim).install()
         self.catalogue = catalogue or CATALOGUE
-        self.lan = Lan(
-            self.sim,
-            latency=lan_latency if lan_latency is not None else DEFAULT_LAN_LATENCY,
-            jitter=lan_jitter,
-        )
+        self.lan = Lan(self.sim)
         self.fault_injector: FaultInjector | None = None
         profile = resolve_profile(faults)
         #: The resolved profile (kept even when ideal, i.e. no injector):
@@ -273,15 +265,3 @@ class SmartHomeTestbed:
             gateway_ip=self.router.ip,
             promiscuous=True,
         )
-
-    # ----------------------------------------------------------- inspection
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "now": self.sim.now,
-            "devices": sorted(self.devices),
-            "endpoints": sorted(self.endpoints),
-            "alarms": self.alarms.summary(),
-            "notifications": len(self.notifier.notifications),
-            "faults": self.fault_profile.name if self.fault_profile else None,
-        }

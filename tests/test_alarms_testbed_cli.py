@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.alarms import AlarmLog
-from repro.analysis.reporting import TextTable, fmt_bool, fmt_seconds, fmt_window, mean, median
+from repro.analysis.reporting import TextTable, fmt_bool, fmt_seconds, fmt_window
 from repro.cli import build_parser, main
 from repro.simnet.scheduler import Simulator
 from repro.testbed import SmartHomeTestbed
@@ -34,10 +34,8 @@ class TestAlarmLog:
         log.raise_alarm("a", "s1")
         sim.run_until(10.0)
         log.raise_alarm("b", "s2")
-        assert len(log.of_kind("a")) == 1
-        assert len(log.from_source("s2")) == 1
-        assert len(log.since(5.0)) == 1
-        assert log.kinds() == {"a", "b"}
+        assert [a.source for a in log.of_kind("a")] == ["s1"]
+        assert [a.ts for a in log.of_kind("b")] == [10.0]
 
     def test_summary(self):
         _, log = self._log()
@@ -45,7 +43,6 @@ class TestAlarmLog:
         log.raise_alarm("a", "s")
         log.raise_alarm("b", "s")
         assert log.summary() == {"a": 2, "b": 1}
-        assert log.extend_summary(["c"]) == {"a": 2, "b": 1, "c": 0}
 
     def test_count_by_kind(self):
         _, log = self._log()
@@ -82,13 +79,6 @@ class TestReporting:
         with pytest.raises(ValueError):
             table.add_row("only-one")
 
-    def test_median_mean(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([1.0, 2.0, 3.0, 4.0]) == 2.5
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        with pytest.raises(ValueError):
-            median([])
-
 
 class TestTestbed:
     def test_add_device_idempotent(self):
@@ -123,14 +113,6 @@ class TestTestbed:
         e1 = tb.endpoint("ring")
         e2 = tb.endpoint("ring")
         assert e1 is e2
-
-    def test_summary_shape(self):
-        tb = SmartHomeTestbed(seed=1)
-        tb.add_device("C5")
-        tb.settle(3.0)
-        summary = tb.summary()
-        assert summary["devices"] == ["c5"]
-        assert "tuya" in summary["endpoints"]
 
     def test_attacker_host_is_promiscuous(self):
         tb = SmartHomeTestbed(seed=1)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.arp_spoofer import ArpSpoofer
 from repro.core.attacker import PhantomDelayAttacker
 from repro.core.fingerprint import FingerprintDatabase, extract_observation
+from repro.core.hijacker import TcpHijacker
 from repro.core.predictor import (
     CAUSE_EVENT_ACK,
     CAUSE_KEEPALIVE_REPLY,
@@ -16,7 +17,11 @@ from repro.core.predictor import (
     TimeoutBehavior,
     TimeoutPredictor,
 )
+from repro.core.primitives import EDelay
 from repro.devices.profiles import CATALOGUE
+from repro.simnet.host import Host
+from repro.simnet.link import Lan
+from repro.simnet.scheduler import Simulator
 from repro.testbed import SmartHomeTestbed
 
 
@@ -84,11 +89,6 @@ class TestArpSpoofing:
         tb, _contact, hub, attacker = home
         assert attacker.discover_mac(hub.ip) == hub.host.mac
         assert attacker.discover_mac("192.168.1.254") is None
-
-    def test_scan(self, home):
-        tb, _contact, hub, attacker = home
-        found = attacker.scan([hub.ip, "192.168.1.250"])
-        assert found == {hub.ip: hub.host.mac}
 
 
 class TestSpooferSchedule:
@@ -335,21 +335,6 @@ class TestFingerprinting:
         assert matches
         assert matches[0].signature.label == "H1"
 
-    def test_classify_size_disambiguates_children(self):
-        db = FingerprintDatabase.from_catalogue()
-        hits = db.classify_size("fw.prd.ring.solution", 986)
-        assert [h.label for h in hits] == ["C1"]
-
-    def test_classify_size_rejects_wrong_domain(self):
-        db = FingerprintDatabase.from_catalogue()
-        assert db.classify_size("api.smartthings.example", 986) == []
-
-    def test_signature_lookup(self):
-        db = FingerprintDatabase.from_catalogue()
-        assert db.signature_of("H1").ka_period == 31.0
-        with pytest.raises(LookupError):
-            db.signature_of("ZZ")
-
 
 class TestPredictor:
     def _behavior(self, **kw):
@@ -388,13 +373,28 @@ class TestPredictor:
         assert prediction.cause == CAUSE_NONE
         assert not prediction.bounded
 
+    def _triggered_e_delay(self, behavior, margin, last_delivered=None):
+        """An e-Delay whose hold triggers at t=100 s on a bare attacker host."""
+        sim = Simulator(seed=1)
+        host = Host(sim, Lan(sim), ip="192.168.1.50", hostname="attacker",
+                    gateway_ip="192.168.1.1")
+        hijacker = TcpHijacker(host)
+        if last_delivered is not None:
+            hijacker.last_payload_forwarded[("192.168.1.10", "34.0.0.1")] = last_delivered
+        operation = EDelay(sim, hijacker, behavior, "192.168.1.10", margin=margin).arm()
+        sim.run_until(100.0)
+        operation.hold.on_triggered(operation.hold)
+        return operation
+
     def test_max_safe_delay_applies_margin(self):
-        predictor = TimeoutPredictor(self._behavior(), margin=2.0)
-        assert predictor.max_safe_event_delay(100.0, last_delivered=100.0) == pytest.approx(45.0)
+        operation = self._triggered_e_delay(self._behavior(), 2.0, last_delivered=100.0)
+        assert operation.prediction.at == pytest.approx(147.0)
+        assert operation.planned_release_at == pytest.approx(145.0)
 
     def test_max_safe_never_negative(self):
-        predictor = TimeoutPredictor(self._behavior(event_timeout=1.0), margin=5.0)
-        assert predictor.max_safe_event_delay(0.0) == 0.0
+        operation = self._triggered_e_delay(self._behavior(event_timeout=1.0), 5.0)
+        assert operation.prediction.at == pytest.approx(101.0)
+        assert operation.planned_release_at == 100.0
 
     def test_command_hold_bounded_by_response_timeout(self):
         predictor = TimeoutPredictor(self._behavior(command_timeout=21.0))
@@ -408,8 +408,11 @@ class TestPredictor:
         assert prediction.cause == CAUSE_KEEPALIVE_REPLY
 
     def test_negative_margin_rejected(self):
+        sim = Simulator(seed=1)
+        host = Host(sim, Lan(sim), ip="192.168.1.50", hostname="attacker",
+                    gateway_ip="192.168.1.1")
         with pytest.raises(ValueError):
-            TimeoutPredictor(self._behavior(), margin=-1.0)
+            EDelay(sim, TcpHijacker(host), self._behavior(), "192.168.1.10", margin=-1.0)
 
     def test_behavior_from_profile_matches_windows(self):
         for label in ("H1", "L2", "HS3", "M7"):

@@ -16,7 +16,6 @@ from repro.core.attacks.scenarios import (
     FIGURE3_SCENARIOS,
     Fig3bWaterValve,
     TABLE3_SCENARIOS,
-    scenario_by_case,
 )
 
 #: Every declared case once: Table III, Figure 3 and the two extensions.
@@ -34,11 +33,6 @@ class TestScenarioFramework:
 
     def test_four_figure3_scenarios(self):
         assert len(FIGURE3_SCENARIOS) == 4
-
-    def test_scenario_lookup(self):
-        assert scenario_by_case("Case 8").name == "case8-storm-door-unlock"
-        with pytest.raises(LookupError):
-            scenario_by_case("Case 99")
 
     def test_each_type_represented(self):
         types = {s.attack_type for s in TABLE3_SCENARIOS}

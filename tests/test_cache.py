@@ -23,7 +23,6 @@ from repro.cache import (
     canonical,
     code_fingerprint,
     digest,
-    load_function,
     qualified_name,
     resolve_cache,
 )
@@ -74,9 +73,6 @@ class TestGoldenDigests:
 
     def test_qualified_name(self):
         assert qualified_name(_double).endswith("test_cache._double")
-
-    def test_load_function_roundtrip(self):
-        assert load_function(qualified_name(load_function)) is load_function
 
 
 class TestCanonical:
@@ -314,7 +310,7 @@ class TestWarmColdEquivalence:
 
         warm = render_table1(runner.run([
             Shard(key="table1/M7", fn=profile_label,
-                  kwargs={"label": "M7", "trials": 1, "catalogue": None}, seed=7)
+                  kwargs={"label": "M7", "trials": 1}, seed=7)
         ], campaign="table1", base_seed=7))
         assert warm == cold
         assert registry.value("parallel", "cache_hits", campaign="table1") == 1

@@ -1,39 +1,11 @@
-"""Unit tests for the virtual clock and the discrete-event scheduler."""
+"""Unit tests for the discrete-event scheduler."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simnet.clock import Clock
 from repro.simnet.scheduler import Simulator
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert Clock().now == 0.0
-
-    def test_custom_start(self):
-        assert Clock(start=5.5).now == 5.5
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            Clock(start=-1.0)
-
-    def test_advance(self):
-        clock = Clock()
-        clock.advance_to(3.0)
-        assert clock.now == 3.0
-
-    def test_advance_to_same_time_allowed(self):
-        clock = Clock(start=2.0)
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
-
-    def test_backwards_rejected(self):
-        clock = Clock(start=2.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(1.0)
 
 
 class TestScheduling:
@@ -52,24 +24,6 @@ class TestScheduling:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
-
-    def test_at_absolute_time(self, sim):
-        fired = []
-        sim.at(3.0, fired.append, 1)
-        sim.run(5.0)
-        assert fired == [1]
-
-    def test_at_in_past_rejected(self, sim):
-        sim.run_until(2.0)
-        with pytest.raises(ValueError):
-            sim.at(1.0, lambda: None)
-
-    def test_call_soon_runs_at_current_time(self, sim):
-        sim.run_until(1.0)
-        seen = []
-        sim.call_soon(lambda: seen.append(sim.now))
-        sim.run(0.0)
-        assert seen == [1.0]
 
     def test_fifo_for_simultaneous_events(self, sim):
         order = []
@@ -162,27 +116,25 @@ class TestHotLoop:
     def test_run_until_ties_break_by_insertion_order(self, sim):
         order = []
         for i in range(8):
-            sim.at(2.0, order.append, i)
+            sim.schedule(2.0, order.append, i)
         sim.run_until(2.0)
         assert order == list(range(8))
 
     def test_run_until_skips_timer_cancelled_midway(self, sim):
         fired = []
-        victim = sim.at(2.0, fired.append, "victim")
-        sim.at(1.0, victim.cancel)
-        sim.at(3.0, fired.append, "survivor")
+        victim = sim.schedule(2.0, fired.append, "victim")
+        sim.schedule(1.0, victim.cancel)
+        sim.schedule(3.0, fired.append, "survivor")
         sim.run_until(5.0)
         assert fired == ["survivor"]
         assert sim.events_processed == 2  # canceller + survivor, not victim
 
     def test_run_until_skips_timer_cancelled_same_instant(self, sim):
-        # Cancellation by an earlier-seq event at the same timestamp: the
-        # fused loop must check the flag after the pop, not at peek time.
+        # Cancellation by an event at the same timestamp: the fused loop
+        # must check the flag after the pop, not at peek time.
         fired = []
-        victim = sim.at(1.0, fired.append, "victim")
-        # Scheduled later, but call_soon at t=1.0 runs... no: same instant,
-        # later seq runs after.  Cancel from an event at an earlier time.
-        canceller = sim.at(1.0, victim.cancel)
+        victim = sim.schedule(1.0, fired.append, "victim")
+        canceller = sim.schedule(1.0, victim.cancel)
         assert canceller.when == victim.when and fired == []
         sim.run_until(1.0)
         # victim was inserted first, so it fires before the canceller runs.
@@ -194,15 +146,15 @@ class TestHotLoop:
         def cancel_victim2():
             victim2.cancel()
 
-        sim.at(2.0, cancel_victim2)
-        victim2 = sim.at(2.0, fired2.append, "victim2")
+        sim.schedule(1.0, cancel_victim2)
+        victim2 = sim.schedule(1.0, fired2.append, "victim2")
         sim.run_until(2.0)
         assert fired2 == []
 
     def test_run_until_deadline_exact(self, sim):
         fired = []
-        sim.at(5.0, fired.append, "at-deadline")
-        sim.at(5.000001, fired.append, "after-deadline")
+        sim.schedule(5.0, fired.append, "at-deadline")
+        sim.schedule(5.000001, fired.append, "after-deadline")
         sim.run_until(5.0)
         assert fired == ["at-deadline"]
         assert sim.now == 5.0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automation.dsl import RuleSyntaxError, parse_rule, parse_rules
+from repro.automation.dsl import RuleSyntaxError, parse_rule
 from repro.automation.engine import AutomationEngine
 from repro.automation.rules import (
     CommandAction,
@@ -175,17 +175,6 @@ class TestDsl:
     def test_bad_rules_rejected(self, bad):
         with pytest.raises(RuleSyntaxError):
             parse_rule(bad)
-
-    def test_parse_rules_block(self):
-        rules = parse_rules(
-            """
-            # burglary alerts
-            WHEN c1 contact.open THEN NOTIFY voice "door"
-
-            WHEN m1 motion.active THEN NOTIFY push "motion"
-            """
-        )
-        assert len(rules) == 2
 
 
 class TestEndpointServer:

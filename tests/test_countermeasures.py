@@ -8,8 +8,6 @@ import pytest
 from repro.countermeasures.ack_timeout import (
     harden_profile,
     keepalive_traffic_rate,
-    residual_event_window,
-    sweep_ack_timeout,
     sweep_keepalive_period,
 )
 from repro.countermeasures.timestamp_check import DelayAnomalyDetector
@@ -30,12 +28,11 @@ class TestHardening:
 
     def test_residual_window_shrinks_monotonically(self):
         profile = CATALOGUE.get("HS1")
-        windows = [residual_event_window(profile, t)[1] for t in (30.0, 20.0, 10.0, 5.0)]
+        windows = [
+            harden_profile(profile, event_ack_timeout=t).event_delay_window()[1]
+            for t in (30.0, 20.0, 10.0, 5.0)
+        ]
         assert windows == sorted(windows, reverse=True)
-
-    def test_sweep_ack_timeout(self):
-        rows = sweep_ack_timeout(CATALOGUE.get("HS1"), [30.0, 5.0])
-        assert rows[0][1][1] == 30.0 and rows[1][1][1] == 5.0
 
     def test_harden_keepalive_period(self):
         hardened = harden_profile(CATALOGUE.get("HS1"), ka_period=5.0)

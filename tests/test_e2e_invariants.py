@@ -134,13 +134,17 @@ class TestPredictorProperties:
         )
         hold_start = 1000.0
         last_delivered = hold_start - phase * period
-        predictor = TimeoutPredictor(behavior, margin=margin)
-        safe = predictor.max_safe_event_delay(hold_start, last_delivered=last_delivered)
+        prediction = TimeoutPredictor(behavior).event_hold_timeout(
+            hold_start, last_delivered=last_delivered
+        )
+        # The primitive releases ``margin`` before the prediction, never
+        # before the hold started.
+        release_at = max(prediction.at - margin, hold_start)
         true_timeout = min(
             last_delivered + period + grace,  # server liveness
             hold_start + period + grace,      # device ka-reply wait
         )
-        assert hold_start + safe < true_timeout
+        assert release_at < true_timeout
 
     @given(
         period=st.floats(min_value=2.0, max_value=300.0),

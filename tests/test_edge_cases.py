@@ -135,15 +135,6 @@ class TestEndpointStaleHandling:
 
 
 class TestTestbedVariants:
-    def test_custom_lan_latency(self):
-        tb = SmartHomeTestbed(seed=195, lan_latency=0.05)
-        assert tb.lan.latency == 0.05
-        contact = tb.add_device("C5")
-        tb.settle(8.0)
-        contact.stimulate("open")
-        tb.run(5.0)
-        assert tb.endpoints["tuya"].events_from("c5")
-
     def test_ip_exhaustion_guarded(self):
         tb = SmartHomeTestbed(seed=197)
         tb._next_device_ip = 251

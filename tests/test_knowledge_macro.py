@@ -2,63 +2,40 @@
 
 from __future__ import annotations
 
-import pytest
+import json
 
 from repro.core import KnowledgeBase, PhantomDelayAttacker, TimeoutBehavior
+from repro.devices.profiles import CATALOGUE
 from repro.simnet.scheduler import run_until
 from repro.testbed import SmartHomeTestbed
 
 
+def _saved_behaviors(kb: KnowledgeBase, path) -> dict[str, TimeoutBehavior]:
+    """Save ``kb`` and read every entry's behaviour back from the JSON."""
+    kb.save(path)
+    doc = json.loads(path.read_text())
+    return {
+        entry["label"]: TimeoutBehavior(**entry["behavior"]) for entry in doc["entries"]
+    }
+
+
 class TestKnowledgeBase:
-    def test_catalogue_bootstrap(self):
+    def test_catalogue_bootstrap(self, tmp_path):
         kb = KnowledgeBase.from_catalogue()
         assert len(kb) == 50
-        assert kb.behavior_of("H1").ka_period == 31.0
-
-    def test_unknown_label(self):
-        with pytest.raises(LookupError):
-            KnowledgeBase().lookup("ZZ")
+        behaviors = _saved_behaviors(kb, tmp_path / "kb.json")
+        assert behaviors["H1"].ka_period == 31.0
 
     def test_save_load_roundtrip(self, tmp_path):
-        kb = KnowledgeBase.from_catalogue()
-        path = tmp_path / "kb.json"
-        kb.save(path)
-        loaded = KnowledgeBase.load(path)
-        assert len(loaded) == len(kb)
+        behaviors = _saved_behaviors(KnowledgeBase.from_catalogue(), tmp_path / "kb.json")
+        assert len(behaviors) == 50
         for label in ("H1", "L2", "HS3", "M7"):
-            assert loaded.behavior_of(label) == kb.behavior_of(label)
-
-    def test_load_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": 99, "entries": []}')
-        with pytest.raises(ValueError):
-            KnowledgeBase.load(path)
-
-    def test_profiled_report_entry(self):
-        from repro.experiments.table1 import profile_label
-
-        row = profile_label("HS3", trials=1)
-        kb = KnowledgeBase()
-        entry = kb.add_report("HS3", row.profile.model, row.report)
-        assert entry.source == "profiled"
-        assert kb.behavior_of("HS3").event_timeout == pytest.approx(20.0, abs=2.0)
-
-    def test_merge_prefers_profiled(self):
-        catalogue_kb = KnowledgeBase.from_catalogue()
-        profiled_kb = KnowledgeBase()
-        custom = TimeoutBehavior(long_live=True, ka_period=99.0, ka_timeout=9.0)
-        profiled_kb.add_behavior("H1", "SmartThings Hub v3", custom, source="profiled")
-        catalogue_kb.merge(profiled_kb)
-        assert catalogue_kb.behavior_of("H1").ka_period == 99.0
-        # Catalogue entries never overwrite profiled ones.
-        profiled_kb.merge(KnowledgeBase.from_catalogue())
-        assert profiled_kb.behavior_of("H1").ka_period == 99.0
+            expected = TimeoutBehavior.from_profile(CATALOGUE.get(label))
+            assert behaviors[label] == expected
 
     def test_shared_knowledge_drives_attack(self, tmp_path):
         """Attacker B uses attacker A's exported knowledge file."""
-        path = tmp_path / "shared.json"
-        KnowledgeBase.from_catalogue().save(path)
-        kb = KnowledgeBase.load(path)
+        shared = _saved_behaviors(KnowledgeBase.from_catalogue(), tmp_path / "shared.json")
 
         tb = SmartHomeTestbed(seed=241)
         contact = tb.add_device("C2")
@@ -67,8 +44,8 @@ class TestKnowledgeBase:
         attacker = PhantomDelayAttacker.deploy(tb)
         attacker.interpose(hub.ip)
         tb.run(40.0)
-        operation = attacker.e_delay(hub.ip, kb.behavior_of("H1")).arm(
-            trigger_size=kb.behavior_of("C2").event_size
+        operation = attacker.e_delay(hub.ip, shared["H1"]).arm(
+            trigger_size=shared["C2"].event_size
         )
         contact.stimulate("open")
         run_until(tb.sim, lambda: operation.released_at is not None, 120.0)
@@ -129,11 +106,11 @@ class TestDayInTheLife:
         # Hourly comings and goings for 24 hours.
         for hour in range(24):
             base = 3600.0 * hour
-            tb.sim.at(tb.now + base + 600.0, motion.stimulate, "active")
-            tb.sim.at(tb.now + base + 1200.0, motion.stimulate, "inactive")
-            tb.sim.at(tb.now + base + 1800.0, contact.stimulate, "open")
-            tb.sim.at(tb.now + base + 1860.0, lock.stimulate, "unlocked")
-            tb.sim.at(tb.now + base + 1900.0, contact.stimulate, "closed")
+            tb.sim.schedule(base + 600.0, motion.stimulate, "active")
+            tb.sim.schedule(base + 1200.0, motion.stimulate, "inactive")
+            tb.sim.schedule(base + 1800.0, contact.stimulate, "open")
+            tb.sim.schedule(base + 1860.0, lock.stimulate, "unlocked")
+            tb.sim.schedule(base + 1900.0, contact.stimulate, "closed")
         tb.run(24 * 3600.0 + 100.0)
 
         assert tb.alarms.silent

@@ -1,6 +1,7 @@
 """Metrics substrate: histogram accuracy, registry behaviour, JSONL round-trip,
 and the guarantee that a run without observability records nothing."""
 
+import json
 import math
 import random
 
@@ -157,7 +158,9 @@ class TestJsonlRoundTrip:
         count = reg.export_jsonl(str(path))
         assert count == 3
 
-        loaded = MetricsRegistry.import_jsonl(str(path))
+        loaded = MetricsRegistry.from_records(
+            json.loads(line) for line in path.read_text().splitlines()
+        )
         assert loaded.value("tcp", "retransmissions") == 7
         g2 = loaded.gauge("scheduler", "queue_depth")
         assert g2.value == 11

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.automation.dsl import parse_rule, unparse_rule
+from repro.automation.dsl import parse_rule
 from repro.devices.profiles import CATALOGUE
 from repro.parallel import derive_seed
 from repro.search import (
@@ -82,15 +82,6 @@ class TestGeneratedStructure:
     @pytest.fixture(scope="class")
     def specs(self):
         return RuleSetGenerator(0).sample_many(48)
-
-    def test_every_rule_line_parses_and_round_trips(self, specs):
-        for spec in specs:
-            for line in spec.rules:
-                rule = parse_rule(line, rule_id="probe")
-                again = parse_rule(unparse_rule(rule), rule_id="probe")
-                assert again.trigger == rule.trigger
-                assert again.condition == rule.condition
-                assert again.action == rule.action
 
     def test_rules_reference_only_program_devices(self, specs):
         for spec in specs:

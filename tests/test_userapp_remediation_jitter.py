@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cloud.user_app import UserApp
 from repro.core.attacker import PhantomDelayAttacker
 from repro.core.predictor import TimeoutBehavior
 from repro.countermeasures.remediation import RemediationPolicy
@@ -13,24 +12,12 @@ from repro.testbed import SmartHomeTestbed
 
 
 class TestUserApp:
-    def test_app_shows_current_state_in_benign_home(self):
-        tb = SmartHomeTestbed(seed=221)
-        contact = tb.add_device("C5")
-        app = UserApp(tb.integration)
-        tb.settle(8.0)
-        contact.stimulate("open")
-        tb.run(2.0)
-        view = app.view("c5", "contact")
-        assert view.value == "open"
-        assert view.true_age < 2.5
-
     def test_app_shows_stale_state_during_attack(self):
         """The Section V-A horror: the app says 'closed' while the door
-        stands open."""
+        stands open.  The app shows the integration's shadow state."""
         tb = SmartHomeTestbed(seed=223)
         contact = tb.add_device("C2")
         hub = tb.devices["h1"]
-        app = UserApp(tb.integration)
         tb.settle(8.0)
         contact.stimulate("closed")
         tb.run(2.0)
@@ -42,34 +29,9 @@ class TestUserApp:
         ).arm(duration=25.0, trigger_size=355)
         contact.stimulate("open")  # physically open NOW
         tb.run(10.0)
-        assert contact.attribute_value == "open"          # physical truth
-        assert app.view("c2", "contact").value == "closed"  # app's belief
-
-    def test_unknown_device_view(self):
-        tb = SmartHomeTestbed(seed=225)
-        app = UserApp(tb.integration)
-        view = app.view("ghost", "contact")
-        assert not view.known and view.value is None
-
-    def test_manual_tap_reaches_device(self):
-        tb = SmartHomeTestbed(seed=227)
-        plug = tb.add_device("P2")
-        app = UserApp(tb.integration)
-        tb.settle(8.0)
-        app.tap("p2", "on")
-        tb.run(3.0)
-        assert plug.attribute_value == "on"
-        assert len(app.taps) == 1
-
-    def test_dashboard(self):
-        tb = SmartHomeTestbed(seed=229)
-        contact = tb.add_device("C5")
-        tb.settle(8.0)
-        contact.stimulate("open")
-        tb.run(2.0)
-        app = UserApp(tb.integration)
-        views = app.dashboard({"c5": "contact", "ghost": "motion"})
-        assert views[0].known and not views[1].known
+        shadow = tb.integration.engine.shadow
+        assert contact.attribute_value == "open"              # physical truth
+        assert shadow[("c2", "contact")].value == "closed"    # app's belief
 
 
 class TestRemediationPolicy:
@@ -118,7 +80,7 @@ class TestRemediationPolicy:
 
 class TestJitterRobustness:
     def test_benign_home_stable_under_jitter(self):
-        tb = SmartHomeTestbed(seed=237, lan_jitter=0.02)
+        tb = SmartHomeTestbed(seed=237, faults="jitter=0.02")
         tb.add_device("C2")
         tb.add_device("HS1")
         tb.settle(10.0)
@@ -126,7 +88,7 @@ class TestJitterRobustness:
         assert tb.alarms.silent
 
     def test_attack_still_works_under_jitter(self):
-        tb = SmartHomeTestbed(seed=239, lan_jitter=0.02)
+        tb = SmartHomeTestbed(seed=239, faults="jitter=0.02")
         contact = tb.add_device("C2")
         hub = tb.devices["h1"]
         tb.settle(8.0)
@@ -145,8 +107,7 @@ class TestJitterRobustness:
         assert tb.endpoints["smartthings"].events_from("c2")
 
     def test_jitter_validation(self):
-        from repro.simnet.link import Lan
-        from repro.simnet.scheduler import Simulator
+        from repro.faults import FaultProfile
 
         with pytest.raises(ValueError):
-            Lan(Simulator(seed=1), jitter=-0.1)
+            FaultProfile(name="bad", jitter=-0.1)
