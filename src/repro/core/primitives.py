@@ -198,6 +198,8 @@ class CDelay(_DelayPrimitive):
         next_ka = None
         if self.behavior.ka_period is not None:
             last_uplink = self.hijacker.last_delivery_from(self.device_ip)
-            if last_uplink is not None:
-                next_ka = last_uplink + self.behavior.ka_period
+            # Unobserved, the device's idle timer may already be running
+            # out: a held command (unlike a held event) does not restart
+            # it, so its next keep-alive can be due at once.
+            next_ka = now if last_uplink is None else last_uplink + self.behavior.ka_period
         return self.predictor.command_hold_timeout(now, next_ka_send=next_ka)

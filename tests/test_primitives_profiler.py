@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 
 import pytest
 
@@ -135,6 +136,27 @@ class TestCDelay:
         assert operation.achieved_delay > 10.0
         assert tb.alarms.silent
         assert outlet.attribute_value == "on"
+
+    @pytest.mark.parametrize("phase", [0.0, 40.0])
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_unobserved_hold_never_predicts_past_the_session_death(self, seed, phase):
+        """HS4 (on-idle 60 s keep-alive, 30 s grace, no command timeout):
+        a command held before the attacker saw any uplink must not be
+        predicted to survive past the FIN the starved device sends."""
+        tb = SmartHomeTestbed(seed=seed)
+        base = tb.add_device("HS4")
+        tb.settle(8.0)
+        attacker = PhantomDelayAttacker.deploy(tb)
+        primitive = attacker.delay_for(base, command=True)
+        tb.run(phase)
+        operation = primitive.arm(duration=math.inf, clamp=False)
+        start = tb.now
+        tb.endpoints[base.profile.server].send_command(base.device_id, "arm-away")
+        tb.run(200.0)
+        assert operation.triggered_at is not None
+        closes = attacker.hijacker.close_events_involving(base.uplink_ip, since=start)
+        assert closes
+        assert operation.prediction.at <= closes[0].ts
 
 
 class TestProfilerAgainstGroundTruth:
