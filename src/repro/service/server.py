@@ -431,9 +431,9 @@ def serve(socket_path: "str | Path | None" = None, host: str = "127.0.0.1",
             from .client import default_socket_path
 
             await service.start(socket_path=socket_path or default_socket_path())
-        # After start() forked the pool, so only the service handles them:
-        # a stop signal runs the same teardown as a client's shutdown, which
-        # shuts the pool down instead of leaving its workers orphaned.
+        # Installed once start() has forked the pool, so the workers keep
+        # the default handlers.  A stop signal runs the same teardown as a
+        # client's shutdown, which shuts the pool down with the service.
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(signum, service.request_shutdown)

@@ -153,8 +153,8 @@ class Simulator:
 
     Components schedule callbacks with :meth:`schedule` (relative delay),
     :meth:`schedule_periodic` (recurring), or :meth:`post` (relative
-    delay, no handle).  ``run_until`` / ``run``
-    drive the loop.  :attr:`now` is a plain attribute that only the loop
+    delay, no handle).  ``run_until`` / ``run`` drive the loop.
+    :attr:`now` is a plain attribute that only the loop
     writes; everything else reads it.  The simulator also owns a seeded
     :class:`random.Random` so that jitter (for example TCP retransmission
     backoff randomisation) is reproducible.
@@ -370,10 +370,9 @@ class Simulator:
         label: str,
         period: float | None = None,
     ) -> Timer:
-        """Queue a new timer (a :class:`PeriodicTimer` when ``period`` is given)."""
+        """Queue a new timer (a :class:`PeriodicTimer` when ``period`` is
+        given) at ``when``, which callers have checked is not in the past."""
         now = self.now
-        if when < now:
-            raise ValueError(f"cannot schedule in the past: {when} < {now}")
         if period is None:
             timer = Timer(when, callback, args, label, now)
         else:

@@ -373,12 +373,15 @@ class TestPredictor:
         assert prediction.cause == CAUSE_NONE
         assert not prediction.bounded
 
-    def _triggered_e_delay(self, behavior, margin, last_delivered=None):
-        """An e-Delay whose hold triggers at t=100 s on a bare attacker host."""
+    def _bare_hijacker(self):
         sim = Simulator(seed=1)
         host = Host(sim, Lan(sim), ip="192.168.1.50", hostname="attacker",
                     gateway_ip="192.168.1.1")
-        hijacker = TcpHijacker(host)
+        return sim, TcpHijacker(host)
+
+    def _triggered_e_delay(self, behavior, margin, last_delivered=None):
+        """An e-Delay whose hold triggers at t=100 s on a bare attacker host."""
+        sim, hijacker = self._bare_hijacker()
         if last_delivered is not None:
             hijacker.last_payload_forwarded[("192.168.1.10", "34.0.0.1")] = last_delivered
         operation = EDelay(sim, hijacker, behavior, "192.168.1.10", margin=margin).arm()
@@ -408,11 +411,9 @@ class TestPredictor:
         assert prediction.cause == CAUSE_KEEPALIVE_REPLY
 
     def test_negative_margin_rejected(self):
-        sim = Simulator(seed=1)
-        host = Host(sim, Lan(sim), ip="192.168.1.50", hostname="attacker",
-                    gateway_ip="192.168.1.1")
+        sim, hijacker = self._bare_hijacker()
         with pytest.raises(ValueError):
-            EDelay(sim, TcpHijacker(host), self._behavior(), "192.168.1.10", margin=-1.0)
+            EDelay(sim, hijacker, self._behavior(), "192.168.1.10", margin=-1.0)
 
     def test_behavior_from_profile_matches_windows(self):
         for label in ("H1", "L2", "HS3", "M7"):

@@ -557,9 +557,9 @@ class TestServeSignals:
     def test_sigterm_stops_the_service_and_its_workers(self, tmp_path):
         """``phantom-delay serve`` shuts its pool down on SIGTERM instead
         of dying and leaving the forked workers to PID 1."""
-        src = Path(repro.__file__).resolve().parents[1]
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "--jobs", "2", "serve",
              "--socket", str(tmp_path / "svc.sock")],
