@@ -97,8 +97,14 @@ class ArpSpoofer:
     # ------------------------------------------------------------ poisoning
 
     def _poison_all(self) -> None:
+        # The periodic tick sends nearly half of a campaign's LAN frames, so
+        # it transmits them itself rather than once per target through
+        # _send_poison.
+        host = self.host
+        transmit, mac, nic = host.lan.transmit, host.mac, host.nic
         for target, poison in self.targets:
-            self._send_poison(target, poison)
+            transmit(EthernetFrame(mac, target.victim_mac, poison), nic)
+        self.replies_sent += len(self.targets)
 
     def _send_poison(self, target: SpoofTarget, poison: ArpPacket) -> None:
         self.replies_sent += 1

@@ -125,26 +125,16 @@ class Hold:
 
 
 class _FlowTracker:
-    """Per-flow cleartext sequence bookkeeping for ACK forging."""
+    """Per-flow cleartext sequence bookkeeping for ACK forging.
+
+    :meth:`TcpHijacker._track` updates it from every segment on the flow.
+    """
 
     def __init__(self, key: FlowKey) -> None:
         self.key = key
         self.nxt: dict[str, int] = {}  # sender ip -> next seq it will use
         self.acked: dict[str, int] = {}  # acker ip -> highest ack it sent
-        self.first_seen: float | None = None
         self.closed = False
-
-    def observe(self, sender_ip: str, segment: TcpSegment) -> None:
-        flags = segment.flags
-        # seq + seq_space: payload bytes, plus one each for SYN and FIN.
-        self.nxt[sender_ip] = (
-            segment.seq + len(segment.payload) + ("SYN" in flags) + ("FIN" in flags)
-        ) & SEQ_MASK
-        if "ACK" in flags:
-            ack = segment.ack
-            prior = self.acked.get(sender_ip)
-            if prior is None or 0 < ((ack - prior) & SEQ_MASK) < SEQ_HALF:  # seq_lt
-                self.acked[sender_ip] = ack
 
 
 class TcpHijacker:
@@ -155,6 +145,9 @@ class TcpHijacker:
         self.sim: "Simulator" = host.sim
         host.foreign_ip_handler = self._on_foreign_ip
         self.flows: dict[FlowKey, _FlowTracker] = {}
+        #: Directed (src_ip, src_port, dst_ip, dst_port) -> its canonical
+        #: flow key, so a packet looks its key up instead of building one.
+        self._flow_keys: dict[tuple[str, int, str, int], FlowKey] = {}
         self.holds: list[Hold] = []
         #: Holds still active (armed, not yet released): with none, data
         #: segments skip the hold scan.
@@ -255,7 +248,7 @@ class TcpHijacker:
 
     def _on_foreign_ip(self, packet: IpPacket, frame: EthernetFrame) -> None:
         segment = packet.payload
-        if not isinstance(segment, TcpSegment):
+        if type(segment) is not TcpSegment:
             self._forward(packet)
             return
         key = self._flow_key(packet, segment)
@@ -324,18 +317,31 @@ class TcpHijacker:
 
     # --------------------------------------------------------------- helpers
 
-    @staticmethod
-    def _flow_key(packet: IpPacket, segment: TcpSegment) -> FlowKey:
-        return FlowKey.of(packet.src_ip, segment.src_port, packet.dst_ip, segment.dst_port)
+    def _flow_key(self, packet: IpPacket, segment: TcpSegment) -> FlowKey:
+        """The canonical key of ``packet``'s flow, built once per direction."""
+        directed = (packet.src_ip, segment.src_port, packet.dst_ip, segment.dst_port)
+        key = self._flow_keys.get(directed)
+        if key is None:
+            key = self._flow_keys[directed] = FlowKey.of(*directed)
+        return key
 
     def _track(self, packet: IpPacket, segment: TcpSegment, key: FlowKey) -> _FlowTracker:
         """The tracker of flow ``key``, updated with ``segment``."""
         tracker = self.flows.get(key)
         if tracker is None:
-            tracker = _FlowTracker(key)
-            tracker.first_seen = self.sim.now
-            self.flows[key] = tracker
-        tracker.observe(packet.src_ip, segment)
+            tracker = self.flows[key] = _FlowTracker(key)
+        sender_ip = packet.src_ip
+        flags = segment.flags
+        # seq + seq_space: payload bytes, plus one each for SYN and FIN.
+        tracker.nxt[sender_ip] = (
+            segment.seq + len(segment.payload) + ("SYN" in flags) + ("FIN" in flags)
+        ) & SEQ_MASK
+        if "ACK" in flags:
+            ack = segment.ack
+            acked = tracker.acked
+            prior = acked.get(sender_ip)
+            if prior is None or 0 < ((ack - prior) & SEQ_MASK) < SEQ_HALF:  # seq_lt
+                acked[sender_ip] = ack
         return tracker
 
     def _note_lifecycle(self, packet: IpPacket, segment: TcpSegment, tracker: _FlowTracker) -> None:
@@ -394,13 +400,16 @@ class TcpHijacker:
         """Pass ``packet`` on; ``key`` is its flow when the caller has it."""
         self.stats["forwarded"] += 1
         segment = packet.payload
-        if isinstance(segment, TcpSegment) and segment.payload:
+        if type(segment) is TcpSegment and segment.payload:
             self.last_payload_forwarded[(packet.src_ip, packet.dst_ip)] = self.sim.now
+            flags = segment.flags
             self.sim.post(
                 self.FORWARD_RETRY_INTERVAL,
                 self._check_forward,
                 key if key is not None else self._flow_key(packet, segment),
-                seq_add(segment.seq, segment.seq_space),
+                # seq + seq_space, as _track computes it.
+                (segment.seq + len(segment.payload) + ("SYN" in flags) + ("FIN" in flags))
+                & SEQ_MASK,
                 packet,
                 0,
                 label="hijack-shepherd",

@@ -25,8 +25,10 @@ from typing import Callable, TYPE_CHECKING
 
 from ..appproto.keepalive import FIXED, ON_IDLE
 from ..simnet.inet import DnsRegistry
+from ..simnet.packet import IpPacket
 from ..simnet.scheduler import run_until
 from ..simnet.trace import PacketCapture
+from ..tcp.segment import TcpSegment
 from .fingerprint import extract_observation
 from .hijacker import EVENT_FIN, EVENT_RST, FlowEvent, Hold, TcpHijacker
 from .predictor import TimeoutBehavior
@@ -379,8 +381,10 @@ class TimeoutProfiler:
         Scans the capture incrementally (a cursor, not repeated rescans) so
         long campaigns stay linear in traffic volume.
         """
-        assert self.report.ka_size is not None
+        ka_size = self.report.ka_size
+        assert ka_size is not None
         window = timeout if timeout is not None else (self.report.ka_period or 60.0) * 2.5
+        device_ip = self.device_ip
         cursor = len(self.capture.frames)
         found: list[float] = []
 
@@ -390,15 +394,12 @@ class TimeoutProfiler:
             while cursor < len(frames):
                 captured = frames[cursor]
                 cursor += 1
-                payload = captured.frame.payload
-                segment = getattr(payload, "payload", None)
-                if (
-                    payload is not None
-                    and getattr(payload, "src_ip", None) == self.device_ip
-                    and getattr(segment, "payload_size", 0) == self.report.ka_size
-                ):
-                    found.append(captured.ts)
-                    return True
+                packet = captured.frame.payload
+                if type(packet) is IpPacket and packet.src_ip == device_ip:
+                    segment = packet.payload
+                    if type(segment) is TcpSegment and len(segment.payload) == ka_size:
+                        found.append(captured.ts)
+                        return True
             return False
 
         if not run_until(self.sim, seen, window):

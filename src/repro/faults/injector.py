@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 from ..parallel.seeds import derive_seed
 from ..simnet.packet import EthernetFrame, IpPacket
+from ..tcp.segment import TcpSegment
 from .profiles import FaultProfile, resolve_profile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,7 +103,7 @@ class FaultInjector:
     def eligible(self, frame: EthernetFrame) -> bool:
         """True for frames on the impaired (TCP data) path."""
         packet = frame.payload
-        return isinstance(packet, IpPacket) and hasattr(packet.payload, "src_port")
+        return type(packet) is IpPacket and type(packet.payload) is TcpSegment
 
     def plan(
         self, frame: EthernetFrame, base_delay: float
@@ -118,7 +119,7 @@ class FaultInjector:
         self.stats["frames_seen"] += 1
         rng = self.rng
         (u_trans, u_burst_drop, u_loss, u_corrupt, u_corrupt_byte,
-         u_dup, u_reorder, u_reorder_delay, u_jitter) = (rng.random() for _ in range(9))
+         u_dup, u_reorder, u_reorder_delay, u_jitter) = [rng.random() for _ in range(9)]
 
         delay = base_delay
         if profile.drift_ppm > 0:

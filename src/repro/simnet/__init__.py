@@ -2,7 +2,7 @@
 
 from .arp import ArpCache, ArpEntry, DEFAULT_ARP_TTL
 from .cloudhost import CloudHost
-from .host import Host, same_subnet
+from .host import Host
 from .inet import DnsRegistry, Internet, DEFAULT_WAN_LATENCY
 from .link import Lan, Nic, DEFAULT_LAN_LATENCY
 from .packet import (
@@ -40,5 +40,4 @@ __all__ = [
     "Router",
     "Simulator",
     "Timer",
-    "same_subnet",
 ]

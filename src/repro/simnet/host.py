@@ -27,14 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Simulator
 
 
-def same_subnet(ip_a: str, ip_b: str, prefix_octets: int = 3) -> bool:
-    """True when both addresses share the first ``prefix_octets`` octets.
-
-    The home network is a /24, so the default of three octets matches.
-    """
-    return ip_a.split(".")[:prefix_octets] == ip_b.split(".")[:prefix_octets]
-
-
 class Host:
     """A device on the home LAN with one NIC and a tiny IP stack."""
 

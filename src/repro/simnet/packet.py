@@ -9,8 +9,10 @@ depend on byte-level fidelity:
 * the TLS record layer MAC covers exact bytes, so the hijacker can delay but
   never alter them (Section IV).
 
-Everything above the IP layer is an object with a ``byte_size()``; link and
-capture code treats payloads opaquely.
+Everything above the IP layer is an object with a ``byte_size()``.  A TCP
+segment, the payload of nearly every IP packet, is recognised by its type
+and sized here from the header constants and its payload length, without a
+call into the segment; link code only asks the frame for its size.
 
 Frames and packets are immutable values (:func:`repro.values.value`): the
 LAN hands one frame object to the addressee and to every promiscuous NIC,
@@ -26,6 +28,7 @@ import itertools
 from dataclasses import field
 from typing import Any
 
+from ..tcp.segment import TCP_HEADER_BYTES, TcpSegment
 from ..values import value
 
 #: Broadcast MAC address, used by ARP requests.
@@ -34,6 +37,9 @@ BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 ETHERNET_HEADER_BYTES = 14
 IPV4_HEADER_BYTES = 20
 ARP_BODY_BYTES = 28
+#: Headers in front of a TCP segment's payload bytes, in a packet and a frame.
+_TCP_PACKET_HEADER_BYTES = IPV4_HEADER_BYTES + TCP_HEADER_BYTES
+_TCP_FRAME_HEADER_BYTES = ETHERNET_HEADER_BYTES + _TCP_PACKET_HEADER_BYTES
 
 _packet_ids = itertools.count(1)
 
@@ -96,12 +102,10 @@ class IpPacket:
     ttl: int = 64
 
     def byte_size(self) -> int:
-        # Every packet the stack builds carries a sized value (a TCP
-        # segment); raw bytes and None take the general path.
-        size = getattr(self.payload, "byte_size", None)
-        if size is None:
-            return IPV4_HEADER_BYTES + _payload_size(self.payload)
-        return IPV4_HEADER_BYTES + size()
+        payload = self.payload
+        if type(payload) is TcpSegment:
+            return _TCP_PACKET_HEADER_BYTES + len(payload.payload)
+        return IPV4_HEADER_BYTES + _payload_size(payload)
 
 
 @value
@@ -117,6 +121,9 @@ class EthernetFrame:
         payload = self.payload
         kind = type(payload)
         if kind is IpPacket:
+            segment = payload.payload
+            if type(segment) is TcpSegment:
+                return _TCP_FRAME_HEADER_BYTES + len(segment.payload)
             return ETHERNET_HEADER_BYTES + payload.byte_size()
         if kind is ArpPacket:
             return ETHERNET_HEADER_BYTES + ARP_BODY_BYTES

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .host import Host, same_subnet
+from .host import Host
 from .inet import Internet
 from .link import Lan
 from .packet import EthernetFrame, IpPacket
@@ -40,7 +40,7 @@ class Router(Host):
     # LAN hosts address frames for off-subnet traffic to our MAC; the base
     # class funnels those here because the inner dst IP is not ours.
     def _handle_foreign_ip(self, packet: IpPacket, frame: EthernetFrame) -> None:
-        if same_subnet(packet.dst_ip, self.ip):
+        if packet.dst_ip.startswith(self._lan_prefix):
             # Hairpin: LAN host to LAN host via the gateway (rare, but the
             # hijacker relies on the router faithfully forwarding whatever
             # reaches it).

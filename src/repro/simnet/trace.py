@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, TYPE_CHECKING
 
+from ..tcp.segment import TcpSegment
 from ..values import value
 from .host import Host
 from .packet import EthernetFrame, IpPacket
@@ -67,15 +68,15 @@ class PacketMeta:
     from_device: bool  # direction relative to the LAN-side endpoint
 
 
-def _tcp_view(frame: EthernetFrame) -> tuple[IpPacket, object] | None:
-    """Return (ip, segment) when the frame carries something TCP-like."""
-    payload = frame.payload
-    if not isinstance(payload, IpPacket):
+def _tcp_view(frame: EthernetFrame) -> tuple[IpPacket, TcpSegment] | None:
+    """Return (ip, segment) when the frame carries a TCP segment."""
+    packet = frame.payload
+    if type(packet) is not IpPacket:
         return None
-    segment = payload.payload
-    if segment is None or not hasattr(segment, "src_port") or not hasattr(segment, "dst_port"):
+    segment = packet.payload
+    if type(segment) is not TcpSegment:
         return None
-    return payload, segment
+    return packet, segment
 
 
 class PacketCapture:
@@ -109,7 +110,7 @@ class PacketCapture:
 
     # ------------------------------------------------------------- analysis
 
-    def tcp_frames(self) -> Iterable[tuple[CapturedFrame, IpPacket, object]]:
+    def tcp_frames(self) -> Iterable[tuple[CapturedFrame, IpPacket, TcpSegment]]:
         for captured in self.frames:
             view = _tcp_view(captured.frame)
             if view is not None:
@@ -135,7 +136,7 @@ class PacketCapture:
             k = FlowKey.of(ip.src_ip, segment.src_port, ip.dst_ip, segment.dst_port)
             if k != key:
                 continue
-            payload_len = getattr(segment, "payload_size", 0)
+            payload_len = len(segment.payload)
             if not payload_len:
                 continue
             metas.append(

@@ -1,4 +1,10 @@
-"""Simulated TCP: segments, the connection state machine, and the stack."""
+"""Simulated TCP: segments, the connection state machine, and the stack.
+
+The stack lives in :mod:`repro.tcp.stack` and is imported from there.  It
+sits on :mod:`repro.simnet`'s hosts, while ``simnet`` sizes and recognises
+TCP frames by :class:`TcpSegment`; re-exporting the stack here would make
+every import of :mod:`repro.tcp.segment` load ``simnet`` first, a cycle.
+"""
 
 from .connection import (
     CLOSED,
@@ -21,7 +27,6 @@ from .connection import (
     TcpConnection,
 )
 from .segment import DEFAULT_MSS, TCP_HEADER_BYTES, TcpSegment, make_segment, seq_add, seq_leq, seq_lt
-from .stack import TcpStack
 
 __all__ = [
     "CLOSED",
@@ -45,7 +50,6 @@ __all__ = [
     "TcpConfig",
     "TcpConnection",
     "TcpSegment",
-    "TcpStack",
     "make_segment",
     "seq_add",
     "seq_leq",

@@ -31,6 +31,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
+# Nothing from ``repro.simnet`` at module level: ``simnet.packet`` imports
+# this package to recognise TCP segments, so such an import is a cycle.
 from .segment import (
     DEFAULT_MSS,
     FLAGS_ACK,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.simnet.arp import ArpCache
-from repro.simnet.host import same_subnet
 from repro.simnet.inet import DnsRegistry, Internet
 from repro.simnet.packet import IpPacket
 
@@ -83,18 +82,6 @@ class TestArpCache:
         sim.run_until(6.0)
         cache.learn("10.0.0.2", "bb", solicited=True)
         assert cache.snapshot() == {"10.0.0.2": "bb"}
-
-
-class TestSubnet:
-    def test_same_subnet(self):
-        assert same_subnet("192.168.1.10", "192.168.1.200")
-
-    def test_different_subnet(self):
-        assert not same_subnet("192.168.1.10", "10.0.0.1")
-
-    def test_prefix_octets(self):
-        assert same_subnet("10.1.2.3", "10.1.9.9", prefix_octets=2)
-        assert not same_subnet("10.1.2.3", "10.2.2.3", prefix_octets=2)
 
 
 class TestHostRouting:
