@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..devices.profiles import CATALOGUE, Catalogue
+from ..devices.profiles import CATALOGUE
 from .predictor import TimeoutBehavior
 
 FORMAT_VERSION = 1
@@ -38,28 +38,23 @@ class KnowledgeBase:
 
     # ------------------------------------------------------------- building
 
-    def add_behavior(self, label: str, model: str, behavior: TimeoutBehavior,
-                     source: str = "shared") -> KnowledgeEntry:
-        entry = KnowledgeEntry(label=label, model=model, behavior=behavior, source=source)
+    def add_behavior(self, label: str, model: str, behavior: TimeoutBehavior) -> KnowledgeEntry:
+        """Record a catalogue model's behaviour under ``label``."""
+        entry = KnowledgeEntry(label=label, model=model, behavior=behavior, source="catalogue")
         self._entries[label] = entry
         return entry
 
     @classmethod
-    def from_catalogue(cls, catalogue: Catalogue | None = None) -> "KnowledgeBase":
+    def from_catalogue(cls) -> "KnowledgeBase":
         """Ground-truth knowledge, as if every model had been profiled.
 
         HomeKit-paired variants of a model behave differently from their
         cloud-connected twins, so Table II entries are keyed ``LABEL:hk``.
         """
         kb = cls()
-        for profile in catalogue or CATALOGUE:
+        for profile in CATALOGUE:
             key = profile.label if profile.table == 1 else f"{profile.label}:hk"
-            kb.add_behavior(
-                key,
-                profile.model,
-                TimeoutBehavior.from_profile(profile),
-                source="catalogue",
-            )
+            kb.add_behavior(key, profile.model, TimeoutBehavior.from_profile(profile))
         return kb
 
     def __len__(self) -> int:
