@@ -452,19 +452,37 @@ class TestCancellation:
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_pool_cancel_revokes_pending_and_stores_completed(self, tmp_path):
         # Pool mode: shard 0 drops a marker; the cancel check fires once the
-        # marker exists, releases the in-flight blockers, and the runner
-        # must revoke the still-queued shard while caching everything that
-        # completed.
+        # marker exists, and the runner must revoke the still-queued shards
+        # while caching everything that completed.  The blockers are released
+        # only once a revocation shows in the in-flight gauge: released any
+        # earlier, the workers could drain the whole backlog through the
+        # executor's call queue before the runner revokes it.
+        import threading
+
         cache = CampaignCache(root=tmp_path / "cache", fingerprint="a" * 32)
+        registry = MetricsRegistry()
         marker = tmp_path / "first-done"
         release = tmp_path / "release"
         ran_last = tmp_path / "ran-last"
+        releasers: list[threading.Thread] = []
+
+        def in_flight() -> float:
+            return registry.value("parallel", "shards_in_flight", campaign="cancel-pool")
+
+        def release_after_revocation(noted: float) -> None:
+            deadline = time.monotonic() + 20.0
+            while in_flight() >= noted and time.monotonic() < deadline:
+                time.sleep(0.005)
+            release.touch()
 
         def cancel() -> bool:
-            if marker.exists():
-                release.touch()
-                return True
-            return False
+            if not marker.exists():
+                return False
+            if not releasers:
+                releasers.append(threading.Thread(
+                    target=release_after_revocation, args=(in_flight(),), daemon=True))
+                releasers[0].start()
+            return True
 
         shards = [
             Shard(key="p/0", fn=_touch_and_echo, kwargs={"path": str(marker)}),
@@ -476,9 +494,12 @@ class TestCancellation:
             for i in range(3, 10)
         ]
         runner = CampaignRunner(jobs=2, cache=cache, manifest=False,
-                                cancel=cancel)
+                                cancel=cancel, registry=registry)
         with pytest.raises(CampaignCancelled) as err:
             runner.run(shards, campaign="cancel-pool", base_seed=0)
+        assert len(releasers) == 1
+        releasers[0].join(timeout=30.0)
+        assert not releasers[0].is_alive()
         # Shard 0 always completes.  The executor may have prefetched a few
         # of the tail shards into its call queue (those are uncancellable),
         # but the backlog beyond the prefetch window must have been revoked

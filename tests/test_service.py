@@ -415,6 +415,18 @@ class TestServiceCancellation:
         assert "unknown job" in error["message"]
 
 
+class TestServiceShutdownOp:
+    def test_shutdown_request_stops_the_service(self, tmp_path):
+        handle = start_in_thread(tmp_path / "svc.sock", jobs=1)
+        try:
+            assert ServiceClient(handle.address).shutdown() == {"event": "shutdown"}
+            handle.thread.join(timeout=10.0)
+            assert not handle.thread.is_alive()
+        finally:
+            if handle.thread.is_alive():
+                handle.stop()
+
+
 #: Every registered experiment at default flags, plus Table III on a lossy
 #: LAN: ``(experiment, served kwargs, the equivalent one-shot CLI flags)``.
 SERVED_CASES = [(name, {}, []) for name in experiment_names()] + [
