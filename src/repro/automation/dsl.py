@@ -11,6 +11,12 @@ Grammar (one rule per line, ``#`` comments allowed)::
 
     rule      := "WHEN" device event [ "IF" device "." attr "==" value ] "THEN" action
     action    := "COMMAND" device command | "NOTIFY" channel quoted-text
+
+Lines are tokenised as ``shlex.split(line, comments=True)`` would.  Rule
+text is almost always bare words plus double-quoted text, which one
+compiled regex splits; only a line holding shlex's other quoting, escape
+or comment characters (``'``, ``\\``, ``#``) or an unpaired ``"`` goes
+through shlex itself.
 """
 
 from __future__ import annotations
@@ -25,14 +31,37 @@ _rule_ids = itertools.count(1)
 
 _CONDITION_RE = re.compile(r"^(?P<dev>[\w-]+)\.(?P<attr>[\w-]+)$")
 
+#: One token of a line with no ``'``, ``\`` or ``#`` and paired ``"``:
+#: runs of non-blanks and of double-quoted text, blanks being shlex's
+#: whitespace (``str.split`` would also split at ``\v``, ``\f`` and more).
+_TOKEN_RE = re.compile(r'(?:[^ \t\r\n"]+|"[^"]*")+')
+
 
 class RuleSyntaxError(ValueError):
     """Raised when a DSL line cannot be parsed."""
 
 
+def tokenise(line: str) -> list[str]:
+    """Split ``line`` into tokens exactly as ``shlex.split(line, comments=True)``.
+
+    Raises :class:`RuleSyntaxError` naming the line where shlex would
+    raise (an unterminated quote, or a trailing escape).
+    """
+    if "'" in line or "\\" in line or "#" in line or line.count('"') % 2:
+        try:
+            return shlex.split(line, comments=True)
+        except ValueError as exc:
+            raise RuleSyntaxError(f"{str(exc).lower()}: {line!r}") from exc
+    return [token.replace('"', "") for token in _TOKEN_RE.findall(line)]
+
+
 def parse_rule(line: str, rule_id: str | None = None) -> Rule:
-    """Parse one DSL line into a :class:`Rule`."""
-    tokens = shlex.split(line, comments=True)
+    """Parse one DSL line into a :class:`Rule`.
+
+    Raises :class:`RuleSyntaxError` naming the line when it does not
+    follow the grammar, including when tokens follow the action.
+    """
+    tokens = tokenise(line)
     if not tokens:
         raise RuleSyntaxError("empty rule")
     try:
@@ -71,6 +100,9 @@ def _parse_tokens(tokens: list[str], rule_id: str, line: str) -> Rule:
         action = NotifyAction(channel=next(it), message=next(it))
     else:
         raise RuleSyntaxError(f"unknown action kind {kind!r}")
+    extra = list(it)
+    if extra:
+        raise RuleSyntaxError(f"unexpected tokens {extra} after the action: {line!r}")
     return Rule(
         rule_id=rule_id,
         trigger=trigger,

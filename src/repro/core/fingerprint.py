@@ -17,6 +17,7 @@ Works at two granularities:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -26,6 +27,11 @@ from ..simnet.trace import FlowKey, PacketCapture, PacketMeta
 
 #: Tolerance when matching keep-alive periods (fraction of the period).
 PERIOD_TOLERANCE = 0.15
+
+#: :meth:`FingerprintDatabase.from_catalogue`'s memo, one per catalogue.
+_DATABASES: weakref.WeakKeyDictionary[Catalogue, FingerprintDatabase] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,10 @@ def extract_observation(
 ) -> list[FlowObservation]:
     """Summarise every flow of ``device_ip`` from a capture window."""
     observations: list[FlowObservation] = []
-    for flow, _frames in capture.flows().items():
+    for flow, frames in capture.flows().items():
         if not flow.involves_ip(device_ip):
             continue
-        metas = capture.flow_metadata(flow, device_ip)
+        metas = capture.flow_metadata(frames, device_ip)
         uplink = [m for m in metas if m.from_device]
         if not uplink:
             continue
@@ -156,30 +162,40 @@ def _detect_keepalive(
 
 
 class FingerprintDatabase:
-    """Signature store plus the matching logic."""
+    """Signature store plus the matching logic.
+
+    Immutable once built, so :meth:`from_catalogue` can hand the same
+    instance to every attacker that profiles the same catalogue.
+    """
 
     def __init__(self, signatures: Iterable[TrafficSignature]) -> None:
-        self.signatures = list(signatures)
+        self.signatures: tuple[TrafficSignature, ...] = tuple(signatures)
 
     @classmethod
-    def from_catalogue(
-        cls,
-        catalogue: Catalogue | None = None,
-        domains: dict[str, str] | None = None,
-    ) -> "FingerprintDatabase":
-        """Build the attacker's pre-computed database (a one-time effort)."""
-        from ..testbed import VENDOR_DOMAINS
+    def from_catalogue(cls, catalogue: Catalogue | None = None) -> "FingerprintDatabase":
+        """The attacker's pre-computed database (a one-time effort).
 
-        catalogue = catalogue or CATALOGUE
-        domains = domains or VENDOR_DOMAINS
-        signatures = []
-        for profile in catalogue:
-            domain = (
-                "local" if profile.server == "homekit"
-                else domains.get(profile.server, f"{profile.server}.iotcloud.example")
-            )
-            signatures.append(TrafficSignature.from_profile(profile, domain))
-        return cls(signatures)
+        Built on first use and then shared: every call with the same
+        catalogue object returns the same database, so a catalogue counts
+        as fixed once its database exists.  The memo is keyed by the
+        catalogue object, weakly, so a custom catalogue (such as a
+        countermeasure's hardened copy) gets a database of its own and is
+        not kept alive by it.
+        """
+        catalogue = CATALOGUE if catalogue is None else catalogue
+        database = _DATABASES.get(catalogue)
+        if database is None:
+            from ..testbed import VENDOR_DOMAINS
+
+            signatures = []
+            for profile in catalogue:
+                domain = (
+                    "local" if profile.server == "homekit"
+                    else VENDOR_DOMAINS.get(profile.server, f"{profile.server}.iotcloud.example")
+                )
+                signatures.append(TrafficSignature.from_profile(profile, domain))
+            database = _DATABASES[catalogue] = cls(signatures)
+        return database
 
     # -------------------------------------------------------------- matching
 

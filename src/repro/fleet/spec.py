@@ -16,8 +16,9 @@ golden-pinned digest of one is reviewable in a test diff.
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..cache.keys import canonical
@@ -77,11 +78,22 @@ class HomeSpec:
     # ---------------------------------------------------------- (de)serialise
 
     def to_dict(self) -> dict[str, Any]:
-        record = asdict(self)
-        record["devices"] = list(self.devices)
-        record["rules"] = list(self.rules)
-        record["stimuli"] = [list(s.to_tuple()) for s in self.stimuli]
-        return record
+        """Every field in declaration order, tuples as lists (the JSON form)."""
+        return {
+            "home_index": self.home_index,
+            "seed": self.seed,
+            "devices": list(self.devices),
+            "rules": list(self.rules),
+            "fault_profile": self.fault_profile,
+            "attacker": self.attacker,
+            "attack_target": self.attack_target,
+            "hold_at": self.hold_at,
+            "hold_duration": self.hold_duration,
+            "duration": self.duration,
+            "stimuli": [list(s.to_tuple()) for s in self.stimuli],
+            "schema": self.schema,
+            "meta": copy.deepcopy(self.meta),
+        }
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "HomeSpec":

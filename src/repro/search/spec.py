@@ -12,8 +12,9 @@ specs written by a *newer* schema rather than silently misreading them.
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..cache.keys import canonical
@@ -88,12 +89,19 @@ class ProgramSpec:
     # ---------------------------------------------------------- (de)serialise
 
     def to_dict(self) -> dict[str, Any]:
-        record = asdict(self)
-        record["devices"] = list(self.devices)
-        record["rules"] = list(self.rules)
-        record["initial_states"] = [list(pair) for pair in self.initial_states]
-        record["stimuli"] = [list(s.to_tuple()) for s in self.stimuli]
-        return record
+        """Every field in declaration order, tuples as lists (the JSON form)."""
+        return {
+            "program_index": self.program_index,
+            "seed": self.seed,
+            "devices": list(self.devices),
+            "rules": list(self.rules),
+            "initial_states": [list(pair) for pair in self.initial_states],
+            "integration_staleness": self.integration_staleness,
+            "duration": self.duration,
+            "stimuli": [list(s.to_tuple()) for s in self.stimuli],
+            "schema": self.schema,
+            "meta": copy.deepcopy(self.meta),
+        }
 
     @classmethod
     def from_dict(cls, record: dict[str, Any]) -> "ProgramSpec":

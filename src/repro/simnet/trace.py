@@ -124,19 +124,21 @@ class PacketCapture:
             out.setdefault(key, []).append(captured)
         return out
 
-    def flow_metadata(self, key: FlowKey, device_ip: str) -> list[PacketMeta]:
+    @staticmethod
+    def flow_metadata(frames: Iterable[CapturedFrame], device_ip: str) -> list[PacketMeta]:
         """Length/timing metadata of one flow, oriented around ``device_ip``.
+
+        ``frames`` is the flow's entry in :meth:`flows`, so a whole capture
+        is summarised in that one pass rather than one rescan per flow.
 
         Only frames that actually carry payload bytes are included — pure
         ACKs are invisible to length-based fingerprinting in practice because
         they are uniform.
         """
         metas: list[PacketMeta] = []
-        for captured, ip, segment in self.tcp_frames():
-            k = FlowKey.of(ip.src_ip, segment.src_port, ip.dst_ip, segment.dst_port)
-            if k != key:
-                continue
-            payload_len = len(segment.payload)
+        for captured in frames:
+            ip = captured.frame.payload
+            payload_len = len(ip.payload.payload)
             if not payload_len:
                 continue
             metas.append(

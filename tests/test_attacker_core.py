@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro.core.arp_spoofer import ArpSpoofer
 from repro.core.attacker import PhantomDelayAttacker
-from repro.core.fingerprint import FingerprintDatabase, extract_observation
+from repro.core.fingerprint import (
+    FingerprintDatabase,
+    FlowObservation,
+    _detect_keepalive,
+    extract_observation,
+)
 from repro.core.hijacker import TcpHijacker
 from repro.core.predictor import (
     CAUSE_EVENT_ACK,
@@ -18,10 +26,11 @@ from repro.core.predictor import (
     TimeoutPredictor,
 )
 from repro.core.primitives import EDelay
-from repro.devices.profiles import CATALOGUE
+from repro.devices.profiles import CATALOGUE, Catalogue
 from repro.simnet.host import Host
 from repro.simnet.link import Lan
 from repro.simnet.scheduler import Simulator
+from repro.simnet.trace import FlowKey, PacketMeta
 from repro.testbed import SmartHomeTestbed
 
 
@@ -327,6 +336,53 @@ class TestFingerprinting:
     def test_database_covers_catalogue(self):
         db = FingerprintDatabase.from_catalogue()
         assert len(db.signatures) == len(CATALOGUE)
+        assert isinstance(db.signatures, tuple)
+
+    def test_deploys_share_one_database(self):
+        first = PhantomDelayAttacker.deploy(SmartHomeTestbed(seed=1))
+        second = PhantomDelayAttacker.deploy(SmartHomeTestbed(seed=2))
+        assert first.database is second.database
+        assert first.database is FingerprintDatabase.from_catalogue(CATALOGUE)
+
+    def test_custom_catalogue_gets_its_own_database(self):
+        slowed = dataclasses.replace(CATALOGUE.get("P2"), ka_period=99.0)
+        custom = Catalogue([slowed if p.label == "P2" else p for p in CATALOGUE])
+        attacker = PhantomDelayAttacker.deploy(SmartHomeTestbed(seed=1, catalogue=custom))
+        default = FingerprintDatabase.from_catalogue()
+        assert attacker.database is not default
+        assert attacker.database is FingerprintDatabase.from_catalogue(custom)
+        periods = {s.label: s.ka_period for s in attacker.database.signatures}
+        assert periods["P2"] == 99.0
+        assert {s.label: s.ka_period for s in default.signatures}["P2"] != 99.0
+        # The memo holds its catalogues weakly: a dropped one is collected.
+        collected = weakref.ref(custom)
+        del attacker, custom
+        gc.collect()
+        assert collected() is None
+
+    def test_observations_equal_a_rescan_per_flow(self):
+        # extract_observation reads each flow's frames from one flows()
+        # pass; the reference rescans the whole capture once per flow.
+        tb = SmartHomeTestbed(seed=42)
+        for label in ("C2", "P2", "C5"):
+            tb.add_device(label)
+        tb.settle(8.0)
+        attacker = PhantomDelayAttacker.deploy(tb)
+        device_ips = [tb.devices[label].ip for label in ("h1", "p2", "c5")]
+        for ip in device_ips:
+            attacker.interpose(ip)
+        attacker.capture.clear()
+        for value in ("open", "closed", "open", "closed"):
+            tb.run(20.0)
+            tb.devices["c5"].stimulate(value)  # a new session per event
+        tb.run(100.0)
+        capture = attacker.capture
+        c5_flows = [k for k in capture.flows() if k.involves_ip(tb.devices["c5"].ip)]
+        assert len(c5_flows) == 4
+        for ip in device_ips:
+            expected = _rescan_observations(capture, ip, tb.internet.dns)
+            assert expected
+            assert extract_observation(capture, ip, tb.internet.dns) == expected
 
     def test_match_identifies_smartthings_hub(self, home):
         tb, _contact, hub, attacker = home
@@ -334,6 +390,44 @@ class TestFingerprinting:
         matches = results[hub.ip]
         assert matches
         assert matches[0].signature.label == "H1"
+
+
+def _rescan_observations(capture, device_ip, dns):
+    """extract_observation as a full rescan of the capture for every flow."""
+
+    def key_of(ip, segment):
+        return FlowKey.of(ip.src_ip, segment.src_port, ip.dst_ip, segment.dst_port)
+
+    keys = []
+    for _captured, ip, segment in capture.tcp_frames():
+        key = key_of(ip, segment)
+        if key.involves_ip(device_ip) and key not in keys:
+            keys.append(key)
+    observations = []
+    for key in keys:
+        uplink = [
+            PacketMeta(captured.ts, len(segment.payload), True)
+            for captured, ip, segment in capture.tcp_frames()
+            if key_of(ip, segment) == key and segment.payload and ip.src_ip == device_ip
+        ]
+        if not uplink:
+            continue
+        sizes = {}
+        for meta in uplink:
+            sizes[meta.size] = sizes.get(meta.size, 0) + 1
+        ka_size, ka_period = _detect_keepalive(uplink, 3)
+        server_ip = key.other_ip(device_ip)
+        observations.append(FlowObservation(
+            device_ip=device_ip,
+            server_ip=server_ip,
+            server_domain=dns.reverse(server_ip),
+            flow=key,
+            long_live=ka_size is not None,
+            ka_period=ka_period,
+            ka_wire_size=ka_size,
+            uplink_sizes=sizes,
+        ))
+    return observations
 
 
 class TestPredictor:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import shlex
+import string
 
-from repro.automation.dsl import RuleSyntaxError, parse_rule
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.automation.dsl import RuleSyntaxError, parse_rule, tokenise
 from repro.automation.engine import AutomationEngine
 from repro.automation.rules import (
     CommandAction,
@@ -175,6 +180,75 @@ class TestDsl:
     def test_bad_rules_rejected(self, bad):
         with pytest.raises(RuleSyntaxError):
             parse_rule(bad)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'WHEN a b.c THEN NOTIFY push hello world',
+            "WHEN a b.c THEN COMMAND d e junk",
+            'WHEN a b.c THEN NOTIFY push "hello" ""',
+        ],
+    )
+    def test_trailing_tokens_rejected(self, line):
+        with pytest.raises(RuleSyntaxError, match="after the action") as info:
+            parse_rule(line)
+        assert repr(line) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'WHEN a b.c THEN NOTIFY push "unterminated',
+            "WHEN a b.c THEN NOTIFY push 'it''s",
+            "WHEN a b.c THEN COMMAND d e\\",
+        ],
+    )
+    def test_shlex_errors_name_the_line(self, line):
+        with pytest.raises(RuleSyntaxError) as info:
+            parse_rule(line)
+        assert repr(line) in str(info.value)
+
+    def test_comment_ends_the_rule(self):
+        rule = parse_rule("WHEN a b.c THEN COMMAND d e  # lock up at night")
+        assert rule.action == CommandAction("d", "e")
+
+
+_BLANKS = " \t\r\n\x0b\x0c\u00a0"
+
+
+def _assert_splits_like_shlex(line):
+    try:
+        expected = shlex.split(line, comments=True)
+    except ValueError:
+        with pytest.raises(RuleSyntaxError):
+            tokenise(line)
+    else:
+        assert tokenise(line) == expected
+
+
+class TestTokeniser:
+    """``tokenise`` is ``shlex.split(line, comments=True)``, only faster.
+
+    The second property draws only what the regex path handles (no
+    ``'``, ``\\`` or ``#``), so its examples are not spent on lines
+    that go to shlex anyway.
+    """
+
+    @given(st.text(st.sampled_from(string.ascii_letters + ".=\"'\\#" + _BLANKS)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_shlex(self, line):
+        _assert_splits_like_shlex(line)
+
+    @given(st.text(st.sampled_from("abAB.=\"" + _BLANKS)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_shlex_on_the_regex_path(self, line):
+        _assert_splits_like_shlex(line)
+
+    def test_examples(self):
+        assert tokenise('NOTIFY push "Smoke in the kitchen"') == [
+            "NOTIFY", "push", "Smoke in the kitchen",
+        ]
+        assert tokenise('a"b c"d ""') == ["ab cd", ""]
+        assert tokenise("a\x0bb\u00a0c\td") == ["a\x0bb\u00a0c", "d"]
 
 
 class TestEndpointServer:

@@ -9,6 +9,7 @@ must bump ``SPEC_SCHEMA``.
 from __future__ import annotations
 
 import collections
+import dataclasses
 
 import pytest
 
@@ -81,6 +82,27 @@ class TestGoldenSpecs:
         for index in range(8):
             spec = FleetSampler(5).sample(index)
             assert HomeSpec.from_dict(spec.to_dict()) == spec
+
+    def test_to_dict_equals_the_asdict_form(self):
+        # The reference is the dataclasses.asdict form to_dict once
+        # returned; it also catches a field added without a to_dict key.
+        def reference(spec):
+            record = dataclasses.asdict(spec)
+            record["devices"] = list(spec.devices)
+            record["rules"] = list(spec.rules)
+            record["stimuli"] = [list(s.to_tuple()) for s in spec.stimuli]
+            return record
+
+        sampler = FleetSampler(7)
+        specs = [sampler.sample(index) for index in range(64)]
+        specs[0] = dataclasses.replace(specs[0], meta={"origin": {"batch": [1, 2]}})
+        for spec in specs:
+            record = spec.to_dict()
+            assert list(record.items()) == list(reference(spec).items())
+        assert record["meta"] is not spec.meta
+        nested = specs[0].to_dict()["meta"]
+        assert nested == {"origin": {"batch": [1, 2]}}
+        assert nested["origin"] is not specs[0].meta["origin"]
 
 
 class TestSchemaGate:

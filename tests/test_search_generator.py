@@ -11,6 +11,8 @@ bump ``SEARCH_SCHEMA`` instead.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,28 @@ class TestSpecSerialisation:
         tagged = ProgramSpec.from_dict({**spec.to_dict(), "meta": {"x": 1}})
         assert tagged.digest() == spec.digest()
         assert tagged == spec  # meta is compare=False provenance
+
+    def test_to_dict_equals_the_asdict_form(self):
+        # The reference is the dataclasses.asdict form to_dict once
+        # returned; it also catches a field added without a to_dict key.
+        def reference(spec):
+            record = dataclasses.asdict(spec)
+            record["devices"] = list(spec.devices)
+            record["rules"] = list(spec.rules)
+            record["initial_states"] = [list(pair) for pair in spec.initial_states]
+            record["stimuli"] = [list(s.to_tuple()) for s in spec.stimuli]
+            return record
+
+        generator = RuleSetGenerator(7)
+        specs = [generator.sample(index) for index in range(32)]
+        specs[0] = dataclasses.replace(
+            specs[0], meta={"table3_case": 4, "origin": {"holds": [["c2", 1.0]]}}
+        )
+        for spec in specs:
+            assert list(spec.to_dict().items()) == list(reference(spec).items())
+        nested = specs[0].to_dict()["meta"]
+        assert nested["origin"] == {"holds": [["c2", 1.0]]}
+        assert nested["origin"] is not specs[0].meta["origin"]
 
     def test_newer_schema_rejected(self):
         record = RuleSetGenerator(0).sample(0).to_dict()
