@@ -15,7 +15,6 @@ from .record import (
     MAX_RECORD_PAYLOAD,
     RecordReader,
     RecordWriter,
-    TlsRecord,
     derive_keys,
 )
 from .session import GLOBAL_ESCROW, KeyEscrow, RECORD_OVERHEAD, TlsSession
@@ -36,7 +35,6 @@ __all__ = [
     "RecordReader",
     "RecordWriter",
     "TlsError",
-    "TlsRecord",
     "TlsSession",
     "derive_keys",
 ]

@@ -15,6 +15,19 @@ real cryptographic checks rather than trust:
    derived from the encryption key and sequence number.  The on-path
    attacker handles ciphertext only; fingerprinting works from lengths.
 
+A header whose length field exceeds :data:`MAX_RECORD_PAYLOAD` plus the
+MAC is rejected at once with a
+:class:`~repro.tls.errors.RecordFormatError`, as TLS does with
+``record_overflow``, so a mangled length cannot stall the reader.
+
+**Cost.**  Both ends of a simulated session live in one process.  The
+writer seals each record once and publishes ``(mac, plaintext)`` to one
+shared record memo under every input of the reader's check and
+decryption; an honest record then costs its reader one dictionary pop and
+one MAC comparison.  Each direction keys its HMAC and its keystream hash
+once and copies them per record, and the reader parses headers in place
+from the bytes TCP delivered, buffering only a partial tail.
+
 This mirrors a TLS 1.2 AEAD cipher suite closely enough for every behaviour
 the paper exercises.
 """
@@ -25,7 +38,6 @@ import hashlib
 import hmac
 import struct
 
-from ..values import value
 from .errors import MacVerificationError, RecordFormatError
 
 # Record content types (TLS registry values).
@@ -37,18 +49,14 @@ TLS_VERSION = b"\x03\x03"  # TLS 1.2
 MAC_BYTES = 16
 HEADER_BYTES = 5
 MAX_RECORD_PAYLOAD = 2**14
+#: The largest length a sealed record's header can carry.
+MAX_RECORD_LENGTH = MAX_RECORD_PAYLOAD + MAC_BYTES
 
-
-@value
-class TlsRecord:
-    """A parsed (still encrypted) record."""
-
-    content_type: int
-    ciphertext: bytes
-    mac: bytes
-
-    def byte_size(self) -> int:
-        return HEADER_BYTES + len(self.ciphertext) + len(self.mac)
+#: Record header: content type, version, length of what follows.
+_HEADER = struct.Struct("!B2sH")
+#: The MAC's input up to the ciphertext: seq, then the header with the
+#: ciphertext's length.
+_MAC_PREFIX = struct.Struct("!QB2sH")
 
 
 def derive_keys(master_secret: bytes, role: str) -> tuple[bytes, bytes]:
@@ -61,21 +69,22 @@ def derive_keys(master_secret: bytes, role: str) -> tuple[bytes, bytes]:
 
 
 class _Memo:
-    """Bounded pair memo for crypto shared between a writer and a reader.
+    """Bounded memo of sealed records, shared by every writer and reader.
 
-    Both endpoints of a simulated session live in one process, so every
-    keystream and record MAC is computed twice: once by the sealing
-    :class:`RecordWriter` and once more — over byte-identical inputs — by
-    the verifying :class:`RecordReader`.  The memo stores the writer-side
-    result keyed on the full input (the key material, the **sequence
-    number** the keystream/MAC is derived from, and the data) so the
-    reader's recomputation is a dictionary hit.
+    Both endpoints of a simulated session live in one process, so the
+    reader would recompute, over byte-identical inputs, the MAC and the
+    keystream its peer's writer just computed.  The writer stores
+    ``(mac, plaintext)`` under ``(enc_key, mac_key, seq, content_type,
+    ciphertext)``: every input of the reader's check and decryption, the
+    **sequence number** included.  So an entry is exactly what the
+    reader would recompute for that key.
 
+    The reader still compares the entry's MAC with the one on the wire.
     Entries are popped when consumed (each record is opened exactly once;
-    a replay or a tampered record changes the key and recomputes from
-    scratch, so verification failures are never masked) and evicted FIFO
-    past ``max_entries`` so records that were sealed but never delivered
-    cannot grow the memo without bound.
+    a replay, a drop, a reorder or a tampered record changes the key and
+    is recomputed from scratch, so verification failures are never
+    masked) and evicted FIFO past ``max_entries`` so records that were
+    sealed but never delivered cannot grow the memo without bound.
     """
 
     __slots__ = ("cache", "max_entries", "hits", "misses")
@@ -107,26 +116,21 @@ class _Memo:
         self.misses = 0
 
 
-#: Keystream memo: ``(enc_key, seq, length) -> keystream bytes``.
-_KEYSTREAM_MEMO = _Memo()
-#: Record-MAC memo: ``(mac_key, seq, content_type, ciphertext) -> mac``.
-_MAC_MEMO = _Memo()
+#: ``(enc_key, mac_key, seq, content_type, ciphertext) -> (mac, plaintext)``.
+_RECORD_MEMO = _Memo()
 
 
 def memo_stats() -> dict[str, int]:
-    """Hit/miss counters for the shared TLS encode memos (see docs/API.md)."""
+    """The reader's hit/miss counters on the shared record memo (see docs/API.md)."""
     return {
-        "keystream_hits": _KEYSTREAM_MEMO.hits,
-        "keystream_misses": _KEYSTREAM_MEMO.misses,
-        "mac_hits": _MAC_MEMO.hits,
-        "mac_misses": _MAC_MEMO.misses,
+        "record_hits": _RECORD_MEMO.hits,
+        "record_misses": _RECORD_MEMO.misses,
     }
 
 
 def reset_memo() -> None:
     """Drop all memoised TLS state and zero the counters (test isolation)."""
-    _KEYSTREAM_MEMO.clear()
-    _MAC_MEMO.clear()
+    _RECORD_MEMO.clear()
 
 
 def _keystream(primed: "hashlib._Hash", seq: int, length: int) -> bytes:
@@ -153,27 +157,17 @@ def _xor(data: bytes, keystream: bytes) -> bytes:
     ).to_bytes(size, "big")
 
 
-def _mac_input(seq: int, content_type: int, ciphertext: bytes) -> bytes:
-    header = struct.pack("!B2sH", content_type, TLS_VERSION, len(ciphertext))
-    return seq.to_bytes(8, "big") + header + ciphertext
+def _record_mac(primed: hmac.HMAC, seq: int, content_type: int, ciphertext: bytes) -> bytes:
+    """Truncated ``HMAC-SHA256(mac_key, seq || header || ciphertext)``.
 
-
-def _record_mac(mac_key: bytes, seq: int, content_type: int, ciphertext: bytes) -> bytes:
-    """Truncated record HMAC, memoised between sealing and verification.
-
-    The memo key carries every HMAC input, so a hit is byte-for-byte the
-    value a recomputation would produce; any difference in the record a
-    verifier sees (tampered ciphertext, shifted seq, altered type) misses
-    the memo and is recomputed honestly — and then fails comparison.
+    ``primed`` is ``hmac.new(mac_key, digestmod=sha256)``, keyed once per
+    direction; each record copies it.
     """
-    key = (mac_key, seq, content_type, ciphertext)
-    mac = _MAC_MEMO.take(key)
-    if mac is None:
-        mac = hmac.new(
-            mac_key, _mac_input(seq, content_type, ciphertext), hashlib.sha256
-        ).digest()[:MAC_BYTES]
-        _MAC_MEMO.put(key, mac)
-    return mac
+    digest = primed.copy()
+    digest.update(
+        _MAC_PREFIX.pack(seq, content_type, TLS_VERSION, len(ciphertext)) + ciphertext
+    )
+    return digest.digest()[:MAC_BYTES]
 
 
 class RecordWriter:
@@ -183,30 +177,27 @@ class RecordWriter:
         self._enc_key = enc_key
         self._keystream_hash = hashlib.sha256(enc_key)
         self._mac_key = mac_key
+        self._mac_hash = hmac.new(mac_key, digestmod=hashlib.sha256)
         self.seq = 0
 
     def seal(self, content_type: int, plaintext: bytes) -> bytes:
         """Encrypt + MAC + frame one record; advances the sequence number.
 
-        The keystream and MAC are published to the shared memos so the
-        peer's :class:`RecordReader` — which must derive byte-identical
-        values from the same (key, seq) inputs — reuses them instead of
-        recomputing the hashes.
+        The MAC and plaintext are published to the shared record memo so
+        the peer's :class:`RecordReader` can open the record without
+        recomputing either.
         """
-        if len(plaintext) > MAX_RECORD_PAYLOAD:
+        length = len(plaintext)
+        if length > MAX_RECORD_PAYLOAD:
             raise ValueError("plaintext exceeds maximum record size")
         seq = self.seq
-        length = len(plaintext)
-        ks_key = (self._enc_key, seq, length)
-        keystream = _KEYSTREAM_MEMO.take(ks_key)
-        if keystream is None:
-            keystream = _keystream(self._keystream_hash, seq, length)
-        _KEYSTREAM_MEMO.put(ks_key, keystream)
-        ciphertext = _xor(plaintext, keystream)
-        mac = _record_mac(self._mac_key, seq, content_type, ciphertext)
-        self.seq += 1
-        header = struct.pack("!B2sH", content_type, TLS_VERSION, len(ciphertext) + MAC_BYTES)
-        return header + ciphertext + mac
+        ciphertext = _xor(plaintext, _keystream(self._keystream_hash, seq, length))
+        mac = _record_mac(self._mac_hash, seq, content_type, ciphertext)
+        _RECORD_MEMO.put(
+            (self._enc_key, self._mac_key, seq, content_type, ciphertext), (mac, plaintext)
+        )
+        self.seq = seq + 1
+        return _HEADER.pack(content_type, TLS_VERSION, length + MAC_BYTES) + ciphertext + mac
 
 
 class RecordReader:
@@ -216,55 +207,68 @@ class RecordReader:
         self._enc_key = enc_key
         self._keystream_hash = hashlib.sha256(enc_key)
         self._mac_key = mac_key
+        self._mac_hash = hmac.new(mac_key, digestmod=hashlib.sha256)
         self.seq = 0
-        self._buffer = bytearray()
+        #: The partial record left over from the last delivery.
+        self._buffer = b""
 
     def feed(self, data: bytes) -> list[tuple[int, bytes]]:
         """Append stream bytes; return all complete (type, plaintext) records.
 
         Raises :class:`MacVerificationError` when a record fails integrity or
         sequencing — which, because the sequence number is implicit, is also
-        what drops, replays, and reorders look like.
+        what drops, replays, and reorders look like — and
+        :class:`RecordFormatError` for a header no sealed record carries.
+        Either way the records before the bad one have been consumed; a
+        malformed header stays buffered, a record that failed its MAC does
+        not.
         """
-        self._buffer += data
+        if self._buffer:
+            data = self._buffer + data
+        size = len(data)
+        start = 0
         out: list[tuple[int, bytes]] = []
-        while True:
-            record = self._try_parse()
-            if record is None:
-                break
-            out.append(self._open(record))
+        try:
+            while size - start >= HEADER_BYTES:
+                content_type, version, length = _HEADER.unpack_from(data, start)
+                if version != TLS_VERSION:
+                    raise RecordFormatError(f"bad record version: {version!r}")
+                if length < MAC_BYTES:
+                    raise RecordFormatError(f"record too short for MAC: {length}")
+                if length > MAX_RECORD_LENGTH:
+                    raise RecordFormatError(
+                        f"record overflow: length {length} > {MAX_RECORD_LENGTH}"
+                    )
+                end = start + HEADER_BYTES + length
+                if end > size:
+                    break
+                mac_at = end - MAC_BYTES
+                ciphertext = data[start + HEADER_BYTES : mac_at]
+                mac = data[mac_at:end]
+                start = end
+                out.append(self._open(content_type, ciphertext, mac))
+        finally:
+            self._buffer = data[start:]
         return out
 
-    def _try_parse(self) -> TlsRecord | None:
-        if len(self._buffer) < HEADER_BYTES:
-            return None
-        content_type, version, length = struct.unpack("!B2sH", bytes(self._buffer[:HEADER_BYTES]))
-        if version != TLS_VERSION:
-            raise RecordFormatError(f"bad record version: {version!r}")
-        if length < MAC_BYTES:
-            raise RecordFormatError(f"record too short for MAC: {length}")
-        if len(self._buffer) < HEADER_BYTES + length:
-            return None
-        body = bytes(self._buffer[HEADER_BYTES : HEADER_BYTES + length])
-        del self._buffer[: HEADER_BYTES + length]
-        return TlsRecord(content_type, body[:-MAC_BYTES], body[-MAC_BYTES:])
-
-    def _open(self, record: TlsRecord) -> tuple[int, bytes]:
-        # Memo hit when the record is exactly what the peer sealed at this
-        # seq; any tampering, replay, or reordering changes an input and
+    def _open(self, content_type: int, ciphertext: bytes, mac: bytes) -> tuple[int, bytes]:
+        # A memo hit is the record exactly as the peer sealed it at this
+        # seq; any tampering, replay, or reordering changes the key and
         # recomputes the HMAC from scratch — then fails the comparison.
-        expected = _record_mac(
-            self._mac_key, self.seq, record.content_type, record.ciphertext
+        seq = self.seq
+        entry = _RECORD_MEMO.take(
+            (self._enc_key, self._mac_key, seq, content_type, ciphertext)
         )
-        if not hmac.compare_digest(expected, record.mac):
+        if entry is None:
+            expected = _record_mac(self._mac_hash, seq, content_type, ciphertext)
+        else:
+            expected, plaintext = entry
+        if not hmac.compare_digest(expected, mac):
             raise MacVerificationError(
-                f"record MAC mismatch at seq={self.seq} "
+                f"record MAC mismatch at seq={seq} "
                 "(forged, modified, replayed, dropped, or reordered data)"
             )
-        length = len(record.ciphertext)
-        keystream = _KEYSTREAM_MEMO.take((self._enc_key, self.seq, length))
-        if keystream is None:
-            keystream = _keystream(self._keystream_hash, self.seq, length)
-        plaintext = _xor(record.ciphertext, keystream)
-        self.seq += 1
-        return record.content_type, plaintext
+        if entry is None:
+            plaintext = _xor(ciphertext, _keystream(self._keystream_hash, seq, len(ciphertext)))
+        self.seq = seq + 1
+        return content_type, plaintext

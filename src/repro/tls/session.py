@@ -14,10 +14,11 @@ paper.  Any liveness checking must come from TCP below (forgeable) or the
 application above (what the paper measures).
 
 **Performance.**  Every record a session seals or opens goes through the
-shared encode memo in :mod:`repro.tls.record`: the writer publishes each
-(seq-keyed) keystream and record MAC, and the peer's reader pops them
-instead of recomputing the hashes — halving per-record crypto for the
-keep-alive traffic that dominates a simulated day (see "Event-core
+shared record memo in :mod:`repro.tls.record`: the writer publishes each
+record's MAC and plaintext under the (seq-keyed) inputs of the reader's
+check, and the peer's reader pops the entry and compares the MAC instead
+of recomputing the HMAC and keystream — halving per-record crypto for
+the keep-alive traffic that dominates a simulated day (see "Event-core
 performance" in docs/API.md).  The memo is a fast path, never a trust
 path: tampering, replay, or reordering changes a memo key component and
 falls back to an honest recompute that still raises

@@ -1,10 +1,10 @@
 """Immutable wire values, built at slot speed.
 
 Every hop of the simulated network builds its wire objects anew: Ethernet
-frames, ARP and IP packets, TCP segments, TLS records, application
-messages, and the capture's and the hijacker's flow records.  Several
-receivers share each one.  The addressee and every promiscuous NIC get the
-same frame object, and the hijacker queues and re-sends the same packet.
+frames, ARP and IP packets, TCP segments, application messages, and the
+capture's and the hijacker's flow records.  Several receivers share each
+one.  The addressee and every promiscuous NIC get the same frame object,
+and the hijacker queues and re-sends the same packet.
 So these are immutable values: frozen dataclasses, equal and hashable by
 their fields, which no receiver can alter under another.
 

@@ -18,7 +18,7 @@ from repro.simnet.packet import (
 )
 from repro.simnet.scheduler import Simulator
 from repro.tcp.segment import TCP_HEADER_BYTES, TcpSegment
-from repro.tls.record import HEADER_BYTES, MAC_BYTES, RecordWriter, TlsRecord
+from repro.tls.record import HEADER_BYTES, MAC_BYTES, RecordWriter
 
 
 class _DescendingMacs(MacPool):
@@ -268,10 +268,11 @@ class TestDeliveryOrder:
             self._sent_bytes(IpPacket("10.0.0.1", "10.0.0.2", object()))
 
     def test_bytes_transmitted_nests_ip_tls_record(self):
-        record = TlsRecord(23, b"z" * 48, b"m" * MAC_BYTES)
-        packet = IpPacket("10.0.0.1", "10.0.0.2", record)
+        # A sized value inside an IP packet counts through its byte_size().
+        tunnelled = IpPacket("10.9.0.1", "10.9.0.2", b"z" * 48)
+        packet = IpPacket("10.0.0.1", "10.0.0.2", tunnelled)
         assert self._sent_bytes(packet) == (
-            ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + HEADER_BYTES + 48 + MAC_BYTES
+            ETHERNET_HEADER_BYTES + 2 * IPV4_HEADER_BYTES + 48
         )
         # A sealed record riding in a TCP segment counts its wire bytes.
         sealed = RecordWriter(b"k" * 16, b"h" * 16).seal(23, b"p" * 20)

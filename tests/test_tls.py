@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import hashlib
+import hmac
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tls.errors import HandshakeError, MacVerificationError, RecordFormatError
 from repro.tls.record import (
+    CONTENT_ALERT,
     CONTENT_APPLICATION,
+    CONTENT_HANDSHAKE,
     HEADER_BYTES,
     MAC_BYTES,
+    MAX_RECORD_LENGTH,
+    MAX_RECORD_PAYLOAD,
     RecordReader,
     RecordWriter,
+    _RECORD_MEMO,
     _keystream,
     derive_keys,
     memo_stats,
@@ -126,6 +132,36 @@ class TestRecordLayer:
         with pytest.raises(RecordFormatError):
             reader.feed(b"\x17\x01\x01\x00\x20" + b"x" * 32)
 
+    def test_corrupted_length_rejected_at_once(self):
+        # The fault injector's bit flip on the length's high byte: the
+        # reader must not wait for 32 KiB that no sealed record carries.
+        writer, reader = _channel()
+        wire = bytearray(writer.seal(CONTENT_APPLICATION, b"x" * 20))
+        wire[3] ^= 0x80
+        followers = b"".join(
+            writer.seal(CONTENT_APPLICATION, b"y" * 20) for _ in range(5)
+        )
+        with pytest.raises(RecordFormatError, match="overflow"):
+            reader.feed(bytes(wire) + followers)
+        assert reader.seq == 0
+        assert reader._buffer == bytes(wire) + followers
+
+    def test_length_bound_is_the_largest_sealed_record(self):
+        header = bytes([CONTENT_APPLICATION]) + b"\x03\x03"
+        _, reader = _channel()
+        assert reader.feed(header + MAX_RECORD_LENGTH.to_bytes(2, "big")) == []
+        _, reader = _channel()
+        with pytest.raises(RecordFormatError, match="overflow"):
+            reader.feed(header + (MAX_RECORD_LENGTH + 1).to_bytes(2, "big"))
+        _, reader = _channel()
+        with pytest.raises(RecordFormatError, match="too short"):
+            reader.feed(header + (MAC_BYTES - 1).to_bytes(2, "big"))
+        writer, reader = _channel()
+        plaintext = bytes(range(256)) * (MAX_RECORD_PAYLOAD // 256)
+        wire = writer.seal(CONTENT_APPLICATION, plaintext)
+        assert int.from_bytes(wire[3:5], "big") == MAX_RECORD_LENGTH
+        assert reader.feed(wire) == [(CONTENT_APPLICATION, plaintext)]
+
     def test_direction_keys_differ(self):
         client_enc, client_mac = derive_keys(b"m" * 32, "client")
         server_enc, server_mac = derive_keys(b"m" * 32, "server")
@@ -186,9 +222,54 @@ class TestKeystream:
             assert reader.feed(b"".join(wires)) == [
                 (CONTENT_APPLICATION, p) for p in plaintexts
             ]
-            assert memo_stats()["keystream_hits"] == 0
+            assert memo_stats() == {"record_hits": 0, "record_misses": 4}
         finally:
             reset_memo()
+
+
+class TestWireBytes:
+    """``seal``'s bytes, computed here with hashlib and hmac alone."""
+
+    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 300, 2**14])
+    @pytest.mark.parametrize("seq", [0, 2**40 + 7])
+    @pytest.mark.parametrize("mac_key_len", [16, 32, 100])  # 100 > 64: HMAC hashes the key
+    def test_seal_is_header_ciphertext_mac(self, size, seq, mac_key_len):
+        enc_key = hashlib.sha256(b"enc").digest()
+        mac_key = bytes(range(mac_key_len))
+        plaintext = bytes((7 * i + 3) & 0xFF for i in range(size))
+        keystream = b"".join(
+            hashlib.sha256(
+                enc_key + seq.to_bytes(8, "big") + block.to_bytes(4, "big")
+            ).digest()
+            for block in range((size + 31) // 32)
+        )[:size]
+        ciphertext = bytes(p ^ k for p, k in zip(plaintext, keystream))
+        for content_type in (CONTENT_HANDSHAKE, CONTENT_APPLICATION, CONTENT_ALERT):
+            header = bytes([content_type]) + b"\x03\x03"
+            mac = hmac.new(
+                mac_key,
+                seq.to_bytes(8, "big") + header + size.to_bytes(2, "big") + ciphertext,
+                hashlib.sha256,
+            ).digest()[:MAC_BYTES]
+            expected = header + (size + MAC_BYTES).to_bytes(2, "big") + ciphertext + mac
+            for warm in (False, True):
+                reset_memo()
+                if warm:  # an identical writer already published this record
+                    twin = RecordWriter(enc_key, mac_key)
+                    twin.seq = seq
+                    twin.seal(content_type, plaintext)
+                writer = RecordWriter(enc_key, mac_key)
+                writer.seq = seq
+                assert writer.seal(content_type, plaintext) == expected
+                assert writer.seq == seq + 1
+                if not warm:
+                    reset_memo()  # the reader recomputes the MAC and keystream
+                reader = RecordReader(enc_key, mac_key)
+                reader.seq = seq
+                assert reader.feed(expected) == [(content_type, plaintext)]
+                hits = int(warm)
+                assert memo_stats() == {"record_hits": hits, "record_misses": 1 - hits}
+        reset_memo()
 
 
 class TestKeyEscrow:
@@ -281,6 +362,30 @@ class TestTlsSession:
         with pytest.raises(RuntimeError):
             client.send_message(b"late")
 
+    def test_corrupted_record_length_raises_an_alert(self, net):
+        # One bit flipped in the length's high byte past the FCS: the
+        # server must alert, not buffer this and every later record.
+        client, servers, server_msgs, _ = _tls_pair(net)
+        net.sim.run(2.0)
+        send = client.conn.send
+
+        def flip_length_high_bit(data):
+            mangled = bytearray(data)
+            mangled[3] ^= 0x80
+            send(bytes(mangled))
+
+        client.conn.send = flip_length_high_bit
+        client.send_message(b"first")
+        del client.conn.send
+        for _ in range(5):
+            client.send_message(b"later")
+        net.sim.run(1.0)
+        server = servers[0]
+        assert server_msgs == []
+        assert len(server.alerts_raised) == 1
+        assert "overflow" in server.alerts_raised[0]
+        assert server.closed
+
     def test_bad_role_rejected(self, net):
         device = net.add_lan_host("d2")
         stack = TcpStack(device)
@@ -307,11 +412,9 @@ class TestEncodeMemo:
         assert reader.feed(wire) == [
             (CONTENT_APPLICATION, bytes([i]) * 20) for i in range(n)
         ]
-        stats = memo_stats()
-        # Writer computes (miss) and publishes; reader pops (hit) — for
-        # both the keystream and the record MAC of every record.
-        assert stats["keystream_misses"] == n and stats["keystream_hits"] == n
-        assert stats["mac_misses"] == n and stats["mac_hits"] == n
+        # The writer publishes each record once; the reader pops every one.
+        assert memo_stats() == {"record_hits": n, "record_misses": 0}
+        assert not _RECORD_MEMO.cache
 
     def test_tampered_record_still_rejected_with_warm_memo(self):
         writer, reader = _channel()
@@ -321,7 +424,7 @@ class TestEncodeMemo:
             reader.feed(bytes(wire))
         # The mangled ciphertext changed the memo key, so the check was an
         # honest recompute, not a stale hit.
-        assert memo_stats()["mac_hits"] == 0
+        assert memo_stats() == {"record_hits": 0, "record_misses": 1}
 
     def test_replay_rejected_after_memo_consumed(self):
         writer, reader = _channel()
@@ -333,13 +436,16 @@ class TestEncodeMemo:
             reader.feed(wire)
 
     def test_memo_is_bounded(self):
-        from repro.tls.record import _KEYSTREAM_MEMO, _MAC_MEMO
-
-        writer, _ = _channel()
-        for _ in range(_KEYSTREAM_MEMO.max_entries + 100):
+        writer, reader = _channel()
+        assert _RECORD_MEMO.max_entries == 512
+        wires = [
             writer.seal(CONTENT_APPLICATION, b"undelivered")
-        assert len(_KEYSTREAM_MEMO.cache) <= _KEYSTREAM_MEMO.max_entries
-        assert len(_MAC_MEMO.cache) <= _MAC_MEMO.max_entries
+            for _ in range(_RECORD_MEMO.max_entries + 100)
+        ]
+        assert len(_RECORD_MEMO.cache) == _RECORD_MEMO.max_entries
+        # FIFO: the oldest 100 were evicted and open by recomputation.
+        assert len(reader.feed(b"".join(wires))) == len(wires)
+        assert memo_stats() == {"record_hits": 512, "record_misses": 100}
 
     def test_sealed_bytes_identical_cold_and_warm(self):
         payloads = [bytes([i]) * (i + 1) for i in range(6)]
@@ -358,11 +464,11 @@ class TestEncodeMemo:
         assert warm == cold
 
     def test_reset_memo_clears_state_and_counters(self):
-        from repro.tls.record import _KEYSTREAM_MEMO
-
         writer, reader = _channel()
         reader.feed(writer.seal(CONTENT_APPLICATION, b"x"))
-        assert memo_stats()["keystream_misses"] == 1
+        writer.seal(CONTENT_APPLICATION, b"y")
+        assert memo_stats() == {"record_hits": 1, "record_misses": 0}
+        assert len(_RECORD_MEMO.cache) == 1
         reset_memo()
-        assert all(v == 0 for v in memo_stats().values())
-        assert not _KEYSTREAM_MEMO.cache
+        assert memo_stats() == {"record_hits": 0, "record_misses": 0}
+        assert not _RECORD_MEMO.cache

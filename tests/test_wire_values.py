@@ -1,4 +1,4 @@
-"""The wire-value contract: the ten per-packet types are immutable values.
+"""The wire-value contract: the nine per-packet types are immutable values.
 
 One frame object reaches the addressee and every promiscuous NIC, and the
 hijacker queues and re-sends the packets it holds, so every receiver must
@@ -24,7 +24,6 @@ from repro.core.hijacker import EVENT_SYN, FlowEvent
 from repro.simnet.packet import ArpPacket, EthernetFrame, IpPacket
 from repro.simnet.trace import CapturedFrame, FlowKey, PacketMeta
 from repro.tcp.segment import FLAGS_ACK_PSH, TcpSegment
-from repro.tls.record import CONTENT_APPLICATION, TlsRecord
 from repro.values import value
 
 DEVICE_MAC = "02:00:00:00:00:05"
@@ -54,7 +53,6 @@ BUILDERS = {
     FlowKey: lambda: FlowKey.of(DEVICE_IP, 50123, SERVER_IP, 443),
     PacketMeta: lambda: PacketMeta(12.5, 83, True),
     TcpSegment: _segment,
-    TlsRecord: lambda: TlsRecord(CONTENT_APPLICATION, b"\x01\x02\x03", b"\x00" * 16),
     IoTMessage: lambda: IoTMessage(
         EVENT, "motion", {"active": True}, msg_id=9, device_time=3.0, device_id="cam-1"
     ),
@@ -73,7 +71,6 @@ SIGNATURES = {
     FlowKey: ["ip_a", "port_a", "ip_b", "port_b"],
     PacketMeta: ["ts", "size", "from_device"],
     TcpSegment: ["src_port", "dst_port", "seq", "ack", "flags", "payload", "window"],
-    TlsRecord: ["content_type", "ciphertext", "mac"],
     IoTMessage: ["kind", "name", "data", "msg_id", "device_time", "device_id"],
     FlowEvent: ["ts", "flow", "kind", "from_ip"],
 }
