@@ -53,6 +53,8 @@ RECORD_OVERHEAD = HEADER_BYTES + MAC_BYTES
 _CLIENT_HELLO = b"CHLO"
 _SERVER_HELLO = b"SHLO"
 _TOKEN_BYTES = 16
+#: Body length of either hello, the only plaintext handshake messages.
+_HELLO_BYTES = len(_CLIENT_HELLO) + _TOKEN_BYTES
 
 
 class KeyEscrow:
@@ -213,13 +215,19 @@ class TlsSession:
             content_type, version, length = struct.unpack(
                 "!B2sH", bytes(self._plain_buffer[:HEADER_BYTES])
             )
+            # Both checks read the header alone: waiting for a body of any
+            # other length would stall the handshake silently, and
+            # accepting it would misframe the records after it.
+            if content_type != CONTENT_HANDSHAKE:
+                self._fatal_alert("non-handshake record before keys established")
+                return
+            if length != _HELLO_BYTES:
+                self._fatal_alert(f"handshake length {length}, expected {_HELLO_BYTES}")
+                return
             if len(self._plain_buffer) < HEADER_BYTES + length:
                 return
             body = bytes(self._plain_buffer[HEADER_BYTES : HEADER_BYTES + length])
             del self._plain_buffer[: HEADER_BYTES + length]
-            if content_type != CONTENT_HANDSHAKE:
-                self._fatal_alert("non-handshake record before keys established")
-                return
             try:
                 self._handle_handshake(body)
             except HandshakeError as exc:

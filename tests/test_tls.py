@@ -25,6 +25,7 @@ from repro.tls.record import (
     memo_stats,
     reset_memo,
 )
+from repro.simnet.scheduler import run_until
 from repro.tls.session import KeyEscrow, RECORD_OVERHEAD, TlsSession
 from repro.tcp.stack import TcpStack
 
@@ -385,6 +386,51 @@ class TestTlsSession:
         assert len(server.alerts_raised) == 1
         assert "overflow" in server.alerts_raised[0]
         assert server.closed
+
+    @pytest.mark.parametrize(
+        "offset,mangle",
+        [(3, lambda b: b ^ 0x80), (4, lambda b: b + 1)],
+        ids=["high-bit-flip", "low-byte-plus-one"],
+    )
+    def test_corrupted_client_hello_length_raises_an_alert(self, net, offset, mangle):
+        # The server must alert at the header, not wait for a body that
+        # never comes while neither side is established or closed.
+        client, servers, _, _ = _tls_pair(net)
+        send = client.conn.send
+
+        def mangle_hello(data):
+            del client.conn.send
+            mangled = bytearray(data)
+            mangled[offset] = mangle(mangled[offset])
+            send(bytes(mangled))
+
+        client.conn.send = mangle_hello
+        net.sim.run(2.0)
+        server = servers[0]
+        assert len(server.alerts_raised) == 1
+        assert "handshake length" in server.alerts_raised[0]
+        assert server.closed and not server.established
+        assert client.closed and not client.established
+
+    def test_short_server_hello_raises_an_alert(self, net):
+        # A ServerHello whose length reads one byte short must not establish
+        # the client and hand the hello's last byte to the record reader.
+        client, servers, _, _ = _tls_pair(net)
+        run_until(net.sim, lambda: bool(servers), 2.0)
+        server = servers[0]
+        send = server.conn.send
+
+        def shorten_hello(data):
+            del server.conn.send
+            mangled = bytearray(data)
+            mangled[4] -= 1
+            send(bytes(mangled))
+
+        server.conn.send = shorten_hello
+        net.sim.run(2.0)
+        assert len(client.alerts_raised) == 1
+        assert "handshake length" in client.alerts_raised[0]
+        assert client.closed and not client.established
 
     def test_bad_role_rejected(self, net):
         device = net.add_lan_host("d2")
