@@ -101,10 +101,10 @@ def extract_observation(
 ) -> list[FlowObservation]:
     """Summarise every flow of ``device_ip`` from a capture window."""
     observations: list[FlowObservation] = []
-    for flow, frames in capture.flows().items():
+    for flow, records in capture.flows().items():
         if not flow.involves_ip(device_ip):
             continue
-        metas = capture.flow_metadata(frames, device_ip)
+        metas = capture.flow_metadata(records, device_ip)
         uplink = [m for m in metas if m.from_device]
         if not uplink:
             continue

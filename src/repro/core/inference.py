@@ -72,15 +72,15 @@ def extract_messages(
     """Event/command-sized payloads from the capture, oriented by LAN side."""
     messages: list[WireMessage] = []
     seen: set[tuple[float, str, int, bool]] = set()
-    for captured, ip, segment in capture.tcp_frames():
-        if captured.ts < since or segment.payload_size < min_bytes:
+    for ts, src_ip, _src_port, dst_ip, _dst_port, size in capture.segments:
+        if ts < since or size < min_bytes:
             continue
-        if ip.src_ip.startswith(lan_prefix):
-            key = (captured.ts, ip.src_ip, segment.payload_size, True)
-            message = WireMessage(captured.ts, ip.src_ip, segment.payload_size, True)
-        elif ip.dst_ip.startswith(lan_prefix):
-            key = (captured.ts, ip.dst_ip, segment.payload_size, False)
-            message = WireMessage(captured.ts, ip.dst_ip, segment.payload_size, False)
+        if src_ip.startswith(lan_prefix):
+            key = (ts, src_ip, size, True)
+            message = WireMessage(ts, src_ip, size, True)
+        elif dst_ip.startswith(lan_prefix):
+            key = (ts, dst_ip, size, False)
+            message = WireMessage(ts, dst_ip, size, False)
         else:
             continue
         # The hijacked path shows each packet twice (in and out); dedupe on

@@ -25,10 +25,8 @@ from typing import Callable, TYPE_CHECKING
 
 from ..appproto.keepalive import FIXED, ON_IDLE
 from ..simnet.inet import DnsRegistry
-from ..simnet.packet import IpPacket
 from ..simnet.scheduler import run_until
 from ..simnet.trace import PacketCapture
-from ..tcp.segment import TcpSegment
 from .fingerprint import extract_observation
 from .hijacker import EVENT_FIN, EVENT_RST, FlowEvent, Hold, TcpHijacker
 from .predictor import TimeoutBehavior
@@ -99,7 +97,17 @@ class ProfileReport:
 
 
 class TimeoutProfiler:
-    """Runs the Section IV-C measurement campaign against one device."""
+    """Runs the Section IV-C measurement campaign against one device.
+
+    Each step reads only the capture window it needs.  Steps 1 and 2
+    (:meth:`observe_idle`, :meth:`discover_event_size`) read the capture
+    since the idle window's clear.  Every later step reads only records
+    captured after its own start: each keep-alive wait clears the capture
+    and scans from its first record, and :meth:`discover_command_size`
+    reads since its own mark, comparing against the idle downlink sizes
+    step 1 kept.  So a long-lived device's capture holds one window at a
+    time rather than its whole campaign.
+    """
 
     def __init__(
         self,
@@ -362,44 +370,46 @@ class TimeoutProfiler:
     # --------------------------------------------------------------- helpers
 
     def _uplink_sizes_since(self, mark: float) -> list[int]:
-        sizes = []
-        for captured, ip, segment in self.capture.tcp_frames():
-            if captured.ts >= mark and ip.src_ip == self.device_ip and segment.payload_size:
-                sizes.append(segment.payload_size)
-        return sizes
+        device_ip = self.device_ip
+        return [
+            size
+            for ts, src_ip, _src_port, _dst_ip, _dst_port, size in self.capture.segments
+            if ts >= mark and src_ip == device_ip and size
+        ]
 
     def _downlink_sizes_since(self, mark: float) -> list[int]:
-        sizes = []
-        for captured, ip, segment in self.capture.tcp_frames():
-            if captured.ts >= mark and ip.dst_ip == self.device_ip and segment.payload_size:
-                sizes.append(segment.payload_size)
-        return sizes
+        device_ip = self.device_ip
+        return [
+            size
+            for ts, _src_ip, _src_port, dst_ip, _dst_port, size in self.capture.segments
+            if ts >= mark and dst_ip == device_ip and size
+        ]
 
     def _wait_for_keepalive(self, timeout: float | None = None) -> float:
         """Run until the next keep-alive-sized uplink packet passes.
 
-        Scans the capture incrementally (a cursor, not repeated rescans) so
+        Opens a fresh read window: the capture is cleared first, since no
+        later step reads what came before (see the class docstring).  The
+        window is scanned incrementally (a cursor, not repeated rescans) so
         long campaigns stay linear in traffic volume.
         """
         ka_size = self.report.ka_size
         assert ka_size is not None
         window = timeout if timeout is not None else (self.report.ka_period or 60.0) * 2.5
         device_ip = self.device_ip
-        cursor = len(self.capture.frames)
+        self.capture.clear()
+        segments = self.capture.segments
+        cursor = 0
         found: list[float] = []
 
         def seen() -> bool:
             nonlocal cursor
-            frames = self.capture.frames
-            while cursor < len(frames):
-                captured = frames[cursor]
+            while cursor < len(segments):
+                ts, src_ip, _src_port, _dst_ip, _dst_port, size = segments[cursor]
                 cursor += 1
-                packet = captured.frame.payload
-                if type(packet) is IpPacket and packet.src_ip == device_ip:
-                    segment = packet.payload
-                    if type(segment) is TcpSegment and len(segment.payload) == ka_size:
-                        found.append(captured.ts)
-                        return True
+                if src_ip == device_ip and size == ka_size:
+                    found.append(ts)
+                    return True
             return False
 
         if not run_until(self.sim, seen, window):

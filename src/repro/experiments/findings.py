@@ -150,14 +150,13 @@ def finding3_unidirectional_liveness(seed: int = 23, hold_for: float = 40.0) -> 
         start + hold_for - 1.0, closes[0].ts if closes else float("inf")
     )
     downlink = 0
-    for captured, ip, segment in attacker.capture.tcp_frames():
+    for ts, src_ip, src_port, dst_ip, dst_port, size in attacker.capture.segments:
         if (
-            start <= captured.ts < window_end
-            and ip.dst_ip == hub.ip
-            and segment.payload_size > 0
+            start <= ts < window_end
+            and dst_ip == hub.ip
+            and size > 0
             and operation.hold.flow is not None
-            and FlowKey.of(ip.src_ip, segment.src_port, ip.dst_ip, segment.dst_port)
-            == operation.hold.flow
+            and FlowKey.of(src_ip, src_port, dst_ip, dst_port) == operation.hold.flow
         ):
             downlink += 1
     online = endpoint.device_appears_online("h1")

@@ -14,14 +14,13 @@ from .packet import (
 )
 from .router import Router
 from .scheduler import Simulator, Timer
-from .trace import CapturedFrame, FlowKey, PacketCapture, PacketMeta
+from .trace import FlowKey, PacketCapture, PacketMeta
 
 __all__ = [
     "ArpCache",
     "ArpEntry",
     "ArpPacket",
     "BROADCAST_MAC",
-    "CapturedFrame",
     "CloudHost",
     "DEFAULT_ARP_TTL",
     "DEFAULT_LAN_LATENCY",

@@ -1,10 +1,20 @@
 """Promiscuous packet capture and flow accounting.
 
 This is the attacker's tcpdump: attached to a (usually promiscuous) host, it
-records every frame the NIC sees with a timestamp.  Crucially, it never looks
-*inside* TLS — the capture exposes exactly the metadata the paper's sniffing
-step consumes: addressing, ports, sizes, and timing.  The fingerprinting
-module (:mod:`repro.core.fingerprint`) is built on these records.
+keeps one record of wire metadata per TCP segment the NIC sees, and nothing
+else.  A record holds no payload bytes, so the capture cannot look *inside*
+TLS: it exposes exactly the metadata the paper's sniffing step consumes,
+which is addressing, ports, sizes and timing.  The fingerprinting module
+(:mod:`repro.core.fingerprint`) is built on these records.
+
+A record is a plain tuple, in this order::
+
+    (ts, src_ip, src_port, dst_ip, dst_port, payload_size)
+
+``record[1:5]`` is the order :meth:`FlowKey.of` takes, so
+``FlowKey.of(*record[1:5])`` keys a record's flow.  Every field is an atomic
+value, so once a record survives one collection CPython stops tracking it,
+and a kept record costs the cyclic collector nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +28,10 @@ from .packet import EthernetFrame, IpPacket
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Simulator
+
+#: One captured TCP segment: ``(ts, src_ip, src_port, dst_ip, dst_port,
+#: payload_size)``.
+SegmentRecord = tuple[float, str, int, str, int, int]
 
 
 @value
@@ -52,14 +66,6 @@ class FlowKey:
 
 
 @value
-class CapturedFrame:
-    """One observed frame with its capture timestamp."""
-
-    ts: float
-    frame: EthernetFrame
-
-
-@value
 class PacketMeta:
     """The metadata triple fingerprinting operates on."""
 
@@ -68,25 +74,17 @@ class PacketMeta:
     from_device: bool  # direction relative to the LAN-side endpoint
 
 
-def _tcp_view(frame: EthernetFrame) -> tuple[IpPacket, TcpSegment] | None:
-    """Return (ip, segment) when the frame carries a TCP segment."""
-    packet = frame.payload
-    if type(packet) is not IpPacket:
-        return None
-    segment = packet.payload
-    if type(segment) is not TcpSegment:
-        return None
-    return packet, segment
-
-
 class PacketCapture:
     """A rolling capture attached to a host's frame tap."""
 
     def __init__(self, sim: "Simulator", max_frames: int = 1_000_000) -> None:
         self.sim = sim
         self.max_frames = max_frames
-        self.frames: list[CapturedFrame] = []
-        #: Frames evicted by the rolling-buffer overflow — silent loss is
+        #: One :data:`SegmentRecord` per TCP segment seen, oldest first.
+        #: ARP and other non-TCP frames are not kept; pure ACKs are, so
+        #: :meth:`flows` sees every flow.
+        self.segments: list[SegmentRecord] = []
+        #: Records evicted by the rolling-buffer overflow — silent loss is
         #: itself a measurement artefact, so it is counted and exported.
         self.dropped_frames = 0
 
@@ -94,58 +92,58 @@ class PacketCapture:
         host.frame_taps.append(self._tap)
 
     def clear(self) -> None:
-        self.frames.clear()
+        self.segments.clear()
         self.dropped_frames = 0
 
     def _tap(self, frame: EthernetFrame) -> None:
-        if len(self.frames) >= self.max_frames:
+        packet = frame.payload
+        if type(packet) is not IpPacket:
+            return
+        segment = packet.payload
+        if type(segment) is not TcpSegment:
+            return
+        segments = self.segments
+        if len(segments) >= self.max_frames:
             # Keep the newest traffic; profiling works on recent windows.
             evicted = self.max_frames // 2
-            del self.frames[:evicted]
+            del segments[:evicted]
             self.dropped_frames += evicted
             obs = self.sim.obs
             if obs.enabled:
                 obs.registry.counter("capture", "dropped_frames").inc(evicted)
-        self.frames.append(CapturedFrame(self.sim.now, frame))
+        segments.append(
+            (
+                self.sim.now,
+                packet.src_ip,
+                segment.src_port,
+                packet.dst_ip,
+                segment.dst_port,
+                len(segment.payload),
+            )
+        )
 
     # ------------------------------------------------------------- analysis
 
-    def tcp_frames(self) -> Iterable[tuple[CapturedFrame, IpPacket, TcpSegment]]:
-        for captured in self.frames:
-            view = _tcp_view(captured.frame)
-            if view is not None:
-                yield captured, view[0], view[1]
-
-    def flows(self) -> dict[FlowKey, list[CapturedFrame]]:
-        """Group captured TCP traffic by canonical flow."""
-        out: dict[FlowKey, list[CapturedFrame]] = {}
-        for captured, ip, segment in self.tcp_frames():
-            key = FlowKey.of(ip.src_ip, segment.src_port, ip.dst_ip, segment.dst_port)
-            out.setdefault(key, []).append(captured)
+    def flows(self) -> dict[FlowKey, list[SegmentRecord]]:
+        """Group the captured records by canonical flow."""
+        out: dict[FlowKey, list[SegmentRecord]] = {}
+        for record in self.segments:
+            out.setdefault(FlowKey.of(*record[1:5]), []).append(record)
         return out
 
     @staticmethod
-    def flow_metadata(frames: Iterable[CapturedFrame], device_ip: str) -> list[PacketMeta]:
+    def flow_metadata(records: Iterable[SegmentRecord], device_ip: str) -> list[PacketMeta]:
         """Length/timing metadata of one flow, oriented around ``device_ip``.
 
-        ``frames`` is the flow's entry in :meth:`flows`, so a whole capture
+        ``records`` is the flow's entry in :meth:`flows`, so a whole capture
         is summarised in that one pass rather than one rescan per flow.
 
-        Only frames that actually carry payload bytes are included — pure
+        Only segments that actually carry payload bytes are included — pure
         ACKs are invisible to length-based fingerprinting in practice because
         they are uniform.
         """
-        metas: list[PacketMeta] = []
-        for captured in frames:
-            ip = captured.frame.payload
-            payload_len = len(ip.payload.payload)
-            if not payload_len:
-                continue
-            metas.append(
-                PacketMeta(
-                    ts=captured.ts,
-                    size=payload_len,
-                    from_device=(ip.src_ip == device_ip),
-                )
-            )
-        return metas
+        return [
+            PacketMeta(ts, size, src_ip == device_ip)
+            for ts, src_ip, _src_port, _dst_ip, _dst_port, size in records
+            if size
+        ]

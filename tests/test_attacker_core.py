@@ -361,7 +361,7 @@ class TestFingerprinting:
         assert collected() is None
 
     def test_observations_equal_a_rescan_per_flow(self):
-        # extract_observation reads each flow's frames from one flows()
+        # extract_observation reads each flow's records from one flows()
         # pass; the reference rescans the whole capture once per flow.
         tb = SmartHomeTestbed(seed=42)
         for label in ("C2", "P2", "C5"):
@@ -394,21 +394,19 @@ class TestFingerprinting:
 
 def _rescan_observations(capture, device_ip, dns):
     """extract_observation as a full rescan of the capture for every flow."""
-
-    def key_of(ip, segment):
-        return FlowKey.of(ip.src_ip, segment.src_port, ip.dst_ip, segment.dst_port)
-
     keys = []
-    for _captured, ip, segment in capture.tcp_frames():
-        key = key_of(ip, segment)
+    for _ts, src_ip, src_port, dst_ip, dst_port, _size in capture.segments:
+        key = FlowKey.of(src_ip, src_port, dst_ip, dst_port)
         if key.involves_ip(device_ip) and key not in keys:
             keys.append(key)
     observations = []
     for key in keys:
         uplink = [
-            PacketMeta(captured.ts, len(segment.payload), True)
-            for captured, ip, segment in capture.tcp_frames()
-            if key_of(ip, segment) == key and segment.payload and ip.src_ip == device_ip
+            PacketMeta(ts, size, True)
+            for ts, src_ip, src_port, dst_ip, dst_port, size in capture.segments
+            if FlowKey.of(src_ip, src_port, dst_ip, dst_port) == key
+            and size
+            and src_ip == device_ip
         ]
         if not uplink:
             continue

@@ -1,4 +1,4 @@
-"""The wire-value contract: the nine per-packet types are immutable values.
+"""The wire-value contract: the eight per-packet types are immutable values.
 
 One frame object reaches the addressee and every promiscuous NIC, and the
 hijacker queues and re-sends the packets it holds, so every receiver must
@@ -22,7 +22,7 @@ from repro.appproto.messages import EVENT, IoTMessage
 from repro.cache.keys import PICKLE_PROTOCOL
 from repro.core.hijacker import EVENT_SYN, FlowEvent
 from repro.simnet.packet import ArpPacket, EthernetFrame, IpPacket
-from repro.simnet.trace import CapturedFrame, FlowKey, PacketMeta
+from repro.simnet.trace import FlowKey, PacketMeta
 from repro.tcp.segment import FLAGS_ACK_PSH, TcpSegment
 from repro.values import value
 
@@ -49,7 +49,6 @@ BUILDERS = {
     EthernetFrame: _frame,
     ArpPacket: lambda: ArpPacket("reply", DEVICE_MAC, "192.168.1.1", ROUTER_MAC, DEVICE_IP),
     IpPacket: _packet,
-    CapturedFrame: lambda: CapturedFrame(12.5, _frame()),
     FlowKey: lambda: FlowKey.of(DEVICE_IP, 50123, SERVER_IP, 443),
     PacketMeta: lambda: PacketMeta(12.5, 83, True),
     TcpSegment: _segment,
@@ -67,7 +66,6 @@ SIGNATURES = {
     EthernetFrame: ["src_mac", "dst_mac", "payload", "frame_id"],
     ArpPacket: ["op", "sender_mac", "sender_ip", "target_mac", "target_ip"],
     IpPacket: ["src_ip", "dst_ip", "payload", "ttl"],
-    CapturedFrame: ["ts", "frame"],
     FlowKey: ["ip_a", "port_a", "ip_b", "port_b"],
     PacketMeta: ["ts", "size", "from_device"],
     TcpSegment: ["src_port", "dst_port", "seq", "ack", "flags", "payload", "window"],
