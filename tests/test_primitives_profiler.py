@@ -8,6 +8,9 @@ import pytest
 
 from repro.core.attacker import PhantomDelayAttacker
 from repro.core.predictor import TimeoutBehavior
+from repro.devices.base import HubDevice
+from repro.devices.profiles import CATALOGUE, TABLE_LOCAL
+from repro.experiments.table1 import make_event_trigger
 from repro.simnet.scheduler import run_until
 from repro.testbed import SmartHomeTestbed
 
@@ -157,6 +160,62 @@ class TestCDelay:
         closes = attacker.hijacker.close_events_involving(base.uplink_ip, since=start)
         assert closes
         assert operation.prediction.at <= closes[0].ts
+
+
+def _oracle_cells():
+    for profile in CATALOGUE:
+        cell = f"{profile.label}-t{profile.table}"
+        yield pytest.param(profile, False, id=f"{cell}-event")
+        if profile.supports_commands:
+            yield pytest.param(profile, True, id=f"{cell}-command")
+
+
+class TestTimeoutOracle:
+    """The closed-form predictor against the simulator: never unsafe.
+
+    Every catalogue profile's event, and command where it takes commands,
+    is held indefinitely (``clamp=False``) at four phases across one
+    keep-alive period.  The session's first FIN or RST on the uplink must
+    come no earlier than the predicted timeout, give or take 0.1 s.
+    Tightness is not asserted: the e-Delay fallbacks leave up to 111 s of
+    slack, a recorded finding.
+    """
+
+    @pytest.mark.parametrize("profile,command", _oracle_cells())
+    def test_no_prediction_is_unsafe(self, profile, command):
+        period = profile.ka_period or 60.0
+        for phase in (0.0, period / 4, period / 2, 3 * period / 4):
+            tb = SmartHomeTestbed(seed=11)
+            held = tb.add_device(profile.label, table=profile.table)
+            children = tb.catalogue.children_of(profile.label)
+            if not command and isinstance(held, HubDevice) and children:
+                # A hub raises no events of its own: hold its child's.
+                held = tb.add_device(children[0].label)
+            trigger_event = make_event_trigger(held, tb)
+            tb.settle(8.0)
+            attacker = PhantomDelayAttacker.deploy(tb)
+            if profile.table == TABLE_LOCAL:
+                endpoint = tb.ensure_local_server()
+                attacker.interpose(held.uplink_ip, peer_ip=endpoint.host.ip)
+            else:
+                endpoint = tb.endpoints[profile.server]
+            primitive = attacker.delay_for(held, command=command)
+            tb.run(phase)
+            operation = primitive.arm(duration=math.inf, clamp=False)
+            start = tb.now
+            if command:
+                endpoint.send_command(held.device_id, "status-query")
+            else:
+                trigger_event()
+            run_until(tb.sim, lambda: operation.triggered_at is not None, 30.0)
+            assert operation.triggered_at is not None, phase
+            predicted = operation.prediction.at
+            # A close after the prediction is slack, not a fault, so the
+            # cell runs only a second past it.
+            tb.run(max(min(predicted - tb.now, 400.0), 0.0) + 1.0)
+            closes = attacker.hijacker.close_events_involving(held.uplink_ip, since=start)
+            if closes:
+                assert closes[0].ts >= predicted - 0.1, (phase, predicted, closes[0])
 
 
 class TestProfilerAgainstGroundTruth:
