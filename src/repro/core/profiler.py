@@ -370,20 +370,18 @@ class TimeoutProfiler:
     # --------------------------------------------------------------- helpers
 
     def _uplink_sizes_since(self, mark: float) -> list[int]:
-        device_ip = self.device_ip
-        return [
-            size
-            for ts, src_ip, _src_port, _dst_ip, _dst_port, size in self.capture.segments
-            if ts >= mark and src_ip == device_ip and size
-        ]
+        sizes = []
+        for ts, src_ip, _src_port, _dst_ip, _dst_port, size in self.capture.segments:
+            if ts >= mark and src_ip == self.device_ip and size:
+                sizes.append(size)
+        return sizes
 
     def _downlink_sizes_since(self, mark: float) -> list[int]:
-        device_ip = self.device_ip
-        return [
-            size
-            for ts, _src_ip, _src_port, dst_ip, _dst_port, size in self.capture.segments
-            if ts >= mark and dst_ip == device_ip and size
-        ]
+        sizes = []
+        for ts, _src_ip, _src_port, dst_ip, _dst_port, size in self.capture.segments:
+            if ts >= mark and dst_ip == self.device_ip and size:
+                sizes.append(size)
+        return sizes
 
     def _wait_for_keepalive(self, timeout: float | None = None) -> float:
         """Run until the next keep-alive-sized uplink packet passes.
