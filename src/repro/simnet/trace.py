@@ -29,8 +29,7 @@ from .packet import EthernetFrame, IpPacket
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import Simulator
 
-#: One captured TCP segment: ``(ts, src_ip, src_port, dst_ip, dst_port,
-#: payload_size)``.
+#: One captured TCP segment, in the field order the module docstring gives.
 SegmentRecord = tuple[float, str, int, str, int, int]
 
 

@@ -28,7 +28,7 @@ def _attacked_home(keep_frames: bool = False):
     """A hub and a contact sensor, interposed on, with one event sent.
 
     With ``keep_frames`` a second tap on the attacker's host keeps every
-    ``(ts, frame)`` it sees, the way the capture once did.
+    ``(ts, frame)`` it sees, whole: the reference the records must match.
     """
     tb = SmartHomeTestbed(seed=42)
     contact = tb.add_device("C2")
@@ -73,8 +73,8 @@ class TestRecords:
         capture = attacker.capture
         assert capture.segments
         for record in capture.segments:
-            assert [type(field) for field in record] == RECORD_TYPES
             assert type(record) is tuple
+            assert [type(field) for field in record] == RECORD_TYPES
             assert not gc.is_tracked(record)
         # Walk everything the capture holds but its simulator.
         stack = [held for name, held in vars(capture).items() if name != "sim"]
@@ -120,14 +120,12 @@ class TestProfilerWindow:
     def test_capture_holds_only_the_last_keepalive_wait(self):
         tb = SmartHomeTestbed(seed=7)
         device = tb.add_device("H1")
+        trigger_event = make_event_trigger(device, tb)
+        trigger_command = make_command_trigger(device, tb)
         tb.settle(8.0)
         attacker = PhantomDelayAttacker.deploy(tb)
         attacker.interpose(device.uplink_ip)
-        profiler = attacker.profiler_for(
-            device.uplink_ip,
-            make_event_trigger(device, tb),
-            make_command_trigger(device, tb),
-        )
+        profiler = attacker.profiler_for(device.uplink_ip, trigger_event, trigger_command)
         wait_starts: list[float] = []
         wait = profiler._wait_for_keepalive
 
