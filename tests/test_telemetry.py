@@ -16,6 +16,8 @@ The pipeline's contract has three load-bearing properties:
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import pickle
 import weakref
 
@@ -456,6 +458,23 @@ class TestManifest:
         with pytest.raises(ValueError, match="newer"):
             RunManifest.load(too_new)
 
+    def test_manifest_with_span_and_hot_timer_records_still_loads(self, tmp_path):
+        # Manifests once carried ``span`` and ``hot_timers`` records; a
+        # file that still holds them loads and diffs clean against itself.
+        path = self._manifest(tmp_path)
+        current = RunManifest.load(path)
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"record": "span", "component": "tls",
+                                 "name": "handshake", "count": 2,
+                                 "total_duration": 0.5}) + "\n")
+            fh.write(json.dumps({"record": "hot_timers",
+                                 "top": [{"label": "keepalive", "fires": 3}]}) + "\n")
+        older = RunManifest.load(path)
+        assert older.metrics == current.metrics
+        assert older.shards == current.shards
+        assert diff_manifests(older, older).clean
+        assert diff_manifests(current, older).clean
+
     def test_shard_row_record_round_trip(self):
         row = ShardRow(index=1, key="k", seed=9, cached=True, replayed=True,
                        wall_seconds=1.25, cpu_seconds=1.0, peak_rss_kb=2048,
@@ -472,6 +491,60 @@ class TestManifest:
     def test_git_describe_is_best_effort(self):
         assert isinstance(git_describe(), str)
         assert git_describe() != ""
+
+
+def _digest_manifest_lines(paths) -> str:
+    """blake2b-128 of the ``metric`` and ``attribution`` lines, as written."""
+    digest = hashlib.blake2b(digest_size=16)
+    for path in paths:
+        for line in path.read_text().splitlines(keepends=True):
+            if json.loads(line)["record"] in ("metric", "attribution"):
+                digest.update(line.encode())
+    return digest.hexdigest()
+
+
+def _pinned_campaigns():
+    from repro.core.attacks.scenarios import TABLE3_SCENARIOS
+    from repro.experiments.breaking_point import run_breaking_point
+    from repro.experiments.table3 import run_table3
+    from repro.fleet import run_fleet
+    from repro.search.planner import run_search
+
+    return {
+        "breaking-point": lambda runner: run_breaking_point(
+            start_homes=2, max_steps=2, seed=7, runner=runner),
+        "fleet": lambda runner: run_fleet(8, seed=7, batch_size=4, runner=runner),
+        "search": lambda runner: run_search(4, seed=7, batch_size=2, runner=runner),
+        "table3-lossy": lambda runner: run_table3(
+            seed=3, scenarios=TABLE3_SCENARIOS[:3], faults="lossy", runner=runner),
+    }
+
+
+class TestManifestPins:
+    """The deterministic sections of four small campaigns' manifests.
+
+    Each digest covers the ``metric`` and ``attribution`` lines of every
+    manifest the campaign wrote (both ladder steps for the breaking point),
+    byte for byte, and holds for every worker count.
+    """
+
+    MANIFEST_BLAKE2B = {
+        "breaking-point": "0a927208733f42a032c4adf0766250b0",
+        "fleet": "afc9b9fc30b346e089092591f0572b28",
+        "search": "ff452092f7ab1303b1ec22f1cac54150",
+        "table3-lossy": "4d2d8e79144b2e15393075a5bc826372",
+    }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("campaign", sorted(MANIFEST_BLAKE2B))
+    def test_metric_and_attribution_lines_pinned(self, campaign, jobs, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
+        runner = CampaignRunner(jobs=jobs, manifest=True)
+        _pinned_campaigns()[campaign](runner)
+        assert runner.manifest_paths
+        assert (_digest_manifest_lines(runner.manifest_paths)
+                == self.MANIFEST_BLAKE2B[campaign])
 
 
 class TestExperimentIntegration:
