@@ -215,11 +215,14 @@ class TlsSession:
             content_type, version, length = struct.unpack(
                 "!B2sH", bytes(self._plain_buffer[:HEADER_BYTES])
             )
-            # Both checks read the header alone: waiting for a body of any
+            # Every check reads the header alone: waiting for a body of any
             # other length would stall the handshake silently, and
             # accepting it would misframe the records after it.
             if content_type != CONTENT_HANDSHAKE:
                 self._fatal_alert("non-handshake record before keys established")
+                return
+            if version != TLS_VERSION:
+                self._fatal_alert(f"bad handshake version: {version!r}")
                 return
             if length != _HELLO_BYTES:
                 self._fatal_alert(f"handshake length {length}, expected {_HELLO_BYTES}")

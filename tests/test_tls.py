@@ -387,50 +387,64 @@ class TestTlsSession:
         assert "overflow" in server.alerts_raised[0]
         assert server.closed
 
+    @staticmethod
+    def _mangle_hello(session, offset, mangle):
+        """Apply ``mangle`` to one byte of the next thing ``session`` sends."""
+        send = session.conn.send
+
+        def mangle_hello(data):
+            del session.conn.send
+            mangled = bytearray(data)
+            mangled[offset] = mangle(mangled[offset])
+            send(bytes(mangled))
+
+        session.conn.send = mangle_hello
+
+    def _assert_client_hello_alert(self, net, offset, mangle, message):
+        # The server must alert at the header, not wait for a body that
+        # never comes while neither side is established or closed.
+        client, servers, _, _ = _tls_pair(net)
+        self._mangle_hello(client, offset, mangle)
+        net.sim.run(2.0)
+        server = servers[0]
+        assert len(server.alerts_raised) == 1
+        assert message in server.alerts_raised[0]
+        assert server.closed and not server.established
+        assert client.closed and not client.established
+
+    def _assert_server_hello_alert(self, net, offset, mangle, message):
+        # A mangled ServerHello header must not establish the client.
+        client, servers, _, _ = _tls_pair(net)
+        run_until(net.sim, lambda: bool(servers), 2.0)
+        self._mangle_hello(servers[0], offset, mangle)
+        net.sim.run(2.0)
+        assert len(client.alerts_raised) == 1
+        assert message in client.alerts_raised[0]
+        assert client.closed and not client.established
+
     @pytest.mark.parametrize(
         "offset,mangle",
         [(3, lambda b: b ^ 0x80), (4, lambda b: b + 1)],
         ids=["high-bit-flip", "low-byte-plus-one"],
     )
     def test_corrupted_client_hello_length_raises_an_alert(self, net, offset, mangle):
-        # The server must alert at the header, not wait for a body that
-        # never comes while neither side is established or closed.
-        client, servers, _, _ = _tls_pair(net)
-        send = client.conn.send
+        self._assert_client_hello_alert(net, offset, mangle, "handshake length")
 
-        def mangle_hello(data):
-            del client.conn.send
-            mangled = bytearray(data)
-            mangled[offset] = mangle(mangled[offset])
-            send(bytes(mangled))
-
-        client.conn.send = mangle_hello
-        net.sim.run(2.0)
-        server = servers[0]
-        assert len(server.alerts_raised) == 1
-        assert "handshake length" in server.alerts_raised[0]
-        assert server.closed and not server.established
-        assert client.closed and not client.established
+    @pytest.mark.parametrize(
+        "offset,mangle",
+        [(1, lambda b: b ^ 0x80), (2, lambda b: b ^ 0x80), (2, lambda b: b ^ 0x01)],
+        ids=["major-high-bit-flip", "minor-high-bit-flip", "minor-low-bit-flip"],
+    )
+    def test_corrupted_client_hello_version_raises_an_alert(self, net, offset, mangle):
+        self._assert_client_hello_alert(net, offset, mangle, "handshake version")
 
     def test_short_server_hello_raises_an_alert(self, net):
         # A ServerHello whose length reads one byte short must not establish
         # the client and hand the hello's last byte to the record reader.
-        client, servers, _, _ = _tls_pair(net)
-        run_until(net.sim, lambda: bool(servers), 2.0)
-        server = servers[0]
-        send = server.conn.send
+        self._assert_server_hello_alert(net, 4, lambda b: b - 1, "handshake length")
 
-        def shorten_hello(data):
-            del server.conn.send
-            mangled = bytearray(data)
-            mangled[4] -= 1
-            send(bytes(mangled))
-
-        server.conn.send = shorten_hello
-        net.sim.run(2.0)
-        assert len(client.alerts_raised) == 1
-        assert "handshake length" in client.alerts_raised[0]
-        assert client.closed and not client.established
+    def test_server_hello_version_flip_raises_an_alert(self, net):
+        self._assert_server_hello_alert(net, 2, lambda b: b ^ 0x01, "handshake version")
 
     def test_bad_role_rejected(self, net):
         device = net.add_lan_host("d2")
