@@ -218,6 +218,7 @@ class DeviceProtocolClient:
         self._send_message(
             IoTMessage(
                 kind=CONNECT,
+                msg_id=next(self.sim.msg_ids),
                 name="connect",
                 data={"keepalive": ka_period},
                 device_time=self.sim.now,
@@ -275,6 +276,7 @@ class DeviceProtocolClient:
         """
         message = IoTMessage(
             kind=EVENT,
+            msg_id=next(self.sim.msg_ids),
             name=name,
             data=data or {},
             device_time=self.sim.now,
@@ -384,6 +386,7 @@ class DeviceProtocolClient:
         self._send_message(
             IoTMessage(
                 kind=KEEPALIVE,
+                msg_id=next(self.sim.msg_ids),
                 name="ping",
                 device_time=self.sim.now,
                 device_id=self.device_id,
@@ -672,6 +675,7 @@ class ServerDeviceSession:
             raise RuntimeError(f"session to {self.device_id} is closed")
         message = IoTMessage(
             kind=COMMAND,
+            msg_id=next(self.sim.msg_ids),
             name=name,
             data=data or {},
             device_time=self.sim.now,

@@ -14,7 +14,6 @@ fingerprinting keys on.
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from dataclasses import field
@@ -45,9 +44,6 @@ ALL_KINDS = (
     DISCONNECT,
 )
 
-_msg_ids = itertools.count(1)
-
-
 class MessageDecodeError(ValueError):
     """Raised when bytes cannot be decoded into an IoT message."""
 
@@ -59,7 +55,8 @@ class IoTMessage:
     kind: str
     name: str = ""
     data: dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    #: Unique within one simulation: drawn from ``Simulator.msg_ids``.
+    msg_id: int = 0
     device_time: float = 0.0
     device_id: str = ""
 

@@ -21,13 +21,10 @@ through shlex itself.
 
 from __future__ import annotations
 
-import itertools
 import re
 import shlex
 
 from .rules import CommandAction, Condition, EventPattern, NotifyAction, Rule
-
-_rule_ids = itertools.count(1)
 
 _CONDITION_RE = re.compile(r"^(?P<dev>[\w-]+)\.(?P<attr>[\w-]+)$")
 
@@ -59,13 +56,15 @@ def parse_rule(line: str, rule_id: str | None = None) -> Rule:
     """Parse one DSL line into a :class:`Rule`.
 
     Raises :class:`RuleSyntaxError` naming the line when it does not
-    follow the grammar, including when tokens follow the action.
+    follow the grammar, including when tokens follow the action.  Without
+    ``rule_id`` the rule's id stays empty, and the engine that installs it
+    names it ``rule-<n>``.
     """
     tokens = tokenise(line)
     if not tokens:
         raise RuleSyntaxError("empty rule")
     try:
-        return _parse_tokens(tokens, rule_id or f"rule-{next(_rule_ids)}", line)
+        return _parse_tokens(tokens, rule_id or "", line)
     except (IndexError, StopIteration) as exc:
         raise RuleSyntaxError(f"truncated rule: {line!r}") from exc
 

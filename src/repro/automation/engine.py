@@ -9,7 +9,8 @@ the past and actions fire (or fail to fire) wrongly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, TYPE_CHECKING
 
 from .rules import CommandAction, NotifyAction, Rule, RuleFiring
@@ -61,6 +62,7 @@ class AutomationEngine:
         #: the check — today's deployed behaviour.
         self.trigger_max_age = trigger_max_age
         self.rules: list[Rule] = []
+        self._rule_ids = itertools.count(1)
         self.shadow: dict[tuple[str, str], ShadowState] = {}
         self.event_log: list[ReceivedEvent] = []
         self.firings: list[RuleFiring] = []
@@ -69,6 +71,9 @@ class AutomationEngine:
     # ---------------------------------------------------------------- rules
 
     def install_rule(self, rule: Rule) -> None:
+        """Install ``rule``; one parsed without an id is named ``rule-<n>``."""
+        if not rule.rule_id:
+            rule = replace(rule, rule_id=f"rule-{next(self._rule_ids)}")
         if any(r.rule_id == rule.rule_id for r in self.rules):
             raise ValueError(f"duplicate rule id: {rule.rule_id}")
         self.rules.append(rule)

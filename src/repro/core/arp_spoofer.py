@@ -14,8 +14,7 @@ enough that a slipped packet merely reorders (TCP reassembly repairs it).
 
 Each target's poison reply never changes, so it is built once, when the
 pair is poisoned, and every re-poison sends that same immutable
-:class:`~repro.simnet.packet.ArpPacket` in a new frame (with its own
-``frame_id``).
+:class:`~repro.simnet.packet.ArpPacket` in a new frame.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ exactly an on-path attacker's view.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
@@ -51,9 +50,6 @@ EVENT_RST = "rst"
 
 #: Flags that open or close a connection: only these make a flow event.
 _LIFECYCLE_FLAGS = frozenset({"SYN", "FIN", "RST"})
-
-_hold_ids = itertools.count(1)
-
 
 @value
 class FlowEvent:
@@ -197,7 +193,7 @@ class TcpHijacker:
         label: str,
     ) -> Hold:
         hold = Hold(
-            hold_id=next(_hold_ids),
+            hold_id=len(self.holds) + 1,
             device_ip=device_ip,
             direction=direction,
             server_ip=server_ip,

@@ -10,7 +10,6 @@ Section III-B).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, TYPE_CHECKING
 
 from ..alarms import AlarmLog
@@ -29,16 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: One-hop Zigbee/Z-Wave latency between a hub and its child device.
 ZIGBEE_LATENCY = 0.010
 
-_instance_ids = itertools.count(1)
-
-
 class IoTDevice:
     """Common state machine shared by all device runtimes."""
 
     def __init__(self, sim: "Simulator", profile: DeviceProfile, device_id: str | None = None) -> None:
         self.sim = sim
         self.profile = profile
-        self.device_id = device_id or f"{profile.label.lower()}-{next(_instance_ids)}"
+        self.device_id = device_id or profile.label.lower()
         self.behavior: KindBehavior = behavior_for(profile.kind)
         self.state: dict[str, str] = {self.behavior.attribute: self.behavior.initial}
         self.state_history: list[tuple[float, str, str]] = []

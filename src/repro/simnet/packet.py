@@ -25,7 +25,6 @@ rather than through ``object.__setattr__``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import field
 from typing import Any
 
 from ..tcp.segment import TCP_HEADER_BYTES, TcpSegment
@@ -40,9 +39,6 @@ ARP_BODY_BYTES = 28
 #: Headers in front of a TCP segment's payload bytes, in a packet and a frame.
 _TCP_PACKET_HEADER_BYTES = IPV4_HEADER_BYTES + TCP_HEADER_BYTES
 _TCP_FRAME_HEADER_BYTES = ETHERNET_HEADER_BYTES + _TCP_PACKET_HEADER_BYTES
-
-_packet_ids = itertools.count(1)
-
 
 def _payload_size(payload: Any) -> int:
     """Serialised size of a payload: raw bytes, or anything with ``byte_size()``."""
@@ -115,7 +111,6 @@ class EthernetFrame:
     src_mac: str
     dst_mac: str
     payload: Any  # ArpPacket | IpPacket
-    frame_id: int = field(default_factory=_packet_ids.__next__)
 
     def byte_size(self) -> int:
         payload = self.payload

@@ -181,6 +181,8 @@ class Simulator:
         #: reaches the third field.
         self._heap: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
+        #: Ids of this simulation's IoT messages (``IoTMessage.msg_id``).
+        self.msg_ids = itertools.count(1)
         self._pending = 0  # live (un-fired, un-cancelled) timers, all kinds
         self._events_processed = 0
         self._max_events = 50_000_000  # runaway-loop backstop

@@ -90,7 +90,7 @@ class TestArpSpoofing:
                   and getattr(f.payload, "op", None) == "reply"]
         assert len(poison) == 3
         assert all(f.payload is poison[0].payload for f in poison)
-        assert len({f.frame_id for f in poison}) == 3
+        assert len({id(f) for f in poison}) == 3
         assert (poison[0].payload.sender_ip, poison[0].payload.target_ip) == (
             tb.router.ip, hub.ip)
 

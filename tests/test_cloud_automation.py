@@ -159,9 +159,17 @@ class TestDsl:
         assert rule.action == NotifyAction("Fire in the kitchen", "push")
 
     def test_rule_id_assigned(self):
+        # A rule parsed without an id is named by the engine installing it.
         a = parse_rule("WHEN a b.c THEN COMMAND d e")
-        b = parse_rule("WHEN a b.c THEN COMMAND d e")
-        assert a.rule_id != b.rule_id
+        assert a.rule_id == ""
+        engine = AutomationEngine(Simulator(), lambda *args: None)
+        engine.install_rule(a)
+        engine.install_rule(parse_rule("WHEN a b.c THEN COMMAND d e"))
+        engine.install_rule(parse_rule("WHEN a b.c THEN COMMAND d e", rule_id="mine"))
+        assert [r.rule_id for r in engine.rules] == ["rule-1", "rule-2", "mine"]
+        other = AutomationEngine(Simulator(), lambda *args: None)
+        other.install_rule(a)
+        assert [r.rule_id for r in other.rules] == ["rule-1"]
 
     def test_explicit_rule_id(self):
         assert parse_rule("WHEN a b.c THEN COMMAND d e", rule_id="mine").rule_id == "mine"

@@ -32,10 +32,16 @@ class TestMessageModel:
         with pytest.raises(ValueError):
             IoTMessage(kind="telemetry")
 
-    def test_msg_ids_unique(self):
-        a = IoTMessage(kind=EVENT, name="e")
-        b = IoTMessage(kind=EVENT, name="e")
-        assert a.msg_id != b.msg_id
+    def test_msg_ids_unique(self, mqtt_pair):
+        # Ids come from the home's own simulator: unique within the home,
+        # numbered from 1 whatever ran earlier in the process.
+        mqtt_pair.start_and_settle()
+        sent = [mqtt_pair.client.send_event(name) for name in ("a", "b", "c")]
+        mqtt_pair.sim.run(2.0)
+        ids = [m.msg_id for m in sent]
+        assert ids == sorted(set(ids)) and ids[0] > 1  # the CONNECT took 1
+        assert [m.msg_id for _, m in mqtt_pair.events] == ids
+        assert IoTMessage(kind=EVENT).msg_id == 0
 
     def test_ack_kind_mapping(self):
         assert IoTMessage(kind=EVENT).ack_kind() == EVENT_ACK

@@ -66,11 +66,6 @@ class TestPacketSizes:
         frame = EthernetFrame("m1", "m2", IpPacket("a", "b", b"x" * 10))
         assert frame.byte_size() == ETHERNET_HEADER_BYTES + IPV4_HEADER_BYTES + 10
 
-    def test_frame_ids_unique(self):
-        f1 = EthernetFrame("a", "b", None)
-        f2 = EthernetFrame("a", "b", None)
-        assert f1.frame_id != f2.frame_id
-
     def test_broadcast_flag(self):
         assert EthernetFrame("a", BROADCAST_MAC, None).is_broadcast
         assert not EthernetFrame("a", "b", None).is_broadcast

@@ -41,7 +41,7 @@ def _packet() -> IpPacket:
 
 
 def _frame() -> EthernetFrame:
-    return EthernetFrame(DEVICE_MAC, ROUTER_MAC, _packet(), frame_id=41)
+    return EthernetFrame(DEVICE_MAC, ROUTER_MAC, _packet())
 
 
 #: Each builder makes a new instance equal to the previous one's.
@@ -63,7 +63,7 @@ BUILDERS = {
 #: The constructor parameters of each type, as the stock frozen dataclass
 #: declared them before the types became slotted values.
 SIGNATURES = {
-    EthernetFrame: ["src_mac", "dst_mac", "payload", "frame_id"],
+    EthernetFrame: ["src_mac", "dst_mac", "payload"],
     ArpPacket: ["op", "sender_mac", "sender_ip", "target_mac", "target_ip"],
     IpPacket: ["src_ip", "dst_ip", "payload", "ttl"],
     FlowKey: ["ip_a", "port_a", "ip_b", "port_b"],
@@ -140,7 +140,7 @@ class TestReplace:
         mangled = replace(
             frame, payload=replace(packet, payload=replace(segment, payload=b"\x97\x03\x03"))
         )
-        assert mangled.frame_id == frame.frame_id
+        assert (mangled.src_mac, mangled.dst_mac) == (frame.src_mac, frame.dst_mac)
         assert mangled.payload.payload.payload == b"\x97\x03\x03"
         assert mangled.payload.payload.flags is segment.flags
         assert mangled != frame
@@ -158,30 +158,25 @@ class TestReplace:
 
 class TestConstructors:
     def test_default_factories_draw_once_per_instance(self):
-        f1 = EthernetFrame(DEVICE_MAC, ROUTER_MAC, None)
-        f2 = EthernetFrame(DEVICE_MAC, ROUTER_MAC, None)
-        assert f2.frame_id == f1.frame_id + 1
         m1, m2 = IoTMessage(EVENT), IoTMessage(EVENT)
-        assert m2.msg_id == m1.msg_id + 1
-        assert m1.data == {} and m1.data is not m2.data
+        assert m1.data == {} == m2.data
+        assert m1.data is not m2.data
         assert TcpSegment(1, 2, 0, 0).flags == frozenset()
 
     def test_default_factories_skipped_when_argument_given(self):
-        drawn = EthernetFrame(DEVICE_MAC, ROUTER_MAC, None).frame_id
-        assert EthernetFrame(DEVICE_MAC, ROUTER_MAC, None, frame_id=5).frame_id == 5
-        assert EthernetFrame(DEVICE_MAC, ROUTER_MAC, None).frame_id == drawn + 1
-        before = IoTMessage(EVENT).msg_id
         data = {"k": 1}
         given = IoTMessage(EVENT, data=data, msg_id=77)
         assert given.msg_id == 77 and given.data is data
-        assert IoTMessage(EVENT).msg_id == before + 1
+        drawn = IoTMessage(EVENT).data
+        assert drawn == {} and drawn is not data
 
     def test_plain_defaults(self):
         assert IpPacket(DEVICE_IP, SERVER_IP, None).ttl == 64
         segment = TcpSegment(1, 2, 0, 0)
         assert (segment.payload, segment.window) == (b"", 65535)
         message = IoTMessage(EVENT)
-        assert (message.name, message.device_time, message.device_id) == ("", 0.0, "")
+        assert (message.name, message.msg_id, message.device_time, message.device_id) == (
+            "", 0, 0.0, "")
 
     @pytest.mark.parametrize("cls", TYPES, ids=_ids)
     def test_each_field_holds_its_argument(self, cls):
