@@ -111,13 +111,6 @@ def render_manifest(manifest: Any) -> str:
         out.append("")
         out.append(rows.render())
 
-    if manifest.hot_timers:
-        hot = TextTable(["Timer label", "Fires"], title="Hottest timer labels")
-        for entry in manifest.hot_timers:
-            hot.add_row(entry["label"], entry["fires"])
-        out.append("")
-        out.append(hot.render())
-
     if manifest.attribution:
         attr = TextTable(["Delay metric", "Count", "Mean", "Min", "Max"],
                          title="Delay attribution summaries")

@@ -24,7 +24,6 @@ from pathlib import Path
 
 from ..fleet import DEFAULT_BATCH_SIZE, FleetReport, run_fleet
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import RegistrySnapshot
 from ..parallel import CampaignRunner, runner_or_serial
 
 #: Stop reasons, in the order they are checked (first trip wins).
@@ -203,18 +202,18 @@ def _attribute_step(
     """Fold the step verdict into the step's manifest and rewrite it.
 
     The step metrics live in a ``breaking_point`` component merged into
-    the campaign snapshot, so the stop condition is attributed *in the
+    the campaign's metrics, so the stop condition is attributed *in the
     manifest itself* (and survives ``observe report``/``diff``), not just
     in this process's return value.
     """
-    registry = MetricsRegistry(capture=False)
+    registry = MetricsRegistry()
     registry.counter("breaking_point", "step").inc(step)
     registry.counter("breaking_point", "homes").inc(fleet.homes)
     registry.counter("breaking_point", "homes_completed").inc(fleet.completed)
     registry.counter("breaking_point", "homes_failed").inc(fleet.failed)
     outcome = reason if reason is not None else "pass"
     registry.counter("breaking_point", "stopped", reason=outcome).inc()
-    runner.last_snapshot = runner.last_snapshot.merge(RegistrySnapshot.of(registry))
+    runner.last_metrics.merge(registry)
     if runner.manifest is None or runner.manifest is False:
         return None
     return runner.write_manifest(runner.last_manifest_path)

@@ -39,6 +39,7 @@ from typing import Any, Callable, Sequence
 from ..automation.dsl import parse_rule
 from ..cache.keys import canonical
 from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import register_registry
 from ..parallel import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from .sampler import FleetSampler, home_seed
@@ -268,12 +269,13 @@ def run_home_batch(
 
     Module-level and pure — workers import it by qualified name and the
     cache addresses it by ``(start, count, base_seed, event_budget)``.
-    Fleet-level metrics are recorded into a registry that auto-registers
-    with the active telemetry capture, so they merge into the campaign
-    snapshot and manifest without riding in the return value.
+    Fleet-level metrics are recorded into a registry handed to the active
+    telemetry capture, so they merge into the campaign's metrics and
+    manifest without riding in the return value.
     """
     sampler = FleetSampler(base_seed)
     registry = MetricsRegistry()
+    register_registry(registry)
     homes = registry.counter("fleet", "homes")
     homes_ok = registry.counter("fleet", "homes_completed")
     homes_attacked = registry.counter("fleet", "homes_attacked")

@@ -19,7 +19,7 @@ from .attribution import DelayAttribution, attribute_delay, link_hold_spans
 from .manifest import ManifestDiff, RunManifest, ShardRow, diff_manifests, git_describe
 from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from .observer import Observability, SchedulerProfiler, SimObserver
-from .telemetry import RegistrySnapshot, ShardTelemetry, ShardUsage, capture
+from .telemetry import ShardTelemetry, ShardUsage, capture
 from .tracing import Span, Tracer, render_span_tree
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "ManifestDiff",
     "MetricsRegistry",
     "Observability",
-    "RegistrySnapshot",
     "RunManifest",
     "SchedulerProfiler",
     "ShardRow",

@@ -2,10 +2,10 @@
 
 A campaign that ran is a campaign that can be audited: the manifest records
 *what* ran (campaign, seed, jobs, fault profile, cache fingerprint, git
-describe), *what it measured* (the merged deterministic metrics snapshot,
-span rollups, delay summaries, the hottest timer labels), and *how each
-shard behaved* (wall/CPU seconds, peak RSS, cache hit, in-process replay
-after a worker failure).  The file is line-oriented JSON with a
+describe), *what it measured* (the campaign's merged metrics, one record
+per metric, and its delay summaries), and *how each shard behaved*
+(wall/CPU seconds, peak RSS, cache hit, in-process replay after a worker
+failure).  The file is line-oriented JSON with a
 schema-versioned header, written atomically, and loads back through
 :meth:`RunManifest.load` for ``phantom-delay observe report|diff`` and
 ``repro.analysis``.
@@ -26,15 +26,13 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
-from .telemetry import RegistrySnapshot, ShardTelemetry
+from .metrics import MetricsRegistry
+from .telemetry import ShardTelemetry
 
 #: Bump when the manifest layout changes; loaders reject newer schemas.
 MANIFEST_SCHEMA = 1
-
-#: How many of the hottest timer labels the manifest keeps.
-HOT_TIMER_TOP_K = 10
 
 #: Environment override for where auto-named manifests land.
 MANIFEST_DIR_ENV = "REPRO_MANIFEST_DIR"
@@ -144,8 +142,6 @@ class RunManifest:
     header: dict[str, Any]
     metrics: tuple[dict[str, Any], ...] = ()
     shards: tuple[ShardRow, ...] = ()
-    span_summaries: tuple[dict[str, Any], ...] = ()
-    hot_timers: tuple[dict[str, Any], ...] = ()
     attribution: tuple[dict[str, Any], ...] = ()
 
     # ------------------------------------------------------------- building
@@ -156,8 +152,7 @@ class RunManifest:
         campaign: str,
         seed: int,
         jobs: int,
-        snapshot: RegistrySnapshot,
-        span_summaries: tuple[dict[str, Any], ...],
+        metrics: MetricsRegistry,
         shard_rows: tuple[ShardRow, ...],
         fault_profile: str | None = None,
         cache_fingerprint: str | None = None,
@@ -178,13 +173,12 @@ class RunManifest:
             "wall_seconds": round(wall_seconds, 6),
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
+        records = tuple(metrics.snapshot())
         return cls(
             header=header,
-            metrics=tuple(snapshot.records),
+            metrics=records,
             shards=shard_rows,
-            span_summaries=span_summaries,
-            hot_timers=hot_timer_labels(snapshot),
-            attribution=delay_attribution_summary(snapshot),
+            attribution=delay_attribution_summary(records),
         )
 
     # ---------------------------------------------------------------- views
@@ -192,9 +186,6 @@ class RunManifest:
     @property
     def campaign(self) -> str:
         return self.header.get("campaign", "?")
-
-    def snapshot(self) -> RegistrySnapshot:
-        return RegistrySnapshot(records=self.metrics)
 
     def metric_index(self) -> dict[tuple[str, str, tuple[tuple[str, str], ...]],
                                    dict[str, Any]]:
@@ -209,9 +200,6 @@ class RunManifest:
         out: list[dict[str, Any]] = [self.header]
         out.extend({"record": "metric", **r} for r in self.metrics)
         out.extend(row.to_record() for row in self.shards)
-        out.extend({"record": "span", **s} for s in self.span_summaries)
-        if self.hot_timers:
-            out.append({"record": "hot_timers", "top": list(self.hot_timers)})
         if self.attribution:
             out.append({"record": "attribution", "summaries": list(self.attribution)})
         return out
@@ -235,11 +223,10 @@ class RunManifest:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunManifest":
+        """Read a manifest back; record kinds it does not know are skipped."""
         header: dict[str, Any] | None = None
         metrics: list[dict[str, Any]] = []
         shards: list[ShardRow] = []
-        spans: list[dict[str, Any]] = []
-        hot: tuple[dict[str, Any], ...] = ()
         attribution: tuple[dict[str, Any], ...] = ()
         with open(path) as fh:
             for line in fh:
@@ -259,10 +246,6 @@ class RunManifest:
                     metrics.append({k: v for k, v in record.items() if k != "record"})
                 elif kind == "shard":
                     shards.append(ShardRow.from_record(record))
-                elif kind == "span":
-                    spans.append({k: v for k, v in record.items() if k != "record"})
-                elif kind == "hot_timers":
-                    hot = tuple(record.get("top", ()))
                 elif kind == "attribution":
                     attribution = tuple(record.get("summaries", ()))
         if header is None:
@@ -271,8 +254,6 @@ class RunManifest:
             header=header,
             metrics=tuple(metrics),
             shards=tuple(shards),
-            span_summaries=tuple(spans),
-            hot_timers=hot,
             attribution=attribution,
         )
 
@@ -280,21 +261,8 @@ class RunManifest:
 # -------------------------------------------------------------- derivations
 
 
-def hot_timer_labels(snapshot: RegistrySnapshot,
-                     top_k: int = HOT_TIMER_TOP_K) -> tuple[dict[str, Any], ...]:
-    """The campaign's hottest scheduler timer labels by fire count."""
-    fires = [
-        {"label": dict(r.get("labels", {})).get("label", "?"),
-         "fires": int(r["value"])}
-        for r in snapshot.records
-        if r["component"] == "scheduler" and r["name"] == "timer_fired"
-    ]
-    fires.sort(key=lambda e: (-e["fires"], e["label"]))
-    return tuple(fires[:top_k])
-
-
 def delay_attribution_summary(
-    snapshot: RegistrySnapshot,
+    records: Iterable[dict[str, Any]],
 ) -> tuple[dict[str, Any], ...]:
     """Campaign-level delay summaries, from harvested result metrics.
 
@@ -303,7 +271,7 @@ def delay_attribution_summary(
     and extrema so two manifests can be diffed for attribution drift.
     """
     out = []
-    for record in snapshot.records:
+    for record in records:
         if record["component"] != "campaign" or record["name"] != "result_metric":
             continue
         metric = dict(record.get("labels", {})).get("metric", "")

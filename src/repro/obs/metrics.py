@@ -8,9 +8,11 @@ logarithmically-bucketed counts, so recording a sample is O(1) and memory
 stays bounded no matter how long a campaign runs.  The relative error of a
 reported quantile is bounded by the bucket growth factor (default 5%).
 
-Everything here is deliberately free of simulation imports: a registry can
-be snapshotted to JSONL mid-run, shipped elsewhere, and re-imported for
-offline analysis (mirroring how TAPInspector-style rule checkers consume
+Everything here is deliberately free of simulation imports: a registry
+pickles as it is, which is how a shard's metrics cross the process pool
+and land in the campaign cache, and its :meth:`MetricsRegistry.snapshot`
+records are what a run manifest and ``export_jsonl`` write for offline
+analysis (mirroring how TAPInspector-style rule checkers consume
 structured event records rather than live state).
 """
 
@@ -209,16 +211,6 @@ class StreamingHistogram:
             "max": self.max if self.count else None,
         }
 
-    def restore(self, state: dict[str, Any]) -> None:
-        self.growth = state["growth"]
-        self._log_growth = math.log(self.growth)
-        self.buckets = {int(k): v for k, v in state["buckets"].items()}
-        self.zero_count = state["zero_count"]
-        self.count = state["count"]
-        self.total = state["total"]
-        self.min = state["min"] if state["min"] is not None else math.inf
-        self.max = state["max"] if state["max"] is not None else -math.inf
-
 
 Metric = Counter | Gauge | StreamingHistogram
 
@@ -231,16 +223,8 @@ class MetricsRegistry:
     the returned handle instead of re-looking it up per event.
     """
 
-    def __init__(self, *, capture: bool = True) -> None:
+    def __init__(self) -> None:
         self._metrics: dict[MetricKey, Metric] = {}
-        if capture:
-            # Worker-side telemetry: a registry born while a shard capture
-            # is active is harvested into the shard's snapshot when the
-            # capture closes (see repro.obs.telemetry).  ``capture=False``
-            # keeps merge targets and driver bookkeeping out of the loop.
-            from . import telemetry
-
-            telemetry.register_registry(self)
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -295,48 +279,20 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------- merging
 
-    def merge(self, other: "MetricsRegistry",
-              exclude_components: Iterable[str] = ()) -> "MetricsRegistry":
+    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold another registry's metrics into this one, key by key.
 
         Metrics present in both registries combine by kind (counters add,
         gauges add value / max high-water, histograms add buckets); metrics
         only in ``other`` are created here.  A key registered with a
         different kind raises ``TypeError`` — silent coercion would corrupt
-        campaign roll-ups.  ``exclude_components`` skips whole components
-        (the runner uses it to keep wall-clock bookkeeping out of the
-        deterministic campaign snapshot).
+        campaign roll-ups.
         """
-        excluded = frozenset(exclude_components)
         for key, metric in sorted(other._metrics.items()):
             component, name, labels = key
-            if component in excluded:
-                continue
             mine = self._get_or_create(type(metric), component, name, dict(labels))
             mine.merge(metric)
         return self
-
-    @classmethod
-    def from_records(cls, records: Iterable[dict[str, Any]]) -> "MetricsRegistry":
-        """Rebuild a registry from snapshot records (see :meth:`snapshot`)."""
-        registry = cls(capture=False)
-        for record in records:
-            labels = record.get("labels", {})
-            kind = record["kind"]
-            if kind == "counter":
-                registry.counter(record["component"], record["name"], **labels).inc(
-                    record["value"]
-                )
-            elif kind == "gauge":
-                gauge = registry.gauge(record["component"], record["name"], **labels)
-                gauge.high_water = record.get("high_water", record["value"])
-                gauge.value = record["value"]
-            elif kind == "histogram":
-                hist = registry.histogram(record["component"], record["name"], **labels)
-                hist.restore(record["state"])
-            else:
-                raise ValueError(f"unknown metric kind in record: {kind!r}")
-        return registry
 
     # --------------------------------------------------------- snapshotting
 

@@ -1,39 +1,40 @@
-"""Campaign-scale telemetry: mergeable snapshots and worker-side capture.
+"""Campaign-scale telemetry: worker-side capture and the shard payload.
 
 ``repro.parallel`` runs every shard in its own process, and until this
 module existed each worker's observability died with it: the driver kept
 only its own bookkeeping counters.  The pieces here make shard telemetry
-*survive the pool*:
+*survive the pool*, as one :class:`~repro.obs.metrics.MetricsRegistry`
+from shard to manifest:
 
-* :class:`RegistrySnapshot` — a compact, picklable, canonical snapshot of a
-  :class:`~repro.obs.metrics.MetricsRegistry`.  Snapshots merge (counters
-  add, gauges add / max high-water, histogram buckets add), and merging is
-  exact for counts, buckets, min/max, and therefore quantiles — merge order
-  can never change what a campaign reports.
 * :func:`capture` — a context manager the shard wrapper puts around the
-  shard function.  While active, every ``MetricsRegistry`` and every
-  :class:`~repro.simnet.scheduler.Simulator` constructed registers itself
-  with the capture; at close the capture folds them into one snapshot
-  (simulators contribute their event counts without any per-event hook, so
-  the scheduler hot loop stays untouched).  A simulator is accounted for
-  by a small :class:`SimulationAccount`, not held: a finished home can be
-  collected while the rest of its shard runs.
+  shard function.  While active, a shard function hands the registry its
+  metrics go to over with :func:`register_registry`, and every
+  :class:`~repro.simnet.scheduler.Simulator` constructed registers itself;
+  at close the capture folds them into one registry (simulators contribute
+  their event counts without any per-event hook, so the scheduler hot loop
+  stays untouched).  A simulator is accounted for by a small
+  :class:`SimulationAccount`, not held: a finished home can be collected
+  while the rest of its shard runs.
 * :func:`harvest_result` — result-shape telemetry: fault-injector stats,
   invariant violations, alarm counts, and numeric scenario metrics found in
-  a shard's return value are mirrored into the capture registry, so a
+  a shard's return value are mirrored into the shard's registry, so a
   campaign's merged metrics carry the paper-level signals (delays, drops,
   violations) even for runs that never enabled full observability.
 * :class:`ShardTelemetry` — what rides back with each shard result: the
-  snapshot, span summaries from any observed simulators, and the worker's
-  resource usage (wall/CPU seconds, peak RSS via ``getrusage``).  The
-  deterministic part (snapshot + spans) is byte-identical for any ``jobs``
-  value and is cached alongside the result by ``repro.cache``; the usage
-  part is per-run and reported separately.
+  shard's registry, pickled across the pool, and the worker's resource
+  usage (wall/CPU seconds, peak RSS via ``getrusage``).  The registry is
+  the same for any ``jobs`` value and is cached alongside the result by
+  ``repro.cache``; the usage is per-run and reported separately.
+* :func:`merge_telemetry` — folds the shard registries, in shard order,
+  into the campaign's registry.  Registries merge exactly (counters add,
+  gauges add / max high-water, histogram buckets add), so merge order can
+  never change a count, a bucket or a quantile.
 
-Everything deterministic is kept strictly apart from everything timed: the
-``parallel`` component (wall clocks, cache hit counts) is excluded from
-captured snapshots, so ``jobs=1`` and ``jobs=N`` campaigns — warm or cold —
-merge to identical metrics.
+Everything deterministic is kept strictly apart from everything timed:
+only registries a shard hands over join its telemetry, so the runner's
+``parallel`` component (wall clocks, cache hit counts) never does, and
+``jobs=1`` and ``jobs=N`` campaigns — warm or cold — merge to identical
+metrics.
 """
 
 from __future__ import annotations
@@ -41,69 +42,17 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simnet.scheduler import Simulator
-    from .tracing import Span
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource
 except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
-
-#: Version stamp carried by every snapshot (bump on layout changes).
-SNAPSHOT_SCHEMA = 1
-
-#: Components whose metrics are wall-clock/cache-state dependent and must
-#: never enter the deterministic campaign snapshot.
-NONDETERMINISTIC_COMPONENTS = frozenset({"parallel"})
-
-
-# --------------------------------------------------------------- snapshots
-
-
-@dataclass(frozen=True)
-class RegistrySnapshot:
-    """Picklable, canonical image of one registry's metrics.
-
-    ``records`` is exactly :meth:`MetricsRegistry.snapshot` output (sorted
-    by key), so a snapshot round-trips through JSON, pickle, and
-    :meth:`to_registry` without loss.
-    """
-
-    records: tuple[dict[str, Any], ...] = ()
-    schema: int = SNAPSHOT_SCHEMA
-
-    @classmethod
-    def of(cls, registry: MetricsRegistry,
-           exclude_components: frozenset[str] = frozenset()) -> "RegistrySnapshot":
-        records = tuple(
-            r for r in registry.snapshot() if r["component"] not in exclude_components
-        )
-        return cls(records=records)
-
-    @classmethod
-    def empty(cls) -> "RegistrySnapshot":
-        return cls()
-
-    def __bool__(self) -> bool:
-        return bool(self.records)
-
-    def to_registry(self) -> MetricsRegistry:
-        return MetricsRegistry.from_records(self.records)
-
-    def merge(self, other: "RegistrySnapshot") -> "RegistrySnapshot":
-        """A new snapshot with both sets of metrics folded together."""
-        if not self.records:
-            return other
-        if not other.records:
-            return self
-        merged = self.to_registry()
-        merged.merge(other.to_registry())
-        return RegistrySnapshot.of(merged)
 
 
 # ------------------------------------------------------------ shard payload
@@ -143,15 +92,13 @@ def cpu_seconds_now() -> float:
 class ShardTelemetry:
     """Everything one shard reports back besides its result.
 
-    ``snapshot`` and ``span_summaries`` are deterministic (identical for
-    any ``jobs`` value and replayed byte-identically from cache);
-    ``usage`` is the live run's resource account and ``replayed`` /
-    ``cached`` are driver-side annotations about *how* the result was
-    obtained this time.
+    ``metrics`` is deterministic (identical for any ``jobs`` value and
+    replayed byte-identically from cache); ``usage`` is the live run's
+    resource account and ``replayed`` / ``cached`` are driver-side
+    annotations about *how* the result was obtained this time.
     """
 
-    snapshot: RegistrySnapshot = field(default_factory=RegistrySnapshot)
-    span_summaries: tuple[dict[str, Any], ...] = ()
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     usage: ShardUsage | None = None
     replayed: bool = False
     cached: bool = False
@@ -162,36 +109,29 @@ class ShardTelemetry:
 
     def events_processed(self) -> int:
         """Total scheduler events this shard's simulations processed."""
-        for record in self.snapshot.records:
-            if (record["component"], record["name"]) == (
-                "scheduler", "events_processed",
-            ) and not record.get("labels"):
-                return int(record["value"])
-        return 0
+        return int(self.metrics.value("scheduler", "events_processed"))
 
 
 # ----------------------------------------------------------------- capture
 
 
 class SimulationAccount:
-    """What a capture keeps of one simulator: its final counts and spans.
+    """What a capture keeps of one simulator: its final counts.
 
     Holding the :class:`~repro.simnet.scheduler.Simulator` itself would
     keep its whole home alive, through the event heap, until the shard
     ends.  The account holds a weak reference instead and copies the
-    figures the snapshot needs: the simulator settles it as it is
+    figures the capture needs: the simulator settles it as it is
     collected, and :meth:`TelemetryCapture.snapshot` settles the ones still
-    alive.  It keeps the tracer's span list, not the tracer, which holds
-    its simulator.
+    alive.
     """
 
-    __slots__ = ("_sim", "events_processed", "clock", "spans")
+    __slots__ = ("_sim", "events_processed", "clock")
 
     def __init__(self, sim: "Simulator") -> None:
         self._sim = weakref.ref(sim)
         self.events_processed = 0
         self.clock = 0.0
-        self.spans: list["Span"] | tuple[()] = ()
 
     def settle(self, sim: "Simulator | None" = None) -> None:
         """Copy the simulator's figures; a no-op once it has been collected."""
@@ -201,12 +141,11 @@ class SimulationAccount:
                 return
         self.events_processed = sim.events_processed
         self.clock = sim.now
-        if sim.obs.enabled:
-            self.spans = sim.obs.tracer.spans
 
 
 class TelemetryCapture:
-    """Collects every registry and simulator created while active."""
+    """Collects the registries handed over and the simulators created
+    while active."""
 
     def __init__(self) -> None:
         self.registries: list[MetricsRegistry] = []
@@ -217,64 +156,41 @@ class TelemetryCapture:
     # a per-event path, which is what keeps capture overhead invisible to
     # the scheduler microbenchmark.
 
-    def snapshot(self) -> RegistrySnapshot:
-        """Fold everything captured into one canonical snapshot."""
-        merged = MetricsRegistry(capture=False)
+    def snapshot(self) -> MetricsRegistry:
+        """Fold everything captured into one registry."""
+        merged = MetricsRegistry()
         for registry in self.registries:
-            merged.merge(registry, exclude_components=NONDETERMINISTIC_COMPONENTS)
+            merged.merge(registry)
         if self.simulations:
             sims = merged.counter("scheduler", "simulations")
-            # Each simulation's events count once, from its account: an
-            # observed simulator's profiler counted the same events into
-            # the registry merged above.
             events = merged.counter("scheduler", "events_processed")
-            events.value = 0
             clock = merged.histogram("scheduler", "sim_clock_seconds")
             for account in self.simulations:
                 account.settle()
                 sims.inc()
                 events.inc(account.events_processed)
                 clock.observe(account.clock)
-        return RegistrySnapshot.of(merged)
-
-    def span_summaries(self) -> tuple[dict[str, Any], ...]:
-        """Per-(component, name) span rollup across observed simulators."""
-        rollup: dict[tuple[str, str], dict[str, Any]] = {}
-        for account in self.simulations:
-            account.settle()
-            for span in account.spans:
-                entry = rollup.setdefault(
-                    (span.component, span.name),
-                    {"component": span.component, "name": span.name,
-                     "count": 0, "total_duration": 0.0},
-                )
-                entry["count"] += 1
-                if span.end is not None:
-                    entry["total_duration"] += span.end - span.start
-        return tuple(rollup[key] for key in sorted(rollup))
+        return merged
 
     def finish(self, result: Any = None, usage: ShardUsage | None = None,
                ) -> ShardTelemetry:
         """Harvest the result shape and pack the shard's telemetry."""
         if result is not None:
-            harvest = MetricsRegistry(capture=False)
+            harvest = MetricsRegistry()
             harvest_result(result, harvest)
             self.registries.append(harvest)
-        return ShardTelemetry(
-            snapshot=self.snapshot(),
-            span_summaries=self.span_summaries(),
-            usage=usage,
-        )
+        return ShardTelemetry(metrics=self.snapshot(), usage=usage)
 
 
 _CAPTURES: list[TelemetryCapture] = []
 
 
-def active_capture() -> TelemetryCapture | None:
-    return _CAPTURES[-1] if _CAPTURES else None
-
-
 def register_registry(registry: MetricsRegistry) -> None:
+    """Hand ``registry`` to the innermost active capture, if one is active.
+
+    A shard function calls this for the registry it records into; the
+    registry is folded into the shard's telemetry when the shard finishes.
+    """
     if _CAPTURES:
         _CAPTURES[-1].registries.append(registry)
 
@@ -372,28 +288,15 @@ def harvest_result(result: Any, registry: MetricsRegistry, _depth: int = 0) -> N
 # ------------------------------------------------------------- aggregation
 
 
-def merge_telemetry(
-    telemetry: Iterator[ShardTelemetry | None] | list[ShardTelemetry | None],
-) -> tuple[RegistrySnapshot, tuple[dict[str, Any], ...]]:
-    """Fold shard telemetry (in shard-index order) into campaign totals.
+def merge_telemetry(telemetry: Iterable[ShardTelemetry | None]) -> MetricsRegistry:
+    """Fold shard registries, in shard-index order, into the campaign's.
 
-    Returns the merged deterministic snapshot and the merged span
-    summaries.  ``None`` entries (shards the user skipped, legacy cache
-    entries without telemetry) contribute nothing.
+    Shard order keeps even histogram totals (float sums) bit-identical
+    from run to run.  ``None`` entries (shards the user skipped, legacy
+    cache entries without telemetry) contribute nothing.
     """
-    merged = MetricsRegistry(capture=False)
-    spans: dict[tuple[str, str], dict[str, Any]] = {}
+    merged = MetricsRegistry()
     for shard in telemetry:
-        if shard is None:
-            continue
-        if shard.snapshot:
-            merged.merge(shard.snapshot.to_registry())
-        for summary in shard.span_summaries:
-            entry = spans.setdefault(
-                (summary["component"], summary["name"]),
-                {"component": summary["component"], "name": summary["name"],
-                 "count": 0, "total_duration": 0.0},
-            )
-            entry["count"] += summary["count"]
-            entry["total_duration"] += summary["total_duration"]
-    return RegistrySnapshot.of(merged), tuple(spans[key] for key in sorted(spans))
+        if shard is not None:
+            merged.merge(shard.metrics)
+    return merged

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from ..obs import telemetry
 from ..obs.manifest import RunManifest, ShardRow, manifest_path_for
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import RegistrySnapshot, ShardTelemetry
+from ..obs.telemetry import ShardTelemetry
 from .seeds import derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -192,11 +192,11 @@ def _run_shard(shard: Shard, base_seed: int) -> tuple[Any, float, ShardTelemetry
     """Execute one shard (worker side).
 
     Returns ``(result, wall seconds, telemetry)``: the shard function runs
-    inside a :func:`repro.obs.telemetry.capture`, so every registry and
-    simulator it constructs is folded into a picklable
-    :class:`~repro.obs.telemetry.ShardTelemetry` that rides back across the
-    process boundary with the result, along with the worker's own resource
-    account (wall/CPU seconds, peak RSS).
+    inside a :func:`repro.obs.telemetry.capture`, so the registry it hands
+    over and every simulator it constructs are folded into one registry,
+    which rides back across the process boundary in a
+    :class:`~repro.obs.telemetry.ShardTelemetry` with the result, along
+    with the worker's own resource account (wall/CPU seconds, peak RSS).
     """
     kwargs = shard.kwargs
     if shard.pass_seed:
@@ -263,8 +263,8 @@ class CampaignRunner:
         #: Per-shard telemetry of the last ``run()`` (None for shards that
         #: carried none, e.g. pre-telemetry cache entries).
         self.last_telemetry: list[ShardTelemetry | None] = []
-        self.last_snapshot: RegistrySnapshot = RegistrySnapshot.empty()
-        self.last_span_summaries: tuple[dict[str, Any], ...] = ()
+        #: The last ``run()``'s shard metrics, merged in shard order.
+        self.last_metrics = MetricsRegistry()
         self.last_shard_rows: tuple[ShardRow, ...] = ()
         self.last_manifest: RunManifest | None = None
         self.last_manifest_path: Path | None = None
@@ -422,7 +422,7 @@ class CampaignRunner:
             if lookup.hit:
                 results[index] = lookup.result
                 if isinstance(lookup.telemetry, ShardTelemetry):
-                    # The cached snapshot is the deterministic part only;
+                    # The cached telemetry is the deterministic part only;
                     # ``cached`` is this run's annotation, never stored.
                     telemetry_rows[index] = replace(lookup.telemetry, cached=True)
                 self._book(index, self._cache_hits, telemetry_rows[index])
@@ -597,9 +597,7 @@ class CampaignRunner:
     def _finalize(self, shards: list[Shard],
                   keys: list["CacheKey | None"]) -> None:
         """Merge shard telemetry (in shard order) and emit the manifest."""
-        snapshot, spans = telemetry.merge_telemetry(self.last_telemetry)
-        self.last_snapshot = snapshot
-        self.last_span_summaries = spans
+        self.last_metrics = telemetry.merge_telemetry(self.last_telemetry)
         self.last_shard_rows = tuple(
             ShardRow.from_telemetry(
                 index,
@@ -624,8 +622,7 @@ class CampaignRunner:
             campaign=self.campaign,
             seed=self.base_seed,
             jobs=self.jobs,
-            snapshot=self.last_snapshot,
-            span_summaries=self.last_span_summaries,
+            metrics=self.last_metrics,
             shard_rows=self.last_shard_rows,
             fault_profile=getattr(self, "_last_fault_profile", None),
             cache_fingerprint=self.cache.fingerprint if self.cache else None,

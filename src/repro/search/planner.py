@@ -39,6 +39,7 @@ from ..automation.dsl import parse_rule
 from ..cache.keys import canonical
 from ..fleet.engine import run_batches
 from ..obs.metrics import MetricsRegistry
+from ..obs.telemetry import register_registry
 from ..parallel import CampaignRunner, runner_or_serial
 from .engine import BehaviorTrace, run_program
 from .generator import RuleSetGenerator
@@ -244,11 +245,12 @@ def search_batch(
     Module-level and pure — workers import it by qualified name and the
     cache addresses it by ``(start, count, base_seed, budget)``.  Search
     telemetry (candidates explored, hits, shrink steps) is recorded into
-    a registry that auto-registers with the active telemetry capture, so
-    it merges into the campaign snapshot and manifest.
+    a registry handed to the active telemetry capture, so it merges into
+    the campaign's metrics and manifest.
     """
     generator = RuleSetGenerator(base_seed)
     registry = MetricsRegistry()
+    register_registry(registry)
     programs = registry.counter("search", "programs")
     candidates = registry.counter("search", "candidates_explored")
     hits = registry.counter("search", "hits")

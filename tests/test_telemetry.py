@@ -6,7 +6,7 @@ The pipeline's contract has three load-bearing properties:
   buckets, extrema, and therefore quantiles — so sharding can never change
   a merged metric (property-tested with hypothesis);
 * **worker telemetry survives the pool and the cache** — a shard's
-  snapshot rides back with its result, is cached alongside it, and warm
+  registry rides back with its result, is cached alongside it, and warm
   runs replay it byte-identically, so ``jobs=1`` == ``jobs=4`` == warm;
 * **the manifest round-trips** — write → load → diff-against-self reports
   zero drift, and degraded runs (in-process replays after worker failures)
@@ -34,14 +34,13 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
-    NONDETERMINISTIC_COMPONENTS,
-    RegistrySnapshot,
     ShardTelemetry,
     ShardUsage,
     capture,
     cpu_seconds_now,
     harvest_result,
     merge_telemetry,
+    register_registry,
 )
 from repro.parallel import CampaignRunner, Shard, derive_seed, fork_available
 from repro.simnet.scheduler import Simulator
@@ -49,7 +48,7 @@ from repro.simnet.scheduler import Simulator
 
 def _registry_with(counter: int = 0, gauge: float = 0.0,
                    samples: tuple[float, ...] = ()) -> MetricsRegistry:
-    registry = MetricsRegistry(capture=False)
+    registry = MetricsRegistry()
     if counter:
         registry.counter("test", "count").inc(counter)
     if gauge:
@@ -66,7 +65,7 @@ class TestMetricMerge:
         assert a.value("test", "count") == 7
 
     def test_gauge_merge_adds_values_maxes_high_water(self):
-        a, b = MetricsRegistry(capture=False), MetricsRegistry(capture=False)
+        a, b = MetricsRegistry(), MetricsRegistry()
         ga, gb = a.gauge("g", "depth"), b.gauge("g", "depth")
         ga.set(9.0)
         ga.set(2.0)
@@ -84,19 +83,11 @@ class TestMetricMerge:
             a.merge(b)
 
     def test_registry_merge_kind_conflict_rejected(self):
-        a, b = MetricsRegistry(capture=False), MetricsRegistry(capture=False)
+        a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c", "thing").inc()
         b.histogram("c", "thing").observe(1.0)
         with pytest.raises(TypeError):
             a.merge(b)
-
-    def test_merge_excludes_components(self):
-        a = MetricsRegistry(capture=False)
-        b = _registry_with(counter=2)
-        b.counter("parallel", "cache_hits").inc(5)
-        a.merge(b, exclude_components=NONDETERMINISTIC_COMPONENTS)
-        assert a.value("test", "count") == 2
-        assert a.get("parallel", "cache_hits") is None
 
 
 # Hypothesis: merged campaign numbers must not depend on merge order.
@@ -144,7 +135,7 @@ class TestMergeProperties:
     )
     def test_registry_merge_order_free(self, counters, samples):
         def build(order):
-            merged = MetricsRegistry(capture=False)
+            merged = MetricsRegistry()
             for i in order:
                 shard = _registry_with(
                     counter=counters[i % len(counters)],
@@ -158,46 +149,20 @@ class TestMergeProperties:
         assert forward.value("test", "count") == backward.value("test", "count")
         assert _hist_fingerprint(forward) == _hist_fingerprint(backward)
 
-    @settings(max_examples=25, deadline=None)
-    @given(a=_samples, b=_samples)
-    def test_snapshot_merge_matches_registry_merge(self, a, b):
-        direct = _registry_with(samples=tuple(a))
-        direct.merge(_registry_with(samples=tuple(b)))
-        via_snapshots = RegistrySnapshot.of(
-            _registry_with(samples=tuple(a))
-        ).merge(RegistrySnapshot.of(_registry_with(samples=tuple(b))))
-        assert via_snapshots == RegistrySnapshot.of(direct)
-
-
-class TestRegistrySnapshot:
-    def test_round_trip(self):
-        registry = _registry_with(counter=3, gauge=2.5, samples=(0.1, 4.2))
-        snap = RegistrySnapshot.of(registry)
-        assert RegistrySnapshot.of(snap.to_registry()) == snap
-
-    def test_picklable_and_canonical(self):
-        snap = RegistrySnapshot.of(_registry_with(counter=2, samples=(1.0,)))
-        clone = pickle.loads(pickle.dumps(snap))
-        assert clone == snap
-
-    def test_empty_is_falsy(self):
-        assert not RegistrySnapshot.empty()
-        assert RegistrySnapshot.of(_registry_with(counter=1))
-
 
 class TestCapture:
     def test_captures_registries_and_simulators(self):
         with capture() as cap:
             registry = MetricsRegistry()
+            register_registry(registry)
             registry.counter("app", "messages").inc(4)
             sim = Simulator(seed=3)
             sim.schedule(1.0, lambda: None)
             sim.run(5.0)
-        snap = cap.snapshot()
-        values = {(r["component"], r["name"]): r for r in snap.records}
-        assert values[("app", "messages")]["value"] == 4
-        assert values[("scheduler", "simulations")]["value"] == 1
-        assert values[("scheduler", "events_processed")]["value"] == 1
+        merged = cap.snapshot()
+        assert merged.value("app", "messages") == 4
+        assert merged.value("scheduler", "simulations") == 1
+        assert merged.value("scheduler", "events_processed") == 1
         assert sim.now == 5.0
 
     @pytest.mark.parametrize("observed", [False, True])
@@ -216,16 +181,12 @@ class TestCapture:
             del sim
             gc.collect()
             assert alive() is None
-        values = {(r["component"], r["name"]): r for r in cap.snapshot().records}
-        assert values[("scheduler", "simulations")]["value"] == 1
-        assert values[("scheduler", "events_processed")]["value"] == (2 if observed else 1)
-        assert values[("scheduler", "sim_clock_seconds")]["max"] == 5.0
-        spans = cap.span_summaries()
-        if observed:
-            assert spans == ({"component": "test", "name": "tick", "count": 1,
-                              "total_duration": 0.0},)
-        else:
-            assert spans == ()
+        merged = cap.snapshot()
+        assert merged.value("scheduler", "simulations") == 1
+        assert merged.value("scheduler", "events_processed") == (2 if observed else 1)
+        assert merged.histogram("scheduler", "sim_clock_seconds").max == 5.0
+        # An observed simulation's own registry stays on ``sim.obs``.
+        assert merged.find("scheduler", "timer_fired") == []
 
     def test_live_simulator_reported_at_snapshot_time(self):
         with capture() as cap:
@@ -233,35 +194,41 @@ class TestCapture:
             sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         sim.run(3.0)
-        values = {(r["component"], r["name"]): r for r in cap.snapshot().records}
-        assert values[("scheduler", "events_processed")]["value"] == 2
+        assert cap.snapshot().value("scheduler", "events_processed") == 2
 
     def test_parallel_component_excluded(self):
+        # Only a registry handed over joins the shard's telemetry: a
+        # runner's wall-clock bookkeeping built inside a shard never does.
         with capture() as cap:
+            CampaignRunner(jobs=1).registry.counter("parallel", "cache_hits").inc(9)
             registry = MetricsRegistry()
-            registry.counter("parallel", "cache_hits").inc(9)
+            register_registry(registry)
             registry.counter("app", "ok").inc()
-        records = cap.snapshot().records
-        assert all(r["component"] != "parallel" for r in records)
-        assert any(r["component"] == "app" for r in records)
+        records = cap.snapshot().snapshot()
+        assert [(r["component"], r["name"]) for r in records] == [("app", "ok")]
 
     def test_innermost_capture_wins(self):
+        def handed_over(name: str) -> None:
+            registry = MetricsRegistry()
+            register_registry(registry)
+            registry.counter("app", name).inc()
+
         with capture() as outer:
             with capture() as inner:
-                MetricsRegistry().counter("app", "inner").inc()
-            MetricsRegistry().counter("app", "outer").inc()
-        assert [r["name"] for r in inner.snapshot().records] == ["inner"]
-        assert [r["name"] for r in outer.snapshot().records] == ["outer"]
+                handed_over("inner")
+            handed_over("outer")
+        assert [r["name"] for r in inner.snapshot().snapshot()] == ["inner"]
+        assert [r["name"] for r in outer.snapshot().snapshot()] == ["outer"]
 
     def test_no_capture_is_free(self):
-        # Constructing registries/simulators outside a capture must not
-        # accumulate anywhere (no global leak).
+        # Registries handed over and simulators built outside a capture
+        # must not accumulate anywhere (no global leak).
         from repro.obs import telemetry as t
 
-        assert t.active_capture() is None
-        MetricsRegistry()
-        Simulator()
-        assert t.active_capture() is None
+        assert t._CAPTURES == []
+        register_registry(MetricsRegistry())
+        assert Simulator()._telemetry_account is None
+        assert t._CAPTURES == []
 
 
 class _FakeResult:
@@ -276,7 +243,7 @@ class _FakeResult:
 
 class TestHarvest:
     def test_result_shapes_mirrored(self):
-        registry = MetricsRegistry(capture=False)
+        registry = MetricsRegistry()
         harvest_result([_FakeResult(), None], registry)
         assert registry.value("faults", "dropped_frames") == 3
         assert registry.value("invariants", "runs_audited") == 1
@@ -291,22 +258,25 @@ class TestHarvest:
 
 class TestShardTelemetry:
     def test_pickle_round_trip(self):
+        # A shard's registry crosses the pool and the cache as a pickle.
         with capture() as cap:
-            MetricsRegistry().counter("app", "n").inc(2)
+            register_registry(_registry_with(counter=2, gauge=2.5, samples=(0.1, 4.2)))
         telemetry = cap.finish(usage=ShardUsage(1.0, 0.9, 1024))
         clone = pickle.loads(pickle.dumps(telemetry))
-        assert clone == telemetry
+        assert clone.metrics.snapshot() == telemetry.metrics.snapshot()
+        assert clone.metrics.value("test", "count") == 2
+        assert clone.usage == telemetry.usage
 
     def test_deterministic_strips_run_specific_state(self):
         shard = ShardTelemetry(
-            snapshot=RegistrySnapshot.of(_registry_with(counter=1)),
+            metrics=_registry_with(counter=1),
             usage=ShardUsage(1.0, 0.5, 2048),
             replayed=True,
             cached=True,
         )
         det = shard.deterministic()
         assert det.usage is None and not det.replayed and not det.cached
-        assert det.snapshot == shard.snapshot
+        assert det.metrics is shard.metrics
 
     def test_usage_measure(self):
         usage = ShardUsage.measure(1.0, 3.5, 0.0)
@@ -316,11 +286,10 @@ class TestShardTelemetry:
         assert cpu_seconds_now() > 0.0
 
     def test_merge_telemetry_skips_none(self):
-        one = ShardTelemetry(snapshot=RegistrySnapshot.of(_registry_with(counter=2)))
-        snap, spans = merge_telemetry([None, one, None, one])
-        assert spans == ()
-        [record] = [r for r in snap.records if r["name"] == "count"]
-        assert record["value"] == 4
+        one = ShardTelemetry(metrics=_registry_with(counter=2))
+        merged = merge_telemetry([None, one, None, one])
+        assert merged.value("test", "count") == 4
+        assert one.metrics.value("test", "count") == 2  # shards stay as they were
 
 
 # Module-level shard fns (workers unpickle by qualified name).
@@ -349,10 +318,7 @@ class TestRunnerTelemetry:
         assert all(t is not None for t in runner.last_telemetry)
         assert all(t.usage is not None for t in runner.last_telemetry)
         assert all(t.events_processed() == 3 for t in runner.last_telemetry)
-        events = [r for r in runner.last_snapshot.records
-                  if (r["component"], r["name"]) == ("scheduler", "events_processed")
-                  and not r.get("labels")]
-        assert [r["value"] for r in events] == [9]
+        assert runner.last_metrics.value("scheduler", "events_processed") == 9
         assert runner.last_manifest_path == tmp_path / "m.jsonl"
         loaded = RunManifest.load(runner.last_manifest_path)
         assert loaded.header["campaign"] == "tele-serial"
@@ -365,13 +331,13 @@ class TestRunnerTelemetry:
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_pool_telemetry_identical_to_serial(self, tmp_path):
-        def merged(jobs: int) -> RegistrySnapshot:
+        def merged(jobs: int) -> list[dict]:
             runner = CampaignRunner(jobs=jobs, manifest=False)
             runner.run([
                 Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
                 for i in range(4)
             ], campaign="tele-eq", base_seed=5)
-            return runner.last_snapshot
+            return runner.last_metrics.snapshot()
 
         assert merged(1) == merged(4)
 
@@ -402,8 +368,8 @@ class TestRunnerTelemetry:
         warm.run(shards, campaign="tele-cache", base_seed=5)
         assert warm.completed == 3
         assert all(t is not None and t.cached for t in warm.last_telemetry)
-        # the deterministic merged snapshot is byte-identical warm vs cold
-        assert warm.last_snapshot == cold.last_snapshot
+        # the merged metrics are byte-identical warm vs cold
+        assert warm.last_metrics.snapshot() == cold.last_metrics.snapshot()
         # but the warm run's rows carry no usage (nothing executed)
         assert all(t.usage is None for t in warm.last_telemetry)
 
