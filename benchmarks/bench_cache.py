@@ -16,10 +16,10 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro.cache import CampaignCache
+from repro.cache.store import CampaignCache
 from repro.experiments.table1 import render_table1, run_table1
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import CampaignRunner
+from repro.parallel.runner import CampaignRunner
 
 from _perf import baseline_matches, check_regression, record_bench
 from conftest import bench_trials

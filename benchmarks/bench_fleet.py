@@ -20,8 +20,9 @@ import statistics
 import time
 import tracemalloc
 
-from repro.fleet import FleetSampler, run_fleet, run_home
-from repro.parallel import CampaignRunner, fork_available
+from repro.fleet.engine import run_fleet, run_home
+from repro.fleet.sampler import FleetSampler
+from repro.parallel.runner import CampaignRunner, fork_available
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
 from conftest import bench_jobs

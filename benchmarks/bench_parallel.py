@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.experiments.table1 import render_table1, run_table1
-from repro.parallel import CampaignRunner, fork_available
+from repro.parallel.runner import CampaignRunner, fork_available
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
 from conftest import bench_jobs, bench_trials

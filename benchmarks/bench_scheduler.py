@@ -5,13 +5,13 @@ hold of the reproduction, so its per-event overhead multiplies into every
 campaign's wall clock.  This bench measures two workloads:
 
 * the **headline** (``events_per_sec``): pure periodic keep-alives via
-  :meth:`~repro.simnet.Simulator.schedule_periodic` — the dominant event
+  :meth:`~repro.simnet.scheduler.Simulator.schedule_periodic` — the dominant event
   mix of an idle IoT fleet (each timer re-armed in place in the event
   heap, zero Timer allocation per fire);
 * the **one-shot chain** (``oneshot_events_per_sec``): self-rescheduling
   timer chains plus a cancelled decoy per fire (defensive ``cancel()``
   calls from protocol state machines), driven through both the current
-  :class:`repro.simnet.Simulator` and ``_LegacySimulator`` — a faithful
+  :class:`repro.simnet.scheduler.Simulator` and ``_LegacySimulator`` — a faithful
   clone of the seed's ``_Entry``-dataclass loop (rich-comparison heap
   nodes, ``peek()``/``step()`` double scan).
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import os
 import time
 
-from repro.parallel import CampaignRunner, fork_available
-from repro.search import run_search
+from repro.parallel.runner import CampaignRunner, fork_available
+from repro.search.planner import run_search
 
 from _perf import baseline_matches, check_regression, cpu_comparable, record_bench
 from conftest import bench_jobs

@@ -13,7 +13,7 @@ Environment knobs (all optional):
     faster.  CI's smoke job runs with ``REPRO_BENCH_TRIALS=2``.
 ``REPRO_BENCH_JOBS``
     Worker-process count for the parallel campaign benches.  Defaults to
-    the machine's CPU count (capped by ``repro.parallel.JOBS_CAP``).
+    the machine's CPU count (capped by ``repro.parallel.runner.JOBS_CAP``).
 ``REPRO_BENCH_OUT``
     Where ``benchmarks/_perf.record_bench`` writes the perf-trajectory
     file (default: ``BENCH_campaign.json`` at the repo root).
@@ -34,7 +34,7 @@ def bench_trials(default: int = 20) -> int:
 
 def bench_jobs(default: int | None = None) -> int:
     """Worker count for parallel benches (``REPRO_BENCH_JOBS`` wins)."""
-    from repro.parallel import resolve_jobs
+    from repro.parallel.runner import resolve_jobs
 
     env = os.environ.get("REPRO_BENCH_JOBS")
     if env is not None:

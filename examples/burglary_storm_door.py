@@ -14,8 +14,8 @@ them.  No alarm fires anywhere.
 Run:  python examples/burglary_storm_door.py
 """
 
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
 from repro.testbed import SmartHomeTestbed
 
 

@@ -13,9 +13,9 @@ impairments — loss, bursts, jitter, duplication — injected by
 Run:  python examples/fault_injection_demo.py
 """
 
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker
-from repro.faults import get_profile
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
+from repro.faults.profiles import get_profile
 from repro.testbed import SmartHomeTestbed
 
 

@@ -11,9 +11,10 @@ Run:  python examples/full_campaign.py
 """
 
 from repro.analysis.timeline import ordering_violations, render_timeline
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker
-from repro.core.attacks import AttackCampaign, AttackPlanner, render_campaign, render_plan
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
+from repro.core.attacks.campaign import AttackCampaign, render_campaign
+from repro.core.attacks.planner import AttackPlanner, render_plan
 from repro.devices.profiles import CATALOGUE
 from repro.testbed import SmartHomeTestbed
 

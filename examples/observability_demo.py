@@ -11,9 +11,9 @@ vs. TCP retransmission vs. ordinary transit.
 Run:  python examples/observability_demo.py
 """
 
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker
-from repro.obs import attribute_delay, link_hold_spans
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
+from repro.obs.attribution import attribute_delay, link_hold_spans
 from repro.testbed import SmartHomeTestbed
 
 

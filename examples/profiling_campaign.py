@@ -12,7 +12,7 @@ server domains) and match it against the signature database.
 Run:  python examples/profiling_campaign.py
 """
 
-from repro.core import FingerprintDatabase, PhantomDelayAttacker
+from repro.core.attacker import PhantomDelayAttacker
 from repro.testbed import SmartHomeTestbed
 
 

@@ -10,7 +10,8 @@ TLS verifies, no layer alarms, and the cloud happily accepts a stale event.
 Run:  python examples/quickstart.py
 """
 
-from repro.core import PhantomDelayAttacker, TimeoutBehavior
+from repro.core.attacker import PhantomDelayAttacker
+from repro.core.predictor import TimeoutBehavior
 from repro.simnet.scheduler import run_until
 from repro.testbed import SmartHomeTestbed
 

@@ -12,8 +12,9 @@
 Run:  python examples/rule_inference_attack.py
 """
 
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker, TimeoutBehavior
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
+from repro.core.predictor import TimeoutBehavior
 from repro.core.inference import RuleInferencer, render_hypotheses
 from repro.simnet.scheduler import run_until
 from repro.testbed import SmartHomeTestbed

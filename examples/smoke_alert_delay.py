@@ -9,8 +9,8 @@ layer of the stack notices anything.
 Run:  python examples/smoke_alert_delay.py
 """
 
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
 from repro.testbed import SmartHomeTestbed
 
 

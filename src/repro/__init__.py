@@ -19,5 +19,3 @@ home + cloud + attacker) or from the examples directory.
 """
 
 __version__ = "1.0.0"
-
-__all__ = ["__version__"]

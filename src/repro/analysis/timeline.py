@@ -100,7 +100,7 @@ def build_timeline_from_trace(spans: list[Span], since: float = 0.0) -> list[Tim
     """Rebuild a campaign timeline purely from recorded span data.
 
     This is the offline counterpart of :func:`build_timeline`: a trace
-    exported with :meth:`~repro.obs.Tracer.export_jsonl` round-trips into
+    exported with :meth:`~repro.obs.tracing.Tracer.export_jsonl` round-trips into
     the same chronological view without a live testbed — plus the attacker
     hold windows, which the live view cannot see.
     """

@@ -1,58 +1,1 @@
 """Application-layer IoT protocols: messages, dialects, and timeout engines."""
-
-from .base import (
-    DeviceProtocolClient,
-    PendingCommand,
-    ProtocolConfig,
-    SentEvent,
-    ServerDeviceSession,
-)
-from .codecs import CODECS, HapCodec, HttpCodec, MqttCodec, WireCodec, codec_by_name
-from .keepalive import FIXED, KeepAlivePolicy, ON_IDLE
-from .messages import (
-    ALL_KINDS,
-    COMMAND,
-    COMMAND_ACK,
-    CONNACK,
-    CONNECT,
-    DISCONNECT,
-    EVENT,
-    EVENT_ACK,
-    IoTMessage,
-    KEEPALIVE,
-    KEEPALIVE_ACK,
-    MessageDecodeError,
-    decode_body,
-    encode_body,
-)
-
-__all__ = [
-    "ALL_KINDS",
-    "CODECS",
-    "COMMAND",
-    "COMMAND_ACK",
-    "CONNACK",
-    "CONNECT",
-    "DISCONNECT",
-    "DeviceProtocolClient",
-    "EVENT",
-    "EVENT_ACK",
-    "FIXED",
-    "HapCodec",
-    "HttpCodec",
-    "IoTMessage",
-    "KEEPALIVE",
-    "KEEPALIVE_ACK",
-    "KeepAlivePolicy",
-    "MessageDecodeError",
-    "MqttCodec",
-    "ON_IDLE",
-    "PendingCommand",
-    "ProtocolConfig",
-    "SentEvent",
-    "ServerDeviceSession",
-    "WireCodec",
-    "codec_by_name",
-    "decode_body",
-    "encode_body",
-]

@@ -1,41 +1,19 @@
 """Content-addressed campaign cache: re-run nothing the code already ran.
 
-Public surface:
+Modules:
 
-* :class:`CampaignCache` — the disk store: ``key_for`` / ``get`` / ``put``
-  plus the ``stats`` / ``verify`` / ``gc`` maintenance surface behind
-  ``phantom-delay cache``;
-* :func:`resolve_cache` — normalises the ``cache=`` argument a
-  :class:`~repro.parallel.CampaignRunner` accepts (``True`` → default
-  store, ``False``/``None`` → off, instance → itself);
-* :func:`code_fingerprint` / :func:`canonical` / :func:`digest` — the key
-  derivation, pinned by golden digests in ``tests/test_cache.py``.
+* :mod:`repro.cache.store` — :class:`~repro.cache.store.CampaignCache`,
+  the disk store (``key_for`` / ``get`` / ``put`` plus the ``stats`` /
+  ``verify`` / ``gc`` maintenance surface behind ``phantom-delay cache``);
+  :func:`~repro.cache.store.resolve_cache`, which normalises the
+  ``cache=`` argument a :class:`~repro.parallel.runner.CampaignRunner`
+  accepts (``True`` → default store, ``False``/``None`` → off, instance →
+  itself); and :func:`~repro.cache.store.write_atomically`, the one
+  temp-file-and-replace write behind cache entries, manifests and metric
+  exports;
+* :mod:`repro.cache.keys` — the key derivation (``code_fingerprint``,
+  ``canonical``, ``digest``), pinned by golden digests in
+  ``tests/test_cache.py``.
 
 See ``docs/API.md`` for the keying rules and invalidation model.
 """
-
-from .keys import KEY_SCHEMA, canonical, code_fingerprint, digest, qualified_name
-from .store import (
-    CACHE_DIR_ENV,
-    CacheKey,
-    CacheLookup,
-    CampaignCache,
-    VerifyOutcome,
-    default_cache_dir,
-    resolve_cache,
-)
-
-__all__ = [
-    "CACHE_DIR_ENV",
-    "KEY_SCHEMA",
-    "CacheKey",
-    "CacheLookup",
-    "CampaignCache",
-    "VerifyOutcome",
-    "canonical",
-    "code_fingerprint",
-    "default_cache_dir",
-    "digest",
-    "qualified_name",
-    "resolve_cache",
-]

@@ -21,6 +21,7 @@ different source tree is *stale* and is overwritten on the next put.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
 import pickle
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from ..parallel.seeds import derive_seed
 from .keys import (
     KEY_SCHEMA,
     PICKLE_PROTOCOL,
@@ -48,6 +50,27 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "repro-phantom-delay"
+
+
+def write_atomically(path: str | os.PathLike, text: str) -> Path:
+    """Write ``text`` to ``path`` so a reader sees the old file or the new.
+
+    The text lands in a temp file beside ``path`` (``.<name>-*.tmp``) that
+    ``os.replace`` moves over it; on any failure the temp file is removed
+    and whatever ``path`` held is left untouched.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return target
 
 
 @dataclass(frozen=True)
@@ -113,7 +136,7 @@ class CampaignCache:
     # ---------------------------------------------------------------- keys
 
     def key_for(self, shard: Any, base_seed: int) -> CacheKey:
-        """The cache identity of one :class:`~repro.parallel.Shard`.
+        """The cache identity of one :class:`~repro.parallel.runner.Shard`.
 
         The seed is resolved exactly as the runner resolves it (explicit,
         else derived from ``(base_seed, shard.key)``; ``None`` when the
@@ -121,8 +144,6 @@ class CampaignCache:
         :func:`~repro.faults.profiles.resolve_profile` so a spec string
         and its equivalent profile share an entry.
         """
-        from ..parallel.seeds import derive_seed
-
         seed: int | None = None
         if shard.pass_seed:
             seed = shard.seed if shard.seed is not None else derive_seed(
@@ -215,20 +236,7 @@ class CampaignCache:
             "result_digest": digest(result_blob),
         }
         blob = json.dumps(provenance) + "\n" + json.dumps(payload) + "\n"
-        self.shard_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.shard_dir, prefix=".put-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
-            os.replace(tmp, self._path(key.logical))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomically(self._path(key.logical), blob)
 
     # ---------------------------------------------------------- maintenance
 

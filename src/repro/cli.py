@@ -9,7 +9,7 @@ integrity, robustness, jamming and recognition) have no handler here:
 their subcommands come from the registry, and :func:`_run_experiment` runs
 an entry exactly as the campaign service does.  So ``phantom-delay <name>``
 and ``phantom-delay submit <name>`` print the same output by construction.
-Every campaign command builds one :class:`~repro.parallel.CampaignRunner`
+Every campaign command builds one :class:`~repro.parallel.runner.CampaignRunner`
 from ``--jobs``, ``--cache`` and ``--manifest`` and hands it to the driver.
 """
 
@@ -21,7 +21,7 @@ import sys
 from .analysis.reporting import TextTable, fmt_window
 from .devices.profiles import CATALOGUE
 from .experiments.registry import ExperimentSpec, experiment_names, get_experiment
-from .parallel import CampaignRunner
+from .parallel.runner import CampaignRunner
 
 
 def _runner(args: argparse.Namespace) -> CampaignRunner:
@@ -178,7 +178,8 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         print(f"unexpected arguments for observe: {args.paths}", file=sys.stderr)
         return 2
 
-    from .obs import Tracer, attribute_delay, link_hold_spans, render_span_tree
+    from .obs.attribution import attribute_delay, link_hold_spans
+    from .obs.tracing import Tracer, render_span_tree
 
     if args.trace:
         # Offline mode: render a previously exported trace.
@@ -191,8 +192,8 @@ def _cmd_observe(args: argparse.Namespace) -> int:
         print(render_timeline_from_trace(spans))
         return 0
 
-    from .automation import parse_rule
-    from .core import PhantomDelayAttacker
+    from .automation.dsl import parse_rule
+    from .core.attacker import PhantomDelayAttacker
     from .testbed import SmartHomeTestbed
 
     home = SmartHomeTestbed(seed=args.seed, observe=True)
@@ -239,7 +240,7 @@ def _cmd_observe(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect, verify, or prune the content-addressed campaign cache."""
-    from .cache import CampaignCache
+    from .cache.store import CampaignCache
 
     cache = CampaignCache()
     if args.action == "stats":
@@ -287,7 +288,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .fleet import FleetSampler, run_fleet
+    from .fleet.engine import run_fleet
+    from .fleet.sampler import FleetSampler
 
     if args.action == "spec":
         sampler = FleetSampler(args.seed)
@@ -356,13 +358,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .search import (
-        RuleSetGenerator,
-        TABLE3_EXPECTED,
-        plan_specs,
-        run_search,
-        table3_specs,
-    )
+    from .search.generator import RuleSetGenerator
+    from .search.planner import plan_specs, run_search
+    from .search.table3 import TABLE3_EXPECTED, table3_specs
 
     if args.action == "spec":
         generator = RuleSetGenerator(args.seed)

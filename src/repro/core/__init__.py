@@ -14,74 +14,3 @@ Kill chain, in the paper's order:
 
 :class:`~repro.core.attacker.PhantomDelayAttacker` bundles the chain.
 """
-
-from .arp_spoofer import ArpSpoofer, SpoofTarget
-from .attacker import PhantomDelayAttacker
-from .fingerprint import (
-    FingerprintDatabase,
-    FlowObservation,
-    Match,
-    TrafficSignature,
-    extract_observation,
-)
-from .hijacker import (
-    DOWNLINK,
-    EVENT_FIN,
-    EVENT_RST,
-    EVENT_SYN,
-    FlowEvent,
-    Hold,
-    TcpHijacker,
-    UPLINK,
-)
-from .predictor import (
-    CAUSE_COMMAND_RESPONSE,
-    CAUSE_EVENT_ACK,
-    CAUSE_KEEPALIVE_REPLY,
-    CAUSE_NONE,
-    CAUSE_SERVER_LIVENESS,
-    Prediction,
-    TimeoutBehavior,
-    TimeoutPredictor,
-)
-from .inference import RuleHypothesis, RuleInferencer, render_hypotheses
-from .knowledge import KnowledgeBase, KnowledgeEntry
-from .primitives import CDelay, DelayOperation, EDelay
-from .profiler import ProfileReport, TimeoutProfiler, TrialResult
-
-__all__ = [
-    "ArpSpoofer",
-    "CAUSE_COMMAND_RESPONSE",
-    "CAUSE_EVENT_ACK",
-    "CAUSE_KEEPALIVE_REPLY",
-    "CAUSE_NONE",
-    "CAUSE_SERVER_LIVENESS",
-    "CDelay",
-    "DOWNLINK",
-    "DelayOperation",
-    "EDelay",
-    "EVENT_FIN",
-    "EVENT_RST",
-    "EVENT_SYN",
-    "FingerprintDatabase",
-    "FlowEvent",
-    "FlowObservation",
-    "Hold",
-    "KnowledgeBase",
-    "KnowledgeEntry",
-    "Match",
-    "PhantomDelayAttacker",
-    "Prediction",
-    "ProfileReport",
-    "RuleHypothesis",
-    "RuleInferencer",
-    "SpoofTarget",
-    "render_hypotheses",
-    "TcpHijacker",
-    "TimeoutBehavior",
-    "TimeoutPredictor",
-    "TrafficSignature",
-    "TrialResult",
-    "UPLINK",
-    "extract_observation",
-]

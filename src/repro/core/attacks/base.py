@@ -210,9 +210,9 @@ def run_scenario(
 
     With ``observe`` the testbed records metrics and causal spans; the
     result's ``obs`` field exposes them for post-run attribution.  With
-    ``faults`` (a :class:`~repro.faults.FaultProfile` or spec string) the
+    ``faults`` (a :class:`~repro.faults.profiles.FaultProfile` or spec string) the
     LAN runs impaired; with ``check_invariants`` the cross-layer
-    :class:`~repro.faults.InvariantSuite` audits the whole run.
+    :class:`~repro.faults.invariants.InvariantSuite` audits the whole run.
     """
     tb = SmartHomeTestbed(
         seed=seed,

@@ -1,47 +1,1 @@
 """IoT device models: the 50-device catalogue and their runtimes."""
-
-from .base import (
-    CameraDevice,
-    HubChildDevice,
-    HubDevice,
-    IoTDevice,
-    WifiDevice,
-    ZIGBEE_LATENCY,
-)
-from .behaviors import KIND_BEHAVIORS, KindBehavior, behavior_for
-from .profiles import (
-    ACTUATOR,
-    CAMERA,
-    CATALOGUE,
-    Catalogue,
-    DeviceProfile,
-    HUB,
-    INF,
-    SECURITY,
-    SENSOR,
-    TABLE_CLOUD,
-    TABLE_LOCAL,
-)
-
-__all__ = [
-    "ACTUATOR",
-    "CAMERA",
-    "CATALOGUE",
-    "CameraDevice",
-    "Catalogue",
-    "DeviceProfile",
-    "HUB",
-    "HubChildDevice",
-    "HubDevice",
-    "INF",
-    "IoTDevice",
-    "KIND_BEHAVIORS",
-    "KindBehavior",
-    "SECURITY",
-    "SENSOR",
-    "TABLE_CLOUD",
-    "TABLE_LOCAL",
-    "WifiDevice",
-    "ZIGBEE_LATENCY",
-    "behavior_for",
-]

@@ -21,7 +21,7 @@ from ..analysis.reporting import TextTable, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.hijacker import TcpHijacker
 from ..devices.profiles import CATALOGUE
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from ..simnet.scheduler import run_until
 

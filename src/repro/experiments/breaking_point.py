@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..fleet import DEFAULT_BATCH_SIZE, FleetReport, run_fleet
+from ..fleet.engine import DEFAULT_BATCH_SIZE, FleetReport, run_fleet
 from ..obs.metrics import MetricsRegistry
-from ..parallel import CampaignRunner, runner_or_serial
+from ..parallel.runner import CampaignRunner, runner_or_serial
 
 #: Stop reasons, in the order they are checked (first trip wins).
 REASON_WALL_CLOCK = "wall-clock"

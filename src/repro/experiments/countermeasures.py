@@ -33,7 +33,7 @@ from ..countermeasures.ack_timeout import (
 from ..countermeasures.remediation import RemediationPolicy
 from ..countermeasures.timestamp_check import DelayAnomalyDetector
 from ..devices.profiles import CATALOGUE, Catalogue, TABLE_CLOUD
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from ..simnet.scheduler import run_until
 

@@ -14,7 +14,7 @@ one path leads from either front-end to the driver.
 
 Every registered ``run`` callable accepts its experiment's keyword
 arguments plus ``seed=`` and ``runner=`` (a caller-built
-:class:`~repro.parallel.CampaignRunner` carrying worker count, cache,
+:class:`~repro.parallel.runner.CampaignRunner` carrying worker count, cache,
 manifest policy and, in the service, the shared pool, cancel signal and
 progress observer).  The service passes a spec's kwargs; the CLI passes
 the global flags named in :attr:`ExperimentSpec.flags` that the user gave,

@@ -22,7 +22,7 @@ from ..analysis.reporting import TextTable
 from ..core.attacks.base import Scenario, compare_scenario
 from ..core.attacks.scenarios import TABLE3_SCENARIOS
 from ..faults.profiles import FaultProfile
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 
 #: Default sweep: clean through "bad home WiFi" (5% loss / 20 ms jitter).
 DEFAULT_LOSS_GRID = (0.0, 0.01, 0.03, 0.05)

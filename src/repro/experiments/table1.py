@@ -16,7 +16,7 @@ from ..core.attacker import PhantomDelayAttacker
 from ..core.profiler import ProfileReport
 from ..devices.base import HubDevice, IoTDevice
 from ..devices.profiles import CATALOGUE, DeviceProfile, TABLE_CLOUD
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 
 

@@ -16,7 +16,7 @@ from ..analysis.reporting import TextTable, fmt_seconds, fmt_window
 from ..core.attacker import PhantomDelayAttacker
 from ..core.profiler import ProfileReport
 from ..devices.profiles import CATALOGUE, TABLE_LOCAL, DeviceProfile
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from .table1 import make_event_trigger
 

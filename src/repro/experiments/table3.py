@@ -13,7 +13,7 @@ from typing import Any
 from ..analysis.reporting import TextTable
 from ..core.attacks.base import Scenario, ScenarioResult, compare_scenario
 from ..core.attacks.scenarios import FIGURE3_SCENARIOS, TABLE3_SCENARIOS
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from ..analysis.reporting import TextTable
 from ..core.attacker import PhantomDelayAttacker
 from ..devices.profiles import CATALOGUE, TABLE_CLOUD
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from ..simnet.scheduler import run_until
 from .table1 import make_event_trigger

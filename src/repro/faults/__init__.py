@@ -18,32 +18,3 @@ A run with any fault profile active and the invariant suite silent is the
 simulator's proof of honesty: everything the impaired network did was
 recovered by TCP, verified by TLS, and never invented an automation firing.
 """
-
-from .injector import FaultInjector
-from .invariants import (
-    INV_HOLD_ORDER,
-    INV_RULE_PROVENANCE,
-    INV_TCP_STREAM,
-    INV_TLS_INTEGRITY,
-    InvariantError,
-    InvariantSuite,
-    Violation,
-)
-from .invariants import ALL_INVARIANTS
-from .profiles import PROFILES, FaultProfile, get_profile, resolve_profile
-
-__all__ = [
-    "ALL_INVARIANTS",
-    "FaultInjector",
-    "FaultProfile",
-    "INV_HOLD_ORDER",
-    "INV_RULE_PROVENANCE",
-    "INV_TCP_STREAM",
-    "INV_TLS_INTEGRITY",
-    "InvariantError",
-    "InvariantSuite",
-    "PROFILES",
-    "Violation",
-    "get_profile",
-    "resolve_profile",
-]

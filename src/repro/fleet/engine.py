@@ -40,7 +40,7 @@ from ..automation.dsl import parse_rule
 from ..cache.keys import canonical
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import register_registry
-from ..parallel import CampaignRunner, Shard, runner_or_serial
+from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
 from .sampler import FleetSampler, home_seed
 from .spec import HomeSpec, Stimulus

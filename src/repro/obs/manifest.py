@@ -18,16 +18,16 @@ surfaced as context, never as drift.
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import json
 import os
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..cache.store import default_cache_dir, write_atomically
 from .metrics import MetricsRegistry
 from .telemetry import ShardTelemetry
 
@@ -38,8 +38,12 @@ MANIFEST_SCHEMA = 1
 MANIFEST_DIR_ENV = "REPRO_MANIFEST_DIR"
 
 
+@functools.cache
 def git_describe() -> str:
-    """Best-effort code identity (``unknown`` outside a git repo)."""
+    """Best-effort code identity (``unknown`` outside a git repo).
+
+    Asked once per process: the code a process runs cannot change under it.
+    """
     root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))))
     try:
@@ -62,8 +66,6 @@ def manifest_dir() -> Path:
     env = os.environ.get(MANIFEST_DIR_ENV)
     if env:
         return Path(env)
-    from ..cache.store import default_cache_dir
-
     return default_cache_dir() / "manifests"
 
 
@@ -205,21 +207,9 @@ class RunManifest:
         return out
 
     def write(self, path: str | os.PathLike) -> Path:
-        """Write the manifest atomically (same-dir temp + ``os.replace``)."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
+        """Write the manifest atomically (see :func:`write_atomically`)."""
         blob = "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records())
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".manifest-",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
-            os.replace(tmp, target)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        return target
+        return write_atomically(path, blob)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunManifest":

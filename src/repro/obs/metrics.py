@@ -18,12 +18,11 @@ structured event records rather than live state).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
-import tempfile
 from typing import Any, Iterable
+
+from ..cache.store import write_atomically
 
 #: Canonical identity of one metric: (component, name, sorted label pairs).
 MetricKey = tuple[str, str, tuple[tuple[str, str], ...]]
@@ -319,21 +318,11 @@ class MetricsRegistry:
         """Write a snapshot as JSON lines, atomically; returns the count.
 
         Serialisation happens before the destination is touched and the
-        blob lands via a same-directory temp file + ``os.replace``, so a
-        crash mid-export never truncates an existing snapshot.
+        blob lands through :func:`~repro.cache.store.write_atomically`, so
+        a crash mid-export never truncates an existing snapshot.
         """
         records = self.snapshot()
-        blob = "".join(json.dumps(r) + "\n" for r in records)
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".metrics-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
+        write_atomically(path, "".join(json.dumps(r) + "\n" for r in records))
         return len(records)
 
     # ------------------------------------------------------------ rendering

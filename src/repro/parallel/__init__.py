@@ -1,40 +1,17 @@
 """Parallel campaign execution: shard-per-device fan-out over processes.
 
-Public surface:
+Modules:
 
-* :func:`derive_seed` — stable per-shard seed derivation;
-* :class:`Shard` — one independent simulation of a campaign;
-* :class:`CampaignRunner` — ordered, deterministic fan-out/merge: the
-  execution context a caller builds once and hands to any driver;
-* :func:`runner_or_serial` — a driver's default runner (serial, uncached);
-* :class:`CampaignCancelled` — raised on cooperative mid-campaign cancel;
-* :class:`SharedWorkerPool` — one long-lived pool shared by many runners
-  (the campaign service's execution substrate);
-* :func:`resolve_jobs` / :func:`fork_available` — worker-count policy.
+* :mod:`repro.parallel.seeds` — ``derive_seed``, the stable per-shard seed
+  derivation;
+* :mod:`repro.parallel.runner` — ``Shard`` (one independent simulation of
+  a campaign); ``CampaignRunner``, the ordered, deterministic
+  fan-out/merge a caller builds once and hands to any driver;
+  ``runner_or_serial``, a driver's default runner (serial, uncached);
+  ``CampaignCancelled``, raised on cooperative mid-campaign cancel;
+  ``SharedWorkerPool``, one long-lived pool shared by many runners (the
+  campaign service's execution substrate); and ``resolve_jobs`` /
+  ``fork_available``, the worker-count policy.
 
 See ``docs/API.md`` for the determinism guarantee and usage examples.
 """
-
-from .runner import (
-    JOBS_CAP,
-    CampaignCancelled,
-    CampaignRunner,
-    Shard,
-    SharedWorkerPool,
-    fork_available,
-    resolve_jobs,
-    runner_or_serial,
-)
-from .seeds import derive_seed
-
-__all__ = [
-    "JOBS_CAP",
-    "CampaignCancelled",
-    "CampaignRunner",
-    "Shard",
-    "SharedWorkerPool",
-    "derive_seed",
-    "fork_available",
-    "resolve_jobs",
-    "runner_or_serial",
-]

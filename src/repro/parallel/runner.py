@@ -24,7 +24,7 @@ A shard whose future fails for infrastructure reasons (broken pool,
 unpicklable result) is transparently re-run in-process; genuine errors
 re-raise there with their original traceback.
 
-With a :class:`~repro.cache.CampaignCache` attached, every shard is first
+With a :class:`~repro.cache.store.CampaignCache` attached, every shard is first
 looked up by its content address — fully-qualified function, canonical
 kwargs, resolved seed, and the source-tree fingerprint — and hits skip
 process dispatch entirely: a warm campaign is file reads plus rendering,
@@ -50,16 +50,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import Any, Callable, Sequence
 
+from ..cache.store import CacheKey, CampaignCache, resolve_cache
 from ..obs import telemetry
 from ..obs.manifest import RunManifest, ShardRow, manifest_path_for
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import ShardTelemetry
 from .seeds import derive_seed
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..cache import CacheKey, CampaignCache
 
 #: ``--jobs`` defaults to the CPU count but never above this: the shards
 #: are CPU-bound simulations, and a wall of workers on a big host mostly
@@ -229,7 +227,7 @@ class CampaignRunner:
         self,
         jobs: int | None = None,
         registry: MetricsRegistry | None = None,
-        cache: "CampaignCache | bool | None" = None,
+        cache: CampaignCache | bool | None = None,
         manifest: "bool | str | os.PathLike | None" = True,
         pool: SharedWorkerPool | None = None,
         cancel: Any = None,
@@ -277,14 +275,7 @@ class CampaignRunner:
         self._run_started = 0.0
         self._progress_last = 0.0
         self._progress_width = 0
-        if cache:
-            # Lazy import: repro.cache pulls in repro.parallel.seeds, so a
-            # module-level import here would be circular.
-            from ..cache import resolve_cache
-
-            self.cache = resolve_cache(cache)
-        else:
-            self.cache = None
+        self.cache = resolve_cache(cache) if cache else None
 
     def _bind_metrics(self, campaign: str) -> None:
         """Point the progress metrics at ``campaign``'s label."""
@@ -363,7 +354,7 @@ class CampaignRunner:
                 self._finalize(shards, [])
                 return []
             results: list[Any] = [None] * len(shards)
-            keys: list["CacheKey | None"] = [None] * len(shards)
+            keys: list[CacheKey | None] = [None] * len(shards)
             telemetry_rows: list[ShardTelemetry | None] = [None] * len(shards)
             self.last_telemetry = telemetry_rows
             pending = self._fill_from_cache(shards, results, keys, telemetry_rows)
@@ -408,7 +399,7 @@ class CampaignRunner:
         self,
         shards: list[Shard],
         results: list[Any],
-        keys: list["CacheKey | None"],
+        keys: list[CacheKey | None],
         telemetry_rows: list[ShardTelemetry | None],
     ) -> list[int]:
         """Populate ``results`` with hits; return the indices still to run."""
@@ -431,7 +422,7 @@ class CampaignRunner:
                 pending.append(index)
         return pending
 
-    def _store(self, shard: Shard, key: "CacheKey | None", result: Any,
+    def _store(self, shard: Shard, key: CacheKey | None, result: Any,
                elapsed: float, shard_telemetry: ShardTelemetry | None = None) -> None:
         if self.cache is None or key is None:
             return
@@ -595,7 +586,7 @@ class CampaignRunner:
         return None
 
     def _finalize(self, shards: list[Shard],
-                  keys: list["CacheKey | None"]) -> None:
+                  keys: list[CacheKey | None]) -> None:
         """Merge shard telemetry (in shard order) and emit the manifest."""
         self.last_metrics = telemetry.merge_telemetry(self.last_telemetry)
         self.last_shard_rows = tuple(

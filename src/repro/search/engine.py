@@ -14,7 +14,7 @@ settle, then an observe window in *both* runs so baseline and attacked
 stay time-aligned, then the stimulus timeline; each hold is a deferred
 ``arm`` of the target device's e-Delay, keyed on its event-size
 fingerprint.  Invariant checking is always on — a hit only counts when
-the cross-layer :class:`~repro.faults.InvariantSuite` stayed silent,
+the cross-layer :class:`~repro.faults.invariants.InvariantSuite` stayed silent,
 which is the paper's stealthiness claim.
 """
 

@@ -16,7 +16,7 @@ names.  The classes, in priority order:
   least ``threshold`` seconds later when attacked (Type-I/II, Cases 1-3).
 
 Oracles are pure functions of the two traces; hits are only *verified*
-when the attacked run's :class:`~repro.faults.InvariantSuite` stayed
+when the attacked run's :class:`~repro.faults.invariants.InvariantSuite` stayed
 silent (checked by the planner, not here).
 """
 

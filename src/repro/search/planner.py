@@ -40,7 +40,7 @@ from ..cache.keys import canonical
 from ..fleet.engine import run_batches
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import register_registry
-from ..parallel import CampaignRunner, runner_or_serial
+from ..parallel.runner import CampaignRunner, runner_or_serial
 from .engine import BehaviorTrace, run_program
 from .generator import RuleSetGenerator
 from .oracles import classify, primary_class

@@ -1,47 +1,10 @@
 """Campaign service: an async job-queue front-end over cache + runner.
 
-``CampaignService`` accepts JSON campaign specs over a line-JSON socket
-protocol, content-addresses each one with the cache's digest machinery
-(duplicate submissions coalesce onto one execution), schedules jobs by
-priority onto one shared worker pool, supports cooperative cancellation,
-and streams progress plus a terminal result that is byte-identical to the
-equivalent one-shot CLI invocation.
+The service (:mod:`repro.service.server`) accepts JSON campaign specs over
+a line-JSON socket protocol (:mod:`repro.service.protocol`),
+content-addresses each one with the cache's digest machinery (duplicate
+submissions coalesce onto one execution), schedules jobs by priority onto
+one shared worker pool, supports cooperative cancellation, and streams
+progress plus a terminal result that is byte-identical to the equivalent
+one-shot CLI invocation.  :mod:`repro.service.client` talks to it.
 """
-
-from .client import (
-    DEFAULT_TIMEOUT,
-    SERVICE_SOCKET_ENV,
-    ServiceClient,
-    default_socket_path,
-    wait_for_service,
-)
-from .jobs import JOB_STATES, TERMINAL_STATES, Job
-from .protocol import PROTOCOL_VERSION, JobSpec, ProtocolError, decode, encode
-from .server import (
-    LINE_LIMIT,
-    CampaignService,
-    ServiceHandle,
-    serve,
-    start_in_thread,
-)
-
-__all__ = [
-    "CampaignService",
-    "DEFAULT_TIMEOUT",
-    "JOB_STATES",
-    "Job",
-    "JobSpec",
-    "LINE_LIMIT",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "SERVICE_SOCKET_ENV",
-    "ServiceClient",
-    "ServiceHandle",
-    "TERMINAL_STATES",
-    "decode",
-    "default_socket_path",
-    "encode",
-    "serve",
-    "start_in_thread",
-    "wait_for_service",
-]

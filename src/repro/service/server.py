@@ -1,6 +1,6 @@
 """`CampaignService`: the asyncio job-queue front-end over cache + runner.
 
-One service owns one :class:`~repro.parallel.SharedWorkerPool` and
+One service owns one :class:`~repro.parallel.runner.SharedWorkerPool` and
 multiplexes every accepted campaign over it:
 
 * **Dedup** — each :class:`~repro.service.protocol.JobSpec` is
@@ -17,7 +17,7 @@ multiplexes every accepted campaign over it:
   ``threading.Event``; the runner observes it between shard completions,
   stores everything that finished (the cache stays consistent, atomic
   entries only), and raises
-  :class:`~repro.parallel.CampaignCancelled`.
+  :class:`~repro.parallel.runner.CampaignCancelled`.
 * **Streaming** — watchers get line-JSON ``state``/``progress`` events as
   shards book, then one terminal ``result`` event carrying the rendered
   output (byte-identical to the one-shot CLI), the one-per-job manifest
@@ -44,7 +44,7 @@ from typing import Any
 from ..experiments.registry import experiment_names, get_experiment
 from ..obs.manifest import RunManifest, manifest_dir
 from ..obs.metrics import MetricsRegistry
-from ..parallel import (
+from ..parallel.runner import (
     CampaignCancelled,
     CampaignRunner,
     SharedWorkerPool,

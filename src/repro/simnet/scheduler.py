@@ -248,7 +248,7 @@ class Simulator:
     def enable_observability(self) -> Observability:
         """Turn on the metrics registry and tracer for this simulation.
 
-        A :class:`~repro.obs.SchedulerProfiler` is installed as the observer
+        A :class:`~repro.obs.observer.SchedulerProfiler` is installed as the observer
         unless one is already set; the facade is returned.
         """
         obs = self.obs.enable(self)

@@ -31,8 +31,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, TYPE_CHECKING
 
-# Nothing from ``repro.simnet`` at module level: ``simnet.packet`` imports
-# this package to recognise TCP segments, so such an import is a cycle.
+from ..simnet.trace import FlowKey
 from .segment import (
     DEFAULT_MSS,
     FLAGS_ACK,
@@ -191,8 +190,6 @@ class TcpConnection:
 
     def flow_label(self) -> str:
         """Canonical flow identifier, matching capture/hijacker reporting."""
-        from ..simnet.trace import FlowKey
-
         return FlowKey.of(
             self.local_ip, self.local_port, self.remote_ip, self.remote_port
         ).label()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cache.keys import canonical
 from repro.experiments.registry import get_experiment
-from repro.parallel import CampaignRunner
+from repro.parallel.runner import CampaignRunner
 
 #: blake2b-128 of ``canonical(get_experiment(name).run(seed=7, ...))`` on a
 #: serial, manifest-free runner.

@@ -18,17 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import (
-    CampaignCache,
-    canonical,
-    code_fingerprint,
-    digest,
-    qualified_name,
-    resolve_cache,
-)
+from repro.cache.keys import canonical, code_fingerprint, digest, qualified_name
+from repro.cache import store
+from repro.cache.store import CampaignCache, resolve_cache, write_atomically
 from repro.faults.profiles import FaultProfile
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import CampaignRunner, Shard
+from repro.parallel.runner import CampaignRunner, Shard
 
 
 # Shard functions must be module-level so the cache can pickle the call
@@ -232,6 +227,20 @@ class TestStoreRoundtrip:
         assert isinstance(built, CampaignCache)
         passthrough = self._cache(tmp_path)
         assert resolve_cache(passthrough) is passthrough
+
+    def test_write_atomically_leaves_old_file_and_no_temp_on_failure(
+            self, tmp_path, monkeypatch):
+        path = write_atomically(tmp_path / "sub" / "entry.jsonl", "old\n")
+        assert path.read_text() == "old\n"
+
+        def boom(*args):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(store.os, "replace", boom)
+        with pytest.raises(OSError, match="replace failed"):
+            write_atomically(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["entry.jsonl"]
 
     def test_code_fingerprint_is_stable_in_process(self):
         assert code_fingerprint() == code_fingerprint()

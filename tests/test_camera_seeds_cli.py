@@ -8,7 +8,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core import PhantomDelayAttacker, TimeoutBehavior
+from repro.core.attacker import PhantomDelayAttacker
+from repro.core.predictor import TimeoutBehavior
 from repro.core.attacks.base import compare_scenario
 from repro.core.attacks.scenarios import Case8StormDoorUnlock
 from repro.devices.base import CameraDevice

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.timeline import build_timeline, ordering_violations, render_timeline
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker, TimeoutBehavior
-from repro.core.attacks import AttackCampaign, AttackPlanner, render_campaign
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
+from repro.core.attacks.campaign import AttackCampaign, render_campaign
+from repro.core.attacks.planner import AttackPlanner
+from repro.core.predictor import TimeoutBehavior
 from repro.countermeasures.ack_timeout import battery_life_days
 from repro.devices.profiles import CATALOGUE
 from repro.simnet.scheduler import run_until

@@ -202,7 +202,7 @@ class TestPrimitiveEdges:
 
 class TestAutomationEdges:
     def test_rule_str_and_firing_detail(self):
-        from repro.automation import parse_rule
+        from repro.automation.dsl import parse_rule
 
         rule = parse_rule(
             "WHEN c1 contact.open IF pr1.presence == present THEN COMMAND lk1 unlock"
@@ -212,7 +212,8 @@ class TestAutomationEdges:
         assert "pr1.presence == 'present'" in text
 
     def test_actions_taken_filter(self):
-        from repro.automation import AutomationEngine, parse_rule
+        from repro.automation.dsl import parse_rule
+        from repro.automation.engine import AutomationEngine
         from repro.simnet.scheduler import Simulator
 
         sim = Simulator(seed=1)

@@ -134,7 +134,7 @@ class TestSerialParallelEquivalence:
     def test_table3_sweep_identical_serial_and_parallel(self):
         from repro.core.attacks.scenarios import TABLE3_SCENARIOS
         from repro.experiments.table3 import run_table3
-        from repro.parallel import CampaignRunner
+        from repro.parallel.runner import CampaignRunner
 
         cases = TABLE3_SCENARIOS[:3]
         serial = run_table3(
@@ -150,7 +150,7 @@ class TestSerialParallelEquivalence:
     def test_robustness_grid_identical_serial_and_parallel(self):
         from repro.core.attacks.scenarios import TABLE3_SCENARIOS
         from repro.experiments.robustness import run_robustness
-        from repro.parallel import CampaignRunner
+        from repro.parallel.runner import CampaignRunner
 
         kwargs = dict(
             seed=3,

@@ -19,7 +19,7 @@ from repro.experiments.breaking_point import (
     step_campaign,
 )
 from repro.obs.manifest import RunManifest
-from repro.parallel import CampaignRunner
+from repro.parallel.runner import CampaignRunner
 
 
 def metric(manifest: RunManifest, name: str, **labels) -> float | None:

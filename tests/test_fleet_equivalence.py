@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import FleetSampler, run_fleet, run_home
-from repro.parallel import CampaignRunner
+from repro.fleet.engine import run_fleet, run_home
+from repro.fleet.sampler import FleetSampler
+from repro.parallel.runner import CampaignRunner
 
 
 def independent_digests(seed: int, homes: int) -> tuple[str, ...]:

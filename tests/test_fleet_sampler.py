@@ -14,15 +14,9 @@ import dataclasses
 import pytest
 
 from repro.devices.profiles import CATALOGUE
-from repro.fleet import (
-    SPEC_SCHEMA,
-    FleetSampler,
-    HomeSpec,
-    Stimulus,
-    home_seed,
-)
 from repro.fleet import sampler
-from repro.fleet.sampler import ACTUATOR_POOL, SENSOR_POOL
+from repro.fleet.sampler import ACTUATOR_POOL, SENSOR_POOL, FleetSampler, home_seed
+from repro.fleet.spec import SPEC_SCHEMA, HomeSpec, Stimulus
 
 
 class TestSeedDerivation:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker, TimeoutBehavior
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
+from repro.core.predictor import TimeoutBehavior
 from repro.core.inference import (
     RuleInferencer,
     extract_messages,

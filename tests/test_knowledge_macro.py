@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.core import KnowledgeBase, PhantomDelayAttacker, TimeoutBehavior
+from repro.core.attacker import PhantomDelayAttacker
+from repro.core.knowledge import KnowledgeBase
+from repro.core.predictor import TimeoutBehavior
 from repro.devices.profiles import CATALOGUE
 from repro.simnet.scheduler import run_until
 from repro.testbed import SmartHomeTestbed
@@ -89,7 +91,7 @@ class TestDayInTheLife:
     def test_24h_home_with_rules_and_activity(self):
         """A full simulated day: periodic resident activity, three rules,
         every automation fires, zero alarms, no reconnects."""
-        from repro.automation import parse_rule
+        from repro.automation.dsl import parse_rule
 
         tb = SmartHomeTestbed(seed=245)
         contact = tb.add_device("C2")

@@ -7,8 +7,7 @@ import random
 
 import pytest
 
-from repro.obs import MetricsRegistry, StreamingHistogram
-from repro.obs.metrics import _make_key
+from repro.obs.metrics import MetricsRegistry, StreamingHistogram, _make_key
 from repro.simnet.scheduler import Simulator
 from repro.testbed import SmartHomeTestbed
 
@@ -190,7 +189,7 @@ class TestJsonlRoundTrip:
         with pytest.raises(RuntimeError, match="unserialisable"):
             reg.export_jsonl(str(path))
         assert path.read_bytes() == good  # previous snapshot untouched
-        assert not list(tmp_path.glob(".metrics-*"))  # temp file cleaned up
+        assert not list(tmp_path.glob(".metrics.jsonl-*.tmp"))  # temp file cleaned up
 
     def test_render_table_lists_every_series(self):
         reg = MetricsRegistry()

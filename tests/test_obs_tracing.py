@@ -4,9 +4,10 @@ attribution, trace JSONL round-trip, and the trace-driven timeline."""
 import pytest
 
 from repro.analysis.timeline import build_timeline_from_trace
-from repro.automation import parse_rule
-from repro.core import PhantomDelayAttacker
-from repro.obs import Tracer, attribute_delay, link_hold_spans, render_span_tree
+from repro.automation.dsl import parse_rule
+from repro.core.attacker import PhantomDelayAttacker
+from repro.obs.attribution import attribute_delay, link_hold_spans
+from repro.obs.tracing import Tracer, render_span_tree
 from repro.testbed import SmartHomeTestbed
 
 

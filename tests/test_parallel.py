@@ -15,17 +15,17 @@ import time
 
 import pytest
 
-from repro.cache import CampaignCache
+from repro.cache.store import CampaignCache
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import (
+from repro.parallel.runner import (
     JOBS_CAP,
     CampaignCancelled,
     CampaignRunner,
     Shard,
-    derive_seed,
     fork_available,
     resolve_jobs,
 )
+from repro.parallel.seeds import derive_seed
 
 
 class TestDeriveSeed:
@@ -279,7 +279,7 @@ class TestCampaignRunner:
         # loop handed the healed (unpicklable) result to cache.put, and
         # pickle's error killed the run.  The store must degrade to a
         # counted put-failure instead, and the shard must still book once.
-        from repro.cache import CampaignCache
+        from repro.cache.store import CampaignCache
 
         registry = MetricsRegistry()
         runner = CampaignRunner(jobs=2, registry=registry,
@@ -324,7 +324,7 @@ class TestCampaignRunner:
         # Structural guard: even if one shard index somehow reaches two
         # booking paths in a single run (here: filled from cache, then a
         # stray replay of the same index), completed must not double-count.
-        from repro.cache import CampaignCache
+        from repro.cache.store import CampaignCache
 
         registry = MetricsRegistry()
         shards = [Shard(key="k", fn=_echo_shard, kwargs={"name": "n"})]
@@ -521,7 +521,7 @@ class TestCancellation:
 class TestSharedWorkerPool:
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_two_runners_share_one_executor(self):
-        from repro.parallel import SharedWorkerPool
+        from repro.parallel.runner import SharedWorkerPool
 
         pool = SharedWorkerPool(jobs=2)
         try:

@@ -18,19 +18,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel import CampaignRunner
-from repro.search import (
-    TABLE3_EXPECTED,
-    plan_specs,
-    run_search,
-    schedule_from_lists,
-    table3_spec,
-    table3_specs,
-)
+from repro.parallel.runner import CampaignRunner
 from repro.search.corpus import corpus_digest
 from repro.search.engine import run_program
 from repro.search.oracles import classify, primary_class
-from repro.search.spec import ProgramSpec
+from repro.search.planner import plan_specs, run_search
+from repro.search.spec import ProgramSpec, schedule_from_lists
+from repro.search.table3 import TABLE3_EXPECTED, table3_spec, table3_specs
 
 
 @pytest.fixture(scope="module")

@@ -19,16 +19,14 @@ from hypothesis import strategies as st
 
 from repro.automation.dsl import parse_rule
 from repro.devices.profiles import CATALOGUE
-from repro.parallel import derive_seed
-from repro.search import (
+from repro.parallel.seeds import derive_seed
+from repro.search.generator import RuleSetGenerator, program_seed, session_of
+from repro.search.spec import (
     SEARCH_SCHEMA,
     Hold,
     ProgramSpec,
-    RuleSetGenerator,
-    program_seed,
     schedule_from_lists,
     schedule_to_lists,
-    session_of,
 )
 
 

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import CampaignCache
-from repro.parallel import CampaignRunner
-from repro.search import (
-    candidate_schedules,
-    plan_program,
-    run_search,
-    shrink,
-    table3_spec,
-)
+from repro.cache.store import CampaignCache
+from repro.parallel.runner import CampaignRunner
+from repro.search.planner import candidate_schedules, plan_program, run_search, shrink
+from repro.search.table3 import table3_spec
 from repro.search import planner as planner_mod
 from repro.search.engine import run_program
 from repro.search.generator import RuleSetGenerator
@@ -151,7 +146,7 @@ class TestShrinker:
             hit = outcome["hit"]
             if hit is None:
                 continue
-            from repro.search import schedule_from_lists
+            from repro.search.spec import schedule_from_lists
 
             witness = schedule_from_lists(hit["schedule"])
             baseline = run_program(spec)

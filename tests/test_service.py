@@ -35,14 +35,9 @@ from repro.experiments.registry import (
     register,
     unregister,
 )
-from repro.service import (
-    JobSpec,
-    ProtocolError,
-    ServiceClient,
-    decode,
-    encode,
-    start_in_thread,
-)
+from repro.service.client import ServiceClient
+from repro.service.protocol import JobSpec, ProtocolError, decode, encode
+from repro.service.server import start_in_thread
 
 
 class TestProtocol:
@@ -249,7 +244,7 @@ def _release_gated(index: int, release: str, seed: int) -> int:
 
 
 def _toy_sharded(release: str, seed: int = 7, runner=None):
-    from repro.parallel import Shard
+    from repro.parallel.runner import Shard
 
     shards = [
         Shard(key=f"gated/{i}", fn=_release_gated,

@@ -19,6 +19,7 @@ import gc
 import hashlib
 import json
 import pickle
+import subprocess
 import weakref
 
 import pytest
@@ -42,7 +43,8 @@ from repro.obs.telemetry import (
     merge_telemetry,
     register_registry,
 )
-from repro.parallel import CampaignRunner, Shard, derive_seed, fork_available
+from repro.parallel.runner import CampaignRunner, Shard, fork_available
+from repro.parallel.seeds import derive_seed
 from repro.simnet.scheduler import Simulator
 
 
@@ -355,7 +357,7 @@ class TestRunnerTelemetry:
         assert loaded.header["replayed_shards"] == 1
 
     def test_cache_replays_telemetry_byte_identically(self, tmp_path):
-        from repro.cache import CampaignCache
+        from repro.cache.store import CampaignCache
 
         cache = CampaignCache(root=tmp_path / "cache")
         shards = [
@@ -458,6 +460,21 @@ class TestManifest:
         assert isinstance(git_describe(), str)
         assert git_describe() != ""
 
+    def test_manifests_ask_git_once_per_process(self, monkeypatch):
+        # ``git describe`` costs about 13 ms; the code identity is per process.
+        commands = []
+        real_run = subprocess.run
+
+        def counting_run(args, *rest, **kwargs):
+            commands.append(args[0])
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        git_describe.cache_clear()
+        for seed in range(3):
+            RunManifest.build("c", seed, 1, MetricsRegistry(), ())
+        assert commands == ["git"]
+
 
 def _digest_manifest_lines(paths) -> str:
     """blake2b-128 of the ``metric`` and ``attribution`` lines, as written."""
@@ -473,7 +490,7 @@ def _pinned_campaigns():
     from repro.core.attacks.scenarios import TABLE3_SCENARIOS
     from repro.experiments.breaking_point import run_breaking_point
     from repro.experiments.table3 import run_table3
-    from repro.fleet import run_fleet
+    from repro.fleet.engine import run_fleet
     from repro.search.planner import run_search
 
     return {
@@ -520,7 +537,7 @@ class TestExperimentIntegration:
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_table1_manifest_metrics_identical_across_jobs_and_cache(self, tmp_path):
-        from repro.cache import CampaignCache
+        from repro.cache.store import CampaignCache
         from repro.experiments.table1 import run_table1
 
         def manifest_for(jobs: int, cache, tag: str) -> RunManifest:

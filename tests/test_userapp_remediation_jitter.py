@@ -36,7 +36,7 @@ class TestUserApp:
 
 class TestRemediationPolicy:
     def test_benign_home_never_remediates(self):
-        from repro.automation import parse_rule
+        from repro.automation.dsl import parse_rule
 
         tb = SmartHomeTestbed(seed=231)
         presence = tb.add_device("PR1")
@@ -107,7 +107,7 @@ class TestJitterRobustness:
         assert tb.endpoints["smartthings"].events_from("c2")
 
     def test_jitter_validation(self):
-        from repro.faults import FaultProfile
+        from repro.faults.profiles import FaultProfile
 
         with pytest.raises(ValueError):
             FaultProfile(name="bad", jitter=-0.1)
