@@ -18,7 +18,6 @@ import time
 
 from repro.cache.store import CampaignCache
 from repro.experiments.table1 import render_table1, run_table1
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel.runner import CampaignRunner
 
 from _perf import baseline_matches, check_regression, record_bench
@@ -28,8 +27,7 @@ from conftest import bench_trials
 LABELS = ["HS1", "HS2", "C2", "M7", "HS3", "P1"]
 
 
-def _warm_run(cache: CampaignCache, trials: int, registry: MetricsRegistry):
-    runner = CampaignRunner(jobs=1, registry=registry, cache=cache)
+def _warm_run(trials: int, runner: CampaignRunner):
     return run_table1(labels=LABELS, trials=trials, seed=7, runner=runner)
 
 
@@ -43,15 +41,15 @@ def test_table1_cache_roundtrip(once):
                                runner=CampaignRunner(jobs=1, cache=cache))
         cold_s = time.perf_counter() - start
 
-        registry = MetricsRegistry()
+        runner = CampaignRunner(jobs=1, cache=cache)
         start = time.perf_counter()
-        warm_rows = once(_warm_run, cache, trials, registry)
+        warm_rows = once(_warm_run, trials, runner)
         warm_s = time.perf_counter() - start
 
     # The whole point: a warm campaign answers from disk, byte-identically.
     assert render_table1(warm_rows) == render_table1(cold_rows)
-    assert registry.value("parallel", "cache_hits", campaign="table1") == len(LABELS)
-    assert registry.value("parallel", "shards_run_inprocess", campaign="table1") == 0
+    assert runner.cache_hits == len(LABELS)
+    assert all(row.cached for row in runner.last_shard_rows)
 
     speedup = cold_s / warm_s if warm_s else 0.0
     entry = record_bench(

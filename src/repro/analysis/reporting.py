@@ -92,8 +92,8 @@ def render_manifest(manifest: Any) -> str:
 
     if manifest.shards:
         rows = TextTable(
-            ["#", "Shard", "Seed", "Cached", "Replayed", "Wall", "CPU",
-             "Peak RSS", "Events"],
+            ["#", "Shard", "Seed", "Cached", "Replayed", "Stored", "Wall",
+             "CPU", "Peak RSS", "Events"],
             title="Per-shard execution",
         )
         for row in manifest.shards:
@@ -103,6 +103,7 @@ def render_manifest(manifest: Any) -> str:
                 "-" if row.seed is None else row.seed,
                 fmt_bool(row.cached),
                 fmt_bool(row.replayed),
+                fmt_bool(row.stored),
                 f"{row.wall_seconds:.3f}s",
                 f"{row.cpu_seconds:.3f}s",
                 f"{row.peak_rss_kb / 1024:.1f} MiB" if row.peak_rss_kb else "-",

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from ..parallel.seeds import derive_seed
 from .keys import (
     KEY_SCHEMA,
     PICKLE_PROTOCOL,
@@ -90,11 +89,11 @@ class CacheLookup:
 
     status: str  # "hit" | "miss" | "stale"
     result: Any = None
-    #: The shard's :class:`~repro.obs.telemetry.ShardTelemetry` as captured
+    #: The shard's :class:`~repro.obs.metrics.MetricsRegistry` as captured
     #: on the original run, so a warm campaign replays metrics
-    #: byte-identically.  ``None`` for entries written before telemetry
-    #: existed — the shard result still hits.
-    telemetry: Any = None
+    #: byte-identically.  ``None`` for entries stored without one — the
+    #: shard result still hits.
+    metrics: Any = None
 
     @property
     def hit(self) -> bool:
@@ -135,20 +134,15 @@ class CampaignCache:
 
     # ---------------------------------------------------------------- keys
 
-    def key_for(self, shard: Any, base_seed: int) -> CacheKey:
+    def key_for(self, shard: Any) -> CacheKey:
         """The cache identity of one :class:`~repro.parallel.runner.Shard`.
 
-        The seed is resolved exactly as the runner resolves it (explicit,
-        else derived from ``(base_seed, shard.key)``; ``None`` when the
-        shard takes no seed), and a ``faults`` kwarg is normalised through
+        The seed is the shard's own (``None`` when it takes none), and a
+        ``faults`` kwarg is normalised through
         :func:`~repro.faults.profiles.resolve_profile` so a spec string
         and its equivalent profile share an entry.
         """
-        seed: int | None = None
-        if shard.pass_seed:
-            seed = shard.seed if shard.seed is not None else derive_seed(
-                base_seed, shard.key
-            )
+        seed = shard.seed
         kwargs = dict(shard.kwargs)
         if "faults" in kwargs and kwargs["faults"] is not None:
             from ..faults.profiles import resolve_profile
@@ -193,22 +187,22 @@ class CampaignCache:
             # Torn write, disk damage, an unpicklable edit: a cache must
             # degrade to a re-run, never take the campaign down.
             return CacheLookup("miss")
-        telemetry = None
-        telemetry_b64 = payload.get("telemetry")
-        if telemetry_b64 is not None:
+        metrics = None
+        metrics_b64 = payload.get("metrics")
+        if metrics_b64 is not None:
             try:
-                telemetry = pickle.loads(base64.b64decode(telemetry_b64))
+                metrics = pickle.loads(base64.b64decode(metrics_b64))
             except Exception:
-                telemetry = None  # result is intact; telemetry degrades alone
-        return CacheLookup("hit", result, telemetry=telemetry)
+                metrics = None  # result is intact; metrics degrade alone
+        return CacheLookup("hit", result, metrics=metrics)
 
     def put(self, key: CacheKey, result: Any, wall_seconds: float,
             call: tuple[Callable[..., Any], dict[str, Any]] | None = None,
-            telemetry: Any = None) -> None:
+            metrics: Any = None) -> None:
         """Store one shard result atomically; replaces any stale entry.
 
-        ``telemetry`` is the shard's deterministic
-        :class:`~repro.obs.telemetry.ShardTelemetry`; it rides in the
+        ``metrics`` is the shard's
+        :class:`~repro.obs.metrics.MetricsRegistry`; it rides in the
         payload so warm runs replay the captured metrics exactly.
         """
         from .. import __version__
@@ -220,9 +214,9 @@ class CampaignCache:
         if call is not None:
             call_blob = pickle.dumps(call, protocol=PICKLE_PROTOCOL)
             payload["call"] = base64.b64encode(call_blob).decode("ascii")
-        if telemetry is not None:
-            telemetry_blob = pickle.dumps(telemetry, protocol=PICKLE_PROTOCOL)
-            payload["telemetry"] = base64.b64encode(telemetry_blob).decode("ascii")
+        if metrics is not None:
+            metrics_blob = pickle.dumps(metrics, protocol=PICKLE_PROTOCOL)
+            payload["metrics"] = base64.b64encode(metrics_blob).decode("ascii")
         provenance = {
             "schema": KEY_SCHEMA,
             "logical": key.logical,

@@ -218,14 +218,3 @@ def _attribute_step(
         return None
     return runner.write_manifest(runner.last_manifest_path)
 
-
-__all__ = [
-    "REASON_EVENT_BUDGET",
-    "REASON_MAX_STEPS",
-    "REASON_SUCCESS_FLOOR",
-    "REASON_WALL_CLOCK",
-    "BreakingPointReport",
-    "StepResult",
-    "run_breaking_point",
-    "step_campaign",
-]

@@ -42,7 +42,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import register_registry
 from ..parallel.runner import CampaignRunner, Shard, runner_or_serial
 from ..testbed import SmartHomeTestbed
-from .sampler import FleetSampler, home_seed
+from .sampler import FleetSampler
 from .spec import HomeSpec, Stimulus
 
 #: Seconds every home gets to establish sessions before its timeline runs.
@@ -329,11 +329,10 @@ def run_batches(
         shards.append(Shard(
             key=f"{kind}/batch/{start}+{size}",
             fn=fn,
+            # No shard seed: per-unit seeds derive from (base_seed, index)
+            # inside the batch; a shard-level seed would vary with batching.
             kwargs={"start": start, "count": size, "base_seed": base_seed,
                     **kwargs},
-            # Per-unit seeds derive from (base_seed, index) inside the
-            # batch; a shard-level seed would vary with batching.
-            pass_seed=False,
         ))
     began = time.perf_counter()
     batches = runner.run(shards, campaign=campaign, base_seed=base_seed)
@@ -448,18 +447,3 @@ def run_fleet(
         runner_summary=runner.summary(),
     )
 
-
-__all__ = [
-    "DEFAULT_BATCH_SIZE",
-    "SETTLE_SECONDS",
-    "FleetReport",
-    "HomeResult",
-    "build_home",
-    "drive_home",
-    "fleet_digest",
-    "home_seed",
-    "run_batches",
-    "run_fleet",
-    "run_home",
-    "run_home_batch",
-]

@@ -5,7 +5,7 @@ A campaign that ran is a campaign that can be audited: the manifest records
 describe), *what it measured* (the campaign's merged metrics, one record
 per metric, and its delay summaries), and *how each shard behaved*
 (wall/CPU seconds, peak RSS, cache hit, in-process replay after a worker
-failure).  The file is line-oriented JSON with a
+failure, a result the cache refused).  The file is line-oriented JSON with a
 schema-versioned header, written atomically, and loads back through
 :meth:`RunManifest.load` for ``phantom-delay observe report|diff`` and
 ``repro.analysis``.
@@ -29,7 +29,6 @@ from typing import Any, Iterable
 
 from ..cache.store import default_cache_dir, write_atomically
 from .metrics import MetricsRegistry
-from .telemetry import ShardTelemetry
 
 #: Bump when the manifest layout changes; loaders reject newer schemas.
 MANIFEST_SCHEMA = 1
@@ -78,13 +77,19 @@ def manifest_path_for(campaign: str, override: str | os.PathLike | None = None) 
 
 @dataclass(frozen=True)
 class ShardRow:
-    """One shard's account in the manifest."""
+    """One shard's account in the manifest.
+
+    ``cached`` marks a result read from the cache, ``replayed`` one re-run
+    in-process after its pool future failed, and ``stored`` is false when
+    the cache refused the result (an unpicklable result, a full disk).
+    """
 
     index: int
     key: str
     seed: int | None
     cached: bool = False
     replayed: bool = False
+    stored: bool = True
     wall_seconds: float = 0.0
     cpu_seconds: float = 0.0
     peak_rss_kb: int = 0
@@ -98,6 +103,7 @@ class ShardRow:
             "seed": self.seed,
             "cached": self.cached,
             "replayed": self.replayed,
+            "stored": self.stored,
             "wall_seconds": round(self.wall_seconds, 6),
             "cpu_seconds": round(self.cpu_seconds, 6),
             "peak_rss_kb": self.peak_rss_kb,
@@ -112,28 +118,11 @@ class ShardRow:
             seed=record.get("seed"),
             cached=record.get("cached", False),
             replayed=record.get("replayed", False),
+            stored=record.get("stored", True),
             wall_seconds=record.get("wall_seconds", 0.0),
             cpu_seconds=record.get("cpu_seconds", 0.0),
             peak_rss_kb=record.get("peak_rss_kb", 0),
             events=record.get("events", 0),
-        )
-
-    @classmethod
-    def from_telemetry(cls, index: int, key: str, seed: int | None,
-                       telemetry: ShardTelemetry | None) -> "ShardRow":
-        if telemetry is None:
-            return cls(index=index, key=key, seed=seed)
-        usage = telemetry.usage
-        return cls(
-            index=index,
-            key=key,
-            seed=seed,
-            cached=telemetry.cached,
-            replayed=telemetry.replayed,
-            wall_seconds=usage.wall_seconds if usage else 0.0,
-            cpu_seconds=usage.cpu_seconds if usage else 0.0,
-            peak_rss_kb=usage.peak_rss_kb if usage else 0,
-            events=telemetry.events_processed(),
         )
 
 

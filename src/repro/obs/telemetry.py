@@ -1,4 +1,4 @@
-"""Campaign-scale telemetry: worker-side capture and the shard payload.
+"""Campaign-scale telemetry: worker-side capture and resource accounting.
 
 ``repro.parallel`` runs every shard in its own process, and until this
 module existed each worker's observability died with it: the driver kept
@@ -10,39 +10,37 @@ from shard to manifest:
   shard function.  While active, a shard function hands the registry its
   metrics go to over with :func:`register_registry`, and every
   :class:`~repro.simnet.scheduler.Simulator` constructed registers itself;
-  at close the capture folds them into one registry (simulators contribute
-  their event counts without any per-event hook, so the scheduler hot loop
-  stays untouched).  A simulator is accounted for by a small
-  :class:`SimulationAccount`, not held: a finished home can be collected
-  while the rest of its shard runs.
+  :meth:`TelemetryCapture.finish` folds them into the shard's one registry
+  (simulators contribute their event counts without any per-event hook,
+  so the scheduler hot loop stays untouched).  A simulator is accounted
+  for by a small :class:`SimulationAccount`, not held: a finished home can
+  be collected while the rest of its shard runs.
 * :func:`harvest_result` — result-shape telemetry: fault-injector stats,
   invariant violations, alarm counts, and numeric scenario metrics found in
   a shard's return value are mirrored into the shard's registry, so a
   campaign's merged metrics carry the paper-level signals (delays, drops,
   violations) even for runs that never enabled full observability.
-* :class:`ShardTelemetry` — what rides back with each shard result: the
-  shard's registry, pickled across the pool, and the worker's resource
-  usage (wall/CPU seconds, peak RSS via ``getrusage``).  The registry is
-  the same for any ``jobs`` value and is cached alongside the result by
-  ``repro.cache``; the usage is per-run and reported separately.
-* :func:`merge_telemetry` — folds the shard registries, in shard order,
-  into the campaign's registry.  Registries merge exactly (counters add,
-  gauges add / max high-water, histogram buckets add), so merge order can
-  never change a count, a bucket or a quantile.
+* :class:`ShardUsage` — the worker's resource account of one shard
+  (wall/CPU seconds, peak RSS via ``getrusage``).
+
+The runner pickles a shard's registry back across the pool, caches it with
+the result in ``repro.cache``, and folds the registries in shard order into
+the campaign's metrics.  Registries merge exactly (counters add, gauges
+add / max high-water, histogram buckets add), so merge order can never
+change a count, a bucket or a quantile.
 
 Everything deterministic is kept strictly apart from everything timed:
-only registries a shard hands over join its telemetry, so the runner's
-``parallel`` component (wall clocks, cache hit counts) never does, and
-``jobs=1`` and ``jobs=N`` campaigns — warm or cold — merge to identical
-metrics.
+only registries a shard hands over join its telemetry, and the usage goes
+to the shard's manifest row, never into the registry, so ``jobs=1`` and
+``jobs=N`` campaigns — warm or cold — merge to identical metrics.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from .metrics import MetricsRegistry
 
@@ -55,7 +53,7 @@ except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
 
-# ------------------------------------------------------------ shard payload
+# ------------------------------------------------------------- shard usage
 
 
 @dataclass(frozen=True)
@@ -86,30 +84,6 @@ def cpu_seconds_now() -> float:
         return 0.0
     ru = resource.getrusage(resource.RUSAGE_SELF)
     return ru.ru_utime + ru.ru_stime
-
-
-@dataclass(frozen=True)
-class ShardTelemetry:
-    """Everything one shard reports back besides its result.
-
-    ``metrics`` is deterministic (identical for any ``jobs`` value and
-    replayed byte-identically from cache); ``usage`` is the live run's
-    resource account and ``replayed`` / ``cached`` are driver-side
-    annotations about *how* the result was obtained this time.
-    """
-
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    usage: ShardUsage | None = None
-    replayed: bool = False
-    cached: bool = False
-
-    def deterministic(self) -> "ShardTelemetry":
-        """The cacheable part: run-specific usage and flags stripped."""
-        return replace(self, usage=None, replayed=False, cached=False)
-
-    def events_processed(self) -> int:
-        """Total scheduler events this shard's simulations processed."""
-        return int(self.metrics.value("scheduler", "events_processed"))
 
 
 # ----------------------------------------------------------------- capture
@@ -172,14 +146,13 @@ class TelemetryCapture:
                 clock.observe(account.clock)
         return merged
 
-    def finish(self, result: Any = None, usage: ShardUsage | None = None,
-               ) -> ShardTelemetry:
-        """Harvest the result shape and pack the shard's telemetry."""
+    def finish(self, result: Any = None) -> MetricsRegistry:
+        """Harvest the result shape and fold the shard's one registry."""
         if result is not None:
             harvest = MetricsRegistry()
             harvest_result(result, harvest)
             self.registries.append(harvest)
-        return ShardTelemetry(metrics=self.snapshot(), usage=usage)
+        return self.snapshot()
 
 
 _CAPTURES: list[TelemetryCapture] = []
@@ -283,20 +256,3 @@ def harvest_result(result: Any, registry: MetricsRegistry, _depth: int = 0) -> N
         nested = getattr(result, attr, None)
         if nested is not None and nested is not result:
             harvest_result(nested, registry, _depth + 1)
-
-
-# ------------------------------------------------------------- aggregation
-
-
-def merge_telemetry(telemetry: Iterable[ShardTelemetry | None]) -> MetricsRegistry:
-    """Fold shard registries, in shard-index order, into the campaign's.
-
-    Shard order keeps even histogram totals (float sums) bit-identical
-    from run to run.  ``None`` entries (shards the user skipped, legacy
-    cache entries without telemetry) contribute nothing.
-    """
-    merged = MetricsRegistry()
-    for shard in telemetry:
-        if shard is not None:
-            merged.merge(shard.metrics)
-    return merged

@@ -1,10 +1,11 @@
-"""Deterministic seed derivation for sharded campaigns.
+"""Deterministic seed derivation for campaign units.
 
 A parallel campaign must produce *exactly* the rows a serial run produces,
-in the same order, no matter how shards land on workers.  The only way to
-guarantee that is to make every shard's seed a pure function of the
-campaign's base seed and the shard's identity — never of submission order,
-worker id, or wall clock.
+in the same order, no matter how its work lands on workers.  The only way
+to guarantee that is to make every unit's seed (a fleet home, a search
+program, a Table III spec, a fault injector's stream) a pure function of
+the campaign's base seed and the unit's identity — never of submission
+order, worker id, or wall clock.
 
 ``derive_seed`` hashes ``(base_seed, shard_key)`` with BLAKE2b, which is
 stable across Python versions, platforms, and process boundaries (unlike
@@ -23,7 +24,7 @@ _SEED_MASK = (1 << 63) - 1
 
 
 def derive_seed(base_seed: int, shard_key: str) -> int:
-    """A stable per-shard seed for ``shard_key`` under ``base_seed``.
+    """A stable seed for ``shard_key`` under ``base_seed``.
 
     The mapping is part of the campaign-reproducibility contract: refactors
     must not reshuffle it, or every recorded table regenerated with a given

@@ -23,7 +23,7 @@ final time before it becomes a corpus case.
 
 Work is sharded as fixed-size program batches through the fleet engine's
 :func:`~repro.fleet.engine.run_batches` (key
-``search/batch/<start>+<count>``, ``pass_seed=False``), so the batch
+``search/batch/<start>+<count>``, no shard seed), so the batch
 partition — and with it every cache address — is a pure function of the
 program range, never of ``--jobs``.
 """

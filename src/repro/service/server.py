@@ -406,6 +406,7 @@ class CampaignService:
                 "completed": int(self._completed.value),
                 "failed": int(self._failed.value),
                 "cancelled": int(self._cancelled.value),
+                "pool_rebuilds": self.pool.rebuilds if self.pool is not None else 0,
             },
         })
 

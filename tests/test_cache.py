@@ -22,7 +22,6 @@ from repro.cache.keys import canonical, code_fingerprint, digest, qualified_name
 from repro.cache import store
 from repro.cache.store import CampaignCache, resolve_cache, write_atomically
 from repro.faults.profiles import FaultProfile
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel.runner import CampaignRunner, Shard
 
 
@@ -49,14 +48,15 @@ class TestGoldenDigests:
         explicit = cache.key_for(
             Shard(key="table1/M7", fn=profile_label,
                   kwargs={"label": "M7", "trials": 1, "catalogue": None}, seed=7),
-            base_seed=0,
         )
         assert explicit.logical == "0b8cef8874cc1ac09518b5e5fcd0a646"
         assert explicit.seed == 7
+        # The seed ``derive_seed(7, "table1/HS1")``, which shards without a
+        # seed of their own once got, given explicitly: the key is unmoved.
         derived = cache.key_for(
             Shard(key="table1/HS1", fn=profile_label,
-                  kwargs={"label": "HS1", "trials": 3, "catalogue": None}),
-            base_seed=7,
+                  kwargs={"label": "HS1", "trials": 3, "catalogue": None},
+                  seed=2803529311351306933),
         )
         assert derived.logical == "e76424ac21da33d9ccb2b6bed57f3cae"
         assert derived.seed == 2803529311351306933
@@ -93,12 +93,10 @@ class TestCanonical:
         cache = CampaignCache(root="/tmp/unused", fingerprint="f" * 32)
         spec = cache.key_for(
             Shard(key="k", fn=_with_faults, kwargs={"faults": "loss=0.05"}, seed=1),
-            base_seed=0,
         )
         profile = cache.key_for(
             Shard(key="k", fn=_with_faults,
                   kwargs={"faults": FaultProfile(name="custom", loss=0.05)}, seed=1),
-            base_seed=0,
         )
         assert spec.logical == profile.logical
 
@@ -113,7 +111,7 @@ class TestStoreRoundtrip:
 
     def test_put_then_get_hits(self, tmp_path):
         cache = self._cache(tmp_path)
-        key = cache.key_for(self._shard(), base_seed=0)
+        key = cache.key_for(self._shard())
         assert not cache.get(key).hit
         cache.put(key, (42, 5), wall_seconds=0.5)
         lookup = cache.get(key)
@@ -121,10 +119,10 @@ class TestStoreRoundtrip:
 
     def test_fingerprint_change_is_stale_then_overwritten(self, tmp_path):
         old = self._cache(tmp_path, fingerprint="a" * 32)
-        key = old.key_for(self._shard(), base_seed=0)
+        key = old.key_for(self._shard())
         old.put(key, (42, 5), wall_seconds=0.1)
         new = self._cache(tmp_path, fingerprint="b" * 32)
-        new_key = new.key_for(self._shard(), base_seed=0)
+        new_key = new.key_for(self._shard())
         assert new_key.logical == key.logical  # code is not in the logical id
         lookup = new.get(new_key)
         assert lookup.stale and not lookup.hit
@@ -134,7 +132,7 @@ class TestStoreRoundtrip:
 
     def test_corrupted_entry_is_a_miss_not_a_crash(self, tmp_path):
         cache = self._cache(tmp_path)
-        key = cache.key_for(self._shard(), base_seed=0)
+        key = cache.key_for(self._shard())
         cache.put(key, (42, 5), wall_seconds=0.1)
         path = cache.shard_dir / f"{key.logical}.jsonl"
         for garbage in (b"", b"not json\n", b'{"schema": 99}\n{}\n',
@@ -146,7 +144,7 @@ class TestStoreRoundtrip:
         cache = self._cache(tmp_path)
         for value in (1, 2, 3):
             shard = self._shard(value)
-            cache.put(cache.key_for(shard, base_seed=0), value * 2, wall_seconds=0.2)
+            cache.put(cache.key_for(shard), value * 2, wall_seconds=0.2)
         (cache.shard_dir / "deadbeef.jsonl").write_text("torn\n")
         stats = cache.stats()
         assert (stats["entries"], stats["fresh"], stats["corrupt"]) == (4, 3, 1)
@@ -166,7 +164,7 @@ class TestStoreRoundtrip:
         cache = self._cache(tmp_path)
         for value in (1, 2):
             shard = self._shard(value)
-            cache.put(cache.key_for(shard, base_seed=0), value, wall_seconds=0.1)
+            cache.put(cache.key_for(shard), value, wall_seconds=0.1)
         stuck = sorted(cache.shard_dir.glob("*.jsonl"))[0]
         real_unlink = Path.unlink
 
@@ -182,7 +180,7 @@ class TestStoreRoundtrip:
     def test_verify_replays_the_stored_call(self, tmp_path):
         cache = self._cache(tmp_path)
         shard = self._shard(21)
-        key = cache.key_for(shard, base_seed=0)
+        key = cache.key_for(shard)
         cache.put(key, (42, 5), wall_seconds=0.1,
                   call=(_double, {"value": 21, "seed": 5}))
         [outcome] = cache.verify(sample=5)
@@ -196,7 +194,7 @@ class TestStoreRoundtrip:
         cache = self._cache(tmp_path)
         for value in range(10):
             shard = self._shard(value)
-            cache.put(cache.key_for(shard, base_seed=0), (value * 2, 5),
+            cache.put(cache.key_for(shard), (value * 2, 5),
                       wall_seconds=0.1, call=(_double, {"value": value, "seed": 5}))
 
         def sampled_keys(seed):
@@ -213,7 +211,7 @@ class TestStoreRoundtrip:
 
     def test_verify_flags_a_drifted_result(self, tmp_path):
         cache = self._cache(tmp_path)
-        key = cache.key_for(self._shard(21), base_seed=0)
+        key = cache.key_for(self._shard(21))
         # Stored result disagrees with what the call actually computes.
         cache.put(key, (999, 5), wall_seconds=0.1,
                   call=(_double, {"value": 21, "seed": 5}))
@@ -248,55 +246,47 @@ class TestStoreRoundtrip:
 
 
 class TestRunnerIntegration:
-    def _run(self, tmp_path, registry, fingerprint="a" * 32, jobs=1):
+    @staticmethod
+    def _shard(value: int) -> Shard:
+        return Shard(key=f"double/{value}", fn=_double, kwargs={"value": value},
+                     seed=value)
+
+    def _run(self, tmp_path, fingerprint="a" * 32, jobs=1):
         cache = CampaignCache(root=tmp_path / "cache", fingerprint=fingerprint)
-        runner = CampaignRunner(jobs=jobs, registry=registry, cache=cache)
-        shards = [Shard(key=f"double/{v}", fn=_double, kwargs={"value": v})
-                  for v in (1, 2, 3)]
+        runner = CampaignRunner(jobs=jobs, cache=cache)
+        shards = [self._shard(v) for v in (1, 2, 3)]
         return runner.run(shards, campaign="cache-test", base_seed=3), runner
 
     def test_cold_then_warm_counts_and_results(self, tmp_path):
-        cold_reg = MetricsRegistry()
-        cold, _ = self._run(tmp_path, cold_reg)
-        assert cold_reg.value("parallel", "cache_misses", campaign="cache-test") == 3
-        assert cold_reg.value("parallel", "cache_hits", campaign="cache-test") == 0
+        cold, runner = self._run(tmp_path)
+        assert (runner.cache_misses, runner.cache_hits) == (3, 0)
 
-        warm_reg = MetricsRegistry()
-        warm, runner = self._run(tmp_path, warm_reg)
+        warm, runner = self._run(tmp_path)
         assert warm == cold
-        assert warm_reg.value("parallel", "cache_hits", campaign="cache-test") == 3
-        assert warm_reg.value("parallel", "cache_misses", campaign="cache-test") == 0
+        assert (runner.cache_hits, runner.cache_misses) == (3, 0)
         # The headline: a warm campaign runs zero live simulations, yet
         # every shard still counts as completed exactly once.
-        assert warm_reg.value("parallel", "shards_run_inprocess",
-                              campaign="cache-test") == 0
-        assert warm_reg.value("parallel", "shards_completed",
-                              campaign="cache-test") == 3
+        assert runner.completed == 3
+        assert all(row.cached and row.cpu_seconds == 0.0
+                   for row in runner.last_shard_rows)
         assert "3 hit(s)" in runner.summary()
 
     def test_source_change_invalidates_via_fingerprint(self, tmp_path):
-        cold, _ = self._run(tmp_path, MetricsRegistry(), fingerprint="a" * 32)
-        stale_reg = MetricsRegistry()
-        results, _ = self._run(tmp_path, stale_reg, fingerprint="b" * 32)
+        cold, _ = self._run(tmp_path, fingerprint="a" * 32)
+        results, runner = self._run(tmp_path, fingerprint="b" * 32)
         assert results == cold
-        assert stale_reg.value("parallel", "cache_stale", campaign="cache-test") == 3
-        assert stale_reg.value("parallel", "cache_hits", campaign="cache-test") == 0
+        assert (runner.cache_stale, runner.cache_hits) == (3, 0)
         # The re-run overwrote the entries for the new tree.
-        warm_reg = MetricsRegistry()
-        self._run(tmp_path, warm_reg, fingerprint="b" * 32)
-        assert warm_reg.value("parallel", "cache_hits", campaign="cache-test") == 3
+        _, runner = self._run(tmp_path, fingerprint="b" * 32)
+        assert runner.cache_hits == 3
 
     def test_corrupt_entry_reruns_that_shard_only(self, tmp_path):
-        _, runner = self._run(tmp_path, MetricsRegistry())
-        victim = runner.cache.key_for(
-            Shard(key="double/2", fn=_double, kwargs={"value": 2}), 3
-        )
+        _, runner = self._run(tmp_path)
+        victim = runner.cache.key_for(self._shard(2))
         (runner.cache.shard_dir / f"{victim.logical}.jsonl").write_text("torn")
-        reg = MetricsRegistry()
-        results, _ = self._run(tmp_path, reg)
+        results, runner = self._run(tmp_path)
         assert results[1][0] == 4
-        assert reg.value("parallel", "cache_hits", campaign="cache-test") == 2
-        assert reg.value("parallel", "cache_misses", campaign="cache-test") == 1
+        assert (runner.cache_hits, runner.cache_misses) == (2, 1)
 
 
 class TestWarmColdEquivalence:
@@ -313,8 +303,7 @@ class TestWarmColdEquivalence:
         cache = CampaignCache(root=cache_root)
         cold = render_table1(run_table1(labels=["M7"], trials=1, seed=7,
                                         runner=CampaignRunner(jobs=1, cache=cache)))
-        registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=jobs, registry=registry, cache=cache)
+        runner = CampaignRunner(jobs=jobs, cache=cache)
         from repro.experiments.table1 import profile_label
 
         warm = render_table1(runner.run([
@@ -322,8 +311,8 @@ class TestWarmColdEquivalence:
                   kwargs={"label": "M7", "trials": 1}, seed=7)
         ], campaign="table1", base_seed=7))
         assert warm == cold
-        assert registry.value("parallel", "cache_hits", campaign="table1") == 1
-        assert registry.value("parallel", "shards_run_inprocess", campaign="table1") == 0
+        assert runner.cache_hits == 1
+        assert [row.cached for row in runner.last_shard_rows] == [True]
 
 
 class TestCacheCli:

@@ -1,16 +1,17 @@
 """The package's import graph: no cycles, and one import path per name.
 
 ``simnet`` recognises and sizes TCP frames by :class:`~repro.tcp.segment.TcpSegment`,
-while the TCP stack sits on ``simnet``'s hosts; the campaign runner stores
-shards in the cache, whose keys derive seeds the runner's way.  An import
+while the TCP stack sits on ``simnet``'s hosts; the campaign runner, the
+metrics and the manifests all write through the cache store.  An import
 cycle shows only when one of its modules is the first to be imported, and
 under pytest that order is whichever the collected test files happen to
 use.  So each module here is imported first, in a fresh interpreter of its
 own.
 
 A package ``__init__`` holds its docstring and nothing else (the root also
-holds ``__version__``): every name is imported from the module that
-defines it, so importing a module loads what it uses and no more.
+holds ``__version__``), and no module keeps an ``__all__``: every name is
+imported from the module that defines it, so importing a module loads what
+it uses and no more.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ def test_package_init_holds_only_its_docstring(init):
     # an import's whole text.
     rest = [ast.unparse(node).split(" = ")[0] for node in body[1:]]
     assert rest == (["__version__"] if init.parent == PACKAGE else [])
+
+
+def test_no_module_keeps_an_all_list():
+    # An ``__all__`` lists names a second time, and can carry one that the
+    # module only imports: a second import path for it.
+    listing = sorted(
+        str(path.relative_to(PACKAGE))
+        for path in PACKAGE.rglob("*.py")
+        if any(isinstance(node, ast.Name) and node.id == "__all__"
+               for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert listing == []
 
 
 def test_spec_and_client_modules_leave_the_simulator_unloaded():

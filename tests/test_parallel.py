@@ -11,17 +11,18 @@ real Table I subset.
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 import pytest
 
 from repro.cache.store import CampaignCache
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel.runner import (
     JOBS_CAP,
     CampaignCancelled,
     CampaignRunner,
     Shard,
+    SharedWorkerPool,
     fork_available,
     resolve_jobs,
 )
@@ -108,6 +109,10 @@ def _no_seed_shard(value: int) -> int:
     return value * 2
 
 
+def _pid_shard(seed: int) -> int:
+    return os.getpid()
+
+
 def _failing_shard(seed: int) -> None:
     raise ValueError(f"shard blew up (seed={seed})")
 
@@ -124,7 +129,7 @@ class TestCampaignRunner:
         # but the merge must still put it first.
         shards = [
             Shard(key=f"s/{i}", fn=_slow_then_fast,
-                  kwargs={"name": f"r{i}", "delay": 0.05 * (3 - i)})
+                  kwargs={"name": f"r{i}", "delay": 0.05 * (3 - i)}, seed=i)
             for i in range(4)
         ]
         runner = CampaignRunner(jobs=4)
@@ -143,13 +148,13 @@ class TestCampaignRunner:
 
     def test_progress_line_percentage(self):
         runner = CampaignRunner(jobs=1, manifest=False)
-        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"}, seed=i)
                   for i in range(4)]
         runner.run(shards, campaign="pct", base_seed=0)
         assert "4/4 shard(s) (100%)" in runner.render_progress()
 
     def test_serial_path_preserves_order(self):
-        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"}, seed=i)
                   for i in range(3)]
         runner = CampaignRunner(jobs=1)
         assert [name for name, _ in runner.run(shards, base_seed=9)] == [
@@ -163,47 +168,38 @@ class TestCampaignRunner:
         )
         assert seed == 777
 
-    def test_derived_seed_used_when_unset(self):
-        runner = CampaignRunner(jobs=1)
-        [(_, seed)] = runner.run([Shard(key="table1/HS1", fn=_echo_shard,
-                                        kwargs={"name": "n"})], base_seed=7)
-        assert seed == derive_seed(7, "table1/HS1")
-
-    def test_pass_seed_false_omits_seed(self):
+    def test_unseeded_shard_is_called_without_seed(self):
         runner = CampaignRunner(jobs=1)
         assert runner.run(
-            [Shard(key="k", fn=_no_seed_shard, kwargs={"value": 21}, pass_seed=False)]
+            [Shard(key="k", fn=_no_seed_shard, kwargs={"value": 21})], base_seed=7
         ) == [42]
 
     def test_empty_campaign(self):
         assert CampaignRunner(jobs=2).run([]) == []
 
     def test_progress_counters(self):
-        registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=1, registry=registry)
-        runner.run([Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": "n"})
+        runner = CampaignRunner(jobs=1)
+        runner.run([Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": "n"}, seed=i)
                     for i in range(3)], campaign="metrics-test")
-        assert registry.value("parallel", "shards_total", campaign="metrics-test") == 3
-        assert registry.value("parallel", "shards_completed", campaign="metrics-test") == 3
-        assert registry.value("parallel", "shards_in_flight", campaign="metrics-test") == 0
         assert runner.completed == 3
+        assert [row.index for row in runner.last_shard_rows] == [0, 1, 2]
         assert runner.last_wall_seconds > 0.0
         assert "metrics-test" in runner.summary()
 
     def test_one_runner_carries_two_campaigns(self, tmp_path, monkeypatch):
         # The campaign and base seed belong to a run, not to the runner:
-        # each run writes its own manifest and books its own counters.
+        # each run writes its own manifest and keeps its own shard rows.
         from repro.obs.manifest import RunManifest
 
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
-        registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=1, registry=registry)
-        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+        runner = CampaignRunner(jobs=1)
+        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"}, seed=i)
                   for i in range(3)]
         first = runner.run(shards, campaign="alpha", base_seed=1)
         second = runner.run(shards[:2], campaign="beta", base_seed=2)
-        assert first[0] == ("r0", derive_seed(1, "s/0"))
-        assert second[0] == ("r0", derive_seed(2, "s/0"))
+        assert first == [("r0", 0), ("r1", 1), ("r2", 2)]
+        assert second == first[:2]
+        assert runner.completed == 2  # the last run's rows only
         assert runner.manifest_paths == [tmp_path / "alpha.jsonl",
                                          tmp_path / "beta.jsonl"]
         assert runner.last_manifest_path == tmp_path / "beta.jsonl"
@@ -211,8 +207,8 @@ class TestCampaignRunner:
             manifest = RunManifest.load(tmp_path / f"{campaign}.jsonl")
             assert manifest.campaign == campaign
             assert (manifest.header["seed"], manifest.header["shards"]) == (seed, count)
-            for name in ("shards_total", "shards_completed", "shards_run_inprocess"):
-                assert registry.value("parallel", name, campaign=campaign) == count
+            assert [(row.key, row.seed) for row in manifest.shards] == [
+                (f"s/{i}", i) for i in range(count)]
 
     def test_explicit_manifest_path_holds_only_the_first_campaign(
             self, tmp_path, monkeypatch):
@@ -221,7 +217,7 @@ class TestCampaignRunner:
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "default"))
         explicit = tmp_path / "explicit.jsonl"
         runner = CampaignRunner(jobs=1, manifest=explicit)
-        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"}, seed=i)
                   for i in range(2)]
         runner.run(shards, campaign="alpha", base_seed=1)
         runner.run(shards, campaign="beta", base_seed=2)
@@ -234,43 +230,27 @@ class TestCampaignRunner:
         import repro.parallel.runner as runner_mod
 
         monkeypatch.setattr(runner_mod, "fork_available", lambda: False)
-        registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=4, registry=registry)
-        shards = [Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
-                  for i in range(3)]
-        assert [name for name, _ in runner.run(shards, campaign="fallback")] == [
-            "r0", "r1", "r2"]
-        assert registry.value("parallel", "shards_run_inprocess", campaign="fallback") == 3
+        runner = CampaignRunner(jobs=4)
+        shards = [Shard(key=f"s/{i}", fn=_pid_shard, seed=i) for i in range(3)]
+        assert runner.run(shards, campaign="fallback") == [os.getpid()] * 3
+        assert not any(row.replayed for row in runner.last_shard_rows)
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_replayed_shard_books_exactly_once(self):
         # Regression: a pool failure that is healed by the in-process replay
         # must count the shard once — as replayed — not once in the pool
         # *and* once in-process, or completed drifts past total.
-        registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=2, registry=registry)
+        runner = CampaignRunner(jobs=2)
         shards = [
-            Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}),
-            Shard(key="bad", fn=_unpicklable_result),
+            Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}, seed=1),
+            Shard(key="bad", fn=_unpicklable_result, seed=2),
         ]
         results = runner.run(shards, campaign="replay")
-        assert results[0] == ("fine", derive_seed(0, "ok"))
+        assert results[0] == ("fine", 1)
         assert callable(results[1])  # healed: the replay ran in-process
-
-        def value(name: str) -> float:
-            return registry.value("parallel", name, campaign="replay")
-
-        assert value("shards_total") == 2
-        assert value("shards_completed") == 2
-        assert value("shards_replayed") == 1
-        assert value("shard_failures") == 1
-        assert value("shards_run_inprocess") == 0
-        # The consistency invariant the counters must always satisfy:
-        # every completion is exactly one of pool / serial / replay / hit.
-        pool_completions = value("shards_completed") - value(
-            "shards_run_inprocess") - value("shards_replayed")
-        assert pool_completions == 1
-        assert value("shards_in_flight") == 0
+        assert runner.completed == 2
+        assert [(row.key, row.replayed) for row in runner.last_shard_rows] == [
+            ("ok", False), ("bad", True)]
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_replay_of_unpicklable_result_survives_cache_store(self, tmp_path):
@@ -278,78 +258,62 @@ class TestCampaignRunner:
         # in-process replay used to die *after* completing — the outcomes
         # loop handed the healed (unpicklable) result to cache.put, and
         # pickle's error killed the run.  The store must degrade to a
-        # counted put-failure instead, and the shard must still book once.
-        from repro.cache.store import CampaignCache
+        # put failure on the shard's manifest row instead, and the shard
+        # must still book once.
+        from repro.obs.manifest import RunManifest
 
-        registry = MetricsRegistry()
-        runner = CampaignRunner(jobs=2, registry=registry,
-                                cache=CampaignCache(root=tmp_path),
-                                manifest=False)
+        cache = CampaignCache(root=tmp_path / "cache")
+        runner = CampaignRunner(jobs=2, cache=cache,
+                                manifest=tmp_path / "cold.jsonl")
         shards = [
-            Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}),
-            Shard(key="bad", fn=_unpicklable_result),
+            Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}, seed=1),
+            Shard(key="bad", fn=_unpicklable_result, seed=2),
         ]
         results = runner.run(shards, campaign="putfail")
-        assert results[0] == ("fine", derive_seed(0, "ok"))
+        assert results[0] == ("fine", 1)
         assert callable(results[1])  # healed in-process, result intact
-
-        def value(name: str) -> float:
-            return registry.value("parallel", name, campaign="putfail")
-
-        assert value("shards_total") == 2
-        assert value("shards_completed") == 2
-        assert value("shards_replayed") == 1
-        assert value("shard_failures") == 1
-        assert value("cache_put_failures") == 1
+        assert runner.completed == 2
+        cold = RunManifest.load(tmp_path / "cold.jsonl")
+        assert [(row.replayed, row.stored) for row in cold.shards] == [
+            (False, True), (True, False)]
 
         # The unstorable shard must not have poisoned the cache: a warm
         # runner hits the good shard and quietly re-runs the bad one.
-        registry2 = MetricsRegistry()
-        runner2 = CampaignRunner(jobs=2, registry=registry2,
-                                 cache=CampaignCache(root=tmp_path),
-                                 manifest=False)
+        runner2 = CampaignRunner(jobs=2, cache=cache,
+                                 manifest=tmp_path / "warm.jsonl")
         results2 = runner2.run(shards, campaign="putfail")
         assert results2[0] == results[0]
         assert callable(results2[1])
+        assert (runner2.cache_hits, runner2.cache_misses) == (1, 1)
+        assert runner2.completed == 2
+        warm = RunManifest.load(tmp_path / "warm.jsonl")
+        assert [(row.cached, row.stored) for row in warm.shards] == [
+            (True, True), (False, False)]
 
-        def value2(name: str) -> float:
-            return registry2.value("parallel", name, campaign="putfail")
-
-        assert value2("cache_hits") == 1
-        assert value2("cache_misses") == 1
-        assert value2("shards_completed") == 2
-        assert value2("cache_put_failures") == 1
-
+    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_cache_hit_then_replay_books_once(self, tmp_path):
-        # Structural guard: even if one shard index somehow reaches two
-        # booking paths in a single run (here: filled from cache, then a
-        # stray replay of the same index), completed must not double-count.
-        from repro.cache.store import CampaignCache
-
-        registry = MetricsRegistry()
-        shards = [Shard(key="k", fn=_echo_shard, kwargs={"name": "n"})]
+        # A cache hit, a pool completion and a pool failure's replay in one
+        # run: each shard books exactly once, as what it was.
+        shards = [
+            Shard(key="hit", fn=_echo_shard, kwargs={"name": "h"}, seed=1),
+            Shard(key="pool", fn=_echo_shard, kwargs={"name": "p"}, seed=2),
+            Shard(key="bad", fn=_unpicklable_result, seed=3),
+        ]
         CampaignRunner(jobs=1, cache=CampaignCache(root=tmp_path),
-                       manifest=False).run(shards, campaign="guard")
-        runner = CampaignRunner(jobs=1, registry=registry,
-                                cache=CampaignCache(root=tmp_path),
+                       manifest=False).run(shards[:1], campaign="guard")
+        runner = CampaignRunner(jobs=2, cache=CampaignCache(root=tmp_path),
                                 manifest=False)
         runner.run(shards, campaign="guard")
-
-        def value(name: str) -> float:
-            return registry.value("parallel", name, campaign="guard")
-
-        assert value("cache_hits") == 1
-        assert value("shards_completed") == 1
-        runner._replay(shards[0], 0)  # the hypothetical second path
-        assert value("shards_completed") == 1
-        assert value("shards_replayed") == 0
+        assert (runner.completed, runner.cache_hits) == (3, 1)
+        assert [(row.cached, row.replayed) for row in runner.last_shard_rows] == [
+            (True, False), (False, False), (False, True)]
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_failing_shard_reraises_with_original_error(self):
         runner = CampaignRunner(jobs=2)
         shards = [
-            Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}),
-            Shard(key="bad", fn=_failing_shard),
+            Shard(key="ok", fn=_echo_shard, kwargs={"name": "fine"}, seed=1),
+            Shard(key="bad", fn=_failing_shard, seed=2),
         ]
         with pytest.raises(ValueError, match="shard blew up"):
             runner.run(shards, campaign="failure-test")
@@ -406,7 +370,7 @@ class TestCancellation:
     """Cooperative cancellation: stop between shards, keep the cache whole."""
 
     def _shards(self, n=3):
-        return [Shard(key=f"c/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+        return [Shard(key=f"c/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"}, seed=i)
                 for i in range(n)]
 
     def test_preset_event_cancels_before_any_shard(self, tmp_path):
@@ -440,38 +404,42 @@ class TestCancellation:
         assert (err.value.done, err.value.total) == (1, 3)
         assert cache.stats()["entries"] == 1
 
-        registry = MetricsRegistry()
-        resumed = CampaignRunner(jobs=1, cache=cache, manifest=False,
-                                 registry=registry)
+        resumed = CampaignRunner(jobs=1, cache=cache, manifest=False)
         results = resumed.run(self._shards(), campaign="cancel-mid", base_seed=3)
-        assert results == [("r0", pytest.approx(results[0][1])),
-                           results[1], results[2]]
-        assert registry.value("parallel", "cache_hits",
-                              campaign="cancel-mid") == 1
+        assert results == [("r0", 0), ("r1", 1), ("r2", 2)]
+        assert resumed.cache_hits == 1
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_pool_cancel_revokes_pending_and_stores_completed(self, tmp_path):
         # Pool mode: shard 0 drops a marker; the cancel check fires once the
         # marker exists, and the runner must revoke the still-queued shards
         # while caching everything that completed.  The blockers are released
-        # only once a revocation shows in the in-flight gauge: released any
-        # earlier, the workers could drain the whole backlog through the
-        # executor's call queue before the runner revokes it.
+        # only once the pool shows a revoked future: released any earlier,
+        # the workers could drain the whole backlog through the executor's
+        # call queue before the runner revokes it.
         import threading
 
+        class RecordingPool(SharedWorkerPool):
+            def __init__(self, jobs: int) -> None:
+                super().__init__(jobs)
+                self.futures = []
+
+            def submit(self, fn, *args):
+                future = super().submit(fn, *args)
+                self.futures.append(future)
+                return future
+
         cache = CampaignCache(root=tmp_path / "cache", fingerprint="a" * 32)
-        registry = MetricsRegistry()
+        pool = RecordingPool(2)
         marker = tmp_path / "first-done"
         release = tmp_path / "release"
         ran_last = tmp_path / "ran-last"
         releasers: list[threading.Thread] = []
 
-        def in_flight() -> float:
-            return registry.value("parallel", "shards_in_flight", campaign="cancel-pool")
-
-        def release_after_revocation(noted: float) -> None:
+        def release_after_revocation() -> None:
             deadline = time.monotonic() + 20.0
-            while in_flight() >= noted and time.monotonic() < deadline:
+            while (not any(future.cancelled() for future in pool.futures)
+                   and time.monotonic() < deadline):
                 time.sleep(0.005)
             release.touch()
 
@@ -480,23 +448,26 @@ class TestCancellation:
                 return False
             if not releasers:
                 releasers.append(threading.Thread(
-                    target=release_after_revocation, args=(in_flight(),), daemon=True))
+                    target=release_after_revocation, daemon=True))
                 releasers[0].start()
             return True
 
         shards = [
-            Shard(key="p/0", fn=_touch_and_echo, kwargs={"path": str(marker)}),
-            Shard(key="p/1", fn=_wait_for_file, kwargs={"path": str(release)}),
-            Shard(key="p/2", fn=_wait_for_file, kwargs={"path": str(release)}),
+            Shard(key="p/0", fn=_touch_and_echo, kwargs={"path": str(marker)}, seed=0),
+            Shard(key="p/1", fn=_wait_for_file, kwargs={"path": str(release)}, seed=1),
+            Shard(key="p/2", fn=_wait_for_file, kwargs={"path": str(release)}, seed=2),
         ] + [
             Shard(key=f"p/{i}", fn=_touch_and_echo,
-                  kwargs={"path": str(ran_last)})
+                  kwargs={"path": str(ran_last)}, seed=i)
             for i in range(3, 10)
         ]
         runner = CampaignRunner(jobs=2, cache=cache, manifest=False,
-                                cancel=cancel, registry=registry)
-        with pytest.raises(CampaignCancelled) as err:
-            runner.run(shards, campaign="cancel-pool", base_seed=0)
+                                cancel=cancel, pool=pool)
+        try:
+            with pytest.raises(CampaignCancelled) as err:
+                runner.run(shards, campaign="cancel-pool", base_seed=0)
+        finally:
+            pool.shutdown()
         assert len(releasers) == 1
         releasers[0].join(timeout=30.0)
         assert not releasers[0].is_alive()
@@ -521,15 +492,13 @@ class TestCancellation:
 class TestSharedWorkerPool:
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_two_runners_share_one_executor(self):
-        from repro.parallel.runner import SharedWorkerPool
-
         pool = SharedWorkerPool(jobs=2)
         try:
             pool.prewarm()
             executor = pool.executor()
             assert pool.executor() is executor  # reused, not rebuilt
             shards = [
-                Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"})
+                Shard(key=f"s/{i}", fn=_echo_shard, kwargs={"name": f"r{i}"}, seed=i)
                 for i in range(3)
             ]
             first = CampaignRunner(jobs=2, manifest=False, pool=pool)
@@ -537,6 +506,31 @@ class TestSharedWorkerPool:
             assert (first.run(shards, campaign="pool-a")
                     == second.run(shards, campaign="pool-b"))
             assert pool.executor() is executor  # survived both campaigns
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+    def test_a_killed_worker_heals_on_the_next_campaign(self):
+        # One worker killed under a shared pool breaks its executor for
+        # good; the next submit replaces it, so every later campaign runs
+        # on the pool again instead of failing.
+        pool = SharedWorkerPool(jobs=2)
+        try:
+            pool.prewarm()
+            broken = pool.executor()
+            os.kill(next(iter(broken._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 20.0
+            while not broken._broken:
+                assert time.monotonic() < deadline, "executor never broke"
+                time.sleep(0.01)
+            shards = [Shard(key=f"d/{i}", fn=_no_seed_shard, kwargs={"value": i})
+                      for i in range(4)]
+            for _ in range(2):
+                runner = CampaignRunner(jobs=2, manifest=False, pool=pool)
+                assert runner.run(shards, campaign="healed") == [0, 2, 4, 6]
+                assert not any(row.replayed for row in runner.last_shard_rows)
+            assert pool.rebuilds == 1
+            assert pool.executor() is not broken
         finally:
             pool.shutdown()
 

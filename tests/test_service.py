@@ -248,7 +248,7 @@ def _toy_sharded(release: str, seed: int = 7, runner=None):
 
     shards = [
         Shard(key=f"gated/{i}", fn=_release_gated,
-              kwargs={"index": i, "release": release})
+              kwargs={"index": i, "release": release}, seed=seed)
         for i in range(3)
     ]
     return runner.run(shards)
@@ -522,6 +522,7 @@ class TestServiceStatus:
         by_id = {row["job_id"]: row for row in status["jobs"]}
         assert by_id[low_id]["state"] == by_id[high_id]["state"] == "queued"
         assert status["service"]["queue_depth"] == 2
+        assert status["service"]["pool_rebuilds"] == 0
         assert "table1" in status["experiments"]
 
         release.touch()

@@ -35,16 +35,13 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import (
-    ShardTelemetry,
     ShardUsage,
     capture,
     cpu_seconds_now,
     harvest_result,
-    merge_telemetry,
     register_registry,
 )
 from repro.parallel.runner import CampaignRunner, Shard, fork_available
-from repro.parallel.seeds import derive_seed
 from repro.simnet.scheduler import Simulator
 
 
@@ -199,10 +196,10 @@ class TestCapture:
         assert cap.snapshot().value("scheduler", "events_processed") == 2
 
     def test_parallel_component_excluded(self):
-        # Only a registry handed over joins the shard's telemetry: a
-        # runner's wall-clock bookkeeping built inside a shard never does.
+        # Only a registry handed over joins the shard's telemetry: one a
+        # shard builds for its own bookkeeping and keeps never does.
         with capture() as cap:
-            CampaignRunner(jobs=1).registry.counter("parallel", "cache_hits").inc(9)
+            MetricsRegistry().counter("parallel", "cache_hits").inc(9)
             registry = MetricsRegistry()
             register_registry(registry)
             registry.counter("app", "ok").inc()
@@ -259,26 +256,16 @@ class TestHarvest:
 
 
 class TestShardTelemetry:
+    """What a shard reports besides its result: one registry, and usage."""
+
     def test_pickle_round_trip(self):
         # A shard's registry crosses the pool and the cache as a pickle.
         with capture() as cap:
             register_registry(_registry_with(counter=2, gauge=2.5, samples=(0.1, 4.2)))
-        telemetry = cap.finish(usage=ShardUsage(1.0, 0.9, 1024))
-        clone = pickle.loads(pickle.dumps(telemetry))
-        assert clone.metrics.snapshot() == telemetry.metrics.snapshot()
-        assert clone.metrics.value("test", "count") == 2
-        assert clone.usage == telemetry.usage
-
-    def test_deterministic_strips_run_specific_state(self):
-        shard = ShardTelemetry(
-            metrics=_registry_with(counter=1),
-            usage=ShardUsage(1.0, 0.5, 2048),
-            replayed=True,
-            cached=True,
-        )
-        det = shard.deterministic()
-        assert det.usage is None and not det.replayed and not det.cached
-        assert det.metrics is shard.metrics
+        registry = cap.finish()
+        clone = pickle.loads(pickle.dumps(registry))
+        assert clone.snapshot() == registry.snapshot()
+        assert clone.value("test", "count") == 2
 
     def test_usage_measure(self):
         usage = ShardUsage.measure(1.0, 3.5, 0.0)
@@ -286,12 +273,6 @@ class TestShardTelemetry:
         assert usage.cpu_seconds >= 0.0
         assert usage.peak_rss_kb > 0  # Linux: ru_maxrss is KB and nonzero
         assert cpu_seconds_now() > 0.0
-
-    def test_merge_telemetry_skips_none(self):
-        one = ShardTelemetry(metrics=_registry_with(counter=2))
-        merged = merge_telemetry([None, one, None, one])
-        assert merged.value("test", "count") == 4
-        assert one.metrics.value("test", "count") == 2  # shards stay as they were
 
 
 # Module-level shard fns (workers unpickle by qualified name).
@@ -312,21 +293,19 @@ class TestRunnerTelemetry:
     def test_serial_run_collects_telemetry_and_manifest(self, tmp_path):
         runner = CampaignRunner(jobs=1, manifest=str(tmp_path / "m.jsonl"))
         results = runner.run([
-            Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
+            Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"}, seed=i)
             for i in range(3)
         ], campaign="tele-serial", base_seed=5)
         assert results == [3, 3, 3]
-        assert len(runner.last_telemetry) == 3
-        assert all(t is not None for t in runner.last_telemetry)
-        assert all(t.usage is not None for t in runner.last_telemetry)
-        assert all(t.events_processed() == 3 for t in runner.last_telemetry)
+        assert [row.events for row in runner.last_shard_rows] == [3, 3, 3]
+        assert all(row.wall_seconds > 0.0 for row in runner.last_shard_rows)
         assert runner.last_metrics.value("scheduler", "events_processed") == 9
         assert runner.last_manifest_path == tmp_path / "m.jsonl"
         loaded = RunManifest.load(runner.last_manifest_path)
         assert loaded.header["campaign"] == "tele-serial"
         assert loaded.header["shards"] == 3
         assert [row.key for row in loaded.shards] == ["s/0", "s/1", "s/2"]
-        assert all(row.seed == derive_seed(5, row.key) for row in loaded.shards)
+        assert [row.seed for row in loaded.shards] == [0, 1, 2]
         assert all(row.events == 3 for row in loaded.shards)
         assert all(row.cpu_seconds >= 0.0 for row in loaded.shards)
         assert all(row.peak_rss_kb > 0 for row in loaded.shards)
@@ -336,7 +315,7 @@ class TestRunnerTelemetry:
         def merged(jobs: int) -> list[dict]:
             runner = CampaignRunner(jobs=jobs, manifest=False)
             runner.run([
-                Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
+                Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"}, seed=i)
                 for i in range(4)
             ], campaign="tele-eq", base_seed=5)
             return runner.last_metrics.snapshot()
@@ -347,8 +326,8 @@ class TestRunnerTelemetry:
     def test_replayed_flag_reaches_manifest_row(self, tmp_path):
         runner = CampaignRunner(jobs=2, manifest=str(tmp_path / "m.jsonl"))
         runner.run([
-            Shard(key="ok", fn=_sim_shard, kwargs={"label": "a"}),
-            Shard(key="bad", fn=_unpicklable_result),
+            Shard(key="ok", fn=_sim_shard, kwargs={"label": "a"}, seed=1),
+            Shard(key="bad", fn=_unpicklable_result, seed=2),
         ], campaign="tele-replay", base_seed=0)
         loaded = RunManifest.load(tmp_path / "m.jsonl")
         by_key = {row.key: row for row in loaded.shards}
@@ -356,12 +335,27 @@ class TestRunnerTelemetry:
         assert by_key["bad"].replayed
         assert loaded.header["replayed_shards"] == 1
 
+    def test_merge_skips_a_shard_without_metrics(self, tmp_path):
+        # A cache entry stored without metrics still hits, and adds nothing
+        # to the campaign's merged metrics.
+        from repro.cache.store import CampaignCache
+
+        cache = CampaignCache(root=tmp_path / "cache")
+        shards = [Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"}, seed=i)
+                  for i in range(2)]
+        cache.put(cache.key_for(shards[0]), 3, wall_seconds=0.1)
+        runner = CampaignRunner(jobs=1, cache=cache, manifest=False)
+        assert runner.run(shards, campaign="tele-none") == [3, 3]
+        assert runner.last_metrics.value("scheduler", "events_processed") == 3
+        assert [(row.cached, row.events) for row in runner.last_shard_rows] == [
+            (True, 0), (False, 3)]
+
     def test_cache_replays_telemetry_byte_identically(self, tmp_path):
         from repro.cache.store import CampaignCache
 
         cache = CampaignCache(root=tmp_path / "cache")
         shards = [
-            Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
+            Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"}, seed=i)
             for i in range(3)
         ]
         cold = CampaignRunner(jobs=1, cache=cache, manifest=False)
@@ -369,11 +363,14 @@ class TestRunnerTelemetry:
         warm = CampaignRunner(jobs=1, cache=cache, manifest=False)
         warm.run(shards, campaign="tele-cache", base_seed=5)
         assert warm.completed == 3
-        assert all(t is not None and t.cached for t in warm.last_telemetry)
+        assert all(row.cached for row in warm.last_shard_rows)
         # the merged metrics are byte-identical warm vs cold
         assert warm.last_metrics.snapshot() == cold.last_metrics.snapshot()
-        # but the warm run's rows carry no usage (nothing executed)
-        assert all(t.usage is None for t in warm.last_telemetry)
+        # and so are the rows' event counts, though the warm run's rows
+        # carry no usage (nothing executed)
+        assert [row.events for row in warm.last_shard_rows] == [3, 3, 3]
+        assert all(row.wall_seconds == row.cpu_seconds == row.peak_rss_kb == 0
+                   for row in warm.last_shard_rows)
 
 
 class TestManifest:
@@ -381,7 +378,7 @@ class TestManifest:
         runner = CampaignRunner(jobs=1,
                                 manifest=str(tmp_path / f"{campaign}.jsonl"))
         runner.run([
-            Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"})
+            Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": f"l{i}"}, seed=i)
             for i in range(2)
         ], campaign=campaign, base_seed=5)
         return runner.last_manifest_path
@@ -445,9 +442,13 @@ class TestManifest:
 
     def test_shard_row_record_round_trip(self):
         row = ShardRow(index=1, key="k", seed=9, cached=True, replayed=True,
-                       wall_seconds=1.25, cpu_seconds=1.0, peak_rss_kb=2048,
-                       events=17)
-        assert ShardRow.from_record(row.to_record()) == row
+                       stored=False, wall_seconds=1.25, cpu_seconds=1.0,
+                       peak_rss_kb=2048, events=17)
+        record = row.to_record()
+        assert ShardRow.from_record(record) == row
+        # A record written before ``stored`` existed loads as stored.
+        del record["stored"]
+        assert ShardRow.from_record(record).stored
 
     def test_default_path_under_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path / "mdir"))
@@ -564,13 +565,14 @@ class TestObserveCli:
         from repro.cli import main
 
         runner = CampaignRunner(jobs=1, manifest=str(tmp_path / "m.jsonl"))
-        runner.run([Shard(key="s/0", fn=_sim_shard, kwargs={"label": "x"})],
+        runner.run([Shard(key="s/0", fn=_sim_shard, kwargs={"label": "x"}, seed=3)],
                    campaign="cli-test", base_seed=3)
 
         assert main(["observe", "report", str(tmp_path / "m.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "cli-test" in out
         assert "Per-shard execution" in out
+        assert "Stored" in out
 
         assert main(["observe", "diff", str(tmp_path / "m.jsonl"),
                      str(tmp_path / "m.jsonl")]) == 0
@@ -583,7 +585,7 @@ class TestObserveCli:
             runner = CampaignRunner(jobs=1,
                                     manifest=str(tmp_path / f"{tag}.jsonl"))
             runner.run([
-                Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": "x"})
+                Shard(key=f"s/{i}", fn=_sim_shard, kwargs={"label": "x"}, seed=i)
                 for i in range(shards)
             ], campaign="cli-test", base_seed=3)
         assert main(["observe", "diff", str(tmp_path / "a.jsonl"),
